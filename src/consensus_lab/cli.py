@@ -34,10 +34,11 @@ from .interaction import (
 )
 from .market import (
     FixedDraw,
+    MarketBatch,
+    _Kernel,
     cis_generating,
     empirical_price_stats,
     product_generating,
-    simulate_market,
 )
 from .model import ModelSpec, validate_model
 from .optimism import optimism_hypotheses
@@ -51,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _count(raw: str) -> int:
+    """argparse type for a non-negative integer."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -83,8 +95,9 @@ def build_parser() -> _Parser:
             c.add_argument("--fbar", type=float, default=None,
                            help="optimism threshold (default: highest first-order value)")
         if name in ("simulate-market", "report"):
-            c.add_argument("--runs", type=int, default=1 if name == "simulate-market" else 0)
-            c.add_argument("--seed", type=int, default=0)
+            c.add_argument("--runs", type=_count,
+                           default=1 if name == "simulate-market" else 0)
+            c.add_argument("--seed", type=_count, default=0)
         if name == "simulate-market":
             c.add_argument("--state", help="fix the realized state")
             c.add_argument("--profile", metavar="LIST",
@@ -239,6 +252,21 @@ def cmd_game(args, scenario, out) -> int:
     return 0
 
 
+def _bought(batch: MarketBatch) -> MarketBatch:
+    """The classes that bought, in sorted name order, with prices zeroed
+    where a class bought nothing in a run.
+
+    The summary has always been taken from these columns; their order fixes
+    the float summation order, so it fixes the printed bytes.
+    """
+    traded = batch.class_counts.sum(axis=0) > 0
+    cols = sorted(np.flatnonzero(traded), key=lambda k: batch.agents[k])
+    counts = batch.class_counts[:, cols]
+    prices = np.where(counts > 0, batch.class_prices[:, cols], 0.0)
+    return MarketBatch(batch.beta, batch.durations, counts, prices,
+                       batch.terminal_payoffs, tuple(batch.agents[k] for k in cols))
+
+
 def cmd_market(args, scenario, out) -> int:
     model = _as_model(scenario)
     if getattr(args, "state", None) or getattr(args, "profile", None):
@@ -250,20 +278,27 @@ def cmd_market(args, scenario, out) -> int:
     else:
         draw = product_generating(model)
     prices = solve_beta_game(model, args.beta)
+    kernel = _Kernel(model, args.beta, draw, prices=prices, initial_owner="centrality")
+    events_csv = None
+    write_events = None
+    if args.format == "csv" or args.out:
+        events_csv = StringIO()
+        events_csv.write("run,period,seller,buyer,price,buyer_signal\n")
+        # price and signal columns of a buy at each signal
+        tails = [f"{fmt(float(a))},{lab}\n" for a, lab in zip(kernel.actions, kernel.labels)]
+
+        def write_events(k, profile, holders):
+            sig = kernel.signals(profile)
+            suffix = [[f"{seller},{buyer},{tails[sig[j]]}"
+                       for j, buyer in enumerate(model.agents)]
+                      for seller in model.agents]
+            events_csv.write("".join([
+                f"{k},{t},{suffix[a][b]}"
+                for t, (a, b) in enumerate(zip(holders, holders[1:]), 1)
+            ]))
+
     seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
-    runs = [
-        simulate_market(model, args.beta, s, draw, prices=prices,
-                        initial_owner="centrality")
-        for s in seeds
-    ]
-    stats = empirical_price_stats(runs)
-    events_csv = StringIO()
-    events_csv.write("run,period,seller,buyer,price,buyer_signal\n")
-    for k, run in enumerate(runs):
-        for e in run.events:
-            events_csv.write(
-                f"{k},{e.period},{e.seller},{e.buyer},{fmt(e.price)},{e.buyer_signal}\n"
-            )
+    stats = empirical_price_stats(_bought(kernel.batch(seeds, write_events)))
     summary_csv = StringIO()
     summary_csv.write("stat,label,value\n")
     summary_csv.write(f"runs,,{stats.n_runs}\n")
@@ -275,7 +310,8 @@ def cmd_market(args, scenario, out) -> int:
     for a, m in stats.class_means.items():
         if m is not None:
             summary_csv.write(f"class_mean_price,{a},{fmt(m)}\n")
-    _emit(args, "events.csv", events_csv.getvalue())
+    if events_csv is not None:
+        _emit(args, "events.csv", events_csv.getvalue())
     _emit(args, "summary.csv", summary_csv.getvalue())
     if args.format == "csv":
         out.write(events_csv.getvalue())

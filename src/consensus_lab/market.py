@@ -10,15 +10,27 @@ prices track the schedule and, as trade becomes frequent, the consensus.
 
 Randomness flows through numpy's PCG64 generator with explicit seeding.  A
 batch of runs seeds run k with ``SeedSequence(seed).spawn(n)[k]``; a single
-run with integer seed s uses ``SeedSequence(s)`` directly.  Draw order
-within a run is fixed and documented in :func:`simulate_market`.
+run with integer seed s uses ``SeedSequence(s)`` directly.  Each run reads
+one stream of uniforms from its own generator: the first is the nature
+draw (nature mode only), the next the initial owner (only when the owner
+is given as a distribution, such as ``"centrality"``), and after that the
+uniforms alternate, continuation then buyer, so the continuation uniforms
+sit at ``off, off + 2, ...``.  ``rng.random(a)`` followed by
+``rng.random(b)`` gives the same doubles as ``rng.random(a + b)``, so
+uniforms are drawn in numpy blocks of any size without changing a run.
+
+One kernel serves :func:`simulate_market`, :func:`simulate_batch` and the
+CLI.  Once per call it validates the draw and the initial owner and hoists
+what every run shares: the joint-draw and initial-owner running sums (the
+centrality is computed once), the network's per-row running sums and the
+price schedule.  Per run it finds the duration with one vectorized scan of
+the continuation uniforms and the buyers from an ``n_agents x trades``
+table of ``searchsorted(..., side="right")`` lookups, chained from the
+initial owner.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,18 +41,6 @@ from .game import GameSolution, solve_beta_game
 from .interaction import SignalIndex
 from .model import ModelSpec
 from .spectral import eigenvector_centrality
-
-_CHUNK = 4096
-
-
-def worker_count() -> int:
-    """Worker cap from the CONSENSUS_LAB_THREADS environment variable."""
-    raw = os.environ.get("CONSENSUS_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 @dataclass(frozen=True)
 class TradeEvent:
@@ -140,85 +140,176 @@ def _expand_eta(eta: np.ndarray, lead_axes: int) -> np.ndarray:
     return np.asarray(eta).reshape(shape)
 
 
-class _Uniforms:
-    """Sequential uniforms drawn in chunks; identical stream to repeated
-    single calls on the same generator."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.buf = rng.random(_CHUNK)
-        self.pos = 0
-
-    def __call__(self) -> float:
-        if self.pos == len(self.buf):
-            self.buf = self.rng.random(_CHUNK)
-            self.pos = 0
-        u = self.buf[self.pos]
-        self.pos += 1
-        return float(u)
+#: Largest first block of uniforms drawn for a run; a run that needs more
+#: doubles its block.  Block sizes never change the stream.
+_BLOCK = 4096
 
 
-def _resolve_draw(spec: ModelSpec, draw, index: SignalIndex, uniforms):
-    if isinstance(draw, FixedDraw):
-        if draw.state not in spec.states:
-            raise PreconditionError(f"fixed draw: unknown state {draw.state!r}")
-        if len(draw.profile) != spec.n_agents:
-            raise PreconditionError(
-                f"fixed draw: profile needs one signal per agent"
-                f" ({spec.n_agents}), got {len(draw.profile)}"
-            )
-        theta = spec.states.index(draw.state)
-        profile = []
-        for k, a in enumerate(spec.agents):
-            if draw.profile[k] not in spec.signals[a]:
-                raise PreconditionError(
-                    f"fixed draw: {draw.profile[k]!r} is not a signal of {a}"
-                )
-            profile.append(spec.signals[a].index(draw.profile[k]))
-        return theta, profile
-    if isinstance(draw, NatureDraw):
-        joint = np.asarray(draw.joint, dtype=float)
-        shape = (spec.n_states,) + tuple(len(spec.signals[a]) for a in spec.agents)
-        if joint.shape != shape:
-            raise PreconditionError(
-                f"generating distribution: expected shape {shape}, got {joint.shape}"
-            )
-        flat = joint.reshape(-1)
-        cum = np.cumsum(flat)
-        k = int(np.searchsorted(cum, uniforms() * cum[-1], side="right"))
-        k = min(k, len(flat) - 1)
-        coords = np.unravel_index(k, shape)
-        return int(coords[0]), [int(c) for c in coords[1:]]
-    raise PreconditionError(
-        "draw must be a NatureDraw (generating distribution) or a FixedDraw"
-    )
-
-
-def _resolve_initial_owner(spec: ModelSpec, initial_owner, uniforms) -> int:
-    if isinstance(initial_owner, str):
-        if initial_owner == "centrality":
-            dist = eigenvector_centrality(spec.network)
-        else:
-            return spec.agents.index(initial_owner)
-    elif isinstance(initial_owner, (int, np.integer)):
-        return int(initial_owner)
-    else:
-        dist = np.asarray(initial_owner, dtype=float)
-        if dist.shape != (spec.n_agents,):
-            raise PreconditionError("initial owner distribution: wrong length")
-    cum = np.cumsum(dist)
-    k = int(np.searchsorted(cum, uniforms() * cum[-1], side="right"))
-    return min(k, spec.n_agents - 1)
-
-
-def _gamma_cumsums(spec: ModelSpec, allow_own_market: bool) -> list[list[float]]:
-    g = spec.network.weights
-    if not allow_own_market and np.any(np.diag(g) > 0):
+def _cumulative(weights, what: str) -> np.ndarray:
+    """Running sums of a weight array, refused unless every weight is finite
+    and non-negative and the total is positive."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    cum = np.cumsum(w)
+    if not (w.size and w.min() >= 0.0 and 0.0 < cum[-1] < np.inf):
         raise PreconditionError(
-            "owner's class has positive self-weight; pass allow_own_market=True"
-            " to let the asset be resold into the owner's own market"
+            f"{what}: weights must be finite and non-negative with a positive total"
         )
-    return [list(np.cumsum(row)) for row in g]
+    return cum
+
+
+def _pick(cum: np.ndarray, u) -> int:
+    """Index drawn by the uniform ``u`` from running sums ``cum``."""
+    return min(int(cum.searchsorted(u * cum[-1], side="right")), len(cum) - 1)
+
+
+class _Kernel:
+    """Everything one simulation call shares across its runs, validated once.
+
+    :meth:`run` simulates one run from its own generator in the stream
+    layout of :func:`simulate_market`; :meth:`batch` reduces runs to class
+    counts as they finish, so no path outlives its run.
+    """
+
+    def __init__(self, spec: ModelSpec, beta: float, draw, y=None,
+                 prices: GameSolution | None = None, initial_owner=0,
+                 allow_own_market: bool = False):
+        if not 0.0 <= beta < 1.0:
+            raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
+        if prices is None:
+            prices = solve_beta_game(spec, beta, y)
+        g = spec.network.weights
+        if not allow_own_market and np.any(np.diag(g) > 0):
+            raise PreconditionError(
+                "owner's class has positive self-weight; pass allow_own_market=True"
+                " to let the asset be resold into the owner's own market"
+            )
+        index = SignalIndex.from_spec(spec)
+        yvec = spec.y if y is None else y
+        self.beta = beta
+        self.agents = spec.agents
+        self.labels = index.labels
+        self.actions = np.asarray(prices.actions, dtype=float)
+        self.starts = np.array([b.start for b in index.blocks], dtype=np.intp)
+        self.yvals = yvec.values if hasattr(yvec, "values") else np.asarray(yvec, float)
+        self.network_cdf = np.cumsum(g, axis=1)
+        # about two expected runs' worth of uniforms, two per period
+        self.block = int(min(_BLOCK, max(64.0, 4.0 / (1.0 - beta))))
+        self._resolve_draw(spec, draw)
+        self._resolve_owner(spec, initial_owner)
+
+    def _resolve_draw(self, spec, draw):
+        self.joint_cdf = None
+        if isinstance(draw, FixedDraw):
+            if draw.state not in spec.states:
+                raise PreconditionError(f"fixed draw: unknown state {draw.state!r}")
+            if len(draw.profile) != spec.n_agents:
+                raise PreconditionError(
+                    f"fixed draw: profile needs one signal per agent"
+                    f" ({spec.n_agents}), got {len(draw.profile)}"
+                )
+            for k, a in enumerate(spec.agents):
+                if draw.profile[k] not in spec.signals[a]:
+                    raise PreconditionError(
+                        f"fixed draw: {draw.profile[k]!r} is not a signal of {a}"
+                    )
+            self.fixed = (
+                spec.states.index(draw.state),
+                tuple(spec.signals[a].index(draw.profile[k])
+                      for k, a in enumerate(spec.agents)),
+            )
+        elif isinstance(draw, NatureDraw):
+            joint = np.asarray(draw.joint, dtype=float)
+            shape = (spec.n_states,) + tuple(len(spec.signals[a]) for a in spec.agents)
+            if joint.shape != shape:
+                raise PreconditionError(
+                    f"generating distribution: expected shape {shape}, got {joint.shape}"
+                )
+            self.joint_cdf = _cumulative(joint, "generating distribution")
+            self.joint_shape = shape
+        else:
+            raise PreconditionError(
+                "draw must be a NatureDraw (generating distribution) or a FixedDraw"
+            )
+
+    def _resolve_owner(self, spec, initial_owner):
+        self.owner_cdf = None
+        if isinstance(initial_owner, str) and initial_owner != "centrality":
+            if initial_owner not in spec.agents:
+                raise PreconditionError(f"initial owner: unknown agent {initial_owner!r}")
+            self.owner = spec.agents.index(initial_owner)
+        elif isinstance(initial_owner, (int, np.integer)):
+            if not 0 <= initial_owner < spec.n_agents:
+                raise PreconditionError(
+                    f"initial owner: agent index {initial_owner} is outside"
+                    f" 0..{spec.n_agents - 1}"
+                )
+            self.owner = int(initial_owner)
+        else:
+            if isinstance(initial_owner, str):
+                dist = eigenvector_centrality(spec.network)
+            else:
+                dist = np.asarray(initial_owner, dtype=float)
+            if dist.shape != (spec.n_agents,):
+                raise PreconditionError("initial owner distribution: wrong length")
+            self.owner_cdf = _cumulative(dist, "initial owner distribution")
+
+    def signals(self, profile) -> np.ndarray:
+        """Signal index of each class's realized signal."""
+        return self.starts + np.asarray(profile, dtype=np.intp)
+
+    def run(self, seed) -> tuple[int, tuple[int, ...], list[int]]:
+        """State, signal profile (positions within each agent's signals) and
+        holder path of one run; the path starts with the initial owner."""
+        rng = np.random.default_rng(seed)
+        u = rng.random(self.block)
+        off = 0
+        if self.joint_cdf is None:
+            theta, profile = self.fixed
+        else:
+            coords = np.unravel_index(_pick(self.joint_cdf, u[0]), self.joint_shape)
+            theta, profile = int(coords[0]), tuple(int(c) for c in coords[1:])
+            off = 1
+        if self.owner_cdf is None:
+            owner = self.owner
+        else:
+            owner = _pick(self.owner_cdf, u[off])
+            off += 1
+        # continuation uniforms sit at off, off + 2, ...; the first below
+        # 1 - beta ends the run, and each one before it is followed by a buyer's
+        stop = u[off::2] < 1.0 - self.beta
+        trades = int(stop.argmax())
+        while not stop[trades]:
+            u = np.concatenate((u, rng.random(u.size)))
+            stop = u[off::2] < 1.0 - self.beta
+            trades = int(stop.argmax())
+        bids = u[off + 1:off + 2 * trades:2]
+        # buyer of trade t from each possible seller, then the chain through it
+        table = np.minimum(
+            [cdf.searchsorted(bids, side="right") for cdf in self.network_cdf],
+            len(self.agents) - 1,
+        ).tolist()
+        o = owner
+        return theta, profile, [owner] + [o := table[o][t] for t in range(trades)]
+
+    def batch(self, seeds, each=None) -> MarketBatch:
+        """Run every seed in order, reducing each run to its class counts;
+        ``each(k, profile, holders)``, if given, sees run k's path first."""
+        n_runs, n = len(seeds), len(self.agents)
+        durations = np.empty(n_runs, dtype=np.int64)
+        counts = np.empty((n_runs, n), dtype=np.int64)
+        class_prices = np.empty((n_runs, n))
+        payoffs = np.empty(n_runs)
+        for k, seed in enumerate(seeds):
+            theta, profile, holders = self.run(seed)
+            if each is not None:
+                each(k, profile, holders)
+            durations[k] = len(holders)
+            path = np.fromiter(holders, dtype=np.intp, count=len(holders))
+            counts[k] = np.bincount(path[1:], minlength=n)
+            class_prices[k] = self.actions[self.signals(profile)]
+            payoffs[k] = self.yvals[theta]
+        return MarketBatch(self.beta, durations, counts, class_prices, payoffs,
+                           self.agents)
 
 
 def simulate_market(
@@ -233,58 +324,35 @@ def simulate_market(
 ) -> MarketRun:
     """Simulate one run of the trading game.
 
-    Draw order, fixed for reproducibility: (1) state and signal profile
-    (one uniform, nature mode only), (2) initial owner (one uniform,
-    only when given as a distribution), then per period (3) a
-    continuation uniform and, if trade continues, (4) a buyer-class
-    uniform.  ``prices`` may carry a precomputed schedule; otherwise the
+    Stream layout, fixed for reproducibility: the run's generator yields
+    one sequence of uniforms.  The first is the state and signal profile
+    (nature mode only); the next is the initial owner (only when the owner
+    is given as a distribution, such as ``"centrality"``).  After that the
+    uniforms alternate: a continuation uniform, which ends the run when it
+    falls below ``1 - beta``, then the buyer-class uniform of the trade it
+    allows.  Uniforms are drawn in blocks; block sizes never change the
+    stream.  ``prices`` may carry a precomputed schedule; otherwise the
     game is solved at ``beta``.
     """
-    if not 0.0 <= beta < 1.0:
-        raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
-    if prices is None:
-        prices = solve_beta_game(spec, beta, y)
-    index = SignalIndex.from_spec(spec)
-    yvec = (spec.y if y is None else y)
-    yvals = yvec.values if hasattr(yvec, "values") else np.asarray(yvec, float)
+    kernel = _Kernel(spec, beta, draw, y, prices, initial_owner, allow_own_market)
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seed)
-    uniforms = _Uniforms(rng)
-    gamma_cum = _gamma_cumsums(spec, allow_own_market)
-
-    theta, profile = _resolve_draw(spec, draw, index, uniforms)
-    owner = _resolve_initial_owner(spec, initial_owner, uniforms)
-    signal_of_class = [
-        index.block(k).start + profile[k] for k in range(spec.n_agents)
-    ]
-    holders = [owner]
-    events: list[TradeEvent] = []
-    period = 1
-    while uniforms() >= 1.0 - beta:
-        buyer = bisect_right(gamma_cum[owner], uniforms())
-        buyer = min(buyer, spec.n_agents - 1)
-        sig = signal_of_class[buyer]
-        events.append(
-            TradeEvent(
-                period,
-                spec.agents[owner],
-                spec.agents[buyer],
-                float(prices.actions[sig]),
-                index.labels[sig],
-            )
-        )
-        owner = buyer
-        holders.append(owner)
-        period += 1
+    theta, profile, holders = kernel.run(seed)
+    sig = kernel.signals(profile)
+    agents = spec.agents
+    events = tuple(
+        TradeEvent(t, agents[a], agents[b], float(kernel.actions[sig[b]]),
+                   kernel.labels[sig[b]])
+        for t, (a, b) in enumerate(zip(holders, holders[1:]), 1)
+    )
     return MarketRun(
         beta,
         (seed.entropy, seed.spawn_key),
         spec.states[theta],
-        tuple(spec.signals[a][profile[k]] for k, a in enumerate(spec.agents)),
-        tuple(spec.agents[h] for h in holders),
-        tuple(events),
-        float(yvals[theta]),
+        tuple(spec.signals[a][profile[k]] for k, a in enumerate(agents)),
+        tuple(agents[h] for h in holders),
+        events,
+        float(kernel.yvals[theta]),
     )
 
 
@@ -317,26 +385,6 @@ class MarketBatch:
         return (self.class_counts * self.class_prices).sum(axis=1)
 
 
-def _run_compact(spec, beta, seed_seq, draw, prices, initial_owner,
-                 gamma_cum, signal_prices_cache):
-    rng = np.random.default_rng(seed_seq)
-    uniforms = _Uniforms(rng)
-    index, n_agents = signal_prices_cache
-    theta, profile = _resolve_draw(spec, draw, index, uniforms)
-    owner = _resolve_initial_owner(spec, initial_owner, uniforms)
-    class_price = [
-        float(prices.actions[index.block(k).start + profile[k]])
-        for k in range(n_agents)
-    ]
-    counts = [0] * n_agents
-    duration = 1
-    while uniforms() >= 1.0 - beta:
-        owner = min(bisect_right(gamma_cum[owner], uniforms()), n_agents - 1)
-        counts[owner] += 1
-        duration += 1
-    return theta, duration, counts, class_price
-
-
 def simulate_batch(
     spec: ModelSpec,
     beta: float,
@@ -351,36 +399,11 @@ def simulate_batch(
     """Simulate independent runs; run k is bit-identical to
     ``simulate_market`` seeded with ``SeedSequence(seed).spawn(n_runs)[k]``.
 
-    Runs execute on up to CONSENSUS_LAB_THREADS workers; results are
-    assembled in run order, so the aggregate does not depend on the
-    schedule.
+    Each run is reduced to its class counts as soon as it ends, so memory
+    does not grow with run length.
     """
-    if prices is None:
-        prices = solve_beta_game(spec, beta, y)
-    index = SignalIndex.from_spec(spec)
-    gamma_cum = _gamma_cumsums(spec, allow_own_market)
-    yvec = (spec.y if y is None else y)
-    yvals = yvec.values if hasattr(yvec, "values") else np.asarray(yvec, float)
-    seeds = np.random.SeedSequence(seed).spawn(n_runs)
-    cache = (index, spec.n_agents)
-
-    def work(k):
-        return _run_compact(
-            spec, beta, seeds[k], draw, prices, initial_owner, gamma_cum, cache
-        )
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(n_runs)))
-    else:
-        results = [work(k) for k in range(n_runs)]
-
-    durations = np.array([r[1] for r in results], dtype=int)
-    counts = np.array([r[2] for r in results], dtype=int)
-    class_prices = np.array([r[3] for r in results], dtype=float)
-    payoffs = np.array([float(yvals[r[0]]) for r in results])
-    return MarketBatch(beta, durations, counts, class_prices, payoffs, spec.agents)
+    kernel = _Kernel(spec, beta, draw, y, prices, initial_owner, allow_own_market)
+    return kernel.batch(np.random.SeedSequence(seed).spawn(n_runs))
 
 
 @dataclass(frozen=True)
@@ -424,8 +447,6 @@ def empirical_price_stats(data) -> PriceStats:
         cprices = data.class_prices
     else:
         runs = list(data)
-        if not runs:
-            raise PreconditionError("no runs to aggregate")
         agents = tuple(
             sorted({e.buyer for r in runs for e in r.events})
         ) or tuple()
@@ -439,6 +460,8 @@ def empirical_price_stats(data) -> PriceStats:
                 cprices[ri, k] = e.price
 
     n_runs = len(durations)
+    if n_runs == 0:
+        raise PreconditionError("no runs to aggregate")
     n_trades = int(counts.sum())
     mean_price = se = pmin = pmax = None
     class_means: dict[str, float | None] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from io import StringIO
@@ -166,6 +167,27 @@ def test_byte_identical_outputs(tmp_path):
     assert out3 != out1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-market", "--runs", "-2"],
+        ["simulate-market", "--seed", "-1"],
+        ["report", "--runs", "-1"],
+    ],
+)
+def test_negative_runs_or_seed_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], scenario_path("cps")] + argv[1:], out=StringIO())
+    assert exc.value.code == 64
+
+
+def test_zero_runs_is_precondition_failure(capsys):
+    code, out = run_cli(["simulate-market", scenario_path("cps"), "--runs", "0"])
+    assert code == 3
+    assert out == ""
+    assert "no runs to aggregate" in capsys.readouterr().err
+
+
 def test_build_emits_matrices(tmp_path):
     out_dir = tmp_path / "b"
     code, out = run_cli(
@@ -214,3 +236,26 @@ def test_scenario_error_paths(tmp_path, capsys):
     code, _ = run_cli(["validate", str(p)])
     assert code == 2
     assert "expected a number" in capsys.readouterr().err
+
+
+# SHA-256 of stdout, captured before the market kernel was vectorized; the
+# kernel must reproduce every byte.
+GOLDEN_MARKET = [
+    (["cps", "--beta", "0.999", "--runs", "1000", "--seed", "7", "--format", "csv"],
+     "94df36929ee126ee898d2610a7053092220db24f3f602e2f944c3f615c206c2a"),
+    (["tyranny_extreme", "--beta", "0.9", "--runs", "200", "--seed", "3",
+      "--format", "csv"],
+     "831de65f54922847a6d61ad0c46f1f9434ff21988d3b814840a7fb1731b0cdb2"),
+    (["cps", "--beta", "0.95", "--runs", "10", "--seed", "11"],
+     "799e6fcf6c6b43d4bfca0398122ecfb026bfb99152dcace5c7c71090249ee899"),
+    (["cps", "--state", "hi", "--profile", "a1,b2", "--beta", "0.9", "--runs", "20",
+      "--seed", "5", "--format", "csv"],
+     "a561ebe0d08295bf8fbb432d508856968194abd4b9d8ee9ced23fe0e020fcfdf"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_MARKET)
+def test_simulate_market_golden_stdout(args, digest):
+    code, out = run_cli(["simulate-market", scenario_path(args[0])] + args[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,3 +1,7 @@
+import hashlib
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -7,6 +11,7 @@ from consensus_lab.errors import PreconditionError
 from consensus_lab.game import solve_beta_game
 from consensus_lab.market import (
     FixedDraw,
+    NatureDraw,
     cis_generating,
     empirical_price_stats,
     product_generating,
@@ -78,6 +83,24 @@ def test_batch_reproduces_single_runs(market_spec):
         assert batch.price_sums[k] == pytest.approx(
             sum(e.price for e in run.events), rel=1e-12
         )
+
+
+def test_batch_golden_arrays():
+    # SHA-256 of the durations, class_counts and class_prices bytes, captured
+    # before the market kernel was vectorized.
+    spec = load_scenario(scenario_path("cps"))
+    batch = simulate_batch(
+        spec, 0.999, 10_000, 42, product_generating(spec),
+        prices=solve_beta_game(spec, 0.999), initial_owner="centrality",
+    )
+    h = hashlib.sha256()
+    for arr, dtype in ((batch.durations, np.int64), (batch.class_counts, np.int64),
+                       (batch.class_prices, np.float64)):
+        assert arr.dtype == dtype
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == (
+        "854b54182dbaa163216ffbc5b07a6311cd084434af4dd8de905f2a71cabc32fd"
+    )
 
 
 def test_fixed_draw_zero_price_variance(market_spec):
@@ -192,17 +215,6 @@ def test_empirical_stats_over_run_objects(market_spec):
         assert stats.mean_price == pytest.approx(manual, abs=1e-12)
 
 
-def test_thread_cap_does_not_change_results(monkeypatch, market_spec):
-    spec = market_spec
-    draw = product_generating(spec)
-    base = simulate_batch(spec, 0.9, 40, 13, draw)
-    monkeypatch.setenv("CONSENSUS_LAB_THREADS", "4")
-    threaded = simulate_batch(spec, 0.9, 40, 13, draw)
-    assert np.array_equal(base.durations, threaded.durations)
-    assert np.array_equal(base.class_counts, threaded.class_counts)
-    assert np.array_equal(base.class_prices, threaded.class_prices)
-
-
 def test_fixed_draw_validation(market_spec):
     spec = market_spec
     with pytest.raises(PreconditionError, match="unknown state"):
@@ -214,3 +226,67 @@ def test_fixed_draw_validation(market_spec):
             spec, 0.5, 0,
             FixedDraw(spec.states[0], ("bogus",) * len(spec.agents)),
         )
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in this thread once ``seconds`` have passed, so a
+    simulation that never ends fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _simulate(entry, spec, beta, draw, **kwargs):
+    if entry == "market":
+        return simulate_market(spec, beta, 0, draw, **kwargs)
+    return simulate_batch(spec, beta, 1, 0, draw, **kwargs)
+
+
+@pytest.mark.parametrize("entry", ["market", "batch"])
+@pytest.mark.parametrize("beta", [1.0, float("nan"), -0.1, 1.5, float("inf")])
+def test_beta_outside_unit_interval_is_refused(entry, beta):
+    # with a precomputed schedule nothing else checks beta: at 1.0 no run
+    # would ever end, and NaN would end every run at once
+    spec = load_scenario(scenario_path("cps"))
+    prices = solve_beta_game(spec, 0.9)
+    with deadline(1.0), pytest.raises(PreconditionError, match="beta"):
+        _simulate(entry, spec, beta, product_generating(spec), prices=prices)
+
+
+def _nan_joint(spec):
+    joint = product_generating(spec).joint.copy()
+    joint.flat[0] = np.nan
+    return NatureDraw(joint)
+
+
+def _negative_joint(spec):
+    return NatureDraw(-product_generating(spec).joint)
+
+
+@pytest.mark.parametrize(
+    "draw_of, owner, message",
+    [
+        (product_generating, -1, "initial owner"),
+        (product_generating, 2, "initial owner"),
+        (product_generating, "nobody", "initial owner"),
+        (product_generating, [np.nan, 1.0], "initial owner"),
+        (_nan_joint, 0, "generating distribution"),
+        (_negative_joint, 0, "generating distribution"),
+    ],
+    ids=["owner -1", "owner past last agent", "unknown owner name",
+         "owner distribution with NaN", "joint with NaN", "joint all negative"],
+)
+@pytest.mark.parametrize("entry", ["market", "batch"])
+def test_invalid_draw_or_owner_is_refused(entry, draw_of, owner, message):
+    spec = load_scenario(scenario_path("cps"))
+    with pytest.raises(PreconditionError, match=message):
+        _simulate(entry, spec, 0.9, draw_of(spec), initial_owner=owner)
