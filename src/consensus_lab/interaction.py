@@ -10,7 +10,6 @@ per-signal expectations, and the connectivity analysis of the result
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Mapping
 
 import numpy as np
@@ -183,30 +182,26 @@ def component_period(matrix, component) -> int:
     """Period of one strongly connected component (gcd of its cycle lengths).
 
     Returns 0 for a singleton without a self-loop, which supports no cycle.
+    Raises :class:`PreconditionError` when the first member does not reach
+    every other member.
     """
     matrix = _as_matrix(matrix)
     comp = list(component)
-    members = {s: k for k, s in enumerate(comp)}
     if len(comp) == 1:
         return 1 if matrix[comp[0], comp[0]] != 0 else 0
-    # BFS levels from the first member; period = gcd over edges of
-    # level(u) + 1 - level(v)
-    level = {comp[0]: 0}
-    frontier = [comp[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(matrix[u])[0]:
-                if v in members and v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in comp:
-        for v in np.nonzero(matrix[u])[0]:
-            if v in members:
-                g = gcd(g, level[u] + 1 - level[v])
-    return abs(g)
+    # BFS levels from the first member, one vectorized step per level;
+    # period = gcd over edges of level(u) + 1 - level(v)
+    sub = matrix[np.ix_(comp, comp)] != 0
+    level = np.full(len(comp), -1)
+    level[0] = 0
+    frontier = level == 0
+    while frontier.any():
+        frontier = sub[frontier].any(axis=0) & (level < 0)
+        level[frontier] = level.max() + 1
+    if (level < 0).any():
+        raise PreconditionError(f"component {component} is not strongly connected")
+    u, v = np.nonzero(sub)
+    return int(abs(np.gcd.reduce(level[u] + 1 - level[v])))
 
 
 def _as_matrix(obj) -> np.ndarray:

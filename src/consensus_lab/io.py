@@ -105,7 +105,12 @@ def _parse_y(obj, ctx, states) -> BasicVariable:
         vec = np.array([_number(vals[s], f"{ctx}.values.{s}") for s in states])
     else:
         vec = _vector(vals, f"{ctx}.values", len(states))
-    return BasicVariable(vec, _number(obj["max"], f"{ctx}.max"))
+    if not np.isfinite(vec).all():
+        _fail(f"{ctx}.values", "every value must be finite")
+    bound = _number(obj["max"], f"{ctx}.max")
+    if not np.isfinite(bound):
+        _fail(f"{ctx}.max", "must be finite")
+    return BasicVariable(vec, bound)
 
 
 def _parse_belief(obj, ctx, spec_agents, signals, states, owner) -> InterimBelief:

@@ -185,6 +185,8 @@ class _Kernel:
             )
         index = SignalIndex.from_spec(spec)
         yvec = spec.y if y is None else y
+        if yvec is None:
+            raise PreconditionError("no payoff given: pass y or set spec.y")
         self.beta = beta
         self.agents = spec.agents
         self.labels = index.labels

@@ -174,7 +174,7 @@ def _check_prob(violations, location, vec, n, tol):
     s = float(np.sum(vec))
     if np.any(np.asarray(vec) < -tol):
         violations.append(f"{location}: negative entry")
-    if abs(s - 1.0) > tol:
+    if not abs(s - 1.0) <= tol:
         violations.append(f"{location}: sums to {s!r} (expected 1 within {tol})")
 
 
@@ -211,7 +211,7 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     else:
         if np.any(g < 0):
             v.append("network: negative weight")
-        bad = np.nonzero(np.abs(g.sum(axis=1) - 1.0) > tol)[0]
+        bad = np.nonzero(~(np.abs(g.sum(axis=1) - 1.0) <= tol))[0]
         for i in bad:
             v.append(
                 f"network.row[{spec.agents[i]}]: sums to {float(g[i].sum())!r}"
@@ -245,7 +245,7 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                     continue
                 if np.any(b.full < -tol):
                     v.append(f"{loc}.full: negative entry")
-                if abs(float(b.full.sum()) - 1.0) > tol:
+                if not abs(float(b.full.sum()) - 1.0) <= tol:
                     v.append(f"{loc}.full: sums to {float(b.full.sum())!r}")
                 rebuilt = InterimBelief.from_full(b.full, others)
                 if np.max(np.abs(rebuilt.state_marginal - b.state_marginal)) > tol:
@@ -272,9 +272,9 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
             v.append(
                 f"y: {len(spec.y.values)} values for {spec.n_states} states"
             )
-        if spec.y.bound <= 0:
+        if not spec.y.bound > 0:
             v.append("y: bound must be positive")
-        elif np.any(spec.y.values < 0) or np.any(spec.y.values > spec.y.bound):
+        elif not np.all((spec.y.values >= 0) & (spec.y.values <= spec.y.bound)):
             v.append(f"y: values outside [0, {spec.y.bound}]")
     return v
 

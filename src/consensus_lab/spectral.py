@@ -2,8 +2,10 @@
 
 Stationary distributions, eigenvector centralities, Abel limits of matrix
 power series, raw power trajectories with cycle detection, and mean first
-passage times.  Everything works on dense arrays at desk scale; solvers are
-direct with one round of iterative refinement rather than anything fancy.
+passage times.  Everything works on dense arrays at desk scale.  The
+stationary solve is direct with one round of iterative refinement; mean
+first passage times come from one inversion of the Kemeny-Snell
+fundamental matrix.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ReducibleError
-from .interaction import (
-    _as_matrix,
-    _labels_of,
-    joint_connectedness,
-    strongly_connected_components,
-)
+from .interaction import _as_matrix, joint_connectedness
 
 #: Residual ceiling enforced on every returned stationary distribution.
 STATIONARY_TOL = 1e-10
@@ -71,25 +68,14 @@ class PowerTrajectory:
         return self.vectors[-self.cycle_length:]
 
 
-def _require_irreducible(obj, matrix, what: str):
-    ok, _ = joint_connectedness(matrix)
+def _require_irreducible(obj, what: str):
+    ok, cert = joint_connectedness(obj)
     if not ok:
-        comps = strongly_connected_components(matrix)
-        cert = _labels_of(obj, _first_terminal_component(matrix, comps))
         raise ReducibleError(
             f"{what} needs an irreducible matrix; see absorbing_components"
             f" for the closed set {cert}",
             cert,
         )
-
-
-def _first_terminal_component(matrix, comps):
-    for comp in comps:
-        rows = matrix[list(comp)]
-        targets = set(np.nonzero(rows.any(axis=0))[0])
-        if targets <= set(comp):
-            return comp
-    return comps[0]
 
 
 def _direct_stationary(Q: np.ndarray) -> np.ndarray:
@@ -127,7 +113,7 @@ def stationary_distribution(
         it falls back to ``direct`` if the iteration stalls.
     """
     matrix = _as_matrix(Q)
-    _require_irreducible(Q, matrix, "stationary_distribution")
+    _require_irreducible(Q, "stationary_distribution")
     method = method.lower()
     if method == "direct":
         p = _direct_stationary(matrix)
@@ -159,7 +145,7 @@ def stationary_distribution(
 def eigenvector_centrality(network) -> np.ndarray:
     """Unique positive left fixed-point probability vector of the network."""
     matrix = _as_matrix(network)
-    _require_irreducible(network, matrix, "eigenvector_centrality")
+    _require_irreducible(network, "eigenvector_centrality")
     return stationary_distribution(matrix).vector
 
 
@@ -176,7 +162,7 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     matrix = _as_matrix(Q)
     z = np.asarray(z, dtype=float)
     if beta is None:
-        _require_irreducible(Q, matrix, "abel_limit exact mode")
+        _require_irreducible(Q, "abel_limit exact mode")
         p = stationary_distribution(matrix).vector
         return np.full(matrix.shape[0], float(p @ z))
     if not 0.0 <= beta < 1.0:
@@ -189,23 +175,23 @@ def mfpt(Q) -> MFPTMatrix:
     """Mean first passage times between all ordered pairs of states.
 
     Entry (z, z') solves ``M(z, z') = 1 + sum_{w != z'} Q(z, w) M(w, z')``;
-    the diagonal is the mean return time.  One linear solve per target
-    column.
+    the diagonal is the mean return time ``1 / p(z)``.  All entries come
+    from the Kemeny-Snell fundamental matrix ``Z = (I - Q + 1 p)^{-1}`` as
+    ``M(z, z') = (Z(z', z') - Z(z, z')) / p(z')``, one inversion in all.
+    The residual of the defining system is gated relative to the largest
+    entry; a NaN residual fails the gate.
     """
     matrix = _as_matrix(Q)
-    _require_irreducible(Q, matrix, "mfpt")
+    p = stationary_distribution(Q).vector
     n = matrix.shape[0]
-    M = np.zeros((n, n))
-    ones = np.ones(n - 1)
-    for t in range(n):
-        keep = [k for k in range(n) if k != t]
-        A = np.eye(n - 1) - matrix[np.ix_(keep, keep)]
-        m = np.linalg.solve(A, ones)
-        M[keep, t] = m
-        M[t, t] = 1.0 + matrix[t, keep] @ m
+    Z = np.linalg.inv(np.eye(n) - matrix + p)
+    M = (np.diag(Z) - Z) / p
+    M[np.diag_indices(n)] = 1.0 / p
     hit = np.array(M)
     np.fill_diagonal(hit, 0.0)
     residual = float(np.max(np.abs(M - (1.0 + matrix @ hit))))
+    if not residual <= 1e-9 * max(1.0, float(M.max())):
+        raise ArithmeticError(f"mean first passage residual {residual:.3e} too large")
     return MFPTMatrix(M, residual)
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import shortest_path
 
 from .consensus import consensus_expectation
 from .errors import PreconditionError
@@ -70,7 +72,7 @@ def validate_cis(cis: CISSpec, tol: float = 1e-12) -> list[str]:
         if rho is None or rho.shape != (cis.n_states,):
             v.append(f"rho.{a}: expected one probability per state")
             continue
-        if abs(float(rho.sum()) - 1.0) > tol or np.any(rho < -tol):
+        if not abs(float(rho.sum()) - 1.0) <= tol or np.any(rho < -tol):
             v.append(f"rho.{a}: not a probability vector")
         elif np.any(rho <= 0):
             v.append(f"rho.{a}: must have full support")
@@ -81,7 +83,7 @@ def validate_cis(cis: CISSpec, tol: float = 1e-12) -> list[str]:
             continue
         if np.any(eta < -tol):
             v.append(f"eta.{a}: negative entry")
-        bad = np.nonzero(np.abs(eta.sum(axis=1) - 1.0) > tol)[0]
+        bad = np.nonzero(~(np.abs(eta.sum(axis=1) - 1.0) <= tol))[0]
         for th in bad:
             v.append(f"eta.{a}.row[{cis.states[th]}]: does not sum to 1")
     g = cis.network.weights
@@ -296,22 +298,9 @@ class TyrannyReport:
 
 
 def _bfs_diameter(matrix) -> int:
-    n = matrix.shape[0]
-    adj = [np.nonzero(matrix[u])[0] for u in range(n)]
-    best = 0
-    for s in range(n):
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        best = max(best, max(dist.values()))
-    return best
+    """Longest shortest path in the directed graph of nonzero entries."""
+    dist = shortest_path(scipy.sparse.csr_matrix(matrix != 0), unweighted=True)
+    return int(dist[np.isfinite(dist)].max())
 
 
 def verify_tyranny(
@@ -401,9 +390,7 @@ def verify_tyranny(
                     )
 
     passage_bound = 2.0 / (delta * rho_min_ignorant * gamma_min**2)
-    perturbation = stationary_perturbation_bound(
-        build_interaction_structure(model), rounded.interaction
-    )
+    perturbation = stationary_perturbation_bound(result.structure, rounded.interaction)
     if perturbation.max_passage_time > passage_bound + 1e-9:
         raise ArithmeticError("mean first passage time bound violated")
 

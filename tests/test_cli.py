@@ -259,3 +259,36 @@ def test_simulate_market_golden_stdout(args, digest):
     code, out = run_cli(["simulate-market", scenario_path(args[0])] + args[1:])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _with(name, edit, tmp_path):
+    data = json.load(open(scenario_path(name)))
+    edit(data)
+    p = tmp_path / f"{name}-edited.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+NAN_EDITS = [
+    ("cps", "consensus", lambda d: d["y"]["values"].update(hi=float("nan")), "y.values"),
+    ("cps", "consensus", lambda d: d["y"].update(max=float("inf")), "y.max"),
+    ("cycle", "consensus",
+     lambda d: d["beliefs"]["a1"]["marginals"]["signals"].update(two=[float("nan"), 1]),
+     "beliefs.a1.signals.two"),
+    ("cps", "consensus", lambda d: d["network"][0].__setitem__(1, float("nan")),
+     "network.row[ann]"),
+    ("tyranny_extreme", "verify-tyranny",
+     lambda d: d["rho"].update(iggy=[float("nan"), 0.7]), "rho.iggy"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, command, edit, field", NAN_EDITS,
+    ids=["y-value", "y-max", "belief-marginal", "network-weight", "cis-rho"],
+)
+def test_non_finite_inputs_are_refused(tmp_path, capsys, name, command, edit, field):
+    path = _with(name, edit, tmp_path)
+    code, out = run_cli([command, path])
+    assert code == 2
+    assert out == ""
+    assert field in capsys.readouterr().err

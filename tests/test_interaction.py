@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,73 @@ def test_self_loops_in_every_terminal_component_force_aperiodicity():
     Q[3, 2] = 1.0
     assert absorbing_components(Q) == [(0, 1), (2, 3)]
     assert aperiodicity(Q)
+
+
+def period_oracle(matrix, component):
+    """Per-edge BFS walk: levels from the first member, then the gcd over
+    the component's edges of level(u) + 1 - level(v)."""
+    comp = list(component)
+    members = set(comp)
+    if len(comp) == 1:
+        return 1 if matrix[comp[0], comp[0]] != 0 else 0
+    level = {comp[0]: 0}
+    frontier = [comp[0]]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(matrix[u])[0]:
+                if v in members and v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u in comp:
+        for v in np.nonzero(matrix[u])[0]:
+            if v in members:
+                g = gcd(g, level[u] + 1 - level[v])
+    return abs(g)
+
+
+def planted_cycle(rng, d, per_level):
+    """Strongly connected digraph whose edges all go from level l to level
+    l + 1 mod d, with a cycle of length d: its period is exactly d."""
+    n = d * per_level
+    node = rng.permutation(n).reshape(per_level, d)  # node[k, l]: k-th member of level l
+    A = np.zeros((n, n))
+    tour = node.ravel()  # level order 0, 1, ..., d-1, 0, 1, ... through every node
+    A[tour, np.roll(tour, -1)] = rng.random(n) + 0.1
+    A[node[0, d - 1], node[0, 0]] = 0.5  # the short cycle through the first members
+    for l in range(d):
+        src, dst = node[:, l], node[:, (l + 1) % d]
+        extra = rng.random((per_level, per_level)) < 0.3
+        A[np.ix_(src, dst)] += extra * rng.random((per_level, per_level))
+    return A
+
+
+def test_component_period_matches_bfs_oracle_on_random_digraphs():
+    rng = np.random.default_rng(4242)
+    planted = {d: 0 for d in range(2, 7)}
+    singletons = {0: 0, 1: 0}
+    for trial in range(300):
+        if trial % 3 == 0:
+            d = 2 + (trial // 3) % 5
+            A = planted_cycle(rng, d, int(rng.integers(1, 5)))
+            assert component_period(A, tuple(range(len(A)))) == d
+            planted[d] += 1
+        else:
+            n = int(rng.integers(1, 25))
+            A = (rng.random((n, n)) < rng.uniform(0.03, 0.4)) * rng.random((n, n))
+        for comp in strongly_connected_components(A):
+            got = component_period(A, comp)
+            assert got == period_oracle(A, comp)
+            if len(comp) == 1:
+                singletons[got] += 1
+    assert all(planted.values())
+    assert singletons[0] > 0 and singletons[1] > 0
+
+
+def test_component_period_refuses_a_set_that_is_not_strongly_connected():
+    # signal 1 flows into the closed class {0}, which never reaches it
+    flow = np.array([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(PreconditionError, match="not strongly connected"):
+        component_period(flow, (0, 1))

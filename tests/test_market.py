@@ -290,3 +290,16 @@ def test_invalid_draw_or_owner_is_refused(entry, draw_of, owner, message):
     spec = load_scenario(scenario_path("cps"))
     with pytest.raises(PreconditionError, match=message):
         _simulate(entry, spec, 0.9, draw_of(spec), initial_owner=owner)
+
+
+def test_prices_without_any_payoff_are_refused(market_spec):
+    from consensus_lab.model import ModelSpec
+
+    spec = market_spec
+    prices = solve_beta_game(spec, 0.9)
+    bare = ModelSpec(spec.states, spec.agents, spec.signals, spec.beliefs, spec.network)
+    draw = fixed_draw(bare)
+    with pytest.raises(PreconditionError, match="no payoff given"):
+        simulate_market(bare, 0.9, 0, draw, prices=prices)
+    with pytest.raises(PreconditionError, match="no payoff given"):
+        simulate_batch(bare, 0.9, 3, 0, draw, prices=prices)

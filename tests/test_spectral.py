@@ -248,3 +248,50 @@ def test_trajectory_without_detected_cycle():
     assert traj.cycle_length is None
     with pytest.raises(PreconditionError):
         traj.cycle_vectors()
+
+
+def mfpt_oracle(Q):
+    """One linear solve per target column of the defining system."""
+    n = Q.shape[0]
+    M = np.zeros((n, n))
+    ones = np.ones(n - 1)
+    for t in range(n):
+        keep = [k for k in range(n) if k != t]
+        m = np.linalg.solve(np.eye(n - 1) - Q[np.ix_(keep, keep)], ones)
+        M[keep, t] = m
+        M[t, t] = 1.0 + Q[t, keep] @ m
+    return M
+
+
+def nearly_decomposable(rng, n, coupling):
+    """Two random blocks that leak ``coupling`` of their mass to each other."""
+    h = n // 2
+    Q = np.zeros((n, n))
+    Q[:h, :h] = random_chain(rng, h)
+    Q[h:, h:] = random_chain(rng, n - h)
+    Q *= 1.0 - coupling
+    Q[:h, h:] = coupling / (n - h)
+    Q[h:, :h] = coupling / h
+    return Q
+
+
+def test_mfpt_matches_per_column_solves():
+    rng = np.random.default_rng(77)
+    chains = [random_chain(rng, n) for n in (2, 3, 5, 17, 60, 150, 300)]
+    chains.append(random_chain(rng, 40, floor=0.0) ** 4)  # skewed rows
+    chains.append(nearly_decomposable(rng, 30, 1e-5))
+    for Q in chains:
+        Q = Q / Q.sum(axis=1, keepdims=True)
+        got = mfpt(Q)
+        ref = mfpt_oracle(Q)
+        assert np.max(np.abs(got.values - ref) / ref) <= 1e-9
+        assert got.residual <= 1e-9 * max(1.0, ref.max())
+    # crossing between the two blocks of the last chain takes ~1/coupling steps
+    assert ref.max() > 1e4
+
+
+def test_mfpt_refuses_a_corrupted_chain():
+    Q = random_chain(np.random.default_rng(78), 5)
+    Q[1, 3] = np.nan
+    with pytest.raises(ArithmeticError):
+        mfpt(Q)

@@ -3,10 +3,12 @@ import pytest
 
 from consensus_lab.consensus import consensus_expectation
 from consensus_lab.errors import PreconditionError
+from consensus_lab.interaction import joint_connectedness
 from consensus_lab.io import load_scenario
 from consensus_lab.model import BasicVariable, Network
 from consensus_lab.tyranny import (
     CISSpec,
+    _bfs_diameter,
     build_pi_from_cis,
     classify_noise,
     rounded_structure,
@@ -266,3 +268,39 @@ def test_validate_cis_flags_problems():
         cis.states, cis.agents, cis.signals, rho, cis.eta, cis.network, cis.y
     )
     assert any("full support" in v for v in validate_cis(bad))
+
+
+def diameter_oracle(matrix):
+    """Longest shortest path by a Python BFS from every source; pairs with
+    no path do not count."""
+    n = matrix.shape[0]
+    best = 0
+    for s in range(n):
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in np.nonzero(matrix[u])[0]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        best = max(best, max(dist.values()))
+    return best
+
+
+def test_path_length_matches_bfs_oracle():
+    rng = np.random.default_rng(8)
+    unreachable = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        A = (rng.random((n, n)) < rng.uniform(0.02, 0.3)) * rng.random((n, n))
+        unreachable += not joint_connectedness(A)[0]
+        assert _bfs_diameter(A) == diameter_oracle(A)
+    assert unreachable > 0
+    for n_states in (2, 3, 4):
+        cis = make_cis(rng, n_states=n_states, n_agents=3, ignorant_signals=3)
+        report = verify_tyranny(cis)
+        rounded = rounded_structure(cis, list(cis.agents[1:]))
+        assert report.max_path_length == diameter_oracle(rounded.interaction.matrix)
