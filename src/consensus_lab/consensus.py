@@ -20,12 +20,9 @@ from .interaction import (
     SignalIndex,
     build_first_order_map,
     build_interaction_structure,
-    joint_connectedness,
-    strongly_connected_components,
-    _terminal_components,
 )
 from .model import BasicVariable, ModelSpec, ex_ante_expectation
-from .spectral import eigenvector_centrality, stationary_distribution
+from .spectral import eigenvector_centrality
 
 #: Tolerance for the common-prior-over-signals check.  Inputs are parsed
 #: decimals, so exact equality would be too brittle.
@@ -110,21 +107,6 @@ class ConsensusResult:
         return {c.signals: c.value for c in self.components}
 
 
-def _absorption_probabilities(B, comps, terminal, n):
-    terminal_sets = [set(c) for c in terminal]
-    transient = sorted(set(range(n)) - set().union(*terminal_sets))
-    absorption = np.zeros((n, len(terminal)))
-    for k, comp in enumerate(terminal):
-        absorption[list(comp), k] = 1.0
-    if transient:
-        Qtt = B[np.ix_(transient, transient)]
-        A = np.eye(len(transient)) - Qtt
-        for k, comp in enumerate(terminal):
-            r = B[np.ix_(transient, list(comp))].sum(axis=1)
-            absorption[transient, k] = np.linalg.solve(A, r)
-    return absorption
-
-
 def consensus_expectation(
     spec: ModelSpec,
     y=None,
@@ -141,9 +123,7 @@ def consensus_expectation(
     """
     fvec = first_order_vector(spec, y, f)
     structure = build_interaction_structure(spec, type_dependent_weights)
-    B = structure.matrix
     index = structure.index
-    n = len(index)
 
     centralities = None
     if type_dependent_weights is None:
@@ -153,7 +133,7 @@ def consensus_expectation(
             centralities = None
 
     if structure.irreducible:
-        p = stationary_distribution(B).vector
+        p = structure.stationary[0]
         value = float(p @ fvec)
         comp = ComponentConsensus(index.labels, p, value)
         lam = None
@@ -166,22 +146,13 @@ def consensus_expectation(
             True, value, (comp,), p, centralities, lam, None, structure
         )
 
-    comps = strongly_connected_components(B)
-    terminal = _terminal_components(B, comps)
     components = []
-    weights = np.zeros(n)
-    for comp in terminal:
-        sub = B[np.ix_(comp, comp)]
-        p_sub = stationary_distribution(sub).vector
+    weights = np.zeros(len(index))
+    for comp, p_sub in zip(structure.terminal, structure.stationary):
         value = float(p_sub @ fvec[list(comp)])
-        components.append(
-            ComponentConsensus(
-                tuple(index.labels[s] for s in comp), p_sub, value
-            )
-        )
+        components.append(ComponentConsensus(structure.names(comp), p_sub, value))
         weights[list(comp)] = p_sub
-    absorption = _absorption_probabilities(B, comps, terminal, n)
-    single = len(terminal) == 1
+    single = len(components) == 1
     return ConsensusResult(
         False,
         components[0].value if single else None,
@@ -189,7 +160,7 @@ def consensus_expectation(
         weights if single else None,
         centralities,
         None,
-        absorption,
+        structure.absorption,
         structure,
     )
 
@@ -204,11 +175,11 @@ def pseudopriors(spec: ModelSpec) -> dict[str, np.ndarray]:
     """
     structure = build_interaction_structure(spec)
     if not structure.irreducible:
-        _, cert = joint_connectedness(structure)
         raise ReducibleError(
-            "pseudopriors need an irreducible interaction structure", cert
+            "pseudopriors need an irreducible interaction structure",
+            structure.names(structure.terminal[0]),
         )
-    p = stationary_distribution(structure.matrix).vector
+    p = structure.stationary[0]
     e = eigenvector_centrality(spec.network)
     index = structure.index
     return {

@@ -64,7 +64,7 @@ def solve_beta_game(spec: ModelSpec, beta: float, y=None, f=None) -> GameSolutio
     n = B.shape[0]
     s = np.linalg.solve(np.eye(n) - beta * B, (1.0 - beta) * fvec)
     residual = float(np.max(np.abs(s - (1.0 - beta) * fvec - beta * (B @ s))))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise ArithmeticError(f"fixed-point residual {residual:.3e}")
     return GameSolution(beta, s, residual, structure.index.labels)
 

@@ -4,12 +4,14 @@ The transition weight from a signal of agent i to a signal of agent j is the
 network weight i places on j times i's interim probability of j's signal.
 This module builds that matrix, the first-order map sending state payoffs to
 per-signal expectations, and the connectivity analysis of the result
-(strongly connected components, terminal components, periods).
+(strongly connected components, terminal components, periods), which the
+structure carries so that every caller shares one analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -17,7 +19,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError
-from .model import ModelSpec
+from .model import ModelSpec, Network
 
 
 @dataclass(frozen=True)
@@ -76,19 +78,87 @@ class FirstOrderMap:
 
 @dataclass(frozen=True)
 class InteractionStructure:
-    """Row-stochastic matrix over all signals plus its connectivity flags."""
+    """Row-stochastic matrix over all signals with its graph analysis.
+
+    ``components`` are the strongly connected components sorted by least
+    member; ``terminal`` are the closed ones (no edge leaves them), in the
+    same order, and ``periods`` gives each terminal component's period.
+    ``index`` is None for a bare matrix, whose states have no labels.
+    The per-terminal-component stationary vectors and the absorption
+    matrix are computed on first use and kept.
+    """
 
     matrix: np.ndarray
-    index: SignalIndex
-    irreducible: bool
-    aperiodic: bool
+    index: SignalIndex | None
+    components: tuple[tuple[int, ...], ...]
+    terminal: tuple[tuple[int, ...], ...]
+    periods: tuple[int, ...]
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return self.index.labels
+    def labels(self) -> tuple[str, ...] | None:
+        return None if self.index is None else self.index.labels
+
+    @property
+    def irreducible(self) -> bool:
+        return len(self.components) == 1
+
+    @property
+    def aperiodic(self) -> bool:
+        """True when every terminal component has period one."""
+        return all(p == 1 for p in self.periods)
+
+    @property
+    def transient(self) -> tuple[int, ...]:
+        """Signals outside every terminal component, in index order."""
+        closed = np.zeros(len(self.matrix), dtype=bool)
+        for comp in self.terminal:
+            closed[list(comp)] = True
+        return tuple(np.flatnonzero(~closed))
+
+    def names(self, members) -> tuple:
+        """Labels of the given signals, or the indices of a bare matrix."""
+        if self.index is None:
+            return tuple(members)
+        return tuple(self.index.labels[i] for i in members)
+
+    @cached_property
+    def stationary(self) -> tuple[np.ndarray, ...]:
+        """Stationary vector of each terminal component, over its members."""
+        from .spectral import stationary_distribution
+
+        if self.irreducible:
+            return (stationary_distribution(self).vector,)
+        out = []
+        for comp, period in zip(self.terminal, self.periods):
+            members = tuple(range(len(comp)))
+            # a terminal component is strongly connected by construction
+            sub = InteractionStructure(
+                self.matrix[np.ix_(comp, comp)], None, (members,), (members,), (period,)
+            )
+            out.append(stationary_distribution(sub).vector)
+        return tuple(out)
+
+    @cached_property
+    def absorption(self) -> np.ndarray:
+        """Probability that each signal is absorbed in each terminal component.
+
+        Rows of terminal signals are indicators; transient rows solve
+        ``(I - B_TT) X = B_TC``, one column per terminal component.
+        """
+        n = len(self.matrix)
+        absorption = np.zeros((n, len(self.terminal)))
+        for k, comp in enumerate(self.terminal):
+            absorption[list(comp), k] = 1.0
+        transient = list(self.transient)
+        if transient:
+            into = self.matrix[transient] @ absorption
+            A = np.eye(len(transient)) - self.matrix[np.ix_(transient, transient)]
+            absorption[transient] = np.linalg.solve(A, into)
+        absorption.setflags(write=False)
+        return absorption
 
 
 def build_first_order_map(spec: ModelSpec) -> FirstOrderMap:
@@ -135,14 +205,13 @@ def build_interaction_structure(
         else:
             row = spec.network.weights[i]
         belief = spec.beliefs[t]
-        for j, a_j in enumerate(spec.agents):
+        for j in np.flatnonzero(row):
             w = row[j]
-            if w == 0.0:
-                continue
             if j == i:
                 # own signal is known with certainty
                 B[s, s] += w
                 continue
+            a_j = spec.agents[j]
             marg = belief.signal_marginals.get(a_j)
             if marg is None:
                 raise PreconditionError(
@@ -150,32 +219,41 @@ def build_interaction_structure(
                     f" belief marginal over {a_j}'s signals"
                 )
             B[s, index.block(j)] = w * marg
+    return _analysed(B, index)
+
+
+def as_structure(obj) -> InteractionStructure:
+    """The analysed structure of an InteractionStructure, a Network or a
+    square array; a structure is returned as it is, never analysed again."""
+    if isinstance(obj, InteractionStructure):
+        return obj
+    # a copy, so that freezing it leaves the caller's array writable
+    return _analysed(np.array(_weights(obj)), index=None)
+
+
+def _analysed(B: np.ndarray, index: SignalIndex | None) -> InteractionStructure:
     comps = strongly_connected_components(B)
-    irreducible = len(comps) == 1
-    terminal = _terminal_components(B, comps)
-    aperiodic = all(component_period(B, c) == 1 for c in terminal)
-    return InteractionStructure(B, index, irreducible, aperiodic)
+    # a component is terminal when no edge leaves it
+    label = np.empty(len(B), dtype=np.intp)
+    label[np.concatenate(comps)] = np.repeat(
+        np.arange(len(comps)), [len(c) for c in comps]
+    )
+    u, v = np.nonzero(B)
+    closed = np.ones(len(comps), dtype=bool)
+    closed[label[u][label[u] != label[v]]] = False
+    terminal = tuple(c for c, ok in zip(comps, closed) if ok)
+    periods = tuple(component_period(B, c) for c in terminal)
+    return InteractionStructure(B, index, tuple(comps), terminal, periods)
 
 
 def strongly_connected_components(matrix) -> list[tuple[int, ...]]:
     """SCCs of the directed graph of nonzero entries, sorted by least member."""
-    matrix = _as_matrix(matrix)
+    matrix = _weights(matrix)
     n_comp, labels = connected_components(
         scipy.sparse.csr_matrix(matrix != 0), directed=True, connection="strong"
     )
     comps = [tuple(np.nonzero(labels == c)[0]) for c in range(n_comp)]
     return sorted(comps, key=lambda c: c[0])
-
-
-def _terminal_components(matrix, comps) -> list[tuple[int, ...]]:
-    out = []
-    for comp in comps:
-        members = set(comp)
-        rows = matrix[list(comp)]
-        targets = np.nonzero(rows.any(axis=0))[0]
-        if all(t in members for t in targets):
-            out.append(comp)
-    return out
 
 
 def component_period(matrix, component) -> int:
@@ -185,7 +263,7 @@ def component_period(matrix, component) -> int:
     Raises :class:`PreconditionError` when the first member does not reach
     every other member.
     """
-    matrix = _as_matrix(matrix)
+    matrix = _weights(matrix)
     comp = list(component)
     if len(comp) == 1:
         return 1 if matrix[comp[0], comp[0]] != 0 else 0
@@ -204,20 +282,13 @@ def component_period(matrix, component) -> int:
     return int(abs(np.gcd.reduce(level[u] + 1 - level[v])))
 
 
-def _as_matrix(obj) -> np.ndarray:
+def _weights(obj) -> np.ndarray:
+    """The matrix of a structure or a network, or the array itself."""
     if isinstance(obj, InteractionStructure):
         return obj.matrix
-    if hasattr(obj, "weights"):
+    if isinstance(obj, Network):
         return obj.weights
-    if hasattr(obj, "matrix"):
-        return obj.matrix
     return np.asarray(obj, dtype=float)
-
-
-def _labels_of(obj, indices):
-    if isinstance(obj, InteractionStructure):
-        return tuple(obj.index.labels[i] for i in indices)
-    return tuple(indices)
 
 
 def joint_connectedness(B):
@@ -228,25 +299,18 @@ def joint_connectedness(B):
     certificate is a nonempty proper closed set of signals: the first
     terminal component in index order.
     """
-    matrix = _as_matrix(B)
-    comps = strongly_connected_components(matrix)
-    if len(comps) == 1:
+    structure = as_structure(B)
+    if structure.irreducible:
         return True, None
-    terminal = _terminal_components(matrix, comps)
-    return False, _labels_of(B, terminal[0])
+    return False, structure.names(structure.terminal[0])
 
 
 def absorbing_components(B) -> list[tuple]:
     """Terminal strongly connected components (no outgoing edges), by index order."""
-    matrix = _as_matrix(B)
-    comps = strongly_connected_components(matrix)
-    return [_labels_of(B, c) for c in _terminal_components(matrix, comps)]
+    structure = as_structure(B)
+    return [structure.names(c) for c in structure.terminal]
 
 
 def aperiodicity(B) -> bool:
     """True when every terminal component has period one, so powers converge."""
-    matrix = _as_matrix(B)
-    comps = strongly_connected_components(matrix)
-    return all(
-        component_period(matrix, c) == 1 for c in _terminal_components(matrix, comps)
-    )
+    return as_structure(B).aperiodic

@@ -248,7 +248,8 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                 if not abs(float(b.full.sum()) - 1.0) <= tol:
                     v.append(f"{loc}.full: sums to {float(b.full.sum())!r}")
                 rebuilt = InterimBelief.from_full(b.full, others)
-                if np.max(np.abs(rebuilt.state_marginal - b.state_marginal)) > tol:
+                gap = np.max(np.abs(rebuilt.state_marginal - b.state_marginal))
+                if not gap <= tol:
                     v.append(f"{loc}.state: inconsistent with full joint")
                 for j in b.signal_marginals:
                     if j in others and len(b.signal_marginals[j]) == len(
@@ -257,7 +258,7 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                         gap = np.max(
                             np.abs(rebuilt.signal_marginals[j] - b.signal_marginals[j])
                         )
-                        if gap > tol:
+                        if not gap <= tol:
                             v.append(f"{loc}.signals.{j}: inconsistent with full joint")
 
     if spec.priors is not None:

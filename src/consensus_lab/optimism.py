@@ -16,14 +16,8 @@ import numpy as np
 
 from .consensus import consensus_expectation, first_order_vector
 from .errors import PreconditionError
-from .interaction import (
-    _as_matrix,
-    build_interaction_structure,
-    strongly_connected_components,
-    _terminal_components,
-)
+from .interaction import as_structure, build_interaction_structure
 from .model import BasicVariable, InterimBelief, ModelSpec, Network
-from .spectral import stationary_distribution
 
 
 def second_order_expectations(spec: ModelSpec, y=None, f=None) -> np.ndarray:
@@ -113,7 +107,8 @@ def markov_optimism_check(
     """
     if delta <= 0 or eps <= 0:
         raise PreconditionError("delta and eps must be positive")
-    matrix = _as_matrix(Q)
+    structure = as_structure(Q)
+    matrix = structure.matrix
     f = np.asarray(f, dtype=float)
     drift = matrix @ f - f
     violations = []
@@ -128,24 +123,12 @@ def markov_optimism_check(
                 f"state {s}: expected one-step loss {-drift[s]:.6g} exceeds"
                 f" the allowed shortfall {eps}"
             )
-    comps = strongly_connected_components(matrix)
-    terminal = _terminal_components(matrix, comps)
-    # occupancy limit from the start state: absorption-weighted mixture
+    # occupancy limit from the start state: absorption-weighted mixture of
+    # the terminal components' stationary vectors
     mix = np.zeros(len(f))
-    reach = _reachable(matrix, start)
-    reachable_terminal = [c for c in terminal if set(c) <= reach]
-    transient = sorted(set(range(len(f))) - set().union(*map(set, terminal)))
-    for comp in reachable_terminal:
-        p_sub = stationary_distribution(matrix[np.ix_(comp, comp)]).vector
-        if start in comp:
-            weight = 1.0
-        elif start in transient:
-            tt = matrix[np.ix_(transient, transient)]
-            r = matrix[np.ix_(transient, list(comp))].sum(axis=1)
-            absorb = np.linalg.solve(np.eye(len(transient)) - tt, r)
-            weight = float(absorb[transient.index(start)])
-        else:
-            weight = 0.0
+    for comp, p_sub, weight in zip(
+        structure.terminal, structure.stationary, structure.absorption[start]
+    ):
         mix[list(comp)] += weight * p_sub
     mass = float(mix[f >= threshold].sum())
     bound = 1.0 / (1.0 + eps / delta)
@@ -153,20 +136,6 @@ def markov_optimism_check(
     return MarkovOptimismResult(
         ok, tuple(violations), mix, mass, bound, mass >= bound - 1e-12
     )
-
-
-def _reachable(matrix, start) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(matrix[u])[0]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
 
 
 def tightness_chain(

@@ -2,10 +2,11 @@
 
 Stationary distributions, eigenvector centralities, Abel limits of matrix
 power series, raw power trajectories with cycle detection, and mean first
-passage times.  Everything works on dense arrays at desk scale.  The
-stationary solve is direct with one round of iterative refinement; mean
-first passage times come from one inversion of the Kemeny-Snell
-fundamental matrix.
+passage times.  Everything works on dense arrays at desk scale.  Every
+entry point accepts an InteractionStructure, a Network or a square array,
+and analyses a bare matrix once.  The stationary solve is direct with up
+to two rounds of iterative refinement; mean first passage times come from
+one inversion of the Kemeny-Snell fundamental matrix.
 """
 
 from __future__ import annotations
@@ -15,16 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ReducibleError
-from .interaction import _as_matrix, joint_connectedness
+from .interaction import InteractionStructure, as_structure, joint_connectedness
 
 #: Residual ceiling enforced on every returned stationary distribution.
 STATIONARY_TOL = 1e-10
-
-#: Successive-iterate L1 threshold for power iteration.
-POWER_TOL = 1e-12
-
-#: Iteration cap before power iteration falls back to the direct solve.
-POWER_MAXITER = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +63,8 @@ class PowerTrajectory:
         return self.vectors[-self.cycle_length:]
 
 
-def _require_irreducible(obj, what: str):
-    ok, cert = joint_connectedness(obj)
+def _require_irreducible(structure: InteractionStructure, what: str):
+    ok, cert = joint_connectedness(structure)
     if not ok:
         raise ReducibleError(
             f"{what} needs an irreducible matrix; see absorbing_components"
@@ -95,58 +90,33 @@ def _direct_stationary(Q: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def stationary_distribution(
-    Q, method: str = "direct", tol: float = STATIONARY_TOL
-) -> StationaryDistribution:
+def stationary_distribution(Q, tol: float = STATIONARY_TOL) -> StationaryDistribution:
     """Unique stationary distribution of an irreducible row-stochastic matrix.
 
-    Parameters
-    ----------
-    Q : array or InteractionStructure or Network
-        Row-stochastic matrix.  Must be irreducible; a reducible input
-        raises :class:`ReducibleError` carrying a closed-set certificate.
-    method : {"direct", "power"}
-        ``direct`` solves the fixed-point linear system with a
-        normalization row.  ``power`` iterates the lazy matrix
-        ``(Q + I) / 2``, which has the same left fixed point but is
-        aperiodic, so the iteration converges even on periodic chains;
-        it falls back to ``direct`` if the iteration stalls.
+    ``Q`` is an array, an InteractionStructure or a Network and must be
+    irreducible; a reducible input raises :class:`ReducibleError`
+    carrying a closed-set certificate.  The fixed-point system is solved
+    directly with a normalization row, so periodic chains need no special
+    care.  A residual above ``tol``, or a NaN residual, raises
+    ``ArithmeticError``.
     """
-    matrix = _as_matrix(Q)
-    _require_irreducible(Q, "stationary_distribution")
-    method = method.lower()
-    if method == "direct":
-        p = _direct_stationary(matrix)
-    elif method == "power":
-        lazy = 0.5 * (matrix + np.eye(matrix.shape[0]))
-        p = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
-        converged = False
-        for _ in range(POWER_MAXITER):
-            nxt = p @ lazy
-            if np.abs(nxt - p).sum() < POWER_TOL:
-                p = nxt
-                converged = True
-                break
-            p = nxt
-        p = p / p.sum()
-        if not converged:
-            p = _direct_stationary(matrix)
-            method = "direct"
-    else:
-        raise PreconditionError(f"unknown method {method!r}")
+    structure = as_structure(Q)
+    _require_irreducible(structure, "stationary_distribution")
+    matrix = structure.matrix
+    p = _direct_stationary(matrix)
     residual = float(np.abs(p @ matrix - p).sum())
-    if residual > tol:
+    if not residual <= tol:
         raise ArithmeticError(
             f"stationary solve residual {residual:.3e} exceeds {tol:.1e}"
         )
-    return StationaryDistribution(p, residual, method)
+    return StationaryDistribution(p, residual, "direct")
 
 
 def eigenvector_centrality(network) -> np.ndarray:
     """Unique positive left fixed-point probability vector of the network."""
-    matrix = _as_matrix(network)
-    _require_irreducible(network, "eigenvector_centrality")
-    return stationary_distribution(matrix).vector
+    structure = as_structure(network)
+    _require_irreducible(structure, "eigenvector_centrality")
+    return stationary_distribution(structure).vector
 
 
 def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
@@ -159,11 +129,12 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     entries are the stationary distribution applied to ``z`` (requires
     irreducibility).
     """
-    matrix = _as_matrix(Q)
+    structure = as_structure(Q)
+    matrix = structure.matrix
     z = np.asarray(z, dtype=float)
     if beta is None:
-        _require_irreducible(Q, "abel_limit exact mode")
-        p = stationary_distribution(matrix).vector
+        _require_irreducible(structure, "abel_limit exact mode")
+        p = stationary_distribution(structure).vector
         return np.full(matrix.shape[0], float(p @ z))
     if not 0.0 <= beta < 1.0:
         raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
@@ -178,11 +149,14 @@ def mfpt(Q) -> MFPTMatrix:
     the diagonal is the mean return time ``1 / p(z)``.  All entries come
     from the Kemeny-Snell fundamental matrix ``Z = (I - Q + 1 p)^{-1}`` as
     ``M(z, z') = (Z(z', z') - Z(z, z')) / p(z')``, one inversion in all.
-    The residual of the defining system is gated relative to the largest
-    entry; a NaN residual fails the gate.
+    ``p`` is the structure's cached stationary vector.  The residual of
+    the defining system is gated relative to the largest entry; a NaN
+    residual fails the gate.
     """
-    matrix = _as_matrix(Q)
-    p = stationary_distribution(Q).vector
+    structure = as_structure(Q)
+    _require_irreducible(structure, "mfpt")
+    matrix = structure.matrix
+    p = structure.stationary[0]
     n = matrix.shape[0]
     Z = np.linalg.inv(np.eye(n) - matrix + p)
     M = (np.diag(Z) - Z) / p
@@ -205,7 +179,7 @@ def power_trajectory(Q, z, n_max: int, cycle_tol: float = 1e-9) -> PowerTrajecto
     structural period (equal to it for generic z).  None means no
     repetition was seen within the horizon.
     """
-    matrix = _as_matrix(Q)
+    matrix = as_structure(Q).matrix
     z = np.asarray(z, dtype=float)
     traj = np.empty((n_max + 1, len(z)))
     traj[0] = z

@@ -12,10 +12,9 @@ inequalities by each class's positive stationary vector forces them to
 bind on that class, so a reducible structure made only of closed classes
 has no trade either.  When some signal is transient, the payment
 ``x = -t / max t``, with ``t`` the expected absorption time, gains exactly
-``1 / max t`` on every transient signal and nothing elsewhere.
-
-The search is a linear program maximizing the total expected surplus over
-the unit box, so a strictly positive optimum is exactly a trade.
+``1 / max t`` on every transient signal and nothing elsewhere.  The test
+reads the transient signals off the structure's graph analysis and
+solves one linear system for that witness.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .interaction import _as_matrix, joint_connectedness
+from .interaction import as_structure
 
-#: Optimum below this is treated as numerically zero (no trade).
+#: Smallest gain a witness must offer some signal.
 STRICTNESS_TOL = 1e-9
 
 
@@ -37,7 +35,9 @@ class TradeResult:
 
     ``trade`` is a payment profile with sup-norm one satisfying the gain
     inequalities with margin at least the strictness tolerance, or None
-    when the linear program certifies that no strict profile exists.
+    when no signal is transient and so no strict profile exists.
+    ``objective`` is the witness's summed surplus ``sum_s (Bx - x)(s)``,
+    0 when there is no trade.
     """
 
     trade: np.ndarray | None
@@ -53,31 +53,24 @@ class TradeResult:
 def no_trade_test(B) -> TradeResult:
     """Search for a separable trade with strict expected bilateral gains.
 
-    Maximizes the summed surplus ``sum_s (Bx - x)(s)`` subject to
-    ``Bx >= x`` componentwise and ``|x| <= 1``.  A positive optimum
-    yields a witness profile (rescaled to sup-norm one); a zero optimum
-    certifies that every feasible profile makes all inequalities bind.
+    A trade exists exactly when some signal is transient.  The witness
+    is ``x = -t / max t`` with ``t = (I - B_TT)^{-1} 1`` the expected
+    absorption time from each transient signal: it gains ``1 / max t``
+    on every transient signal and nothing on the terminal ones.
     """
-    matrix = _as_matrix(B)
-    n = matrix.shape[0]
-    surplus = matrix - np.eye(n)
-    res = linprog(
-        c=-surplus.sum(axis=0),
-        A_ub=-surplus,
-        b_ub=np.zeros(n),
-        bounds=[(-1.0, 1.0)] * n,
-        method="highs",
+    structure = as_structure(B)
+    reducible = not structure.irreducible
+    transient = list(structure.transient)
+    if not transient:
+        return TradeResult(None, reducible, 0.0, structure.labels)
+    matrix = structure.matrix
+    t = np.linalg.solve(
+        np.eye(len(transient)) - matrix[np.ix_(transient, transient)],
+        np.ones(len(transient)),
     )
-    if res.status != 0:
-        raise ArithmeticError(f"trade search LP failed: {res.message}")
-    irreducible, _ = joint_connectedness(B)
-    objective = float(-res.fun)
-    labels = getattr(getattr(B, "index", None), "labels", None)
-    if objective <= STRICTNESS_TOL:
-        return TradeResult(None, not irreducible, objective, labels)
-    x = np.asarray(res.x, dtype=float)
-    x = x / np.max(np.abs(x))
-    gains = surplus @ x
-    if gains.min() < -1e-12 or gains.max() < STRICTNESS_TOL:
+    x = np.zeros(len(matrix))
+    x[transient] = -t / t.max()
+    gains = matrix @ x - x
+    if not (gains.min() >= -1e-12 and gains.max() >= STRICTNESS_TOL):
         raise ArithmeticError("trade witness failed its defining inequalities")
-    return TradeResult(x, not irreducible, objective, labels)
+    return TradeResult(x, reducible, float(gains.sum()), structure.labels)

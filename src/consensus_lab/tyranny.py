@@ -23,12 +23,12 @@ from .errors import PreconditionError
 from .interaction import (
     FirstOrderMap,
     InteractionStructure,
-    _as_matrix,
+    as_structure,
     build_first_order_map,
     build_interaction_structure,
 )
 from .model import BasicVariable, InterimBelief, ModelSpec, Network, freeze
-from .spectral import mfpt, stationary_distribution
+from .spectral import mfpt
 
 
 @dataclass(frozen=True)
@@ -259,20 +259,18 @@ def stationary_perturbation_bound(B, B_ref) -> PerturbationBound:
     realized maximum relative error is reported when both chains are
     irreducible.
     """
-    Bm = _as_matrix(B)
-    Rm = _as_matrix(B_ref)
-    gap = float(np.max(np.abs(Bm - Rm).sum(axis=1)))
-    passage = mfpt(Rm).max_off_diagonal()
+    perturbed = as_structure(B)
+    reference = as_structure(B_ref)
+    gap = float(np.max(np.abs(perturbed.matrix - reference.matrix).sum(axis=1)))
+    passage = mfpt(reference).max_off_diagonal()
     bound = 0.5 * gap * passage
     max_rel = None
     satisfied = None
-    try:
-        p = stationary_distribution(Bm).vector
-        p_ref = stationary_distribution(Rm).vector
+    if perturbed.irreducible:
+        p = perturbed.stationary[0]
+        p_ref = reference.stationary[0]
         max_rel = float(np.max(np.abs(p - p_ref) / p_ref))
         satisfied = max_rel <= bound + 1e-12
-    except PreconditionError:
-        pass
     return PerturbationBound(bound, max_rel, gap, passage, satisfied)
 
 

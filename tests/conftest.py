@@ -2,13 +2,16 @@
 
 Oracles here deliberately avoid the library's matrix pipeline: the
 recursion oracle walks the model dictionaries, reachability uses boolean
-closure, and connectivity of beliefs enumerates product events.
+closure, connectivity of beliefs enumerates product events, and the class
+oracle reads scipy's component labels directly.
 """
 
 import os
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from consensus_lab.model import (
     BasicVariable,
@@ -148,6 +151,63 @@ def recursive_hoae(spec, yvals, n):
                 new[t] = total
         x = new
     return np.array([x[t] for a in spec.agents for t in spec.signals[a]])
+
+
+def sparse_reducible_model(rng, n_agents, n_signals, n_states=3):
+    """Sparse model with two planted terminal classes and many transients.
+
+    Agents sit on a ring with one or two random chords each.  Slot 0
+    believes every neighbour holds slot 0 (a terminal class copying the
+    network); slots 1 and 2 believe the neighbour holds the other one (a
+    terminal class of period 2).  Every other slot is transient: it
+    believes in one random transient slot, plus a terminal slot 30% of
+    the time, so absorption takes many steps.
+    """
+    agents = tuple(f"a{i}" for i in range(n_agents))
+    signals = {a: tuple(f"{a}x{k}" for k in range(n_signals)) for a in agents}
+    g = np.zeros((n_agents, n_agents))
+    for i in range(n_agents):
+        others = [j for j in range(n_agents) if j != i]
+        chords = rng.choice(others, size=int(rng.integers(1, 3)), replace=False)
+        nbrs = sorted({(i + 1) % n_agents, *chords.tolist()})
+        g[i, nbrs] = dirichlet(rng, len(nbrs))
+    beliefs = {}
+    for i, a in enumerate(agents):
+        for k, t in enumerate(signals[a]):
+            marginals = {}
+            for j in np.flatnonzero(g[i]):
+                m = np.zeros(n_signals)
+                if k == 0:
+                    m[0] = 1.0
+                elif k in (1, 2):
+                    m[3 - k] = 1.0
+                else:
+                    support = [int(rng.integers(3, n_signals))]
+                    if rng.random() < 0.3:
+                        support.append(int(rng.integers(0, 3)))
+                    m[support] = dirichlet(rng, len(support))
+                marginals[agents[j]] = m
+            beliefs[t] = InterimBelief(dirichlet(rng, n_states), marginals)
+    states = tuple(f"st{k}" for k in range(n_states))
+    y = BasicVariable(rng.random(n_states), 1.0)
+    return ModelSpec(states, agents, signals, beliefs, Network(g), y=y)
+
+
+def classes_oracle(A):
+    """Strongly connected classes sorted by least member, the terminal ones
+    (no edge crosses out of them) and the transient states, from scipy's
+    component labels."""
+    graph = scipy.sparse.csr_matrix(np.asarray(A) != 0)
+    n_comp, label = connected_components(graph, directed=True, connection="strong")
+    members = sorted(
+        (tuple(np.flatnonzero(label == c)) for c in range(n_comp)), key=lambda m: m[0]
+    )
+    rows, cols = graph.nonzero()
+    leaky = set(label[rows[label[rows] != label[cols]]].tolist())
+    terminal = [m for m in members if label[m[0]] not in leaky]
+    closed = set().union(*map(set, terminal))
+    transient = tuple(s for s in range(len(label)) if s not in closed)
+    return members, terminal, transient
 
 
 def closure_matrix(A):

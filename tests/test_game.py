@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from consensus_lab.game import (
     solve_heterogeneous_game,
 )
 from consensus_lab.io import load_scenario
-from consensus_lab.model import Network
+from consensus_lab.model import InterimBelief, Network
 
 from conftest import random_cps_model, random_model, scenario_path
 
@@ -181,3 +183,19 @@ def test_actions_stay_inside_payoff_range():
         sol = solve_beta_game(spec, float(rng.uniform(0.0, 0.99)))
         assert sol.actions.min() >= -1e-12
         assert sol.actions.max() <= spec.y.bound + 1e-12
+
+
+def test_nan_belief_fails_the_residual_gate():
+    # an unvalidated model: a NaN in one belief marginal reaches B, the
+    # solve returns NaN and the fixed-point residual gate must refuse it
+    spec = random_model(np.random.default_rng(12))
+    t = spec.signals[spec.agents[0]][0]
+    b = spec.beliefs[t]
+    other = spec.agents[1]
+    marg = np.array(b.signal_marginals[other])
+    marg[0] = np.nan
+    beliefs = dict(spec.beliefs)
+    beliefs[t] = InterimBelief(b.state_marginal, {**b.signal_marginals, other: marg})
+    bad = dataclasses.replace(spec, beliefs=beliefs)
+    with pytest.raises(ArithmeticError):
+        solve_beta_game(bad, 0.9)

@@ -1,8 +1,11 @@
+import sys
 from math import gcd
 
 import numpy as np
 import pytest
 
+from consensus_lab import interaction
+from consensus_lab.consensus import consensus_expectation, first_order_vector, pseudopriors
 from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import (
     absorbing_components,
@@ -15,12 +18,15 @@ from consensus_lab.interaction import (
 )
 from consensus_lab.io import load_scenario
 from consensus_lab.model import BasicVariable, InterimBelief, ModelSpec, Network
+from consensus_lab.optimism import markov_optimism_check, tightness_chain
 
 from conftest import (
     beliefs_connected_oracle,
+    classes_oracle,
     irreducible_oracle,
     random_model,
     scenario_path,
+    sparse_reducible_model,
 )
 
 
@@ -336,3 +342,122 @@ def test_component_period_refuses_a_set_that_is_not_strongly_connected():
     flow = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(PreconditionError, match="not strongly connected"):
         component_period(flow, (0, 1))
+
+
+def absorption_oracle(A, terminal, transient):
+    """Absorption probabilities by one direct solve per terminal class."""
+    out = np.zeros((len(A), len(terminal)))
+    T = list(transient)
+    for k, comp in enumerate(terminal):
+        out[list(comp), k] = 1.0
+        if T:
+            into = A[np.ix_(T, list(comp))].sum(axis=1)
+            out[T, k] = np.linalg.solve(np.eye(len(T)) - A[np.ix_(T, T)], into)
+    return out
+
+
+def test_structure_analysis_matches_independent_oracles():
+    rng = np.random.default_rng(515)
+    specs = [
+        random_model(
+            rng,
+            n_agents=int(rng.integers(2, 5)),
+            max_signals=4,
+            full_support=bool(rng.random() < 0.3),
+            network_density=float(rng.uniform(0.3, 1.0)),
+        )
+        for _ in range(150)
+    ]
+    specs += [sparse_reducible_model(np.random.default_rng(k), 12, 6) for k in range(3)]
+    specs += [
+        load_scenario(scenario_path(name))
+        for name in ("cps", "cycle", "case2", "counterexample", "tightness")
+    ]
+
+    def as_ints(classes):
+        return [tuple(int(s) for s in c) for c in classes]
+
+    seen = {"irreducible": 0, "transient": 0, "closed classes only": 0}
+    for spec in specs:
+        B = build_interaction_structure(spec)
+        comps, terminal, transient = classes_oracle(B.matrix)
+        assert as_ints(B.components) == as_ints(comps)
+        assert as_ints(B.terminal) == as_ints(terminal)
+        assert tuple(int(s) for s in B.transient) == transient
+        periods = tuple(period_oracle(B.matrix, c) for c in terminal)
+        assert B.periods == periods
+        assert B.irreducible == (len(comps) == 1)
+        assert B.aperiodic == all(p == 1 for p in periods)
+        expected = absorption_oracle(B.matrix, terminal, transient)
+        assert np.max(np.abs(B.absorption - expected)) <= 1e-12
+        for comp, p in zip(terminal, B.stationary):
+            sub = B.matrix[np.ix_(comp, comp)]
+            assert np.abs(p @ sub - p).sum() <= 1e-10
+            assert p.min() > 0 and p.sum() == pytest.approx(1.0, abs=1e-12)
+        if len(comps) == 1:
+            seen["irreducible"] += 1
+        elif transient:
+            seen["transient"] += 1
+        else:
+            seen["closed classes only"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.fixture
+def scc_calls(monkeypatch):
+    """Records every call of strongly_connected_components, at every
+    module of the package that holds a reference to it."""
+    original = interaction.strongly_connected_components
+    calls = []
+
+    def counted(matrix):
+        calls.append(np.shape(matrix))
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "consensus_lab":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+# The bound on SCC passes is one per distinct matrix analysed plus at most
+# one per terminal class.  The class stationary solves reuse the analysis
+# of the whole structure, so they add none, and the counts below are exact.
+
+
+def test_consensus_analyses_each_matrix_once(scc_calls):
+    # the matrices analysed are B and the agent network
+    rng = np.random.default_rng(31)
+    reducible = 0
+    for _ in range(20):
+        spec = random_model(rng, n_agents=3, full_support=False, network_density=0.6)
+        scc_calls.clear()
+        result = consensus_expectation(spec)
+        assert len(scc_calls) == 2
+        reducible += not result.irreducible
+    assert 0 < reducible < 20
+
+
+def test_pseudopriors_analyse_each_matrix_once(scc_calls):
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        spec = random_model(rng, n_agents=3, full_support=True)
+        scc_calls.clear()
+        pseudopriors(spec)
+        assert len(scc_calls) == 2  # B and the network
+
+
+def test_markov_check_never_analyses_a_structure_again(scc_calls):
+    m, delta, eps = 5, 0.2, 0.05
+    spec = tightness_chain(m, delta, eps)
+    B = build_interaction_structure(spec)
+    f = first_order_vector(spec)
+    scc_calls.clear()
+    check = markov_optimism_check(B, f, float(m), delta, eps)
+    assert scc_calls == []
+    assert check.mass_above == pytest.approx(1.0 / (1.0 + eps / delta), abs=1e-12)
+    # a bare matrix is analysed exactly once
+    check = markov_optimism_check(B.matrix, f, float(m), delta, eps)
+    assert len(scc_calls) == 1

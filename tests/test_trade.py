@@ -9,7 +9,7 @@ from consensus_lab.interaction import (
 from consensus_lab.io import load_scenario
 from consensus_lab.trade import no_trade_test
 
-from conftest import random_model, scenario_path
+from conftest import classes_oracle, random_model, scenario_path, sparse_reducible_model
 
 
 def test_irreducible_structure_admits_no_trade():
@@ -109,3 +109,24 @@ def test_witness_margin_after_normalization():
     assert np.max(np.abs(result.trade)) == pytest.approx(1.0, abs=1e-12)
     gains = B.matrix @ result.trade - result.trade
     assert gains.max() >= 1e-9
+
+
+def test_witness_on_large_sparse_reducible_models():
+    # 400 signals, most of them transient with long absorption times; the
+    # gain is exactly 1 / max t on every transient signal and 0 elsewhere
+    for seed in range(4):
+        spec = sparse_reducible_model(np.random.default_rng(seed), 50, 8)
+        B = build_interaction_structure(spec)
+        _, terminal, transient = classes_oracle(B.matrix)
+        assert len(B.index) == 400 and len(terminal) >= 2 and transient
+        result = no_trade_test(B)
+        assert result.has_trade and result.reducible
+        x = result.trade
+        assert np.max(np.abs(x)) == pytest.approx(1.0, abs=1e-12)
+        T = list(transient)
+        t = np.linalg.solve(np.eye(len(T)) - B.matrix[np.ix_(T, T)], np.ones(len(T)))
+        gains = B.matrix @ x - x
+        assert gains.min() >= -1e-12 and gains.max() >= 1e-9
+        assert np.allclose(gains[T], 1.0 / t.max(), rtol=1e-9, atol=0.0)
+        assert np.max(np.abs(np.delete(gains, T))) <= 1e-12
+        assert result.objective == pytest.approx(len(T) / t.max(), rel=1e-9)
