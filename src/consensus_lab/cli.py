@@ -27,11 +27,7 @@ from .errors import (
     ScenarioError,
 )
 from .game import heterogeneous_transform, solve_beta_game, solve_heterogeneous_game
-from .interaction import (
-    absorbing_components,
-    build_first_order_map,
-    build_interaction_structure,
-)
+from .interaction import absorbing_components
 from .market import (
     FixedDraw,
     MarketBatch,
@@ -42,7 +38,7 @@ from .market import (
 )
 from .model import ModelSpec, validate_model
 from .optimism import optimism_hypotheses
-from .tyranny import CISSpec, build_pi_from_cis, validate_cis, verify_tyranny
+from .tyranny import CISSpec, validate_cis, verify_tyranny
 from .trade import no_trade_test
 
 fmt = sio.fmt
@@ -119,9 +115,7 @@ def _print_vec(out, title, labels, vec):
 
 
 def _as_model(scenario) -> ModelSpec:
-    if isinstance(scenario, CISSpec):
-        return build_pi_from_cis(scenario)
-    return scenario
+    return scenario.model if isinstance(scenario, CISSpec) else scenario
 
 
 def cmd_validate(args, scenario, out) -> int:
@@ -131,13 +125,12 @@ def cmd_validate(args, scenario, out) -> int:
 
 def cmd_build(args, scenario, out) -> int:
     model = _as_model(scenario)
-    structure = build_interaction_structure(model)
-    fom = build_first_order_map(model)
+    structure = model.structure
     labels = structure.index.labels
     b_csv = StringIO()
     sio.write_matrix_csv(b_csv, labels, labels, structure.matrix)
     f_csv = StringIO()
-    sio.write_matrix_csv(f_csv, labels, model.states, fom.matrix)
+    sio.write_matrix_csv(f_csv, labels, model.states, model.first_order.matrix)
     _emit(args, "interaction.csv", b_csv.getvalue())
     _emit(args, "first_order.csv", f_csv.getvalue())
     if args.format == "csv":
@@ -385,8 +378,7 @@ def cmd_tyranny(args, scenario, out) -> int:
 
 
 def cmd_no_trade(args, scenario, out) -> int:
-    model = _as_model(scenario)
-    structure = build_interaction_structure(model)
+    structure = _as_model(scenario).structure
     result = no_trade_test(structure)
     if args.format == "csv":
         out.write("field,value\n")

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, PreconditionError, ReducibleError
-from .interaction import (
-    InteractionStructure,
-    SignalIndex,
-    build_first_order_map,
-    build_interaction_structure,
-)
+from .interaction import InteractionStructure, build_interaction_structure
 from .model import BasicVariable, ModelSpec, ex_ante_expectation
 from .spectral import eigenvector_centrality
 
@@ -37,12 +32,12 @@ def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
     states, or None meaning the model's own variable) is pushed through
     the first-order map.
     """
-    index = SignalIndex.from_spec(spec)
     if f is not None:
         f = np.asarray(f, dtype=float)
-        if f.shape != (len(index),):
+        n = len(spec.all_signals())
+        if f.shape != (n,):
             raise PreconditionError(
-                f"f: expected one value per signal ({len(index)}), got {f.shape}"
+                f"f: expected one value per signal ({n}), got {f.shape}"
             )
         return f
     if y is None:
@@ -56,7 +51,7 @@ def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
         raise PreconditionError(
             f"y: expected one value per state ({spec.n_states}), got {y.shape}"
         )
-    return build_first_order_map(spec).matrix @ y
+    return spec.first_order.matrix @ y
 
 
 def higher_order_expectations(spec: ModelSpec, n: int, y=None, f=None) -> np.ndarray:
@@ -64,7 +59,7 @@ def higher_order_expectations(spec: ModelSpec, n: int, y=None, f=None) -> np.nda
     if n < 1:
         raise PreconditionError("order n must be at least 1")
     x = first_order_vector(spec, y, f)
-    B = build_interaction_structure(spec).matrix
+    B = spec.structure.matrix
     for _ in range(n - 1):
         x = B @ x
     return x
@@ -122,7 +117,8 @@ def consensus_expectation(
     absorption probabilities for transient signals.
     """
     fvec = first_order_vector(spec, y, f)
-    structure = build_interaction_structure(spec, type_dependent_weights)
+    structure = (spec.structure if type_dependent_weights is None
+                 else build_interaction_structure(spec, type_dependent_weights))
     index = structure.index
 
     centralities = None
@@ -136,12 +132,7 @@ def consensus_expectation(
         p = structure.stationary[0]
         value = float(p @ fvec)
         comp = ComponentConsensus(index.labels, p, value)
-        lam = None
-        if centralities is not None:
-            lam = {
-                a: np.asarray(p[index.block(k)] / centralities[k])
-                for k, a in enumerate(spec.agents)
-            }
+        lam = None if centralities is None else pseudopriors(spec)
         return ConsensusResult(
             True, value, (comp,), p, centralities, lam, None, structure
         )
@@ -173,7 +164,7 @@ def pseudopriors(spec: ModelSpec) -> dict[str, np.ndarray]:
     expectation under these and averaging with centrality weights
     reproduces the consensus for every payoff.
     """
-    structure = build_interaction_structure(spec)
+    structure = spec.structure
     if not structure.irreducible:
         raise ReducibleError(
             "pseudopriors need an irreducible interaction structure",
@@ -204,18 +195,19 @@ def cps_check(spec: ModelSpec, tol: float = CPS_TOL) -> CpsCheck:
     """
     if spec.priors is None:
         raise CapabilityError("cps_check needs per-agent priors over signals")
+    # refuse before allocating: the profile tensor has one axis per agent
+    for t in spec.all_signals():
+        if spec.beliefs[t].full is None:
+            raise CapabilityError(
+                f"cps_check needs full joint beliefs; signal {t} carries"
+                " only marginals"
+            )
     sizes = [len(spec.signals[a]) for a in spec.agents]
     joints = []
     for i, a in enumerate(spec.agents):
         P = np.zeros(sizes)
         for ti, t in enumerate(spec.signals[a]):
-            belief = spec.beliefs[t]
-            if belief.full is None:
-                raise CapabilityError(
-                    f"cps_check needs full joint beliefs; signal {t} carries"
-                    " only marginals"
-                )
-            others_joint = belief.full.sum(axis=0)
+            others_joint = spec.beliefs[t].full.sum(axis=0)
             sl = [slice(None)] * len(sizes)
             sl[i] = ti
             P[tuple(sl)] = spec.priors[a][ti] * others_joint

@@ -17,7 +17,6 @@ import numpy as np
 
 from .consensus import ConsensusResult, consensus_expectation, first_order_vector
 from .errors import PreconditionError
-from .interaction import build_interaction_structure
 from .model import ModelSpec, Network
 
 #: Fixed-point residual ceiling for reported solutions.
@@ -59,7 +58,7 @@ def solve_beta_game(spec: ModelSpec, beta: float, y=None, f=None) -> GameSolutio
             f" convention_limit (got {beta})"
         )
     fvec = first_order_vector(spec, y, f)
-    structure = build_interaction_structure(spec)
+    structure = spec.structure
     B = structure.matrix
     n = B.shape[0]
     s = np.linalg.solve(np.eye(n) - beta * B, (1.0 - beta) * fvec)
@@ -81,7 +80,7 @@ def best_response_iterates(
     if not 0.0 <= beta < 1.0:
         raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
     fvec = first_order_vector(spec, y, f)
-    B = build_interaction_structure(spec).matrix
+    B = spec.structure.matrix
     s = np.zeros_like(fvec) if start is None else np.asarray(start, dtype=float)
     out = [s]
     for _ in range(rounds):
@@ -104,7 +103,7 @@ def rationalizable_bounds(
         raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
     fvec = first_order_vector(spec, y, f)
     M = _payoff_bound(spec, f)
-    B = build_interaction_structure(spec).matrix
+    B = spec.structure.matrix
     ones = np.ones_like(fvec)
     bounds = []
     xn = fvec
@@ -165,13 +164,15 @@ def solve_heterogeneous_game(
     if np.any(beta_vec >= 1.0) or np.any(beta_vec < 0.0):
         raise PreconditionError("every per-agent weight must lie in [0, 1)")
     fvec = first_order_vector(spec, y, f)
-    structure = build_interaction_structure(spec)
+    structure = spec.structure
     B = structure.matrix
     d = beta_vec[structure.index.agent_of]
     n = B.shape[0]
     A = np.eye(n) - d[:, None] * B
     s = np.linalg.solve(A, (1.0 - d) * fvec)
     residual = float(np.max(np.abs(s - (1.0 - d) * fvec - d * (B @ s))))
+    if not residual <= RESIDUAL_TOL:
+        raise ArithmeticError(f"fixed-point residual {residual:.3e}")
     return GameSolution(float("nan"), s, residual, structure.index.labels)
 
 

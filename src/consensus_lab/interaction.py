@@ -224,9 +224,12 @@ def build_interaction_structure(
 
 def as_structure(obj) -> InteractionStructure:
     """The analysed structure of an InteractionStructure, a Network or a
-    square array; a structure is returned as it is, never analysed again."""
+    square array; a structure is returned as it is and a network's cached
+    analysis is shared, so neither is analysed again."""
     if isinstance(obj, InteractionStructure):
         return obj
+    if isinstance(obj, Network):
+        return obj.structure
     # a copy, so that freezing it leaves the caller's array writable
     return _analysed(np.array(_weights(obj)), index=None)
 

@@ -259,9 +259,3 @@ def write_matrix_csv(fh, row_labels, col_labels, matrix):
     for i, r in enumerate(row_labels):
         for j, c in enumerate(col_labels):
             fh.write(f"{r},{c},{fmt(matrix[i, j])}\n")
-
-
-def write_vector_csv(fh, labels, vector, value_name="value"):
-    fh.write(f"label,{value_name}\n")
-    for lab, v in zip(labels, np.asarray(vector)):
-        fh.write(f"{lab},{fmt(v)}\n")

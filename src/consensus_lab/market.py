@@ -38,8 +38,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .game import GameSolution, solve_beta_game
-from .interaction import SignalIndex
-from .model import ModelSpec
+from .model import BasicVariable, ModelSpec
 from .spectral import eigenvector_centrality
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ class _Kernel:
                 "owner's class has positive self-weight; pass allow_own_market=True"
                 " to let the asset be resold into the owner's own market"
             )
-        index = SignalIndex.from_spec(spec)
+        index = spec.first_order.index
         yvec = spec.y if y is None else y
         if yvec is None:
             raise PreconditionError("no payoff given: pass y or set spec.y")
@@ -192,7 +191,8 @@ class _Kernel:
         self.labels = index.labels
         self.actions = np.asarray(prices.actions, dtype=float)
         self.starts = np.array([b.start for b in index.blocks], dtype=np.intp)
-        self.yvals = yvec.values if hasattr(yvec, "values") else np.asarray(yvec, float)
+        self.yvals = (yvec.values if isinstance(yvec, BasicVariable)
+                      else np.asarray(yvec, float))
         self.network_cdf = np.cumsum(g, axis=1)
         # about two expected runs' worth of uniforms, two per period
         self.block = int(min(_BLOCK, max(64.0, 4.0 / (1.0 - beta))))

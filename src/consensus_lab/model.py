@@ -2,13 +2,16 @@
 
 Labels are opaque strings.  All numerics run over dense numpy arrays whose
 index order is the declaration order of the labels.  Objects are immutable
-after construction (arrays are marked read-only) and safe for concurrent
-reads.
+after construction (arrays are read-only, mappings are read-only copies),
+so what is derived from one is built once, on first use, and kept: a
+spec's interaction structure and first-order map, a network's analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,10 +28,6 @@ def freeze(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-def is_probability_vector(v: np.ndarray, tol: float = PROB_TOL) -> bool:
-    return v.ndim == 1 and np.all(v >= -tol) and abs(float(v.sum()) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -56,17 +55,10 @@ class InterimBelief:
 
     def __post_init__(self):
         object.__setattr__(self, "state_marginal", freeze(self.state_marginal))
-        object.__setattr__(
-            self,
-            "signal_marginals",
-            {j: freeze(v) for j, v in self.signal_marginals.items()},
-        )
+        marginals = {j: freeze(v) for j, v in self.signal_marginals.items()}
+        object.__setattr__(self, "signal_marginals", MappingProxyType(marginals))
         if self.full is not None:
             object.__setattr__(self, "full", freeze(self.full))
-
-    @property
-    def mode(self) -> str:
-        return "full" if self.full is not None else "marginal"
 
     @classmethod
     def from_full(cls, full, other_agents: Sequence[str]) -> "InterimBelief":
@@ -104,6 +96,13 @@ class Network:
     def n(self) -> int:
         return self.weights.shape[0]
 
+    @cached_property
+    def structure(self):
+        """The analysed weights; the stationary vector is the centrality."""
+        from .interaction import as_structure
+
+        return as_structure(self.weights)
+
 
 @dataclass(frozen=True)
 class BasicVariable:
@@ -138,13 +137,12 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(
-            self, "signals", {a: tuple(ts) for a, ts in self.signals.items()}
-        )
+        signals = {a: tuple(ts) for a, ts in self.signals.items()}
+        object.__setattr__(self, "signals", MappingProxyType(signals))
+        object.__setattr__(self, "beliefs", MappingProxyType(dict(self.beliefs)))
         if self.priors is not None:
-            object.__setattr__(
-                self, "priors", {a: freeze(v) for a, v in self.priors.items()}
-            )
+            priors = {a: freeze(v) for a, v in self.priors.items()}
+            object.__setattr__(self, "priors", MappingProxyType(priors))
 
     @property
     def n_states(self) -> int:
@@ -154,8 +152,19 @@ class ModelSpec:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    def agent_index(self, agent: str) -> int:
-        return self.agents.index(agent)
+    @cached_property
+    def structure(self):
+        """The analysed interaction structure."""
+        from .interaction import build_interaction_structure
+
+        return build_interaction_structure(self)
+
+    @cached_property
+    def first_order(self):
+        """The first-order map."""
+        from .interaction import build_first_order_map
+
+        return build_first_order_map(self)
 
     def all_signals(self) -> tuple[str, ...]:
         return tuple(t for a in self.agents for t in self.signals[a])

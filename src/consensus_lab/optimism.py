@@ -16,7 +16,7 @@ import numpy as np
 
 from .consensus import consensus_expectation, first_order_vector
 from .errors import PreconditionError
-from .interaction import as_structure, build_interaction_structure
+from .interaction import as_structure
 from .model import BasicVariable, InterimBelief, ModelSpec, Network
 
 
@@ -24,7 +24,7 @@ def second_order_expectations(spec: ModelSpec, y=None, f=None) -> np.ndarray:
     """Each signal's network-averaged expectation of counterparties'
     first-order expectations (the step-2 vector)."""
     fvec = first_order_vector(spec, y, f)
-    return build_interaction_structure(spec).matrix @ fvec
+    return spec.structure.matrix @ fvec
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def optimism_hypotheses(spec: ModelSpec, threshold: float, y=None, f=None) -> Op
     ``threshold / (1 + shortfall/drift)``.
     """
     x1 = first_order_vector(spec, y, f)
-    B = build_interaction_structure(spec).matrix
+    B = spec.structure.matrix
     x2 = B @ x1
     below = x1 < threshold
     drift = float(np.min((x2 - x1)[below])) if below.any() else float("inf")

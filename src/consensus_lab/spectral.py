@@ -3,10 +3,11 @@
 Stationary distributions, eigenvector centralities, Abel limits of matrix
 power series, raw power trajectories with cycle detection, and mean first
 passage times.  Everything works on dense arrays at desk scale.  Every
-entry point accepts an InteractionStructure, a Network or a square array,
-and analyses a bare matrix once.  The stationary solve is direct with up
-to two rounds of iterative refinement; mean first passage times come from
-one inversion of the Kemeny-Snell fundamental matrix.
+entry point accepts an InteractionStructure, a Network (analysed once and
+kept on it) or a square array, and analyses a bare matrix once.  The
+stationary solve is direct with up to two rounds of iterative refinement;
+mean first passage times come from one inversion of the Kemeny-Snell
+fundamental matrix.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def eigenvector_centrality(network) -> np.ndarray:
     """Unique positive left fixed-point probability vector of the network."""
     structure = as_structure(network)
     _require_irreducible(structure, "eigenvector_centrality")
-    return stationary_distribution(structure).vector
+    return structure.stationary[0]
 
 
 def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
@@ -127,19 +128,23 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     ``(1 - beta) (I - beta Q)^{-1} z``.  With ``beta=None`` returns the
     exact limit as the discount goes to one, the constant vector whose
     entries are the stationary distribution applied to ``z`` (requires
-    irreducibility).
+    irreducibility).  The discounted solve's residual is gated relative to
+    the largest ``|z|``; a NaN residual fails the gate.
     """
     structure = as_structure(Q)
     matrix = structure.matrix
     z = np.asarray(z, dtype=float)
     if beta is None:
         _require_irreducible(structure, "abel_limit exact mode")
-        p = stationary_distribution(structure).vector
-        return np.full(matrix.shape[0], float(p @ z))
+        return np.full(matrix.shape[0], float(structure.stationary[0] @ z))
     if not 0.0 <= beta < 1.0:
         raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
     n = matrix.shape[0]
-    return (1.0 - beta) * np.linalg.solve(np.eye(n) - beta * matrix, z)
+    x = (1.0 - beta) * np.linalg.solve(np.eye(n) - beta * matrix, z)
+    residual = float(np.max(np.abs(x - (1.0 - beta) * z - beta * (matrix @ x))))
+    if not residual <= 1e-10 * max(1.0, float(np.max(np.abs(z)))):
+        raise ArithmeticError(f"discounted average residual {residual:.3e} too large")
+    return x
 
 
 def mfpt(Q) -> MFPTMatrix:

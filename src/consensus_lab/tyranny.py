@@ -12,6 +12,8 @@ signals are rounded to certainty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,13 +22,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .consensus import consensus_expectation
 from .errors import PreconditionError
-from .interaction import (
-    FirstOrderMap,
-    InteractionStructure,
-    as_structure,
-    build_first_order_map,
-    build_interaction_structure,
-)
+from .interaction import FirstOrderMap, InteractionStructure, as_structure
 from .model import BasicVariable, InterimBelief, ModelSpec, Network, freeze
 from .spectral import mfpt
 
@@ -51,15 +47,18 @@ class CISSpec:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(
-            self, "signals", {a: tuple(t) for a, t in self.signals.items()}
-        )
-        object.__setattr__(self, "rho", {a: freeze(v) for a, v in self.rho.items()})
-        object.__setattr__(self, "eta", {a: freeze(v) for a, v in self.eta.items()})
+        for name, convert in (("signals", tuple), ("rho", freeze), ("eta", freeze)):
+            values = {a: convert(v) for a, v in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(values))
 
     @property
     def n_states(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def model(self) -> ModelSpec:
+        """The general model with Bayes-derived beliefs."""
+        return build_pi_from_cis(self)
 
 
 def validate_cis(cis: CISSpec, tol: float = 1e-12) -> list[str]:
@@ -229,13 +228,8 @@ def rounded_structure(cis: CISSpec, informed: Sequence[str]) -> RoundedStructure
     cis_hat = CISSpec(
         cis.states, cis.agents, cis.signals, cis.rho, eta_hat, cis.network, cis.y
     )
-    model = build_pi_from_cis(cis_hat)
-    return RoundedStructure(
-        cis_hat,
-        model,
-        build_interaction_structure(model),
-        build_first_order_map(model),
-    )
+    model = cis_hat.model
+    return RoundedStructure(cis_hat, model, model.structure, model.first_order)
 
 
 @dataclass(frozen=True)
@@ -334,7 +328,7 @@ def verify_tyranny(
             f" failing: {bad} with eps {[profile.eps[a] for a in bad]}"
         )
 
-    model = build_pi_from_cis(cis)
+    model = cis.model
     if y is None:
         y = cis.y
     if y is None:

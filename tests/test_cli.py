@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import sys
+from collections import Counter
 from io import StringIO
 
 import pytest
 
+from consensus_lab import interaction, spectral
 from consensus_lab.cli import main
 
 from conftest import scenario_path
@@ -292,3 +295,86 @@ def test_non_finite_inputs_are_refused(tmp_path, capsys, name, command, edit, fi
     assert code == 2
     assert out == ""
     assert field in capsys.readouterr().err
+
+
+# SHA-256 of `report --runs 3` stdout, `build --format csv` stdout and the two
+# `build --out` files, captured before specs cached their structures.
+GOLDEN_BUILD_AND_REPORT = [
+    ("cycle", "4b513fad163638acbd6314b6e63b4cf12248e525cfe9cee8874e0fda46c387aa",
+     "b01c2278cde50c9551ac05018131638dd7c9a96a2d9239615d4fdb8361c9a534",
+     "264c9455da1d0cc194bd1bd404a7735e9d29a69a9983234e1fc93d2cf35cbb44",
+     "9c63ed72c14f5390372028cc934e09eff76469cfa7db1473bab5d75e3962a9ad"),
+    ("case2", "d24c15dd33f9bdf4a12d0e12efee35cb37b2763e89edec42209eadd25b9a7870",
+     "f9c966d4fb7170e9569627f7d7912f2589783e78be764eb7cb31049e590bac28",
+     "99b80d472aefce7a36c1af17429e631e5a4d93a8788026ebeb50d411c7309beb",
+     "1eefa6553459c4d40433e03ec6bf76ffb3b8dfe556327ddb5b0d78e3d5a3bdcf"),
+    ("counterexample", "92cf22da4f479e6df7346cc4ca69e1c7a528807b27357a8afc400627ff03c7d8",
+     "457c27a91b73669c9d7ae200c8733be95e6461b3cdd170286644054b5ff0909f",
+     "8216b8a1a12c00860b52d32175c4fb51d2f51b010ca22860c5bd622d1d74b526",
+     "9c63ed72c14f5390372028cc934e09eff76469cfa7db1473bab5d75e3962a9ad"),
+    ("tightness", "f7487af86d46d0689925a5fabd2c7eb40fb5ca01ef2ce7b593b7dff849865710",
+     "fe9693ee13965426e4252dc60ebdf7fcfea9fee44c5d10bc5d9736311a738598",
+     "5ece2863b586614c0b53c1a3d194637b7d1b00ddfbeeb01f3aa91ccfc68294c2",
+     "37c260b289890bd83ea33e84bcfa3453f72184e8ff2596b7d0b76bd396d777d8"),
+    ("tyranny_extreme", "85471f9bfce1c1abfcb573e8e24174c432180c196e56042cabee74744eefb483",
+     "af30b1f5166807447def2b4abd64e98ae0cfadaf4bebac3167191f232873ef61",
+     "25e49fbce33f0a37e91f7d8179bda943b5b844c36201260ed0b155e2f2ba4c99",
+     "8b2bc1bbe3446bde774700a8bd9f31de4e662ae9334d00f79c25e21463433aa4"),
+    ("cps", "d13bdad3abfd789021845ec68f2c3c90763437eea04198e9f3248a1aa3584637",
+     "4a6599dae5f38c9059216bd68a4daa9849fc12b205b4d3ccaaf47a9ea34cb0f0",
+     "c107f3d083b3db1f7b623847d9b4d4f8b66aabe9ff14999dc3ac80fbc2839e6e",
+     "1e7be02c6e860b7c4608598c0618b7934fe00c9866efdfa82ed936d6df299aaa"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name, report, build_csv, interaction, first_order",
+                         GOLDEN_BUILD_AND_REPORT)
+def test_report_and_build_golden_bytes(tmp_path, name, report, build_csv,
+                                       interaction, first_order):
+    path = scenario_path(name)
+    code, out = run_cli(["report", path, "--runs", "3"])
+    assert code == 0 and _sha256(out) == report
+    code, out = run_cli(["build", path, "--format", "csv"])
+    assert code == 0 and _sha256(out) == build_csv
+    code, _ = run_cli(["build", path, "--out", str(tmp_path)])
+    assert code == 0
+    assert _sha256((tmp_path / "interaction.csv").read_text()) == interaction
+    assert _sha256((tmp_path / "first_order.csv").read_text()) == first_order
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts structure builds, SCC passes and stationary solves, wrapped
+    at every module of the package that holds a reference to them."""
+    counts = Counter()
+    for home, name in [(interaction, "build_interaction_structure"),
+                       (interaction, "strongly_connected_components"),
+                       (spectral, "stationary_distribution")]:
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "consensus_lab":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name, builds, sccs, solves", [
+    ("cps", 1, 2, 2),  # B; B and the network
+    ("tyranny_extreme", 2, 3, 3),  # B and the rounded B; both and the network
+])
+def test_report_builds_each_structure_once(work_counts, name, builds, sccs, solves):
+    code, _ = run_cli(["report", scenario_path(name), "--runs", "3"])
+    assert code == 0
+    assert work_counts == Counter(build_interaction_structure=builds,
+                                  strongly_connected_components=sccs,
+                                  stationary_distribution=solves)

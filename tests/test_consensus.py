@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,13 @@ from consensus_lab.model import (
 )
 from consensus_lab.spectral import eigenvector_centrality
 
-from conftest import random_cps_model, random_model, recursive_hoae, scenario_path
+from conftest import (
+    random_cps_model,
+    random_model,
+    recursive_hoae,
+    scenario_path,
+    sparse_reducible_model,
+)
 
 
 def test_first_order_is_expectation_map():
@@ -278,6 +286,16 @@ def test_cps_check_needs_full_mode():
         y=spec.y,
     )
     with pytest.raises(CapabilityError):
+        cps_check(spec)
+
+
+def test_cps_check_refuses_marginal_beliefs_before_allocating():
+    # one axis per agent: with more than 64 agents numpy cannot even
+    # describe the profile tensor, so the refusal has to come first
+    spec = sparse_reducible_model(np.random.default_rng(5), n_agents=100, n_signals=4)
+    uniform = {a: np.full(4, 0.25) for a in spec.agents}
+    spec = dataclasses.replace(spec, priors=uniform)
+    with pytest.raises(CapabilityError, match="full joint beliefs"):
         cps_check(spec)
 
 

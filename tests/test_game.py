@@ -199,3 +199,18 @@ def test_nan_belief_fails_the_residual_gate():
     bad = dataclasses.replace(spec, beliefs=beliefs)
     with pytest.raises(ArithmeticError):
         solve_beta_game(bad, 0.9)
+
+
+def test_nan_belief_fails_the_heterogeneous_residual_gate():
+    # as above, with one coordination weight per agent
+    spec = random_model(np.random.default_rng(12))
+    t = spec.signals[spec.agents[0]][0]
+    b = spec.beliefs[t]
+    other = spec.agents[1]
+    marg = np.array(b.signal_marginals[other])
+    marg[0] = np.nan
+    beliefs = dict(spec.beliefs)
+    beliefs[t] = InterimBelief(b.state_marginal, {**b.signal_marginals, other: marg})
+    bad = dataclasses.replace(spec, beliefs=beliefs)
+    with pytest.raises(ArithmeticError):
+        solve_heterogeneous_game(bad, [0.9, 0.5, 0.3])

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from consensus_lab.errors import PreconditionError
+from consensus_lab.interaction import as_structure
+from consensus_lab.io import load_scenario
 from consensus_lab.model import (
     BasicVariable,
     InterimBelief,
@@ -10,8 +14,9 @@ from consensus_lab.model import (
     ex_ante_expectation,
     validate_model,
 )
+from consensus_lab.spectral import eigenvector_centrality
 
-from conftest import random_model
+from conftest import random_model, scenario_path
 
 
 def two_agent_spec(**overrides):
@@ -146,3 +151,39 @@ def test_random_models_validate(subtests=None):
     rng = np.random.default_rng(11)
     for _ in range(20):
         assert validate_model(random_model(rng)) == []
+
+
+def test_spec_mappings_are_read_only_copies():
+    beliefs = dict(two_agent_spec().beliefs)
+    spec = two_agent_spec(beliefs=beliefs, priors={"ann": [0.5, 0.5]})
+    # the caller's dict is copied, so changing it leaves the spec alone
+    beliefs["a1"] = beliefs["a2"]
+    assert spec.beliefs["a1"] is not spec.beliefs["a2"]
+    mappings = [spec.signals, spec.beliefs, spec.priors,
+                spec.beliefs["a1"].signal_marginals]
+    for mapping in mappings:
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    for mapping in (cis.signals, cis.rho, cis.eta):
+        with pytest.raises(TypeError):
+            mapping[cis.agents[0]] = mapping[cis.agents[0]]
+
+
+def test_derived_objects_are_built_once_per_object():
+    spec = two_agent_spec()
+    assert spec.structure is spec.structure
+    assert spec.first_order is spec.first_order
+    assert spec.network.structure is spec.network.structure
+    assert as_structure(spec.network) is spec.network.structure
+    assert eigenvector_centrality(spec.network) is spec.network.structure.stationary[0]
+    # a replaced spec is a new object with its own structure
+    swapped = dataclasses.replace(spec, network=Network([[0.5, 0.5], [0.5, 0.5]],
+                                                        diagonal_allowed=True))
+    assert swapped.structure is not spec.structure
+    assert swapped.structure.matrix[0, 0] == 0.5
+    assert spec.structure.matrix[0, 0] == 0.0
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    assert cis.model is cis.model
+    assert dataclasses.replace(cis).model is not cis.model

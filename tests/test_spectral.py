@@ -64,6 +64,14 @@ def test_nan_entry_fails_the_residual_gate():
         stationary_distribution(Q)
 
 
+def test_nan_entry_fails_the_discounted_residual_gate():
+    # as above, for the discounted Abel average
+    Q = np.roll(np.eye(5), 1, axis=1) * 0.5 + np.eye(5) * 0.5
+    Q[1, 2] = np.nan
+    with pytest.raises(ArithmeticError):
+        abel_limit(Q, np.arange(5.0), beta=0.9)
+
+
 def test_reducible_input_raises_with_certificate():
     Q = np.eye(3)
     with pytest.raises(ReducibleError) as err:
