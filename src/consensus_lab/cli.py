@@ -101,10 +101,14 @@ def build_parser() -> _Parser:
     return p
 
 
+def _artifact(args, name: str):
+    os.makedirs(args.out, exist_ok=True)
+    return open(os.path.join(args.out, name), "w", encoding="utf-8")
+
+
 def _emit(args, name: str, content: str):
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+        with _artifact(args, name) as fh:
             fh.write(content)
 
 
@@ -127,18 +131,17 @@ def cmd_build(args, scenario, out) -> int:
     model = _as_model(scenario)
     structure = model.structure
     labels = structure.index.labels
-    b_csv = StringIO()
-    sio.write_matrix_csv(b_csv, labels, labels, structure.matrix)
-    f_csv = StringIO()
-    sio.write_matrix_csv(f_csv, labels, model.states, model.first_order.matrix)
-    _emit(args, "interaction.csv", b_csv.getvalue())
-    _emit(args, "first_order.csv", f_csv.getvalue())
+    if args.out or args.format == "csv":
+        matrices = [("interaction", labels, structure.matrix),
+                    ("first_order", model.states, model.first_order.matrix)]
+    if args.out:
+        for name, cols, matrix in matrices:
+            with _artifact(args, f"{name}.csv") as fh:
+                sio.write_matrix_csv(fh, labels, cols, matrix)
     if args.format == "csv":
         out.write("matrix,row,col,value\n")
-        for line in b_csv.getvalue().splitlines()[1:]:
-            out.write(f"interaction,{line}\n")
-        for line in f_csv.getvalue().splitlines()[1:]:
-            out.write(f"first_order,{line}\n")
+        for name, cols, matrix in matrices:
+            sio.write_matrix_csv(out, labels, cols, matrix, prefix=f"{name},")
         return 0
     out.write(f"signals: {len(labels)}\n")
     out.write(f"irreducible: {structure.irreducible}\n")

@@ -252,10 +252,37 @@ def load_scenario(path):
     return parse_scenario(data, ctx=str(path))
 
 
-def write_matrix_csv(fh, row_labels, col_labels, matrix):
-    """Triplet CSV (row, col, value) with a header line."""
-    fh.write("row,col,value\n")
-    matrix = np.asarray(matrix)
-    for i, r in enumerate(row_labels):
-        for j, c in enumerate(col_labels):
-            fh.write(f"{r},{c},{fmt(matrix[i, j])}\n")
+def write_matrix_csv(fh, row_labels, col_labels, matrix, prefix=None):
+    """Triplet CSV (row, col, value) with a header line.
+
+    With a ``prefix``, every line starts with it and the header is left to
+    the caller, who may stream several matrices under one header.
+
+    Cells are keyed by their float64 bit pattern, so ``-0.0`` and ``0.0``
+    stay apart. Each row starts from a template filled with ``0.0`` and
+    only the other cells are replaced; each distinct value is formatted
+    once. So the Python work grows with the rows and the non-zero cells,
+    not with every cell.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    lines = ["row,col,value\n"] if prefix is None else []
+    lead = prefix or ""
+    bits = matrix.view(np.uint64)[: len(row_labels), : len(col_labels)]
+    if bits.size:
+        rows, cols = np.nonzero(bits)
+        distinct, keys = np.unique(bits[rows, cols], return_inverse=True)
+        texts = [fmt(v) + "\n" for v in distinct.view(np.float64).tolist()]
+        bounds = np.searchsorted(rows, np.arange(bits.shape[0] + 1)).tolist()
+        cols = cols.tolist()
+        keys = keys.tolist()
+        heads = [f"{c}," for c in col_labels]
+        zero = fmt(0.0) + "\n"
+        template = [h + zero for h in heads]
+        for i, r in enumerate(row_labels):
+            cells = template.copy()
+            for k in range(bounds[i], bounds[i + 1]):
+                j = cols[k]
+                cells[j] = heads[j] + texts[keys[k]]
+            p = f"{lead}{r},"
+            lines.append(p + p.join(cells))
+    fh.write("".join(lines))

@@ -30,7 +30,7 @@ def freeze(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterimBelief:
     """One agent's conditional belief after observing one of his signals.
 
@@ -82,7 +82,7 @@ class InterimBelief:
         return cls(state_marginal, marginals, full)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
     """Row-stochastic matrix of coordination weights between agents."""
 
@@ -104,7 +104,7 @@ class Network:
         return as_structure(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasicVariable:
     """A state-measurable payoff with values inside ``[0, bound]``."""
 
@@ -116,7 +116,7 @@ class BasicVariable:
         object.__setattr__(self, "bound", float(self.bound))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A complete model instance.
 

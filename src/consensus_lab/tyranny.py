@@ -27,7 +27,7 @@ from .model import BasicVariable, InterimBelief, ModelSpec, Network, freeze
 from .spectral import mfpt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CISSpec:
     """Common-interpretation model: shared signal technologies, private priors.
 

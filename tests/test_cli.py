@@ -5,12 +5,14 @@ import sys
 from collections import Counter
 from io import StringIO
 
+import numpy as np
 import pytest
 
 from consensus_lab import interaction, spectral
+from consensus_lab import io as sio
 from consensus_lab.cli import main
 
-from conftest import scenario_path
+from conftest import scenario_path, sparse_reducible_model
 
 FIXTURES = ["cycle", "case2", "counterexample", "tightness", "tyranny_extreme", "cps"]
 
@@ -346,14 +348,43 @@ def test_report_and_build_golden_bytes(tmp_path, name, report, build_csv,
     assert _sha256((tmp_path / "first_order.csv").read_text()) == first_order
 
 
-@pytest.fixture
-def work_counts(monkeypatch):
-    """Counts structure builds, SCC passes and stationary solves, wrapped
-    at every module of the package that holds a reference to them."""
-    counts = Counter()
-    for home, name in [(interaction, "build_interaction_structure"),
-                       (interaction, "strongly_connected_components"),
-                       (spectral, "stationary_distribution")]:
+def _scenario(spec):
+    """A general-kind scenario object for a marginal-mode spec."""
+    return {
+        "states": list(spec.states),
+        "agents": list(spec.agents),
+        "signals": {a: list(ts) for a, ts in spec.signals.items()},
+        "beliefs": {t: {"marginals": {
+            "state": b.state_marginal.tolist(),
+            "signals": {j: v.tolist() for j, v in b.signal_marginals.items()},
+        }} for t, b in spec.beliefs.items()},
+        "network": spec.network.weights.tolist(),
+        "y": {"values": spec.y.values.tolist(), "max": spec.y.bound},
+    }
+
+
+def test_build_golden_bytes_on_a_sparse_model(tmp_path):
+    # 40 agents x 8 signals: 320 signals, most of B's 102,400 cells zero.
+    # Digests captured while every cell was formatted on its own.
+    spec = sparse_reducible_model(np.random.default_rng(3), 40, 8)
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(_scenario(spec)))
+    code, out = run_cli(["build", str(path), "--format", "csv"])
+    assert code == 0
+    assert _sha256(out) == (
+        "7bcd10e9e3930f22450119724a0ce46e18ba09983a2097da9704059994691d59")
+    code, _ = run_cli(["build", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    assert _sha256((tmp_path / "interaction.csv").read_text()) == (
+        "4cd756cb57afee35b4dd6d84f1c8084ae379933365aad657bc41bcd49e9fa1d6")
+    assert _sha256((tmp_path / "first_order.csv").read_text()) == (
+        "50e8afc31bb9c509dc853b7af08c407a07d4187e4c55a5eb1aa2e3ada501cbff")
+
+
+def _count_calls(monkeypatch, counts, targets):
+    """Wrap each (home module, name) so that calls add to ``counts``, at
+    every module of the package that holds a reference to it."""
+    for home, name in targets:
         original = getattr(home, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -365,6 +396,15 @@ def work_counts(monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts structure builds, SCC passes and stationary solves."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, [(interaction, "build_interaction_structure"),
+                                       (interaction, "strongly_connected_components"),
+                                       (spectral, "stationary_distribution")])
     return counts
 
 
@@ -378,3 +418,26 @@ def test_report_builds_each_structure_once(work_counts, name, builds, sccs, solv
     assert work_counts == Counter(build_interaction_structure=builds,
                                   strongly_connected_components=sccs,
                                   stationary_distribution=solves)
+
+
+@pytest.fixture
+def csv_writes(monkeypatch):
+    """Counts matrix CSV writes."""
+    counts = Counter()
+    _count_calls(monkeypatch, counts, [(sio, "write_matrix_csv")])
+    return counts
+
+
+@pytest.mark.parametrize("command, name, flags, writes", [
+    ("build", "cps", [], 0),  # txt without --out reads no matrix text
+    ("report", "cps", ["--runs", "3"], 0),
+    ("report", "tyranny_extreme", ["--runs", "3"], 0),
+    ("build", "cps", ["--format", "csv"], 2),
+    ("build", "cps", ["--out", "DIR"], 2),
+])
+def test_matrices_are_formatted_only_when_read(tmp_path, csv_writes, command, name,
+                                               flags, writes):
+    flags = [str(tmp_path) if f == "DIR" else f for f in flags]
+    code, _ = run_cli([command, scenario_path(name)] + flags)
+    assert code == 0
+    assert csv_writes["write_matrix_csv"] == writes

@@ -187,3 +187,20 @@ def test_derived_objects_are_built_once_per_object():
     cis = load_scenario(scenario_path("tyranny_extreme"))
     assert cis.model is cis.model
     assert dataclasses.replace(cis).model is not cis.model
+
+
+def test_spec_objects_compare_by_identity():
+    # generated field equality would compare the numpy fields with `==` and
+    # raise "truth value of an array ... is ambiguous"
+    a, b = two_agent_spec(), two_agent_spec()
+    cis_a = load_scenario(scenario_path("tyranny_extreme"))
+    cis_b = load_scenario(scenario_path("tyranny_extreme"))
+    pairs = [(a, b), (a.network, b.network), (a.beliefs["a1"], b.beliefs["a1"]),
+             (a.y, b.y), (cis_a, cis_b)]
+    assert [type(x).__name__ for x, _ in pairs] == [
+        "ModelSpec", "Network", "InterimBelief", "BasicVariable", "CISSpec"]
+    for x, y in pairs:
+        assert x == x
+        assert x != y
+        assert hash(x) == hash(x)
+        assert len({x, y}) == 2
