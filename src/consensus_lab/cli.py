@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 precondition
-failure inside an operation, 64 usage error.  Identical inputs, flags and
-seed produce byte-identical output.
+failure inside an operation or an --out artifact that cannot be written,
+64 usage error.  Identical inputs, flags and seed produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from io import StringIO
 
 import numpy as np
@@ -101,9 +103,20 @@ def build_parser() -> _Parser:
     return p
 
 
+class _OutError(Exception):
+    """An artifact could not be written under ``--out``."""
+
+
+@contextmanager
 def _artifact(args, name: str):
-    os.makedirs(args.out, exist_ok=True)
-    return open(os.path.join(args.out, name), "w", encoding="utf-8")
+    """The open artifact file ``name`` under ``--out``; an OSError from
+    creating, writing or closing it becomes an :class:`_OutError`."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise _OutError(f"cannot write --out: {exc}") from exc
 
 
 def _emit(args, name: str, content: str):
@@ -461,7 +474,7 @@ def main(argv=None, out=None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args, scenario, out)
-    except (PreconditionError, CapabilityError) as exc:
+    except (PreconditionError, CapabilityError, _OutError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
 

@@ -195,6 +195,9 @@ def cps_check(spec: ModelSpec, tol: float = CPS_TOL) -> CpsCheck:
     """
     if spec.priors is None:
         raise CapabilityError("cps_check needs per-agent priors over signals")
+    for a in spec.agents:
+        if a not in spec.priors:
+            raise CapabilityError(f"cps_check needs a prior for every agent; {a} has none")
     # refuse before allocating: the profile tensor has one axis per agent
     for t in spec.all_signals():
         if spec.beliefs[t].full is None:

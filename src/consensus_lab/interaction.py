@@ -192,34 +192,60 @@ def build_interaction_structure(
     index = SignalIndex.from_spec(spec)
     n = len(index)
     B = np.zeros((n, n))
-    for s, t in enumerate(index.labels):
-        i = index.agent_of[s]
-        agent = spec.agents[i]
-        if type_dependent_weights is not None:
-            row = np.asarray(type_dependent_weights[t], dtype=float)
-            if row.shape != (spec.n_agents,):
-                raise PreconditionError(
-                    f"type-dependent weights for {t}: expected length"
-                    f" {spec.n_agents}, got {row.shape}"
-                )
-        else:
+    # one (agent i, counterpart j) block at a time: the rows of i's block
+    # that weight j get their weight times their marginals over j, stacked
+    for i, block in enumerate(index.blocks):
+        labels = index.labels[block]
+        try:
+            if type_dependent_weights is None:
+                W = np.broadcast_to(spec.network.weights[i], (len(labels), spec.n_agents))
+            else:
+                W = np.array([_weight_row(spec, t, type_dependent_weights) for t in labels])
+            marginals = [spec.beliefs[t].signal_marginals for t in labels]
+            # only weighted cells are written: unweighted ones stay +0.0
+            weighted = W != 0
+            for j in np.flatnonzero(weighted.any(axis=0)):
+                rows = np.flatnonzero(weighted[:, j])
+                if j == i:
+                    # own signal is known with certainty
+                    B[block.start + rows, block.start + rows] = W[rows, j]
+                    continue
+                a_j = spec.agents[j]
+                stacked = np.array([marginals[r][a_j] for r in rows])
+                B[block.start + rows, index.blocks[j]] = W[rows, j, None] * stacked
+        except (KeyError, PreconditionError):
+            _first_signal_error(spec, i, labels, type_dependent_weights)
+            raise
+    return _analysed(B, index)
+
+
+def _weight_row(spec: ModelSpec, t: str, type_dependent_weights) -> np.ndarray:
+    row = np.asarray(type_dependent_weights[t], dtype=float)
+    if row.shape != (spec.n_agents,):
+        raise PreconditionError(
+            f"type-dependent weights for {t}: expected length"
+            f" {spec.n_agents}, got {row.shape}"
+        )
+    return row
+
+
+def _first_signal_error(spec: ModelSpec, i, labels, type_dependent_weights):
+    """Raise the error of the first of agent i's signals that fails, checking
+    them one at a time in index order, so that a block that fails names the
+    same signal whichever of its counterparts is assembled first."""
+    for t in labels:
+        if type_dependent_weights is None:
             row = spec.network.weights[i]
-        belief = spec.beliefs[t]
+        else:
+            row = _weight_row(spec, t, type_dependent_weights)
+        marginals = spec.beliefs[t].signal_marginals
         for j in np.flatnonzero(row):
-            w = row[j]
-            if j == i:
-                # own signal is known with certainty
-                B[s, s] += w
-                continue
             a_j = spec.agents[j]
-            marg = belief.signal_marginals.get(a_j)
-            if marg is None:
+            if j != i and a_j not in marginals:
                 raise PreconditionError(
-                    f"signal {t}: agent {agent} weights {a_j} but carries no"
+                    f"signal {t}: agent {spec.agents[i]} weights {a_j} but carries no"
                     f" belief marginal over {a_j}'s signals"
                 )
-            B[s, index.block(j)] = w * marg
-    return _analysed(B, index)
 
 
 def as_structure(obj) -> InteractionStructure:
@@ -235,13 +261,17 @@ def as_structure(obj) -> InteractionStructure:
 
 
 def _analysed(B: np.ndarray, index: SignalIndex | None) -> InteractionStructure:
-    comps = strongly_connected_components(B)
+    # one scan for the edges feeds both the SCCs and the terminal test
+    u, v = np.nonzero(B != 0)
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(len(u), dtype=bool), (u, v)), shape=B.shape
+    )
+    comps = strongly_connected_components(graph)
     # a component is terminal when no edge leaves it
     label = np.empty(len(B), dtype=np.intp)
     label[np.concatenate(comps)] = np.repeat(
         np.arange(len(comps)), [len(c) for c in comps]
     )
-    u, v = np.nonzero(B)
     closed = np.ones(len(comps), dtype=bool)
     closed[label[u][label[u] != label[v]]] = False
     terminal = tuple(c for c, ok in zip(comps, closed) if ok)
@@ -250,12 +280,19 @@ def _analysed(B: np.ndarray, index: SignalIndex | None) -> InteractionStructure:
 
 
 def strongly_connected_components(matrix) -> list[tuple[int, ...]]:
-    """SCCs of the directed graph of nonzero entries, sorted by least member."""
-    matrix = _weights(matrix)
-    n_comp, labels = connected_components(
-        scipy.sparse.csr_matrix(matrix != 0), directed=True, connection="strong"
-    )
-    comps = [tuple(np.nonzero(labels == c)[0]) for c in range(n_comp)]
+    """SCCs of the directed graph of nonzero entries, sorted by least member.
+
+    ``matrix`` may also be a scipy sparse matrix whose stored entries are
+    the edges.
+    """
+    if not scipy.sparse.issparse(matrix):
+        matrix = scipy.sparse.csr_matrix(_weights(matrix) != 0)
+    n_comp, labels = connected_components(matrix, directed=True, connection="strong")
+    # members of each component in index order: a stable sort by label
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n_comp).tolist()
+    ends = np.cumsum(sizes).tolist()
+    comps = [tuple(order[e - k : e]) for k, e in zip(sizes, ends)]
     return sorted(comps, key=lambda c: c[0])
 
 

@@ -37,10 +37,9 @@ def _expect(obj, typ, ctx, what):
 
 
 def _take(mapping: dict, ctx: str, required: Iterable[str], optional: Iterable[str] = ()):
-    required = list(required)
-    allowed = set(required) | set(optional)
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
+    allowed = {*required, *optional}
+    if not mapping.keys() <= allowed:
+        unknown = sorted(set(mapping) - allowed)
         _fail(ctx, f"unknown key(s) {unknown}; allowed: {sorted(allowed)}")
     for k in required:
         if k not in mapping:
@@ -63,21 +62,34 @@ def _labels(obj, ctx) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _vector(obj, ctx, n=None) -> np.ndarray:
+#: The entry types of a JSON list of numbers; ``bool`` is refused as in
+#: :func:`_number`.
+_NUMBER_TYPES = {int, float}
+
+
+def _numbers(obj, ctx, n) -> None:
+    """Check that ``obj`` is a list of ``n`` numbers (any length when ``n``
+    is None); a bad entry is refused with its JSON path by :func:`_number`."""
     _expect(obj, list, ctx, "a list of numbers")
     if n is not None and len(obj) != n:
         _fail(ctx, f"expected {n} entries, got {len(obj)}")
-    try:
-        return np.array([float(x) for x in obj])
-    except (TypeError, ValueError):
-        _fail(ctx, "entries must be numbers")
+    if not set(map(type, obj)) <= _NUMBER_TYPES:
+        for k, x in enumerate(obj):
+            _number(x, f"{ctx}[{k}]")
+
+
+def _vector(obj, ctx, n=None) -> np.ndarray:
+    _numbers(obj, ctx, n)
+    return np.array(obj, dtype=float)
 
 
 def _matrix(obj, ctx, shape) -> np.ndarray:
     _expect(obj, list, ctx, "a list of rows")
     if len(obj) != shape[0]:
         _fail(ctx, f"expected {shape[0]} rows, got {len(obj)}")
-    return np.array([_vector(r, f"{ctx}[{k}]", shape[1]) for k, r in enumerate(obj)])
+    for k, r in enumerate(obj):
+        _numbers(r, f"{ctx}[{k}]", shape[1])
+    return np.array(obj, dtype=float)
 
 
 def _parse_network(obj, ctx, n) -> Network:
@@ -113,13 +125,13 @@ def _parse_y(obj, ctx, states) -> BasicVariable:
     return BasicVariable(vec, bound)
 
 
-def _parse_belief(obj, ctx, spec_agents, signals, states, owner) -> InterimBelief:
+def _parse_belief(obj, ctx, agents, signals, states, owner) -> InterimBelief:
     _expect(obj, dict, ctx, "an object")
     _take(obj, ctx, [], ["marginals", "full"])
-    others = [a for a in spec_agents if a != owner]
     if "full" in obj and "marginals" in obj:
         _fail(ctx, "give either marginals or full, not both")
     if "full" in obj:
+        others = [a for a in agents if a != owner]
         entries = _expect(obj["full"], list, f"{ctx}.full", "a list of entries")
         shape = (len(states),) + tuple(len(signals[j]) for j in others)
         joint = np.zeros(shape)
@@ -146,14 +158,16 @@ def _parse_belief(obj, ctx, spec_agents, signals, states, owner) -> InterimBelie
         _fail(ctx, "belief needs either marginals or full")
     m = _expect(obj["marginals"], dict, f"{ctx}.marginals", "an object")
     _take(m, f"{ctx}.marginals", ["state"], ["signals"])
-    state_marginal = _vector(m["state"], f"{ctx}.marginals.state", len(states))
-    sig = {}
-    for j, vec in _expect(
-        m.get("signals", {}), dict, f"{ctx}.marginals.signals", "an object"
-    ).items():
-        if j not in others:
+    state_marginal = m["state"]
+    _numbers(state_marginal, f"{ctx}.marginals.state", len(states))
+    sig = m.get("signals", {})
+    _expect(sig, dict, f"{ctx}.marginals.signals", "an object")
+    for j, vec in sig.items():
+        # ``signals`` is keyed by the agents
+        if j == owner or j not in signals:
             _fail(f"{ctx}.marginals.signals", f"{j!r} is not another agent")
-        sig[j] = _vector(vec, f"{ctx}.marginals.signals.{j}", len(signals[j]))
+        _numbers(vec, f"{ctx}.marginals.signals.{j}", len(signals[j]))
+    # the belief turns each screened list into a read-only array
     return InterimBelief(state_marginal, sig)
 
 

@@ -187,6 +187,42 @@ def _check_prob(violations, location, vec, n, tol):
         violations.append(f"{location}: sums to {s!r} (expected 1 within {tol})")
 
 
+def _screen_probs(violations, checks, tol):
+    """Run :func:`_check_prob` on each ``(position, location, vector,
+    length)`` check that array tests cannot clear, and insert its
+    violations at the position.
+
+    A vector is cleared when its length is right, it is not empty, no
+    entry is below ``-tol``, its absolute entries sum to at most 2 and its
+    ``np.add.reduceat`` sum is within ``tol - margin`` of 1.  That sum is
+    taken in another order than ``np.sum``'s; the margin, ``8 * eps *
+    (n + 1)`` for ``n`` entries, is more than twice the error bound of
+    either order (``(n - 1) * eps / 2`` times the absolute sum) plus the
+    rounding of ``|sum - 1|``, so a cleared vector passes the exact check.
+    NaN fails every comparison, so it is never cleared.
+    """
+    if not checks:
+        return
+    positions, locations, vecs, lengths = zip(*checks)
+    sizes = np.array([x.size for x in vecs])
+    filled = sizes > 0
+    cleared = (np.array(list(map(len, vecs))) == lengths) & filled
+    # empty vectors own no entries, so each start opens one vector's run
+    starts = (np.cumsum(sizes) - sizes)[filled]
+    if len(starts):
+        flat = np.concatenate(vecs, axis=None)
+        sums = np.add.reduceat(flat, starts)
+        mass = np.add.reduceat(np.abs(flat), starts)
+        negative = np.logical_or.reduceat(flat < -tol, starts)
+        margin = 8 * np.finfo(float).eps * (sizes[filled] + 1)
+        cleared[filled] &= ~negative & (mass <= 2) & (np.abs(sums - 1.0) + margin <= tol)
+    # from the back, so earlier positions stay valid
+    for k in np.flatnonzero(~cleared)[::-1]:
+        found: list[str] = []
+        _check_prob(found, locations[k], vecs[k], lengths[k], tol)
+        violations[positions[k]:positions[k]] = found
+
+
 def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     """Check every model invariant; return the violations (empty list = valid).
 
@@ -233,21 +269,26 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                     " present but diagonal_allowed is false"
                 )
 
+    # probability vectors are screened together once the loop is done;
+    # each check keeps the position in ``v`` its violations belong at
+    checks: list[tuple[int, str, np.ndarray, int]] = []
+    agent_set = set(spec.agents)
+    n_states = spec.n_states
     for a in spec.agents:
-        others = [j for j in spec.agents if j != a]
         for t in spec.signals.get(a, ()):
             b = spec.beliefs.get(t)
             if b is None:
                 v.append(f"beliefs.{t}: missing belief")
                 continue
             loc = f"beliefs.{t}"
-            _check_prob(v, f"{loc}.state", b.state_marginal, spec.n_states, tol)
+            checks.append((len(v), f"{loc}.state", b.state_marginal, n_states))
             for j, m in b.signal_marginals.items():
-                if j == a or j not in spec.agents:
+                if j == a or j not in agent_set:
                     v.append(f"{loc}.signals.{j}: not another agent")
                     continue
-                _check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]), tol)
+                checks.append((len(v), f"{loc}.signals.{j}", m, len(spec.signals[j])))
             if b.full is not None:
+                others = [j for j in spec.agents if j != a]
                 shape = (spec.n_states,) + tuple(len(spec.signals[j]) for j in others)
                 if b.full.shape != shape:
                     v.append(f"{loc}.full: shape {b.full.shape}, expected {shape}")
@@ -272,10 +313,11 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
 
     if spec.priors is not None:
         for a, mu in spec.priors.items():
-            if a not in spec.agents:
+            if a not in agent_set:
                 v.append(f"priors.{a}: unknown agent")
                 continue
-            _check_prob(v, f"priors.{a}", mu, len(spec.signals[a]), tol)
+            checks.append((len(v), f"priors.{a}", mu, len(spec.signals[a])))
+    _screen_probs(v, checks, tol)
 
     if spec.y is not None:
         if len(spec.y.values) != spec.n_states:

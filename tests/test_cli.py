@@ -441,3 +441,29 @@ def test_matrices_are_formatted_only_when_read(tmp_path, csv_writes, command, na
     code, _ = run_cli([command, scenario_path(name)] + flags)
     assert code == 0
     assert csv_writes["write_matrix_csv"] == writes
+
+
+@pytest.mark.parametrize("command", ["build", "consensus", "report"])
+def test_unwritable_out_is_a_precondition_failure(tmp_path, capsys, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    argv = [command, scenario_path("cps"), "--out", str(blocker / "x")]
+    code, _ = run_cli(argv)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure: cannot write --out: ")
+    assert str(blocker / "x") in err
+    code, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 3
+
+
+def test_priors_for_some_agents_only_skip_the_common_prior_rows(tmp_path, capsys):
+    path = _with("cps", lambda d: d["priors"].pop("ann"), tmp_path)
+    code, out = run_cli(["consensus", path])
+    assert code == 0
+    assert "consensus = " in out
+    assert "cps_" not in out and "decomposition" not in out
+    code, out = run_cli(["report", path])
+    assert code == 0
+    assert "cps_" not in out
+    assert capsys.readouterr().err == ""

@@ -299,6 +299,16 @@ def test_cps_check_refuses_marginal_beliefs_before_allocating():
         cps_check(spec)
 
 
+def test_cps_check_names_an_agent_without_a_prior():
+    spec = random_cps_model(np.random.default_rng(13), n_agents=3)
+    partial = dict(spec.priors)
+    del partial["ag1"]
+    spec = dataclasses.replace(spec, priors=partial)
+    for check in (cps_check, verify_cps_decomposition):
+        with pytest.raises(CapabilityError, match="ag1 has none"):
+            check(spec)
+
+
 def test_ladder_cycle_beliefs_admit_no_common_prior():
     # certainty beliefs whose consensus depends on the orientation of the
     # network cannot be consistent with a common prior over signals

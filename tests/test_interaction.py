@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from math import gcd
 
@@ -461,3 +462,156 @@ def test_markov_check_never_analyses_a_structure_again(scc_calls):
     # a bare matrix is analysed exactly once
     check = markov_optimism_check(B.matrix, f, float(m), delta, eps)
     assert len(scc_calls) == 1
+
+
+def per_signal_matrix(spec, type_dependent_weights=None):
+    """The interaction matrix filled one signal and one counterpart at a
+    time: the reference that the block assembly must match bit for bit,
+    errors included."""
+    index = interaction.SignalIndex.from_spec(spec)
+    B = np.zeros((len(index), len(index)))
+    for s, t in enumerate(index.labels):
+        i = index.agent_of[s]
+        if type_dependent_weights is not None:
+            row = np.asarray(type_dependent_weights[t], dtype=float)
+            if row.shape != (spec.n_agents,):
+                raise PreconditionError(
+                    f"type-dependent weights for {t}: expected length"
+                    f" {spec.n_agents}, got {row.shape}"
+                )
+        else:
+            row = spec.network.weights[i]
+        belief = spec.beliefs[t]
+        for j in np.flatnonzero(row):
+            if j == i:
+                B[s, s] += row[j]
+                continue
+            a_j = spec.agents[j]
+            marg = belief.signal_marginals.get(a_j)
+            if marg is None:
+                raise PreconditionError(
+                    f"signal {t}: agent {spec.agents[i]} weights {a_j} but carries no"
+                    f" belief marginal over {a_j}'s signals"
+                )
+            B[s, index.block(j)] = row[j] * marg
+    return B
+
+
+def same_bits(a, b):
+    """Equal as float64 bit patterns, so -0.0 and +0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def with_self_weights(rng, spec):
+    """The spec with a random self-weight on every other agent's row."""
+    g = np.array(spec.network.weights)
+    for i in range(0, spec.n_agents, 2):
+        g[i] *= 1 - rng.uniform(0.1, 0.9)
+        g[i, i] = 1 - g[i].sum()
+    return dataclasses.replace(spec, network=Network(g, diagonal_allowed=True))
+
+
+def random_row_weights(rng, spec):
+    """A random weight row per signal over the owner and the agents its
+    network row weights, some of them left unweighted."""
+    weights = {}
+    for i, a in enumerate(spec.agents):
+        support = spec.network.weights[i] != 0
+        support[i] = True
+        for t in spec.signals[a]:
+            row = rng.dirichlet(np.ones(spec.n_agents)) * support
+            row[rng.random(spec.n_agents) < 0.4] = 0.0
+            if not row.any():
+                row[i] = 1.0
+            weights[t] = row / row.sum()
+    return weights
+
+
+def oracle_cases():
+    """Seeded specs, each with random type-dependent weights."""
+    specs = []
+    for seed in range(12):
+        rng = np.random.default_rng([61, seed])
+        spec = random_model(rng, n_agents=int(rng.integers(2, 6)),
+                            n_states=int(rng.integers(1, 4)),
+                            max_signals=int(rng.integers(1, 5)),
+                            full_support=bool(seed % 2),
+                            network_density=float(rng.uniform(0.3, 1.0)))
+        specs += [(f"random-{seed}", rng, spec),
+                  (f"random-self-{seed}", rng, with_self_weights(rng, spec))]
+    for seed in range(3):
+        rng = np.random.default_rng([62, seed])
+        spec = sparse_reducible_model(rng, n_agents=40, n_signals=8)
+        specs += [(f"sparse-{seed}", rng, spec),
+                  (f"sparse-self-{seed}", rng, with_self_weights(rng, spec))]
+    return [(name, spec, random_row_weights(rng, spec)) for name, rng, spec in specs]
+
+
+ORACLE_CASES = oracle_cases()
+
+
+@pytest.mark.parametrize("name, spec, weights", ORACLE_CASES,
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_block_assembly_matches_the_per_signal_oracle(name, spec, weights):
+    assert same_bits(build_interaction_structure(spec).matrix, per_signal_matrix(spec))
+    got = build_interaction_structure(spec, type_dependent_weights=weights).matrix
+    assert same_bits(got, per_signal_matrix(spec, weights))
+
+
+def test_unweighted_marginals_are_never_written():
+    # ag0 weights only ag1, yet holds a marginal over ag2 with -0.0 and inf;
+    # one of ag1's signals weights ag2 under type-dependent weights, the
+    # other does not
+    agents = ("ag0", "ag1", "ag2")
+    signals = {"ag0": ("p", "q"), "ag1": ("r", "s"), "ag2": ("u",)}
+    odd = [-0.0, np.inf]
+    beliefs = {
+        "p": InterimBelief([1.0], {"ag1": [0.5, 0.5], "ag2": [-0.0]}),
+        "q": InterimBelief([1.0], {"ag1": odd, "ag2": [np.inf]}),
+        "r": InterimBelief([1.0], {"ag0": [-0.0, 1.0], "ag2": [np.inf]}),
+        "s": InterimBelief([1.0], {"ag0": [1.0, -0.0], "ag2": [-0.0]}),
+        "u": InterimBelief([1.0], {"ag0": [0.25, 0.75], "ag1": [1.0, -0.0]}),
+    }
+    g = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]
+    spec = ModelSpec(("w",), agents, signals, beliefs, Network(g))
+    B = build_interaction_structure(spec).matrix
+    assert same_bits(B, per_signal_matrix(spec))
+    assert same_bits(B[0:2, 4:5], np.zeros((2, 1)))
+    weights = {"p": [0, 1, 0], "q": [0, 1, 0], "r": [1, 0, 0], "s": [0.5, 0, 0.5],
+               "u": [0, 1, 0]}
+    B = build_interaction_structure(spec, type_dependent_weights=weights).matrix
+    assert same_bits(B, per_signal_matrix(spec, weights))
+    assert same_bits(B[2, 4], 0.0) and same_bits(B[3, 4], -0.0)
+
+
+def error_text(fn, *args):
+    with pytest.raises(PreconditionError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+def test_missing_marginal_error_matches_the_per_signal_oracle():
+    for seed in range(30):
+        rng = np.random.default_rng([63, seed])
+        spec = random_model(rng, n_agents=int(rng.integers(2, 5)), max_signals=3)
+        beliefs = dict(spec.beliefs)
+        labels = spec.all_signals()
+        # drop marginals from a few signals; the first one met must be named
+        for t in rng.choice(labels, size=min(3, len(labels)), replace=False):
+            b = beliefs[t]
+            keep = {j: m for j, m in b.signal_marginals.items() if rng.random() < 0.5}
+            beliefs[t] = InterimBelief(b.state_marginal, keep)
+        broken = dataclasses.replace(spec, beliefs=beliefs)
+        weights = random_row_weights(rng, spec)
+        if seed % 3 == 0:
+            # a row of the wrong length, met before or after a missing marginal
+            weights[labels[rng.integers(len(labels))]] = [1.0]
+        for args in ((broken,), (broken, weights), (spec, weights)):
+            try:
+                per_signal_matrix(*args)
+            except PreconditionError as exc:
+                assert error_text(build_interaction_structure, *args) == str(exc)
+            else:
+                got = build_interaction_structure(*args).matrix
+                assert same_bits(got, per_signal_matrix(*args))

@@ -1,11 +1,13 @@
+import json
 from io import StringIO
 
 import numpy as np
 import pytest
 
-from consensus_lab.io import fmt, write_matrix_csv
+from consensus_lab.errors import ScenarioError
+from consensus_lab.io import fmt, load_scenario, write_matrix_csv
 
-from conftest import sparse_reducible_model
+from conftest import scenario_path, sparse_reducible_model
 
 
 def per_cell_csv(rows, cols, matrix, prefix=None):
@@ -74,3 +76,175 @@ def test_writer_truncates_to_the_labels():
     fh = StringIO()
     write_matrix_csv(fh, rows, cols, matrix)
     assert fh.getvalue() == per_cell_csv(rows, cols, matrix)
+
+
+def _set(path, value):
+    """An edit that sets the value at a key path of a scenario."""
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(d):
+        for key in path[:-1]:
+            d = d[key]
+        del d[path[-1]]
+    return edit
+
+
+A1 = ["beliefs", "a1", "marginals"]
+FULL0 = ["beliefs", "a1", "full", 0]
+
+#: (scenario, edit, message with the file name as ``<file>``).  Each message
+#: is the one the per-signal parser gave, except those marked ``number
+#: rule``: a list of numbers refuses strings, booleans and other non-numbers
+#: as a single number does, naming the entry's path.
+CORRUPTED = [
+    ("cycle", _set(A1 + ["signals", "one"], [1, 0]),
+     "<file>.beliefs.a1.marginals.signals: 'one' is not another agent"),
+    ("cycle", _set(A1 + ["signals", "ghost"], [1]),
+     "<file>.beliefs.a1.marginals.signals: 'ghost' is not another agent"),
+    ("cycle", _set(A1 + ["state"], [1]),
+     "<file>.beliefs.a1.marginals.state: expected 2 entries, got 1"),
+    ("cycle", _set(A1 + ["state"], "x"),
+     "<file>.beliefs.a1.marginals.state: expected a list of numbers, got str"),
+    ("cycle", _set(A1 + ["state"], [1, None]),  # number rule
+     "<file>.beliefs.a1.marginals.state[1]: expected a number, got NoneType"),
+    ("cycle", _set(A1 + ["state"], [1, "0"]),  # number rule
+     "<file>.beliefs.a1.marginals.state[1]: expected a number, got str"),
+    ("cycle", _set(A1 + ["state"], [True, 0]),  # number rule
+     "<file>.beliefs.a1.marginals.state[0]: expected a number, got bool"),
+    ("cycle", _set(A1 + ["state"], [[1], 0]),  # number rule
+     "<file>.beliefs.a1.marginals.state[0]: expected a number, got list"),
+    ("cycle", _set(A1 + ["signals", "two"], [0, False]),  # number rule
+     "<file>.beliefs.a1.marginals.signals.two[1]: expected a number, got bool"),
+    ("cycle", _set(A1 + ["signals"], []),
+     "<file>.beliefs.a1.marginals.signals: expected an object, got list"),
+    ("cycle", _drop(A1 + ["state"]),
+     "<file>.beliefs.a1.marginals: missing required key 'state'"),
+    ("cycle", _set(A1 + ["extra"], 1),
+     "<file>.beliefs.a1.marginals: unknown key(s) ['extra']; allowed: ['signals', 'state']"),
+    ("cycle", _set(["beliefs", "a1"], []),
+     "<file>.beliefs.a1: expected an object, got list"),
+    ("cycle", _set(["beliefs", "a1", "full"], []),
+     "<file>.beliefs.a1: give either marginals or full, not both"),
+    ("cycle", _set(["beliefs", "a1"], {}),
+     "<file>.beliefs.a1: belief needs either marginals or full"),
+    ("cycle", _drop(["beliefs", "a1"]),
+     "<file>.beliefs: missing belief for signal a1"),
+    ("cycle", _set(["beliefs", "zz"], {}),
+     "<file>.beliefs: unknown signal(s) ['zz']"),
+    ("cycle", _set(["network"], [[0, 1, 0], [0, 0, 1]]),
+     "<file>.network: expected 3 rows, got 2"),
+    ("cycle", _set(["network", 1], [0, 1]),
+     "<file>.network[1]: expected 3 entries, got 2"),
+    ("cycle", _set(["network", 0], 1),
+     "<file>.network[0]: expected a list of numbers, got int"),
+    ("cycle", _set(["network", 2, 1], "0"),  # number rule
+     "<file>.network[2][1]: expected a number, got str"),
+    ("cycle", _set(["network"], {"weights": [[0, 1, 0]] * 3, "bogus": 1}),
+     "<file>.network: unknown key(s) ['bogus']; allowed: ['diagonal_allowed', 'weights']"),
+    ("cycle", _set(["network"], {"weights": [[0, 1, 0]] * 2}),
+     "<file>.network.weights: expected 3 rows, got 2"),
+    ("cycle", _set(["network"], "x"),
+     "<file>.network: expected a weight matrix or an object, got str"),
+    ("cycle", _set(["states"], "s"),
+     "<file>.states: expected a list of labels, got str"),
+    ("cycle", _set(["agents"], [1, "two", "three"]),
+     "<file>.agents[0]: expected a string label, got int"),
+    ("cycle", _drop(["signals", "three"]),
+     "<file>.signals: missing signals for agent three"),
+    ("cycle", _set(["signals", "four"], []),
+     "<file>.signals: unknown agent(s) ['four']"),
+    ("cycle", _set(["signals", "one"], ["a1", 2]),
+     "<file>.signals.one[1]: expected a string label, got int"),
+    ("cycle", _set(["y", "values"], {"s0": 1}),
+     "<file>.y.values: missing state(s) ['s1']"),
+    ("cycle", _set(["y", "values"], {"s0": 1, "s1": 0, "s9": 0}),
+     "<file>.y.values: unknown state(s) ['s9']"),
+    ("cycle", _set(["y", "values"], {"s0": 1, "s1": True}),
+     "<file>.y.values.s1: expected a number, got bool"),
+    ("cycle", _set(["y", "values"], [1]),
+     "<file>.y.values: expected 2 entries, got 1"),
+    ("cycle", _set(["y", "values"], [1, True]),  # number rule
+     "<file>.y.values[1]: expected a number, got bool"),
+    ("cycle", _set(["y", "max"], "1"),
+     "<file>.y.max: expected a number, got str"),
+    ("cycle", _set(["y", "extra"], 1),
+     "<file>.y: unknown key(s) ['extra']; allowed: ['max', 'values']"),
+    ("cycle", _set(["kind"], "odd"),
+     "<file>.kind: unknown kind 'odd' (expected 'general' or 'cis')"),
+    ("cycle", _set(["extra"], 1),
+     "<file>: unknown key(s) ['extra']; allowed: ['agents', 'beliefs', 'kind',"
+     " 'network', 'priors', 'signals', 'states', 'y']"),
+    ("cycle", _drop(["network"]),
+     "<file>: missing required key 'network'"),
+    ("cps", _set(FULL0 + ["state"], "nowhere"),
+     "<file>.beliefs.a1.full[0]: unknown state 'nowhere'"),
+    ("cps", _set(FULL0 + ["others"], {}),
+     "<file>.beliefs.a1.full[0].others: missing signal for agent bob"),
+    ("cps", _set(FULL0 + ["others"], []),
+     "<file>.beliefs.a1.full[0].others: expected an object, got list"),
+    ("cps", _set(FULL0 + ["others", "bob"], "zz"),
+     "<file>.beliefs.a1.full[0].others: unknown signal 'zz' for bob"),
+    ("cps", _set(FULL0 + ["others", "eve"], "b1"),
+     "<file>.beliefs.a1.full[0].others: unexpected agent(s) ['eve']"),
+    ("cps", _set(FULL0 + ["p"], "lots"),
+     "<file>.beliefs.a1.full[0].p: expected a number, got str"),
+    ("cps", _set(FULL0 + ["p"], True),
+     "<file>.beliefs.a1.full[0].p: expected a number, got bool"),
+    ("cps", _set(FULL0 + ["q"], 1),
+     "<file>.beliefs.a1.full[0]: unknown key(s) ['q']; allowed: ['others', 'p', 'state']"),
+    ("cps", _set(FULL0, []),
+     "<file>.beliefs.a1.full[0]: expected an object, got list"),
+    ("cps", _set(["beliefs", "a1", "full"], {}),
+     "<file>.beliefs.a1.full: expected a list of entries, got dict"),
+    ("cps", _set(["beliefs", "a1", "marginals"], {"state": [1, 0]}),
+     "<file>.beliefs.a1: give either marginals or full, not both"),
+    ("cps", _set(["priors", "eve"], [1]),
+     "<file>.priors: unknown agent(s) ['eve']"),
+    ("cps", _set(["priors", "ann"], ["0.5", True]),  # number rule
+     "<file>.priors.ann[0]: expected a number, got str"),
+    ("cps", _set(["priors", "ann"], [0.5, True]),  # number rule
+     "<file>.priors.ann[1]: expected a number, got bool"),
+    ("cps", _set(["priors", "ann"], [1]),
+     "<file>.priors.ann: expected 2 entries, got 1"),
+    ("cps", _set(["priors"], []),
+     "<file>.priors: expected an object, got list"),
+    ("tyranny_extreme", _drop(["rho", "alice"]),
+     "<file>.rho: missing prior for agent alice"),
+    ("tyranny_extreme", _drop(["eta", "alice"]),
+     "<file>.eta: missing technology for agent alice"),
+    ("tyranny_extreme", _set(["rho", "iggy"], [0.5, True]),  # number rule
+     "<file>.rho.iggy[1]: expected a number, got bool"),
+    ("tyranny_extreme", _set(["rho"], []),
+     "<file>.rho: expected an object, got list"),
+    ("tyranny_extreme", _set(["eta", "iggy"], [[1, 0]]),
+     "<file>.eta.iggy: expected 2 rows, got 1"),
+    ("tyranny_extreme", _set(["eta", "iggy", 0], [1]),
+     "<file>.eta.iggy[0]: expected 2 entries, got 1"),
+    ("tyranny_extreme", _set(["eta", "iggy", 1], [0.5, "0.5"]),  # number rule
+     "<file>.eta.iggy[1][1]: expected a number, got str"),
+    ("tyranny_extreme", _set(["eta", "iggy", 1], "row"),
+     "<file>.eta.iggy[1]: expected a list of numbers, got str"),
+    ("tyranny_extreme", _set(["priors"], {}),
+     "<file>: unknown key(s) ['priors']; allowed: ['agents', 'eta', 'kind',"
+     " 'network', 'rho', 'signals', 'states', 'y']"),
+    ("tyranny_extreme", _set(["network"], [[0, 1]]),
+     "<file>.network: expected 3 rows, got 1"),
+]
+
+
+@pytest.mark.parametrize("name, edit, message", CORRUPTED,
+                         ids=[f"{case[0]}-{k}" for k, case in enumerate(CORRUPTED)])
+def test_corrupted_scenarios_are_refused_with_their_path(tmp_path, name, edit, message):
+    data = json.load(open(scenario_path(name)))
+    edit(data)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == message.replace("<file>", str(path))

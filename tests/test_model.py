@@ -7,6 +7,7 @@ from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import as_structure
 from consensus_lab.io import load_scenario
 from consensus_lab.model import (
+    PROB_TOL,
     BasicVariable,
     InterimBelief,
     ModelSpec,
@@ -16,7 +17,7 @@ from consensus_lab.model import (
 )
 from consensus_lab.spectral import eigenvector_centrality
 
-from conftest import random_model, scenario_path
+from conftest import random_cps_model, random_model, scenario_path
 
 
 def two_agent_spec(**overrides):
@@ -204,3 +205,184 @@ def test_spec_objects_compare_by_identity():
         assert x != y
         assert hash(x) == hash(x)
         assert len({x, y}) == 2
+
+
+def per_item_violations(spec, tol=PROB_TOL):
+    """validate_model checking one vector at a time: the reference the
+    array screen must match, violation text and order included."""
+
+    def check_prob(v, location, vec, n):
+        if len(vec) != n:
+            v.append(f"{location}: expected length {n}, got {len(vec)}")
+            return
+        s = float(np.sum(vec))
+        if np.any(np.asarray(vec) < -tol):
+            v.append(f"{location}: negative entry")
+        if not abs(s - 1.0) <= tol:
+            v.append(f"{location}: sums to {s!r} (expected 1 within {tol})")
+
+    v = []
+    if spec.n_states < 1:
+        v.append("states: need at least one state")
+    if spec.n_agents < 2:
+        v.append("agents: need at least two agents")
+    if len(set(spec.agents)) != spec.n_agents:
+        v.append("agents: duplicate agent label")
+    seen = {}
+    for a in spec.agents:
+        ts = spec.signals.get(a)
+        if not ts:
+            v.append(f"signals.{a}: agent needs at least one signal")
+            continue
+        for t in ts:
+            if t in seen:
+                v.append(f"signals.{a}.{t}: label already used by agent {seen[t]}")
+            seen[t] = a
+    g = spec.network.weights
+    if g.shape != (spec.n_agents, spec.n_agents):
+        v.append(f"network: shape {g.shape} does not match {spec.n_agents} agents")
+    else:
+        if np.any(g < 0):
+            v.append("network: negative weight")
+        for i in np.nonzero(~(np.abs(g.sum(axis=1) - 1.0) <= tol))[0]:
+            v.append(f"network.row[{spec.agents[i]}]: sums to {float(g[i].sum())!r}"
+                     f" (expected 1 within {tol})")
+        if not spec.network.diagonal_allowed:
+            for i in np.nonzero(np.abs(np.diag(g)) > 0)[0]:
+                v.append(f"network.diagonal[{spec.agents[i]}]: self-weight"
+                         " present but diagonal_allowed is false")
+    for a in spec.agents:
+        others = [j for j in spec.agents if j != a]
+        for t in spec.signals.get(a, ()):
+            b = spec.beliefs.get(t)
+            if b is None:
+                v.append(f"beliefs.{t}: missing belief")
+                continue
+            loc = f"beliefs.{t}"
+            check_prob(v, f"{loc}.state", b.state_marginal, spec.n_states)
+            for j, m in b.signal_marginals.items():
+                if j == a or j not in spec.agents:
+                    v.append(f"{loc}.signals.{j}: not another agent")
+                    continue
+                check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]))
+            if b.full is not None:
+                shape = (spec.n_states,) + tuple(len(spec.signals[j]) for j in others)
+                if b.full.shape != shape:
+                    v.append(f"{loc}.full: shape {b.full.shape}, expected {shape}")
+                    continue
+                if np.any(b.full < -tol):
+                    v.append(f"{loc}.full: negative entry")
+                if not abs(float(b.full.sum()) - 1.0) <= tol:
+                    v.append(f"{loc}.full: sums to {float(b.full.sum())!r}")
+                rebuilt = InterimBelief.from_full(b.full, others)
+                gap = np.max(np.abs(rebuilt.state_marginal - b.state_marginal))
+                if not gap <= tol:
+                    v.append(f"{loc}.state: inconsistent with full joint")
+                for j in b.signal_marginals:
+                    if j in others and len(b.signal_marginals[j]) == len(spec.signals[j]):
+                        gap = np.max(
+                            np.abs(rebuilt.signal_marginals[j] - b.signal_marginals[j]))
+                        if not gap <= tol:
+                            v.append(f"{loc}.signals.{j}: inconsistent with full joint")
+    if spec.priors is not None:
+        for a, mu in spec.priors.items():
+            if a not in spec.agents:
+                v.append(f"priors.{a}: unknown agent")
+                continue
+            check_prob(v, f"priors.{a}", mu, len(spec.signals[a]))
+    if spec.y is not None:
+        if len(spec.y.values) != spec.n_states:
+            v.append(f"y: {len(spec.y.values)} values for {spec.n_states} states")
+        if not spec.y.bound > 0:
+            v.append("y: bound must be positive")
+        elif not np.all((spec.y.values >= 0) & (spec.y.values <= spec.y.bound)):
+            v.append(f"y: values outside [0, {spec.y.bound}]")
+    return v
+
+
+def corrupt_vector(rng, vec):
+    """A probability vector with one seeded defect, or a sum nudged to
+    within a few rounding errors of the default tolerance."""
+    v = np.array(vec, dtype=float)
+    kind = rng.integers(9)
+    k = rng.integers(len(v))
+    if kind == 0:
+        v = v[:-1]
+    elif kind == 1:
+        v = np.append(v, 0.0)
+    elif kind == 2:
+        v[k] = -rng.choice([PROB_TOL / 2, 2 * PROB_TOL, 0.1])
+    elif kind == 3:
+        v[k] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == 4:
+        v *= 1 + PROB_TOL * rng.choice([0.5, 0.999, 1.0, 1.001, 2.0])
+    elif kind == 5:
+        v[k] += rng.choice([-1, 1]) * PROB_TOL * (1 + rng.integers(-64, 65) * 2.0**-44)
+    elif kind == 6:
+        v = np.zeros(0)
+    elif kind == 7:
+        v[k] += rng.choice([-1, 1]) * rng.uniform(0, 1e-3)
+    return v
+
+
+def corrupted_spec(rng, spec):
+    """``spec`` with a few seeded defects in its beliefs and priors."""
+    beliefs = dict(spec.beliefs)
+    labels = spec.all_signals()
+    for t in rng.choice(labels, size=min(len(labels), 4), replace=False):
+        b = beliefs[t]
+        owner = spec.agent_of(t)
+        state = b.state_marginal
+        marginals = dict(b.signal_marginals)
+        full = b.full
+        what = rng.integers(7)
+        if what == 0:
+            state = corrupt_vector(rng, state)
+        elif what == 1:
+            j = rng.choice(list(marginals))
+            marginals[j] = corrupt_vector(rng, marginals[j])
+        elif what == 2:
+            marginals[rng.choice([owner, "ghost"])] = [1.0]
+        elif what == 3 and full is not None:
+            state = state[::-1].copy()
+        elif what == 4 and full is not None:
+            full = full * (1 + 1e-6) if rng.random() < 0.5 else full[..., :1]
+        elif what == 5:
+            del beliefs[t]
+            continue
+        else:
+            state = corrupt_vector(rng, state)
+            marginals = {j: corrupt_vector(rng, m) for j, m in marginals.items()}
+        if full is not None and len(state) != len(b.state_marginal):
+            # validate_model cannot compare such a state with the joint
+            state = b.state_marginal
+        beliefs[t] = InterimBelief(state, marginals, full)
+    priors = spec.priors
+    if priors is not None:
+        priors = {a: corrupt_vector(rng, mu) if rng.random() < 0.5 else mu
+                  for a, mu in priors.items()}
+        if rng.random() < 0.3:
+            priors["ghost"] = [1.0]
+    return dataclasses.replace(spec, beliefs=beliefs, priors=priors)
+
+
+def test_validation_matches_the_per_item_oracle():
+    for seed in range(80):
+        rng = np.random.default_rng([71, seed])
+        if seed % 4 == 3:
+            spec = random_cps_model(rng, n_agents=3, n_signals=int(rng.integers(1, 4)))
+        else:
+            spec = random_model(rng, n_agents=int(rng.integers(2, 5)),
+                                max_signals=int(rng.integers(1, 40)),
+                                full_support=bool(seed % 2))
+        bad = corrupted_spec(rng, spec)
+        # tolerances right at, and one step inside, the deviation of some
+        # vector, where the exact check flips
+        devs = [abs(float(np.sum(b.state_marginal)) - 1.0)
+                for b in bad.beliefs.values() if len(b.state_marginal)]
+        edges = rng.choice(devs, size=min(3, len(devs)), replace=False)
+        tols = [PROB_TOL, 1e-9, 0.0, -1.0, np.nan, np.inf]
+        tols += [float(x) for d in edges for x in (d, np.nextafter(d, 0))]
+        for tol in tols:
+            assert validate_model(spec, tol) == per_item_violations(spec, tol)
+            assert validate_model(bad, tol) == per_item_violations(bad, tol)
