@@ -50,7 +50,10 @@ def _take(mapping: dict, ctx: str, required: Iterable[str], optional: Iterable[s
 def _number(obj, ctx) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(ctx, f"expected a number, got {type(obj).__name__}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:
+        _fail(ctx, "integer too large for a float")
 
 
 def _labels(obj, ctx) -> tuple[str, ...]:
@@ -62,18 +65,18 @@ def _labels(obj, ctx) -> tuple[str, ...]:
     return tuple(out)
 
 
-#: The entry types of a JSON list of numbers; ``bool`` is refused as in
-#: :func:`_number`.
-_NUMBER_TYPES = {int, float}
-
-
 def _numbers(obj, ctx, n) -> None:
     """Check that ``obj`` is a list of ``n`` numbers (any length when ``n``
-    is None); a bad entry is refused with its JSON path by :func:`_number`."""
+    is None); a bad entry is refused with its JSON path by :func:`_number`.
+
+    A list of floats alone is cleared at once.  Any other entry type sends
+    every entry through :func:`_number`: ``bool`` and non-numbers are
+    refused, and so is an integer beyond the float range.
+    """
     _expect(obj, list, ctx, "a list of numbers")
     if n is not None and len(obj) != n:
         _fail(ctx, f"expected {n} entries, got {len(obj)}")
-    if not set(map(type, obj)) <= _NUMBER_TYPES:
+    if not set(map(type, obj)) <= {float}:
         for k, x in enumerate(obj):
             _number(x, f"{ctx}[{k}]")
 

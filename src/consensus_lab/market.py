@@ -19,18 +19,30 @@ sit at ``off, off + 2, ...``.  ``rng.random(a)`` followed by
 ``rng.random(b)`` gives the same doubles as ``rng.random(a + b)``, so
 uniforms are drawn in numpy blocks of any size without changing a run.
 
+A generating distribution is a :class:`NatureDraw` of factors: state
+weights and one state-indexed table of signal weights per agent, so it
+takes ``O(n_states * sum |signals|)`` memory, never the dense
+``n_states x prod |signals|`` joint.  The nature uniform is decoded level
+by level: it picks the state from running sums of each state's weight
+times its rows' totals, and where it fell inside that state's cell,
+rescaled to [0, 1), picks the first agent's signal from its row, and so
+on.  That is the cell a search over the dense joint's running sums picks,
+except within rounding of a cell boundary.
+
 One kernel serves :func:`simulate_market`, :func:`simulate_batch` and the
 CLI.  Once per call it validates the draw and the initial owner and hoists
-what every run shares: the joint-draw and initial-owner running sums (the
-centrality is computed once), the network's per-row running sums and the
-price schedule.  Per run it finds the duration with one vectorized scan of
-the continuation uniforms and the buyers from an ``n_agents x trades``
-table of ``searchsorted(..., side="right")`` lookups, chained from the
-initial owner.
+what every run shares: the state and per-row signal running sums, the
+initial-owner running sums (the centrality is computed once), the
+network's per-row running sums and the price schedule.  Per run it
+decodes the nature uniform with one search per level, finds the duration
+with one vectorized scan of the continuation uniforms and the buyers from
+an ``n_agents x trades`` table of ``searchsorted(..., side="right")``
+lookups, chained from the initial owner.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,15 +84,32 @@ class MarketRun:
         return len(self.holders)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NatureDraw:
-    """State and signal profile drawn from a generating distribution.
+    """State and signal profile drawn from a generating distribution, kept
+    as factors.
 
-    ``joint`` has one axis for the states and one per agent, in
-    declaration order, and sums to one.
+    ``state`` weighs the states; ``tables`` holds one ``n_states x
+    |signals|`` table per agent, in declaration order, whose row for a
+    state weighs the agent's signals in that state.  A cell's weight is
+    its state's weight times its signal's entry in every agent's row.  A
+    dense joint given as ``state``, with no tables, is one factor over
+    all cells: one axis for the states and one per agent.  Weights need
+    not be normalized.
     """
 
-    joint: np.ndarray
+    state: np.ndarray
+    tables: tuple[np.ndarray, ...] = ()
+
+    @property
+    def joint(self) -> np.ndarray:
+        """The dense ``n_states x |signals_1| x ...`` product, built on
+        every read."""
+        joint = np.asarray(self.state, dtype=float)
+        for table in self.tables:
+            # axis 0 stays the state; each table row is indexed by it
+            joint = joint[..., None] * np.expand_dims(table, tuple(range(1, joint.ndim)))
+        return joint
 
 
 @dataclass(frozen=True)
@@ -100,7 +129,9 @@ def product_generating(spec: ModelSpec) -> NatureDraw:
     prior-implied state distribution (uniform over states when the model
     carries no priors).  Under this distribution and a
     centrality-distributed initial owner, every transaction price has
-    expectation exactly equal to the consensus, at every beta.
+    expectation exactly equal to the consensus, at every beta.  Each
+    agent's table repeats its pseudoprior in every state's row, as a
+    read-only broadcast view.
     """
     from .consensus import pseudopriors
 
@@ -113,10 +144,9 @@ def product_generating(spec: ModelSpec) -> NatureDraw:
             theta += mu[k] * spec.beliefs[t].state_marginal
     else:
         theta = np.full(spec.n_states, 1.0 / spec.n_states)
-    joint = theta
-    for a in spec.agents:
-        joint = np.multiply.outer(joint, lam[a])
-    return NatureDraw(joint)
+    return NatureDraw(theta, tuple(
+        np.broadcast_to(lam[a], (spec.n_states, len(lam[a]))) for a in spec.agents
+    ))
 
 
 def cis_generating(cis, prior_agent: str | None = None) -> NatureDraw:
@@ -124,24 +154,26 @@ def cis_generating(cis, prior_agent: str | None = None) -> NatureDraw:
 
     The state is drawn from the named agent's prior (default: the first
     agent's), then signals independently from the shared technologies.
+    The prior and the technologies are the draw's factors, not copies.
     """
     if prior_agent is None:
         prior_agent = cis.agents[0]
-    joint = np.asarray(cis.rho[prior_agent], dtype=float)
-    for a in cis.agents:
-        # axis 0 stays the state; technologies are state-indexed rows
-        joint = joint[..., None] * _expand_eta(cis.eta[a], joint.ndim)
-    return NatureDraw(joint)
-
-
-def _expand_eta(eta: np.ndarray, lead_axes: int) -> np.ndarray:
-    shape = (eta.shape[0],) + (1,) * (lead_axes - 1) + (eta.shape[1],)
-    return np.asarray(eta).reshape(shape)
+    if prior_agent not in cis.rho:
+        raise PreconditionError(
+            f"generating distribution: no prior for agent {prior_agent!r}"
+        )
+    return NatureDraw(cis.rho[prior_agent], tuple(cis.eta[a] for a in cis.agents))
 
 
 #: Largest first block of uniforms drawn for a run; a run that needs more
 #: doubles its block.  Block sizes never change the stream.
 _BLOCK = 4096
+
+
+def _refused(what: str) -> PreconditionError:
+    return PreconditionError(
+        f"{what}: weights must be finite and non-negative with a positive total"
+    )
 
 
 def _cumulative(weights, what: str) -> np.ndarray:
@@ -150,15 +182,19 @@ def _cumulative(weights, what: str) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     cum = np.cumsum(w)
     if not (w.size and w.min() >= 0.0 and 0.0 < cum[-1] < np.inf):
-        raise PreconditionError(
-            f"{what}: weights must be finite and non-negative with a positive total"
-        )
+        raise _refused(what)
     return cum
 
 
-def _pick(cum: np.ndarray, u) -> int:
-    """Index drawn by the uniform ``u`` from running sums ``cum``."""
-    return min(int(cum.searchsorted(u * cum[-1], side="right")), len(cum) - 1)
+#: Largest double below one: a rescaled uniform stays inside its cell.
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def _pick(cum, u) -> int:
+    """Index drawn by the uniform ``u`` from running sums ``cum`` (an array
+    or a list): the first whose sum exceeds ``u`` times the total, as
+    ``searchsorted(..., side="right")`` finds it, clamped to the last."""
+    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
 class _Kernel:
@@ -200,7 +236,7 @@ class _Kernel:
         self._resolve_owner(spec, initial_owner)
 
     def _resolve_draw(self, spec, draw):
-        self.joint_cdf = None
+        self.nature_cdf = None
         if isinstance(draw, FixedDraw):
             if draw.state not in spec.states:
                 raise PreconditionError(f"fixed draw: unknown state {draw.state!r}")
@@ -220,14 +256,34 @@ class _Kernel:
                       for k, a in enumerate(spec.agents)),
             )
         elif isinstance(draw, NatureDraw):
-            joint = np.asarray(draw.joint, dtype=float)
-            shape = (spec.n_states,) + tuple(len(spec.signals[a]) for a in spec.agents)
-            if joint.shape != shape:
+            sizes = tuple(len(spec.signals[a]) for a in spec.agents)
+            factors = [np.asarray(f, dtype=float) for f in (draw.state, *draw.tables)]
+            if draw.tables:
+                shapes = [(spec.n_states,)] + [(spec.n_states, m) for m in sizes]
+            else:
+                shapes = [(spec.n_states,) + sizes]
+            got = [f.shape for f in factors]
+            if got != shapes:
                 raise PreconditionError(
-                    f"generating distribution: expected shape {shape}, got {joint.shape}"
+                    "generating distribution: expected shape"
+                    f" {', '.join(map(str, shapes))}, got {', '.join(map(str, got))}"
                 )
-            self.joint_cdf = _cumulative(joint, "generating distribution")
-            self.joint_shape = shape
+            # NaN fails both comparisons; a factor without entries has no cells
+            if not all(f.size and f.min() >= 0.0 and f.max() < np.inf for f in factors):
+                raise _refused("generating distribution")
+            # a state's weight carries its rows' totals, so a state with an
+            # all-zero row is never drawn
+            row_cdfs = [np.cumsum(t, axis=1) for t in factors[1:]]
+            weights = factors[0].reshape(-1)
+            for cdfs in row_cdfs:
+                weights = weights * cdfs[:, -1]
+            self.nature_cdf = _cumulative(weights, "generating distribution")
+            self.nature_shape = factors[0].shape
+            # each run searches a few short lists of Python floats; only a
+            # dense joint's running sums stay an array
+            self.row_cdfs = [cdfs.tolist() for cdfs in row_cdfs]
+            if row_cdfs:
+                self.nature_cdf = self.nature_cdf.tolist()
         else:
             raise PreconditionError(
                 "draw must be a NatureDraw (generating distribution) or a FixedDraw"
@@ -259,17 +315,40 @@ class _Kernel:
         """Signal index of each class's realized signal."""
         return self.starts + np.asarray(profile, dtype=np.intp)
 
+    def decode(self, u: float) -> tuple[int, tuple[int, ...]]:
+        """State and signal profile (positions within each agent's signals)
+        drawn by the nature uniform ``u``.
+
+        ``u`` picks a cell of the first factor: a state, or a cell of a
+        dense joint.  Where it fell inside that cell, rescaled to [0, 1),
+        picks the signal in the first agent's row for the state, and so on
+        through the agents.
+        """
+        cum = self.nature_cdf
+        cell = _pick(cum, u)
+        if not self.row_cdfs:
+            # a dense joint: the cell is the state and the whole profile
+            theta, *profile = map(int, np.unravel_index(cell, self.nature_shape))
+            return theta, tuple(profile)
+        theta, profile = cell, []
+        for cdfs in self.row_cdfs:
+            lo = cum[cell - 1] if cell else 0.0
+            u = min((u * cum[-1] - lo) / (cum[cell] - lo), _BELOW_ONE)
+            cum = cdfs[theta]
+            cell = _pick(cum, u)
+            profile.append(cell)
+        return theta, tuple(profile)
+
     def run(self, seed) -> tuple[int, tuple[int, ...], list[int]]:
         """State, signal profile (positions within each agent's signals) and
         holder path of one run; the path starts with the initial owner."""
         rng = np.random.default_rng(seed)
         u = rng.random(self.block)
         off = 0
-        if self.joint_cdf is None:
+        if self.nature_cdf is None:
             theta, profile = self.fixed
         else:
-            coords = np.unravel_index(_pick(self.joint_cdf, u[0]), self.joint_shape)
-            theta, profile = int(coords[0]), tuple(int(c) for c in coords[1:])
+            theta, profile = self.decode(float(u[0]))
             off = 1
         if self.owner_cdf is None:
             owner = self.owner

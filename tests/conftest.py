@@ -193,6 +193,42 @@ def sparse_reducible_model(rng, n_agents, n_signals, n_states=3):
     return ModelSpec(states, agents, signals, beliefs, Network(g), y=y)
 
 
+def cis_scenario(rng, n_agents=3, n_states=30, n_signals=None, zero_share=0.3):
+    """Common-interpretation scenario object (``"kind": "cis"``).
+
+    Each technology row is a Dirichlet draw with about ``zero_share`` of
+    its entries zeroed; signal ``k`` keeps positive weight in state
+    ``k mod n_states`` and state ``s`` in signal ``s mod n_signals``, so
+    every row sums to one and every signal has positive prior probability.
+    Full-support priors, a complete network and one payoff per state.
+    """
+    n_signals = n_states if n_signals is None else n_signals
+    states = [f"w{k}" for k in range(n_states)]
+    agents = [f"ag{i}" for i in range(n_agents)]
+    signals = {a: [f"{a}t{k}" for k in range(n_signals)] for a in agents}
+    eta = {}
+    for a in agents:
+        keep = rng.random((n_states, n_signals)) >= zero_share
+        keep[np.arange(n_signals) % n_states, np.arange(n_signals)] = True
+        keep[np.arange(n_states), np.arange(n_states) % n_signals] = True
+        rows = rng.gamma(1.0, 1.0, size=(n_states, n_signals)) * keep
+        eta[a] = (rows / rows.sum(axis=1, keepdims=True)).tolist()
+    network = []
+    for i in range(n_agents):
+        w = dirichlet(rng, n_agents - 1).tolist()
+        network.append(w[:i] + [0.0] + w[i:])
+    return {
+        "kind": "cis",
+        "states": states,
+        "agents": agents,
+        "signals": signals,
+        "rho": {a: dirichlet(rng, n_states).tolist() for a in agents},
+        "eta": eta,
+        "network": network,
+        "y": {"values": rng.random(n_states).tolist(), "max": 1.0},
+    }
+
+
 def classes_oracle(A):
     """Strongly connected classes sorted by least member, the terminal ones
     (no edge crosses out of them) and the transient states, from scipy's

@@ -12,7 +12,7 @@ from consensus_lab import interaction, spectral
 from consensus_lab import io as sio
 from consensus_lab.cli import main
 
-from conftest import scenario_path, sparse_reducible_model
+from conftest import cis_scenario, scenario_path, sparse_reducible_model
 
 FIXTURES = ["cycle", "case2", "counterexample", "tightness", "tyranny_extreme", "cps"]
 
@@ -264,6 +264,18 @@ def test_simulate_market_golden_stdout(args, digest):
     code, out = run_cli(["simulate-market", scenario_path(args[0])] + args[1:])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_simulate_market_golden_stdout_on_a_30_state_cis_model(tmp_path):
+    # 3 agents x 30 states: a 810,000-cell joint when the market drew from
+    # it densely.  Digest captured from that dense draw.
+    path = tmp_path / "cis30.json"
+    path.write_text(json.dumps(cis_scenario(np.random.default_rng(30), 3, 30)))
+    code, out = run_cli(["simulate-market", str(path), "--beta", "0.9", "--runs",
+                         "200", "--seed", "4", "--format", "csv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "ca049c66dbcc94901b10a52a42224e5a6b0f811e6bd2a67e0fc8b9ec3c9fddae")
 
 
 def _with(name, edit, tmp_path):

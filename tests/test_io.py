@@ -235,6 +235,21 @@ CORRUPTED = [
      " 'network', 'rho', 'signals', 'states', 'y']"),
     ("tyranny_extreme", _set(["network"], [[0, 1]]),
      "<file>.network: expected 3 rows, got 1"),
+    # integers beyond the float range, in every kind of number field
+    ("cps", _set(["priors", "ann"], [int("1" * 400), 0.5]),
+     "<file>.priors.ann[0]: integer too large for a float"),
+    ("cps", _set(FULL0 + ["p"], -10**400),
+     "<file>.beliefs.a1.full[0].p: integer too large for a float"),
+    ("cps", _set(["y", "values", "hi"], 10**400),
+     "<file>.y.values.hi: integer too large for a float"),
+    ("cps", _set(["y", "max"], 10**309),
+     "<file>.y.max: integer too large for a float"),
+    ("cycle", _set(A1 + ["state"], [0.5, 10**400]),
+     "<file>.beliefs.a1.marginals.state[1]: integer too large for a float"),
+    ("tyranny_extreme", _set(["eta", "iggy", 1], [10**400, 0]),
+     "<file>.eta.iggy[1][0]: integer too large for a float"),
+    ("tyranny_extreme", _set(["network", 2], [0.5, 0.5, -10**400]),
+     "<file>.network[2][2]: integer too large for a float"),
 ]
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,17 +12,19 @@ from consensus_lab.consensus import consensus_expectation
 from consensus_lab.errors import PreconditionError
 from consensus_lab.game import solve_beta_game
 from consensus_lab.market import (
+    _BELOW_ONE,
     FixedDraw,
     NatureDraw,
+    _Kernel,
     cis_generating,
     empirical_price_stats,
     product_generating,
     simulate_batch,
     simulate_market,
 )
-from consensus_lab.io import load_scenario
+from consensus_lab.io import load_scenario, parse_scenario
 
-from conftest import random_model, scenario_path
+from conftest import cis_scenario, random_model, scenario_path
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +307,195 @@ def test_prices_without_any_payoff_are_refused(market_spec):
         simulate_market(bare, 0.9, 0, draw, prices=prices)
     with pytest.raises(PreconditionError, match="no payoff given"):
         simulate_batch(bare, 0.9, 3, 0, draw, prices=prices)
+
+
+# ------------------------------------------------ the factored nature draw
+
+def materialized(draw):
+    """The dense joint built as the market built it before its draws were
+    factored: the state weights times each agent's state-indexed rows."""
+    joint = np.asarray(draw.state, dtype=float)
+    for table in draw.tables:
+        table = np.asarray(table)
+        shape = (table.shape[0],) + (1,) * (joint.ndim - 1) + (table.shape[1],)
+        joint = joint[..., None] * table.reshape(shape)
+    return joint
+
+
+def dense_search(joint, u):
+    """The dense search the factored decode replaces: running sums of every
+    cell, ``_pick``'s rule (``side="right"``, last-index clamp), then the
+    cell's coordinates; returns flat cell indices."""
+    cum = np.cumsum(joint.reshape(-1))
+    return np.minimum(cum.searchsorted(u * cum[-1], side="right"), cum.size - 1)
+
+
+def decoded_cells(kernel, shape, u):
+    """Flat cell index of each ``(state, profile)`` the kernel decodes."""
+    pairs = [kernel.decode(x) for x in u.tolist()]
+    return np.ravel_multi_index(
+        ([t for t, _ in pairs], *zip(*[p for _, p in pairs])), shape
+    )
+
+
+def _cps():
+    spec = load_scenario(scenario_path("cps"))
+    return spec, product_generating(spec)
+
+
+def _tyranny_extreme():
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    return cis.model, cis_generating(cis)
+
+
+def _cis30():
+    cis = parse_scenario(cis_scenario(np.random.default_rng(30), 3, 30))
+    return cis.model, cis_generating(cis)
+
+
+def _cis30_unnormalized():
+    spec, draw = _cis30()
+    return spec, NatureDraw(draw.state * 7.3, tuple(
+        t * scale for t, scale in zip(draw.tables, (3.1, 0.02, 50.0))))
+
+
+DRAWS = {"cps product": _cps, "tyranny_extreme cis": _tyranny_extreme,
+         "3 agents x 30 states cis": _cis30,
+         "3 agents x 30 states, unnormalized": _cis30_unnormalized}
+
+
+@pytest.mark.parametrize("make", DRAWS.values(), ids=DRAWS.keys())
+def test_factored_decode_matches_the_dense_search(make):
+    spec, draw = make()
+    joint = materialized(draw)
+    assert np.array_equal(draw.joint, joint)
+    u = np.random.default_rng(2024).random(100_000)
+    want = dense_search(joint, u)
+    kernel = _Kernel(spec, 0.9, draw)
+    assert np.array_equal(decoded_cells(kernel, joint.shape, u), want)
+    # a caller's dense joint is one factor over all cells: the dense search
+    dense = _Kernel(spec, 0.9, NatureDraw(joint))
+    assert np.array_equal(decoded_cells(dense, joint.shape, u[:5000]), want[:5000])
+
+
+@pytest.mark.parametrize("make", DRAWS.values(), ids=DRAWS.keys())
+def test_uniform_on_a_cell_boundary_draws_an_adjacent_cell(make):
+    spec, draw = make()
+    joint = materialized(draw).reshape(-1)
+    cum = np.cumsum(joint)
+    positive = np.flatnonzero(joint > 0)
+    # boundaries after positive cells, all of them or an even spread
+    ends = positive[:-1][np.linspace(0, len(positive) - 2, 3000).astype(int)]
+    u = cum[ends] / cum[-1]
+    got = decoded_cells(_Kernel(spec, 0.9, draw), materialized(draw).shape, u)
+    after = positive[positive.searchsorted(ends, side="right")]
+    assert np.all((got == ends) | (got == after))
+
+
+def test_a_uniform_rescaled_to_one_stays_in_positive_cells():
+    # (u - 0.3) / (1 - 0.3) rounds to exactly 1 at the largest uniform;
+    # unclamped, it would pick the second agent's zero-weight signal
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    half = np.full((2, 2), 0.5)
+    draw = NatureDraw(np.array([0.3, 0.7]), (half, np.array([[0.5, 0.5], [1.0, 0.0]]), half))
+    kernel = _Kernel(cis.model, 0.9, draw)
+    assert kernel.decode(_BELOW_ONE) == (1, (1, 0, 1))
+    assert kernel.decode(0.0) == (0, (0, 0, 0))
+
+
+def _bad_factor(factor, value):
+    """tyranny_extreme's CIS draw (product draw for ``lam``) with the first
+    entry of one factor replaced by ``value``: ``rho`` is the state
+    weights, ``eta`` the second agent's technology, ``lam`` the first
+    agent's pseudoprior rows."""
+    def draw_of(cis):
+        draw = product_generating(cis.model) if factor == "lam" else cis_generating(cis)
+        factors = [draw.state, *draw.tables]
+        k = {"rho": 0, "lam": 1, "eta": 2}[factor]
+        factors[k] = np.array(factors[k], dtype=float)
+        factors[k].flat[0] = value
+        return NatureDraw(factors[0], tuple(factors[1:]))
+    return draw_of
+
+
+BAD_FACTORS = {
+    f"{factor} {label}": _bad_factor(factor, value)
+    for factor in ("rho", "eta", "lam")
+    for label, value in (("NaN", np.nan), ("+inf", np.inf), ("-inf", -np.inf),
+                         ("negative", -1e-300))
+}
+BAD_FACTORS["zero total"] = lambda cis: NatureDraw(
+    np.zeros(cis.n_states), tuple(cis.eta[a] for a in cis.agents))
+# every state has an agent whose row is all zero
+BAD_FACTORS["zero rows in every state"] = lambda cis: NatureDraw(
+    cis.rho[cis.agents[0]], (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)))
+
+
+@pytest.mark.parametrize("draw_of", BAD_FACTORS.values(), ids=BAD_FACTORS.keys())
+@pytest.mark.parametrize("entry", ["market", "batch"])
+def test_bad_factor_is_refused(entry, draw_of):
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    with pytest.raises(PreconditionError, match="generating distribution"):
+        _simulate(entry, cis.model, 0.9, draw_of(cis))
+
+
+def test_factors_of_the_wrong_shape_are_refused():
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    eta = tuple(cis.eta[a] for a in cis.agents)
+    for draw in (NatureDraw(cis.rho["iggy"], eta[:2]),
+                 NatureDraw(cis.rho["iggy"], eta[:2] + (eta[2][:, :1],)),
+                 NatureDraw(np.ones(3), eta),
+                 NatureDraw(np.ones((2, 2, 2))),
+                 ):
+        with pytest.raises(PreconditionError, match="generating distribution: expected shape"):
+            simulate_market(cis.model, 0.9, 0, draw)
+
+
+def test_a_state_with_an_all_zero_row_is_never_drawn():
+    cis = parse_scenario(cis_scenario(np.random.default_rng(31), 3, 30))
+    a = cis.agents[1]
+    eta = np.array(cis.eta[a])
+    eta[[0, 7, 29]] = 0.0
+    draw = cis_generating(dataclasses.replace(cis, eta=dict(cis.eta, **{a: eta})))
+    assert draw.state[[0, 7, 29]].min() > 0  # positive prior mass
+    kernel = _Kernel(cis.model, 0.9, draw)
+    cum = np.asarray(kernel.nature_cdf)
+    edges = np.concatenate([cum[[6, 7, 28]] / cum[-1], [0.0, _BELOW_ONE]])
+    u = np.concatenate([np.random.default_rng(5).random(20_000), edges,
+                        np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    states = {kernel.decode(x)[0] for x in u.tolist() if x < 1.0}
+    assert states.isdisjoint({0, 7, 29})
+    assert len(states) == 27
+
+
+def test_unknown_prior_agent_is_refused():
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    with pytest.raises(PreconditionError, match="'nobody'"):
+        cis_generating(cis, "nobody")
+
+
+def test_cis_draw_holds_the_model_factors():
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    draw = cis_generating(cis, "bern")
+    assert draw.state is cis.rho["bern"]
+    assert all(t is cis.eta[a] for t, a in zip(draw.tables, cis.agents))
+    # draws compare by identity, as the model objects do
+    assert draw == draw and draw != cis_generating(cis, "bern")
+
+
+def test_many_agents_run_without_the_dense_joint():
+    # 8 agents x 10 signals x 10 states: the dense joint would have 1e9 cells
+    cis = parse_scenario(cis_scenario(np.random.default_rng(8), 8, 10, 10))
+    spec = cis.model
+    tracemalloc.start()
+    try:
+        draw = cis_generating(cis)
+        batch = simulate_batch(spec, 0.9, 1000, 17, draw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cis.n_states * np.prod([t.shape[1] for t in draw.tables]) == 10**9
+    assert peak < 5 * 2**20
+    assert batch.n_runs == 1000
+    # each run's terminal payoff is the payoff of a drawn state
+    assert np.isin(batch.terminal_payoffs, spec.y.values).all()

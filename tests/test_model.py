@@ -93,6 +93,18 @@ def test_full_mode_marginals_must_match_joint():
     assert any("inconsistent with full joint" in v for v in validate_model(spec))
 
 
+@pytest.mark.parametrize("state", [[0.7, 0.3, 0.0], [1.0], []])
+def test_wrong_length_state_beside_a_full_joint_is_reported(state):
+    # only the length is reported: like a signal marginal, a state marginal
+    # of the wrong length is not compared with the joint
+    joint = np.array([[0.42, 0.28], [0.18, 0.12]])
+    beliefs = dict(two_agent_spec().beliefs)
+    beliefs["a1"] = InterimBelief(state, {"bob": [0.6, 0.4]}, full=joint)
+    assert validate_model(two_agent_spec(beliefs=beliefs)) == [
+        f"beliefs.a1.state: expected length 2, got {len(state)}"
+    ]
+
+
 def test_ex_ante_constant_and_point_mass():
     spec = two_agent_spec()
     assert ex_ante_expectation(spec, "ann", [0.5, 0.5], [5.0, 5.0]) == 5.0
