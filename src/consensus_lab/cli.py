@@ -32,7 +32,6 @@ from .game import heterogeneous_transform, solve_beta_game, solve_heterogeneous_
 from .interaction import absorbing_components
 from .market import (
     FixedDraw,
-    MarketBatch,
     _Kernel,
     cis_generating,
     empirical_price_stats,
@@ -119,16 +118,27 @@ def _artifact(args, name: str):
         raise _OutError(f"cannot write --out: {exc}") from exc
 
 
-def _emit(args, name: str, content: str):
-    if args.out:
+def _emit(args, out, name, text: str):
+    """Write ``text`` to the ``--out`` artifact ``name`` (if any), then to
+    stdout for ``--format csv``."""
+    if name is not None and args.out:
         with _artifact(args, name) as fh:
-            fh.write(content)
+            fh.write(text)
+    if args.format == "csv":
+        out.write(text)
 
 
-def _print_vec(out, title, labels, vec):
-    out.write(f"{title}\n")
-    for lab, v in zip(labels, np.asarray(vec)):
-        out.write(f"  {lab} = {fmt(v)}\n")
+def _table(args, out, header: str, rows, name=None):
+    """Write ``rows`` (sequences of cells) under ``header`` as CSV through
+    :func:`_emit`, formatted once and only when something reads it."""
+    if args.format == "csv" or (name is not None and args.out):
+        text = "".join([f"{header}\n", *(",".join(r) + "\n" for r in rows)])
+        _emit(args, out, name, text)
+
+
+def _pairs(out, pairs, indent=""):
+    """Write ``key = value`` text lines."""
+    out.write("".join(f"{indent}{k} = {v}\n" for k, v in pairs))
 
 
 def _as_model(scenario) -> ModelSpec:
@@ -167,7 +177,6 @@ def cmd_build(args, scenario, out) -> int:
 def cmd_consensus(args, scenario, out) -> int:
     model = _as_model(scenario)
     result = consensus_expectation(model)
-    labels = result.structure.index.labels
     rows: list[tuple[str, str, str]] = []
     if result.value is not None:
         rows.append(("consensus", "", fmt(result.value)))
@@ -192,49 +201,40 @@ def cmd_consensus(args, scenario, out) -> int:
             rows.append(("cps_violation", "", fmt(check.max_violation)))
     except (CapabilityError, PreconditionError):
         pass
-    if args.format == "csv":
-        out.write("kind,label,value\n")
-        for r in rows:
-            out.write(",".join(r) + "\n")
-    else:
-        for kind, label, value in rows:
-            out.write(f"{kind}{' ' + label if label else ''} = {value}\n")
+    _table(args, out, "kind,label,value", rows, "consensus.csv")
+    if args.format != "csv":
+        _pairs(out, ((f"{kind} {label}" if label else kind, value)
+                     for kind, label, value in rows))
         if decomposition is not None:
             out.write(
                 "decomposition check "
                 + ("PASS" if decomposition.passed else "FAIL")
                 + "\n"
             )
-    csv = StringIO()
-    csv.write("kind,label,value\n")
-    for r in rows:
-        csv.write(",".join(r) + "\n")
-    _emit(args, "consensus.csv", csv.getvalue())
     return 0
 
 
 def _parse_beta_per_agent(raw: str, model: ModelSpec) -> np.ndarray:
     parts = [p for p in raw.split(",") if p]
-    betas = np.zeros(model.n_agents)
     if all("=" in p for p in parts):
         given = {}
         for p in parts:
             name, _, val = p.partition("=")
             if name not in model.agents:
                 raise PreconditionError(f"--beta-per-agent: unknown agent {name!r}")
-            given[name] = float(val)
+            given[name] = val
         missing = [a for a in model.agents if a not in given]
         if missing:
             raise PreconditionError(f"--beta-per-agent: missing agent(s) {missing}")
-        for k, a in enumerate(model.agents):
-            betas[k] = given[a]
-    else:
-        if len(parts) != model.n_agents:
-            raise PreconditionError(
-                f"--beta-per-agent: expected {model.n_agents} values"
-            )
-        betas = np.array([float(p) for p in parts])
-    return betas
+        parts = [given[a] for a in model.agents]
+    elif len(parts) != model.n_agents:
+        raise PreconditionError(
+            f"--beta-per-agent: expected {model.n_agents} values"
+        )
+    try:
+        return np.array([float(p) for p in parts])
+    except ValueError:
+        raise PreconditionError(f"--beta-per-agent: expected numbers, got {raw!r}") from None
 
 
 def cmd_game(args, scenario, out) -> int:
@@ -247,33 +247,24 @@ def cmd_game(args, scenario, out) -> int:
     else:
         solution = solve_beta_game(model, args.beta)
         header = f"beta {fmt(args.beta)}\n"
-    csv = StringIO()
-    csv.write("signal,action\n")
-    for lab, a in zip(solution.labels, solution.actions):
-        csv.write(f"{lab},{fmt(a)}\n")
-    _emit(args, "actions.csv", csv.getvalue())
-    if args.format == "csv":
-        out.write(csv.getvalue())
-    else:
-        out.write(header)
-        _print_vec(out, "actions", solution.labels, solution.actions)
-        out.write(f"fixed-point residual = {fmt(solution.residual)}\n")
+    actions = [(lab, fmt(a)) for lab, a in zip(solution.labels, solution.actions)]
+    _table(args, out, "signal,action", actions, "actions.csv")
+    if args.format != "csv":
+        out.write(f"{header}actions\n")
+        _pairs(out, actions, "  ")
+        _pairs(out, [("fixed-point residual", fmt(solution.residual))])
     return 0
 
 
-def _bought(batch: MarketBatch) -> MarketBatch:
-    """The classes that bought, in sorted name order, with prices zeroed
-    where a class bought nothing in a run.
-
-    The summary has always been taken from these columns; their order fixes
-    the float summation order, so it fixes the printed bytes.
-    """
-    traded = batch.class_counts.sum(axis=0) > 0
-    cols = sorted(np.flatnonzero(traded), key=lambda k: batch.agents[k])
-    counts = batch.class_counts[:, cols]
-    prices = np.where(counts > 0, batch.class_prices[:, cols], 0.0)
-    return MarketBatch(batch.beta, batch.durations, counts, prices,
-                       batch.terminal_payoffs, tuple(batch.agents[k] for k in cols))
+def _summary_rows(stats):
+    yield "runs", "", str(stats.n_runs)
+    yield "trades", "", str(stats.n_trades)
+    if stats.mean_price is not None:
+        yield "mean_price", "", fmt(stats.mean_price)
+        yield "price_se", "", fmt(stats.price_se)
+    yield "mean_duration", "", fmt(stats.mean_duration)
+    for a, m in stats.class_means.items():
+        yield "class_mean_price", a, fmt(m)
 
 
 def cmd_market(args, scenario, out) -> int:
@@ -307,32 +298,15 @@ def cmd_market(args, scenario, out) -> int:
             ]))
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
-    stats = empirical_price_stats(_bought(kernel.batch(seeds, write_events)))
-    summary_csv = StringIO()
-    summary_csv.write("stat,label,value\n")
-    summary_csv.write(f"runs,,{stats.n_runs}\n")
-    summary_csv.write(f"trades,,{stats.n_trades}\n")
-    if stats.mean_price is not None:
-        summary_csv.write(f"mean_price,,{fmt(stats.mean_price)}\n")
-        summary_csv.write(f"price_se,,{fmt(stats.price_se)}\n")
-    summary_csv.write(f"mean_duration,,{fmt(stats.mean_duration)}\n")
-    for a, m in stats.class_means.items():
-        if m is not None:
-            summary_csv.write(f"class_mean_price,{a},{fmt(m)}\n")
+    stats = empirical_price_stats(kernel.batch(seeds, write_events))
     if events_csv is not None:
-        _emit(args, "events.csv", events_csv.getvalue())
-    _emit(args, "summary.csv", summary_csv.getvalue())
-    if args.format == "csv":
-        out.write(events_csv.getvalue())
-        out.write(summary_csv.getvalue())
-    else:
+        _emit(args, out, "events.csv", events_csv.getvalue())
+    _table(args, out, "stat,label,value", _summary_rows(stats), "summary.csv")
+    if args.format != "csv":
         out.write(f"{stats.n_runs} runs, {stats.n_trades} trades\n")
         if stats.mean_price is not None:
-            out.write(
-                f"mean price = {fmt(stats.mean_price)}"
-                f" (se {fmt(stats.price_se)})\n"
-            )
-        out.write(f"mean duration = {fmt(stats.mean_duration)}\n")
+            _pairs(out, [("mean price", f"{fmt(stats.mean_price)} (se {fmt(stats.price_se)})")])
+        _pairs(out, [("mean duration", fmt(stats.mean_duration))])
     return 0
 
 
@@ -350,13 +324,9 @@ def cmd_optimism(args, scenario, out) -> int:
         ("bound", fmt(report.bound)),
         ("consensus", fmt(report.consensus)),
     ]
-    if args.format == "csv":
-        out.write("field,value\n")
-        for k, v in rows:
-            out.write(f"{k},{v}\n")
-    else:
-        for k, v in rows:
-            out.write(f"{k} = {v}\n")
+    _table(args, out, "field,value", rows)
+    if args.format != "csv":
+        _pairs(out, rows)
         if report.hypotheses_hold:
             ok = report.consensus >= report.bound - 1e-9
             out.write("optimism bound " + ("PASS" if ok else "FAIL") + "\n")
@@ -382,13 +352,9 @@ def cmd_tyranny(args, scenario, out) -> int:
         ("passage_time_bound", fmt(report.passage_time_bound)),
         ("max_path_length", str(report.max_path_length)),
     ]
-    if args.format == "csv":
-        out.write("field,value\n")
-        for k, v in rows:
-            out.write(f"{k},{v}\n")
-    else:
-        for k, v in rows:
-            out.write(f"{k} = {v}\n")
+    _table(args, out, "field,value", rows)
+    if args.format != "csv":
+        _pairs(out, rows)
         out.write("tyranny bound " + ("PASS" if report.passed else "FAIL") + "\n")
     return 0
 
@@ -396,19 +362,19 @@ def cmd_tyranny(args, scenario, out) -> int:
 def cmd_no_trade(args, scenario, out) -> int:
     structure = _as_model(scenario).structure
     result = no_trade_test(structure)
-    if args.format == "csv":
-        out.write("field,value\n")
-        out.write(f"trade_found,{result.has_trade}\n")
-        out.write(f"reducible,{result.reducible}\n")
-        out.write(f"objective,{fmt(result.objective)}\n")
-        if result.has_trade:
-            for lab, x in zip(structure.index.labels, result.trade):
-                out.write(f"payment.{lab},{fmt(x)}\n")
-    else:
+    payments = ([(lab, fmt(x)) for lab, x in zip(structure.index.labels, result.trade)]
+                if result.has_trade else [])
+    _table(args, out, "field,value", [
+        ("trade_found", str(result.has_trade)),
+        ("reducible", str(result.reducible)),
+        ("objective", fmt(result.objective)),
+        *((f"payment.{lab}", x) for lab, x in payments),
+    ])
+    if args.format != "csv":
         out.write(f"reducible: {result.reducible}\n")
         if result.has_trade:
-            out.write("strictly profitable separable trade found\n")
-            _print_vec(out, "payments", structure.index.labels, result.trade)
+            out.write("strictly profitable separable trade found\npayments\n")
+            _pairs(out, payments, "  ")
         else:
             out.write("no strictly profitable separable trade exists\n")
     return 0
@@ -427,7 +393,6 @@ def cmd_report(args, scenario, out) -> int:
     section("structure", lambda: cmd_build(args, scenario, out))
     section("consensus", lambda: cmd_consensus(args, scenario, out))
     if model.y is not None:
-        args.beta_per_agent = None
         section("game", lambda: cmd_game(args, scenario, out))
     section("optimism", lambda: cmd_optimism(args, scenario, out))
     section("no-trade", lambda: cmd_no_trade(args, scenario, out))

@@ -44,6 +44,12 @@ def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
         y = spec.y
     if y is None:
         raise PreconditionError("no payoff given: pass y or f, or set spec.y")
+    return spec.first_order.matrix @ state_payoffs(spec, y)
+
+
+def state_payoffs(spec: ModelSpec, y) -> np.ndarray:
+    """The payoff ``y`` (a BasicVariable or an array over states) as one
+    float per state; refused unless it has one value per state."""
     if isinstance(y, BasicVariable):
         y = y.values
     y = np.asarray(y, dtype=float)
@@ -51,7 +57,7 @@ def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
         raise PreconditionError(
             f"y: expected one value per state ({spec.n_states}), got {y.shape}"
         )
-    return spec.first_order.matrix @ y
+    return y
 
 
 def higher_order_expectations(spec: ModelSpec, n: int, y=None, f=None) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .consensus import ConsensusResult, consensus_expectation, first_order_vector
 from .errors import PreconditionError
-from .model import ModelSpec, Network
+from .model import ModelSpec, Network, check_beta
 
 #: Fixed-point residual ceiling for reported solutions.
 RESIDUAL_TOL = 1e-10
@@ -52,17 +52,21 @@ def solve_beta_game(spec: ModelSpec, beta: float, y=None, f=None) -> GameSolutio
     ``0 <= beta < 1``; at the boundary the convention is the consensus
     expectation (see :func:`convention_limit`).
     """
-    if not 0.0 <= beta < 1.0:
-        raise PreconditionError(
-            f"beta must lie in [0, 1); for the beta -> 1 limit use"
-            f" convention_limit (got {beta})"
-        )
+    check_beta(beta, f"beta must lie in [0, 1); for the beta -> 1 limit use"
+                     f" convention_limit (got {beta})")
+    return _solve(spec, np.full(spec.n_agents, beta, dtype=float), y, f, beta)
+
+
+def _solve(spec: ModelSpec, agent_beta, y, f, beta) -> GameSolution:
+    """Solve ``s = (1 - d) x1 + d B s``, ``d`` the per-signal owners'
+    weights from ``agent_beta``, and gate its fixed-point residual; the
+    solution reports ``beta``."""
     fvec = first_order_vector(spec, y, f)
     structure = spec.structure
     B = structure.matrix
-    n = B.shape[0]
-    s = np.linalg.solve(np.eye(n) - beta * B, (1.0 - beta) * fvec)
-    residual = float(np.max(np.abs(s - (1.0 - beta) * fvec - beta * (B @ s))))
+    d = agent_beta[structure.index.agent_of]
+    s = np.linalg.solve(np.eye(len(d)) - d[:, None] * B, (1.0 - d) * fvec)
+    residual = float(np.max(np.abs(s - (1.0 - d) * fvec - d * (B @ s))))
     if not residual <= RESIDUAL_TOL:
         raise ArithmeticError(f"fixed-point residual {residual:.3e}")
     return GameSolution(beta, s, residual, structure.index.labels)
@@ -77,8 +81,7 @@ def best_response_iterates(
     sup-norm distance to the fixed point shrinks by at least a factor
     ``beta`` each round.
     """
-    if not 0.0 <= beta < 1.0:
-        raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
+    check_beta(beta, f"beta must lie in [0, 1), got {beta}")
     fvec = first_order_vector(spec, y, f)
     B = spec.structure.matrix
     s = np.zeros_like(fvec) if start is None else np.asarray(start, dtype=float)
@@ -99,8 +102,7 @@ def rationalizable_bounds(
     ``beta^k M``, an interval whose width shrinks by a factor beta per
     round, pinching onto the unique solution.
     """
-    if not 0.0 <= beta < 1.0:
-        raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
+    check_beta(beta, f"beta must lie in [0, 1), got {beta}")
     fvec = first_order_vector(spec, y, f)
     M = _payoff_bound(spec, f)
     B = spec.structure.matrix
@@ -127,11 +129,8 @@ def heterogeneous_transform(network: Network, beta_vec) -> tuple[Network, float]
     ``beta_vec`` and each agent's slack becomes a self-weight.
     """
     beta_vec = np.asarray(beta_vec, dtype=float)
-    if np.any(beta_vec >= 1.0) or np.any(beta_vec < 0.0):
-        raise PreconditionError(
-            "every per-agent weight must lie in [0, 1); the order of limits"
-            " matters when some weight reaches 1"
-        )
+    check_beta(beta_vec, "every per-agent weight must lie in [0, 1); the order"
+                         " of limits matters when some weight reaches 1")
     g = network.weights
     if np.any(np.diag(g) != 0):
         raise PreconditionError(
@@ -161,19 +160,8 @@ def solve_heterogeneous_game(
         raise PreconditionError(
             f"beta_vec: expected one weight per agent ({spec.n_agents})"
         )
-    if np.any(beta_vec >= 1.0) or np.any(beta_vec < 0.0):
-        raise PreconditionError("every per-agent weight must lie in [0, 1)")
-    fvec = first_order_vector(spec, y, f)
-    structure = spec.structure
-    B = structure.matrix
-    d = beta_vec[structure.index.agent_of]
-    n = B.shape[0]
-    A = np.eye(n) - d[:, None] * B
-    s = np.linalg.solve(A, (1.0 - d) * fvec)
-    residual = float(np.max(np.abs(s - (1.0 - d) * fvec - d * (B @ s))))
-    if not residual <= RESIDUAL_TOL:
-        raise ArithmeticError(f"fixed-point residual {residual:.3e}")
-    return GameSolution(float("nan"), s, residual, structure.index.labels)
+    check_beta(beta_vec, "every per-agent weight must lie in [0, 1)")
+    return _solve(spec, beta_vec, y, f, float("nan"))
 
 
 @dataclass(frozen=True)

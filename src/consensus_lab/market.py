@@ -48,9 +48,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .consensus import state_payoffs
 from .errors import PreconditionError
 from .game import GameSolution, solve_beta_game
-from .model import BasicVariable, ModelSpec
+from .model import ModelSpec, check_beta
 from .spectral import eigenvector_centrality
 
 @dataclass(frozen=True)
@@ -208,8 +209,7 @@ class _Kernel:
     def __init__(self, spec: ModelSpec, beta: float, draw, y=None,
                  prices: GameSolution | None = None, initial_owner=0,
                  allow_own_market: bool = False):
-        if not 0.0 <= beta < 1.0:
-            raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
+        check_beta(beta, f"beta must lie in [0, 1), got {beta}")
         if prices is None:
             prices = solve_beta_game(spec, beta, y)
         g = spec.network.weights
@@ -227,8 +227,7 @@ class _Kernel:
         self.labels = index.labels
         self.actions = np.asarray(prices.actions, dtype=float)
         self.starts = np.array([b.start for b in index.blocks], dtype=np.intp)
-        self.yvals = (yvec.values if isinstance(yvec, BasicVariable)
-                      else np.asarray(yvec, float))
+        self.yvals = state_payoffs(spec, yvec)
         self.network_cdf = np.cumsum(g, axis=1)
         # about two expected runs' worth of uniforms, two per period
         self.block = int(min(_BLOCK, max(64.0, 4.0 / (1.0 - beta))))
@@ -497,8 +496,8 @@ class PriceStats:
     price_se: float | None
     price_min: float | None
     price_max: float | None
-    class_means: dict[str, float | None]
-    class_quantiles: dict[str, tuple[float, float, float] | None]
+    class_means: dict[str, float]
+    class_quantiles: dict[str, tuple[float, float, float]]
     mean_duration: float
     duration_counts: dict[int, int]
 
@@ -518,19 +517,22 @@ def _weighted_quantiles(values, weights, qs=(0.1, 0.5, 0.9)):
 def empirical_price_stats(data) -> PriceStats:
     """Summarize runs (a list of :class:`MarketRun` or a :class:`MarketBatch`).
 
-    The price standard error is cluster-robust over runs: runs, not
-    individual trades, are the independent units.
+    The summary is taken over the classes that bought, in sorted name
+    order, with a class's price zeroed in runs where it bought nothing;
+    that order fixes the float summation order.  The price standard error
+    is cluster-robust over runs: runs, not individual trades, are the
+    independent units.
     """
     if isinstance(data, MarketBatch):
-        agents = data.agents
+        bought = np.flatnonzero(data.class_counts.sum(axis=0) > 0)
+        cols = sorted(bought, key=lambda k: data.agents[k])
+        agents = tuple(data.agents[k] for k in cols)
         durations = data.durations
-        counts = data.class_counts
-        cprices = data.class_prices
+        counts = data.class_counts[:, cols]
+        cprices = np.where(counts > 0, data.class_prices[:, cols], 0.0)
     else:
         runs = list(data)
-        agents = tuple(
-            sorted({e.buyer for r in runs for e in r.events})
-        ) or tuple()
+        agents = tuple(sorted({e.buyer for r in runs for e in r.events}))
         durations = np.array([r.duration for r in runs], dtype=int)
         counts = np.zeros((len(runs), len(agents)), dtype=int)
         cprices = np.zeros((len(runs), len(agents)))
@@ -545,29 +547,21 @@ def empirical_price_stats(data) -> PriceStats:
         raise PreconditionError("no runs to aggregate")
     n_trades = int(counts.sum())
     mean_price = se = pmin = pmax = None
-    class_means: dict[str, float | None] = {}
-    class_q: dict[str, tuple | None] = {}
     if n_trades > 0:
         sums = (counts * cprices).sum(axis=1)
         mean_price = float(sums.sum() / n_trades)
         resid = sums - mean_price * counts.sum(axis=1)
         se = float(np.sqrt((resid**2).sum()) / n_trades)
-        traded = counts.sum(axis=0) > 0
         all_prices = cprices[counts > 0]
         pmin = float(all_prices.min())
         pmax = float(all_prices.max())
-        for k, a in enumerate(agents):
-            if traded[k]:
-                w = counts[:, k]
-                class_means[a] = float((w * cprices[:, k]).sum() / w.sum())
-                nz = w > 0
-                class_q[a] = _weighted_quantiles(cprices[nz, k], w[nz])
-            else:
-                class_means[a] = None
-                class_q[a] = None
-    else:
-        class_means = {a: None for a in agents}
-        class_q = {a: None for a in agents}
+    class_means = {}
+    class_q = {}
+    for k, a in enumerate(agents):
+        w = counts[:, k]
+        class_means[a] = float((w * cprices[:, k]).sum() / w.sum())
+        nz = w > 0
+        class_q[a] = _weighted_quantiles(cprices[nz, k], w[nz])
     uniq, cnt = np.unique(durations, return_counts=True)
     return PriceStats(
         n_runs,

@@ -23,6 +23,14 @@ from .errors import PreconditionError
 PROB_TOL = 1e-12
 
 
+def check_beta(beta, message: str):
+    """Raise :class:`PreconditionError` with ``message`` unless every
+    coordination weight in ``beta`` (a scalar or an array) lies in
+    [0, 1); NaN lies nowhere."""
+    if not np.all((0.0 <= beta) & (beta < 1.0)):
+        raise PreconditionError(message)
+
+
 def freeze(values, dtype=float) -> np.ndarray:
     """Copy ``values`` into a read-only float array."""
     arr = np.array(values, dtype=dtype)
@@ -176,50 +184,42 @@ class ModelSpec:
         raise KeyError(signal)
 
 
-def _check_prob(violations, location, vec, n, tol):
-    if len(vec) != n:
-        violations.append(f"{location}: expected length {n}, got {len(vec)}")
-        return
-    s = float(np.sum(vec))
-    if np.any(np.asarray(vec) < -tol):
-        violations.append(f"{location}: negative entry")
-    if not abs(s - 1.0) <= tol:
-        violations.append(f"{location}: sums to {s!r} (expected 1 within {tol})")
-
-
 def _screen_probs(violations, checks, tol):
-    """Run :func:`_check_prob` on each ``(position, location, vector,
-    length)`` check that array tests cannot clear, and insert its
-    violations at the position.
+    """Check each ``(position, location, vector, length)`` probability
+    vector and insert its violations at the position.
 
-    A vector is cleared when its length is right, it is not empty, no
-    entry is below ``-tol``, its absolute entries sum to at most 2 and its
-    ``np.add.reduceat`` sum is within ``tol - margin`` of 1.  That sum is
-    taken in another order than ``np.sum``'s; the margin, ``8 * eps *
-    (n + 1)`` for ``n`` entries, is more than twice the error bound of
-    either order (``(n - 1) * eps / 2`` times the absolute sum) plus the
-    rounding of ``|sum - 1|``, so a cleared vector passes the exact check.
-    NaN fails every comparison, so it is never cleared.
+    A vector of the wrong length is reported as such; any other is
+    reported when an entry is below ``-tol`` and when its sum is not
+    within ``tol`` of 1 (NaN fails both tests).  All vectors are
+    concatenated once; those of the right length and one entry count are
+    gathered as the rows of one array, whose row sums add each row in
+    ``np.sum``'s order, so every sum has the bits of ``np.sum(vector)``.
     """
     if not checks:
         return
     positions, locations, vecs, lengths = zip(*checks)
     sizes = np.array([x.size for x in vecs])
-    filled = sizes > 0
-    cleared = (np.array(list(map(len, vecs))) == lengths) & filled
-    # empty vectors own no entries, so each start opens one vector's run
-    starts = (np.cumsum(sizes) - sizes)[filled]
-    if len(starts):
-        flat = np.concatenate(vecs, axis=None)
-        sums = np.add.reduceat(flat, starts)
-        mass = np.add.reduceat(np.abs(flat), starts)
-        negative = np.logical_or.reduceat(flat < -tol, starts)
-        margin = 8 * np.finfo(float).eps * (sizes[filled] + 1)
-        cleared[filled] &= ~negative & (mass <= 2) & (np.abs(sums - 1.0) + margin <= tol)
+    sized = np.array(list(map(len, vecs))) == lengths
+    starts = np.cumsum(sizes) - sizes
+    flat = np.concatenate(vecs, axis=None)
+    sums = np.zeros(len(vecs))
+    for size in np.flatnonzero(np.bincount(sizes[sized])):
+        group = np.flatnonzero(sized & (sizes == size))
+        sums[group] = flat[starts[group, None] + np.arange(size)].sum(axis=1)
+    negative = np.zeros(len(vecs), dtype=bool)
+    below = flat < -tol
+    if below.any():
+        negative[np.repeat(np.arange(len(vecs)), sizes)[below]] = True
+    off = ~(np.abs(sums - 1.0) <= tol)
     # from the back, so earlier positions stay valid
-    for k in np.flatnonzero(~cleared)[::-1]:
-        found: list[str] = []
-        _check_prob(found, locations[k], vecs[k], lengths[k], tol)
+    for k in np.flatnonzero(~sized | negative | off)[::-1]:
+        loc = locations[k]
+        if not sized[k]:
+            found = [f"{loc}: expected length {lengths[k]}, got {len(vecs[k])}"]
+        else:
+            found = [f"{loc}: negative entry"] if negative[k] else []
+            if off[k]:
+                found.append(f"{loc}: sums to {float(sums[k])!r} (expected 1 within {tol})")
         violations[positions[k]:positions[k]] = found
 
 

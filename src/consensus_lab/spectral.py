@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, ReducibleError
 from .interaction import InteractionStructure, as_structure, joint_connectedness
+from .model import check_beta
 
 #: Residual ceiling enforced on every returned stationary distribution.
 STATIONARY_TOL = 1e-10
@@ -29,7 +30,6 @@ class StationaryDistribution:
 
     vector: np.ndarray
     residual: float
-    method: str
 
     def __post_init__(self):
         self.vector.setflags(write=False)
@@ -110,7 +110,7 @@ def stationary_distribution(Q, tol: float = STATIONARY_TOL) -> StationaryDistrib
         raise ArithmeticError(
             f"stationary solve residual {residual:.3e} exceeds {tol:.1e}"
         )
-    return StationaryDistribution(p, residual, "direct")
+    return StationaryDistribution(p, residual)
 
 
 def eigenvector_centrality(network) -> np.ndarray:
@@ -137,8 +137,7 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     if beta is None:
         _require_irreducible(structure, "abel_limit exact mode")
         return np.full(matrix.shape[0], float(structure.stationary[0] @ z))
-    if not 0.0 <= beta < 1.0:
-        raise PreconditionError(f"beta must lie in [0, 1), got {beta}")
+    check_beta(beta, f"beta must lie in [0, 1), got {beta}")
     n = matrix.shape[0]
     x = (1.0 - beta) * np.linalg.solve(np.eye(n) - beta * matrix, z)
     residual = float(np.max(np.abs(x - (1.0 - beta) * z - beta * (matrix @ x))))

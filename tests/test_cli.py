@@ -23,6 +23,11 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def _load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_validate_cycle_ok():
     code, out = run_cli(["validate", scenario_path("cycle")])
     assert code == 0
@@ -31,7 +36,7 @@ def test_validate_cycle_ok():
 
 def test_validate_rejects_bad_scenario(tmp_path):
     bad = tmp_path / "bad.json"
-    data = json.load(open(scenario_path("cycle")))
+    data = _load_json(scenario_path("cycle"))
     data["network"][0] = [0, 0.9, 0]
     bad.write_text(json.dumps(data))
     code, out = run_cli(["validate", str(bad)])
@@ -49,7 +54,7 @@ def test_parse_error_reports_location(tmp_path, capsys):
 
 def test_unknown_key_rejected(tmp_path, capsys):
     bad = tmp_path / "extra.json"
-    data = json.load(open(scenario_path("cycle")))
+    data = _load_json(scenario_path("cycle"))
     data["surprise"] = 1
     bad.write_text(json.dumps(data))
     code, _ = run_cli(["validate", str(bad)])
@@ -116,6 +121,19 @@ def test_game_solve_beta_per_agent():
 def test_game_solve_beta_out_of_range_is_precondition_failure():
     code, _ = run_cli(["game-solve", scenario_path("cps"), "--beta", "1.0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("weights, message", [
+    ("nan,0.5", "every per-agent weight must lie in [0, 1)"),
+    ("ann=0.5,bob=nan", "every per-agent weight must lie in [0, 1)"),
+    ("ann=abc,bob=0.5", "--beta-per-agent: expected numbers, got 'ann=abc,bob=0.5'"),
+    ("0.5,x", "--beta-per-agent: expected numbers, got '0.5,x'"),
+    ("0.5,", "--beta-per-agent: expected 2 values"),
+])
+def test_bad_per_agent_weights_are_precondition_failures(capsys, weights, message):
+    code, out = run_cli(["game-solve", scenario_path("cps"), "--beta-per-agent", weights])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == f"precondition failure: {message}\n"
 
 
 def test_no_trade_verdicts():
@@ -223,7 +241,7 @@ def test_report_deterministic():
 
 
 def test_tolerance_flag_relaxes_validation(tmp_path):
-    data = json.load(open(scenario_path("cycle")))
+    data = _load_json(scenario_path("cycle"))
     data["beliefs"]["a1"]["marginals"]["state"] = [0.9999999, 0.0000001999]
     p = tmp_path / "coarse.json"
     p.write_text(json.dumps(data))
@@ -234,7 +252,7 @@ def test_tolerance_flag_relaxes_validation(tmp_path):
 
 
 def test_scenario_error_paths(tmp_path, capsys):
-    data = json.load(open(scenario_path("cps")))
+    data = _load_json(scenario_path("cps"))
     data["beliefs"]["a1"]["full"][0]["p"] = "lots"
     p = tmp_path / "badnum.json"
     p.write_text(json.dumps(data))
@@ -279,7 +297,7 @@ def test_simulate_market_golden_stdout_on_a_30_state_cis_model(tmp_path):
 
 
 def _with(name, edit, tmp_path):
-    data = json.load(open(scenario_path(name)))
+    data = _load_json(scenario_path(name))
     edit(data)
     p = tmp_path / f"{name}-edited.json"
     p.write_text(json.dumps(data))
@@ -455,18 +473,33 @@ def test_matrices_are_formatted_only_when_read(tmp_path, csv_writes, command, na
     assert csv_writes["write_matrix_csv"] == writes
 
 
-@pytest.mark.parametrize("command", ["build", "consensus", "report"])
+@pytest.mark.parametrize("command", ["build", "consensus", "report", "game-solve",
+                                     "simulate-market"])
 def test_unwritable_out_is_a_precondition_failure(tmp_path, capsys, command):
     blocker = tmp_path / "afile"
     blocker.write_text("")
     argv = [command, scenario_path("cps"), "--out", str(blocker / "x")]
-    code, _ = run_cli(argv)
-    assert code == 3
+    # the artifact is written first, so nothing reaches stdout
+    printed = "== structure ==\n" if command == "report" else ""
+    code, out = run_cli(argv)
+    assert (code, out) == (3, printed)
     err = capsys.readouterr().err
     assert err.startswith("precondition failure: cannot write --out: ")
     assert str(blocker / "x") in err
-    code, _ = run_cli(argv + ["--format", "csv"])
-    assert code == 3
+    code, out = run_cli(argv + ["--format", "csv"])
+    assert (code, out) == (3, printed)
+
+
+@pytest.mark.parametrize("argv, artifacts", [
+    (["consensus"], ["consensus.csv"]),
+    (["game-solve"], ["actions.csv"]),
+    (["simulate-market", "--runs", "5"], ["events.csv", "summary.csv"]),
+])
+def test_csv_stdout_is_the_artifact_bytes(tmp_path, argv, artifacts):
+    code, out = run_cli([argv[0], scenario_path("cps")] + argv[1:]
+                        + ["--format", "csv", "--out", str(tmp_path)])
+    assert code == 0
+    assert out == "".join((tmp_path / name).read_text() for name in artifacts)
 
 
 def test_priors_for_some_agents_only_skip_the_common_prior_rows(tmp_path, capsys):
@@ -479,3 +512,126 @@ def test_priors_for_some_agents_only_skip_the_common_prior_rows(tmp_path, capsys
     assert code == 0
     assert "cps_" not in out
     assert capsys.readouterr().err == ""
+
+
+CSV_COMMANDS = {
+    "consensus": ["consensus"],
+    "game": ["game-solve", "--beta", "0.9"],
+    "game-per-agent": ["game-solve", "--beta-per-agent", "PER_AGENT"],
+    "market": ["simulate-market", "--beta", "0.9", "--runs", "20", "--seed", "3"],
+    "optimism": ["verify-optimism"],
+    "tyranny": ["verify-tyranny"],
+    "no-trade": ["no-trade"],
+}
+
+
+def _csv_digest(tmp_path, name, command):
+    """Exit code and SHA-256 of `--format csv --out DIR` stdout followed by
+    each artifact under a `== file ==` line, in name order."""
+    path = scenario_path(name)
+    per_agent = ",".join(["0.9", "0.5", "0.7"][:len(_load_json(path)["agents"])])
+    argv = [a.replace("PER_AGENT", per_agent) for a in CSV_COMMANDS[command]]
+    out_dir = tmp_path / f"{name}-{command}"
+    code, out = run_cli([argv[0], path] + argv[1:] + ["--format", "csv",
+                                                     "--out", str(out_dir)])
+    parts = [out]
+    for f in sorted(os.listdir(out_dir)) if out_dir.exists() else []:
+        parts.append(f"== {f} ==\n{(out_dir / f).read_text()}")
+    return code, _sha256("".join(parts))
+
+
+# Exit code and digest of `--format csv --out DIR` output per bundled
+# scenario and command (see `_csv_digest`), captured before the CSV
+# tables shared one writer.
+GOLDEN_CSV = [
+    ("cycle", "consensus", 0,
+     "01352e341a53393290e43c3c9e030c0cd95790f9b4783b447a26ac840f2dd3f2"),
+    ("cycle", "game", 0,
+     "c9e9ee88d9a6b571ee8ed371b5d8beeaa5785282c7e65fe43b82234e696962a6"),
+    ("cycle", "game-per-agent", 0,
+     "e1aa85bbe6c0816864101557965381986625625c1c5358a32c426376ad5ec61d"),
+    ("cycle", "market", 0,
+     "3098346aee78cc37b5fb2d8494ceeb0c820ccbc797ed5bb88d85b4f72df6eb6f"),
+    ("cycle", "optimism", 0,
+     "f102e94abd3b4c13236cdbd1bf36418d1f83764d074de9eac2b97dfcc5135b2b"),
+    ("cycle", "tyranny", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cycle", "no-trade", 0,
+     "ad6f973cfbf672ee9c329f69eef930b1b550d775db311d96d69cd20171978700"),
+    ("case2", "consensus", 0,
+     "59485c7a4b7a91cb0942fd36c98f35cdfc3e65e9e79f63de47d420779bb3a835"),
+    ("case2", "game", 0,
+     "f31d7735173829c2654d17a96d050f1608b505f2991a75cb9177fc97db21ee56"),
+    ("case2", "game-per-agent", 0,
+     "a864c2af6e6400a72ff98cfa1775ac7e58d7c31c7a01f23ccfbbe6cdc32b9616"),
+    ("case2", "market", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("case2", "optimism", 0,
+     "c00e9f07065a07ec30fbf6f4283fcc85533b14a4eced96a85293726c61157f3c"),
+    ("case2", "tyranny", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("case2", "no-trade", 0,
+     "dd48968bb5c4f1916f21216217c533c4c95563628f0b2b06615a024dd4ee9a7d"),
+    ("counterexample", "consensus", 0,
+     "1face56fba4f89c0e6f935b5c14904e4744f68b23e5f1f94966f1c144e2c4808"),
+    ("counterexample", "game", 0,
+     "a7bdaa3255af10f7c57cf5902b407ba442fc07656fa1716fa684b1d5fcbcec67"),
+    ("counterexample", "game-per-agent", 0,
+     "a7bdaa3255af10f7c57cf5902b407ba442fc07656fa1716fa684b1d5fcbcec67"),
+    ("counterexample", "market", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("counterexample", "optimism", 0,
+     "ffecc16feaee01e64faf641302933861ed849e1a5b726f763fcae6f82b545d0d"),
+    ("counterexample", "tyranny", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("counterexample", "no-trade", 0,
+     "18b239162d32db78320f3e25eebe49242d979831c6aaf408481cede04996c1ec"),
+    ("tightness", "consensus", 0,
+     "796f9665ea74e7bc8f8ac3be7aceedc55407a79f64e49e59e7db95cd0a5eb9b9"),
+    ("tightness", "game", 0,
+     "858d8e37062c427feae23dc144777bd174a23a9d32e3d744db9f2134fd244264"),
+    ("tightness", "game-per-agent", 0,
+     "5b99924ec4f21ad8c023e9fdda10cff1e087679e5cfa9bd83c4709402b848c8e"),
+    ("tightness", "market", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("tightness", "optimism", 0,
+     "754e70544fbb734bad136c59fd2e39ae84c750855b854f721fd137d7c508a8ae"),
+    ("tightness", "tyranny", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("tightness", "no-trade", 0,
+     "44da6a941b8ca97a593f87f1ecddb4e401df859146377f89356168cca191ac61"),
+    ("tyranny_extreme", "consensus", 0,
+     "799d6f87792636dfc28c42a24e576c6bd298013f41b7ab1c914a8a3c01cc23bf"),
+    ("tyranny_extreme", "game", 0,
+     "3adec9a449340b81547444114fc6a80ee2378d8214eaf342aaa3dcb4cc7e36a5"),
+    ("tyranny_extreme", "game-per-agent", 0,
+     "4bb6b0ed74280f809adcdb0b67aca273915a8aeca68836527b606973c7ba08d1"),
+    ("tyranny_extreme", "market", 0,
+     "218326896add89206e80bc29ef1f23d99b37ece66d4385afc9baf0993ddcd9c2"),
+    ("tyranny_extreme", "optimism", 0,
+     "576b3799edcca509f5d809805c35eb9e1680a6bb008f6cf72f7cbc371219d9fa"),
+    ("tyranny_extreme", "tyranny", 0,
+     "86972b05ae5594e245bbc285bd22d30fa6107842a70c790273c9a6e9cbe072a9"),
+    ("tyranny_extreme", "no-trade", 0,
+     "ad6f973cfbf672ee9c329f69eef930b1b550d775db311d96d69cd20171978700"),
+    ("cps", "consensus", 0,
+     "39cfa051d68ba9347cf6f9c8f3e60718d6c4453f4e98c068916835aa5600454e"),
+    ("cps", "game", 0,
+     "5ea3f606ca4ee351790a9f0a5f85ba6fa630b233260e47701e0a85a84d79d349"),
+    ("cps", "game-per-agent", 0,
+     "49d4cc022bcdedc02bb36957f48a3f8208e92cd21d0659d8c5ecd7c3710575a1"),
+    ("cps", "market", 0,
+     "f283423349ab44a0bb4edffbe4b08eebabb3d761b7b904821fd8cbdc3e7e86e5"),
+    ("cps", "optimism", 0,
+     "359dfaf19edf503edfb5e10b732d6d1c83e4537f957169f28e204483a872b65a"),
+    ("cps", "tyranny", 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cps", "no-trade", 0,
+     "ad6f973cfbf672ee9c329f69eef930b1b550d775db311d96d69cd20171978700"),
+]
+
+
+@pytest.mark.parametrize("name, command, code, digest", GOLDEN_CSV,
+                         ids=[f"{n}-{c}" for n, c, _, _ in GOLDEN_CSV])
+def test_csv_stdout_and_artifacts_golden_bytes(tmp_path, name, command, code, digest):
+    assert _csv_digest(tmp_path, name, command) == (code, digest)

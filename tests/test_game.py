@@ -214,3 +214,47 @@ def test_nan_belief_fails_the_heterogeneous_residual_gate():
     bad = dataclasses.replace(spec, beliefs=beliefs)
     with pytest.raises(ArithmeticError):
         solve_heterogeneous_game(bad, [0.9, 0.5, 0.3])
+
+
+BAD_WEIGHTS = [1.0, float("nan"), -0.1, float("inf")]
+
+
+@pytest.mark.parametrize("beta", BAD_WEIGHTS)
+def test_every_beta_check_refuses_weights_outside_the_unit_interval(beta):
+    from consensus_lab.spectral import abel_limit
+
+    spec = load_scenario(scenario_path("cps"))
+    n = len(spec.all_signals())
+    calls = [
+        lambda: solve_beta_game(spec, beta),
+        lambda: best_response_iterates(spec, beta),
+        lambda: rationalizable_bounds(spec, beta, 3),
+        lambda: abel_limit(spec.structure, np.ones(n), beta),
+        lambda: heterogeneous_transform(spec.network, [0.5, beta]),
+        lambda: solve_heterogeneous_game(spec, [beta, 0.5]),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=r"must lie in \[0, 1\)"):
+            call()
+
+
+@pytest.mark.parametrize("betas", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+def test_nan_per_agent_weights_are_refused(betas):
+    # NaN passed both `>= 1` and `< 0` tests: the transform returned an
+    # all-NaN network and the direct solve failed its residual gate
+    spec = load_scenario(scenario_path("cps"))
+    with pytest.raises(PreconditionError, match="per-agent weight"):
+        heterogeneous_transform(spec.network, betas)
+    with pytest.raises(PreconditionError, match="per-agent weight"):
+        solve_heterogeneous_game(spec, betas)
+
+
+def test_one_common_weight_solves_as_the_per_agent_game():
+    # both solves share one code path; a common weight gives the same bits
+    for name in ("cps", "cycle", "case2"):
+        spec = load_scenario(scenario_path(name))
+        for beta in (0.0, 0.3, 0.9, 0.999):
+            common = solve_beta_game(spec, beta)
+            per_agent = solve_heterogeneous_game(spec, [beta] * spec.n_agents)
+            assert common.actions.tobytes() == per_agent.actions.tobytes()
+            assert common.residual == per_agent.residual

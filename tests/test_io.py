@@ -256,7 +256,8 @@ CORRUPTED = [
 @pytest.mark.parametrize("name, edit, message", CORRUPTED,
                          ids=[f"{case[0]}-{k}" for k, case in enumerate(CORRUPTED)])
 def test_corrupted_scenarios_are_refused_with_their_path(tmp_path, name, edit, message):
-    data = json.load(open(scenario_path(name)))
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        data = json.load(fh)
     edit(data)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))

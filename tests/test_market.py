@@ -3,6 +3,7 @@ import hashlib
 import signal
 import tracemalloc
 from contextlib import contextmanager
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from consensus_lab.market import (
     simulate_batch,
     simulate_market,
 )
-from consensus_lab.io import load_scenario, parse_scenario
+from consensus_lab.cli import main
+from consensus_lab.io import fmt, load_scenario, parse_scenario
 
 from conftest import cis_scenario, random_model, scenario_path
 
@@ -307,6 +309,35 @@ def test_prices_without_any_payoff_are_refused(market_spec):
         simulate_market(bare, 0.9, 0, draw, prices=prices)
     with pytest.raises(PreconditionError, match="no payoff given"):
         simulate_batch(bare, 0.9, 3, 0, draw, prices=prices)
+
+
+@pytest.mark.parametrize("y", [[0.0, 1.0, 2.0], [1.0]], ids=["three-values", "one-value"])
+@pytest.mark.parametrize("entry", ["market", "batch"])
+def test_payoff_with_a_value_per_state_is_required(entry, y):
+    # with a price schedule given, the kernel read y itself: three values
+    # on two states ran, one value ended in an IndexError
+    spec = load_scenario(scenario_path("cps"))
+    prices = solve_beta_game(spec, 0.9)
+    with pytest.raises(PreconditionError, match=r"y: expected one value per state \(2\)"):
+        _simulate(entry, spec, 0.9, product_generating(spec), y=y, prices=prices)
+
+
+def test_library_price_summary_matches_the_cli():
+    # tyranny_extreme declares iggy, alice, bern: not in name order
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    spec = cis.model
+    batch = simulate_batch(spec, 0.9, 200, 3, cis_generating(cis),
+                           prices=solve_beta_game(spec, 0.9), initial_owner="centrality")
+    stats = empirical_price_stats(batch)
+    rows = [f"mean_price,,{fmt(stats.mean_price)}", f"price_se,,{fmt(stats.price_se)}"]
+    rows += [f"class_mean_price,{a},{fmt(m)}" for a, m in stats.class_means.items()]
+    assert list(stats.class_means) == sorted(stats.class_means)
+    assert list(stats.class_quantiles) == list(stats.class_means)
+    out = StringIO()
+    assert main(["simulate-market", scenario_path("tyranny_extreme"), "--beta", "0.9",
+                 "--runs", "200", "--seed", "3", "--format", "csv"], out=out) == 0
+    summary = out.getvalue().partition("stat,label,value\n")[2].splitlines()
+    assert [r for r in summary if r.startswith(("mean_price", "price_se", "class_"))] == rows
 
 
 # ------------------------------------------------ the factored nature draw

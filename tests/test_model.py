@@ -17,7 +17,7 @@ from consensus_lab.model import (
 )
 from consensus_lab.spectral import eigenvector_centrality
 
-from conftest import random_cps_model, random_model, scenario_path
+from conftest import dirichlet, random_cps_model, random_model, scenario_path
 
 
 def two_agent_spec(**overrides):
@@ -397,4 +397,50 @@ def test_validation_matches_the_per_item_oracle():
         tols += [float(x) for d in edges for x in (d, np.nextafter(d, 0))]
         for tol in tols:
             assert validate_model(spec, tol) == per_item_violations(spec, tol)
+            assert validate_model(bad, tol) == per_item_violations(bad, tol)
+
+
+def edge_vectors(rng, vec):
+    """``vec`` empty, as 2-D columns and a row, with a NaN, and with its
+    sum moved to within a few rounding steps of ``PROB_TOL`` from 1."""
+    v = np.asarray(vec, dtype=float)
+    k = rng.integers(len(v))
+    nan = v.copy()
+    nan[k] = np.nan
+    step = v.copy()
+    step[k] += rng.choice([-1, 1]) * PROB_TOL * (1 + rng.integers(-2, 3) * 2.0**-52)
+    return [np.zeros(0), v[:, None], v[None, :], np.repeat(v[:, None] / 2, 2, axis=1),
+            nan, nan[:, None], step, step[:, None]]
+
+
+def test_validation_matches_the_per_item_oracle_on_edge_vectors():
+    for seed in range(40):
+        rng = np.random.default_rng([72, seed])
+        spec = random_model(rng, n_agents=3, n_states=int(rng.integers(1, 20)),
+                            max_signals=int(rng.integers(1, 30)))
+
+        def edge(vec):
+            options = edge_vectors(rng, vec)
+            return options[rng.integers(len(options))]
+
+        beliefs = dict(spec.beliefs)
+        labels = spec.all_signals()
+        for t in rng.choice(labels, size=min(len(labels), 6), replace=False):
+            b = beliefs[t]
+            j = rng.choice(list(b.signal_marginals))
+            beliefs[t] = InterimBelief(edge(b.state_marginal),
+                                       {**b.signal_marginals, j: edge(b.signal_marginals[j])})
+        priors = {a: dirichlet(rng, len(spec.signals[a])) for a in spec.agents}
+        for a in rng.choice(spec.agents, size=2, replace=False):
+            priors[a] = edge(priors[a])
+        bad = dataclasses.replace(spec, beliefs=beliefs, priors=priors)
+        vectors = [*priors.values()]
+        for b in bad.beliefs.values():
+            vectors += [b.state_marginal, *b.signal_marginals.values()]
+        # tolerances at, one step inside and one step outside the
+        # deviation of some vectors, where the exact check flips
+        devs = [abs(float(np.sum(v)) - 1.0) for v in vectors if np.size(v)]
+        tols = [PROB_TOL] + [float(x) for d in rng.choice(devs, size=4)
+                             for x in (d, np.nextafter(d, 0), np.nextafter(d, np.inf))]
+        for tol in tols:
             assert validate_model(bad, tol) == per_item_violations(bad, tol)
