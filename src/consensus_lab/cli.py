@@ -222,6 +222,8 @@ def _parse_beta_per_agent(raw: str, model: ModelSpec) -> np.ndarray:
             name, _, val = p.partition("=")
             if name not in model.agents:
                 raise PreconditionError(f"--beta-per-agent: unknown agent {name!r}")
+            if name in given:
+                raise PreconditionError(f"--beta-per-agent: repeated agent {name!r}")
             given[name] = val
         missing = [a for a in model.agents if a not in given]
         if missing:

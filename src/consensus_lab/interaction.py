@@ -162,20 +162,21 @@ class InteractionStructure:
 
 
 def build_first_order_map(spec: ModelSpec) -> FirstOrderMap:
-    """Stack every signal's state marginal into the first-order map."""
+    """Stack the agents' state tables into the first-order map."""
     index = SignalIndex.from_spec(spec)
-    rows = []
-    for t in index.labels:
-        b = spec.beliefs.get(t)
-        if b is None or b.state_marginal is None:
-            raise PreconditionError(f"signal {t}: no state marginal available")
-        if len(b.state_marginal) != spec.n_states:
-            raise PreconditionError(
-                f"signal {t}: state marginal has length {len(b.state_marginal)},"
-                f" expected {spec.n_states}"
-            )
-        rows.append(b.state_marginal)
-    return FirstOrderMap(np.array(rows, dtype=float), index, spec.states)
+    beliefs = spec.beliefs
+    if beliefs.irregular.any():
+        for t in index.labels:
+            b = beliefs.get(t)
+            if b is None:
+                raise PreconditionError(f"signal {t}: no state marginal available")
+            if np.shape(b.state_marginal) != (spec.n_states,):
+                raise PreconditionError(
+                    f"signal {t}: state marginal has shape {np.shape(b.state_marginal)},"
+                    f" expected ({spec.n_states},)"
+                )
+    matrix = np.concatenate([beliefs.tables[a] for a in spec.agents])
+    return FirstOrderMap(matrix, index, spec.states)
 
 
 def build_interaction_structure(
@@ -190,32 +191,40 @@ def build_interaction_structure(
     the diagonal: an agent is certain of his own signal.
     """
     index = SignalIndex.from_spec(spec)
+    beliefs = spec.beliefs
     n = len(index)
     B = np.zeros((n, n))
-    # one (agent i, counterpart j) block at a time: the rows of i's block
-    # that weight j get their weight times their marginals over j, stacked
-    for i, block in enumerate(index.blocks):
-        labels = index.labels[block]
-        try:
+    try:
+        if beliefs.irregular.any() and not beliefs.keys() >= set(index.labels):
+            raise KeyError("a signal without a belief")
+        # one (agent i, counterpart j) block at a time: the rows of i that
+        # weight j get their weight times their rows of the (i, j) block
+        for i, block in enumerate(index.blocks):
+            a = spec.agents[i]
+            cells = B[block]
             if type_dependent_weights is None:
-                W = np.broadcast_to(spec.network.weights[i], (len(labels), spec.n_agents))
+                # the owner's network row, once for all its signals (none
+                # when the owner has no signals)
+                W = spec.network.weights[i : i + 1][: len(cells)]
             else:
-                W = np.array([_weight_row(spec, t, type_dependent_weights) for t in labels])
-            marginals = [spec.beliefs[t].signal_marginals for t in labels]
+                W = np.array([_weight_row(spec, t, type_dependent_weights)
+                              for t in index.labels[block]])
             # only weighted cells are written: unweighted ones stay +0.0
             weighted = W != 0
             for j in np.flatnonzero(weighted.any(axis=0)):
-                rows = np.flatnonzero(weighted[:, j])
+                rows = slice(None) if len(W) == 1 else np.flatnonzero(weighted[:, j])
                 if j == i:
                     # own signal is known with certainty
-                    B[block.start + rows, block.start + rows] = W[rows, j]
+                    own = np.arange(len(cells))[rows]
+                    cells[own, block.start + own] = W[rows, j]
                     continue
-                a_j = spec.agents[j]
-                stacked = np.array([marginals[r][a_j] for r in rows])
-                B[block.start + rows, index.blocks[j]] = W[rows, j, None] * stacked
-        except (KeyError, PreconditionError):
-            _first_signal_error(spec, i, labels, type_dependent_weights)
-            raise
+                pair = (a, spec.agents[j])
+                if pair not in beliefs.blocks or not beliefs.listed[pair][rows].all():
+                    raise PreconditionError("a weighted counterpart without a marginal")
+                cells[rows, index.blocks[j]] = W[rows, j, None] * beliefs.blocks[pair][rows]
+    except (KeyError, PreconditionError):
+        _first_signal_error(spec, index, type_dependent_weights)
+        raise
     return _analysed(B, index)
 
 
@@ -229,11 +238,12 @@ def _weight_row(spec: ModelSpec, t: str, type_dependent_weights) -> np.ndarray:
     return row
 
 
-def _first_signal_error(spec: ModelSpec, i, labels, type_dependent_weights):
-    """Raise the error of the first of agent i's signals that fails, checking
-    them one at a time in index order, so that a block that fails names the
-    same signal whichever of its counterparts is assembled first."""
-    for t in labels:
+def _first_signal_error(spec: ModelSpec, index: SignalIndex, type_dependent_weights):
+    """Raise the error of the first signal that fails, checking them one
+    at a time in index order, so that the error names the same signal
+    whichever block is assembled first."""
+    for s, t in enumerate(index.labels):
+        i = index.agent_of[s]
         if type_dependent_weights is None:
             row = spec.network.weights[i]
         else:
@@ -241,7 +251,7 @@ def _first_signal_error(spec: ModelSpec, i, labels, type_dependent_weights):
         marginals = spec.beliefs[t].signal_marginals
         for j in np.flatnonzero(row):
             a_j = spec.agents[j]
-            if j != i and a_j not in marginals:
+            if j != i and np.shape(marginals.get(a_j)) != (len(spec.signals[a_j]),):
                 raise PreconditionError(
                     f"signal {t}: agent {spec.agents[i]} weights {a_j} but carries no"
                     f" belief marginal over {a_j}'s signals"

@@ -10,12 +10,13 @@ and the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Iterable
 
 import numpy as np
 
 from .errors import ScenarioError
-from .model import BasicVariable, InterimBelief, ModelSpec, Network
+from .model import BasicVariable, Beliefs, InterimBelief, ModelSpec, Network
 from .tyranny import CISSpec
 
 #: Round-trippable float formatting used in every CSV cell.
@@ -58,11 +59,10 @@ def _number(obj, ctx) -> float:
 
 def _labels(obj, ctx) -> tuple[str, ...]:
     _expect(obj, list, ctx, "a list of labels")
-    out = []
-    for k, item in enumerate(obj):
-        _expect(item, str, f"{ctx}[{k}]", "a string label")
-        out.append(item)
-    return tuple(out)
+    if not set(map(type, obj)) <= {str}:
+        for k, item in enumerate(obj):
+            _expect(item, str, f"{ctx}[{k}]", "a string label")
+    return tuple(obj)
 
 
 def _numbers(obj, ctx, n) -> None:
@@ -174,6 +174,57 @@ def _parse_belief(obj, ctx, agents, signals, states, owner) -> InterimBelief:
     return InterimBelief(state_marginal, sig)
 
 
+def _screened_rows(lists, n) -> np.ndarray | None:
+    """One array with a row per list, when every entry of ``lists`` is a
+    list of ``n`` numbers that :func:`_numbers` clears; else None."""
+    if (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {n}
+            and set(map(type, chain.from_iterable(lists))) <= {float, int}):
+        try:
+            return np.array(lists, dtype=float).reshape(len(lists), n)
+        except OverflowError:
+            pass
+    return None
+
+
+def _belief_blocks(bl, agents, signals, n_states) -> Beliefs | None:
+    """Every belief in marginal form, screened and stored by agent blocks:
+    one array for all state marginals and one per (agent, counterpart)
+    pair, over the rows that list the counterpart.  None when some belief
+    fails the screen or gives a full joint: the per-signal parse then
+    finds the first error, or derives the marginals from the joint."""
+    state_lists, columns, keys = [], {}, {}
+    for a in agents:
+        labels = signals[a]
+        try:
+            objs = [bl[t] for t in labels]
+            ms = [o["marginals"] for o in objs]
+            state_lists += [m["state"] for m in ms]
+            sigs = [m.get("signals", {}) for m in ms]
+        except (KeyError, TypeError):
+            # a missing belief, or an entry that is not an object
+            return None
+        if not (set(map(len, objs)) <= {1}
+                and set(chain.from_iterable(ms)) <= {"state", "signals"}
+                and set(map(type, sigs)) <= {dict}):
+            return None
+        order = list(map(tuple, sigs))
+        kinds = set(order)
+        counterparts = set(chain.from_iterable(kinds))
+        if a in counterparts or not counterparts <= signals.keys():
+            return None
+        for j in counterparts:
+            rows = None if len(kinds) == 1 else [r for r, m in enumerate(sigs) if j in m]
+            block = _screened_rows([m[j] for m in sigs if j in m], len(signals[j]))
+            if block is None:
+                return None
+            columns[a, j] = (rows, block)
+        keys.update(zip(labels, order))
+    states = _screened_rows(state_lists, n_states)
+    if states is None:
+        return None
+    return Beliefs(agents, signals, n_states, states, columns, keys)
+
+
 def _parse_signals(obj, ctx, agents) -> dict[str, tuple[str, ...]]:
     _expect(obj, dict, ctx, "an object keyed by agent")
     unknown = sorted(set(obj) - set(agents))
@@ -202,17 +253,23 @@ def parse_scenario(data: Any, ctx: str = "scenario"):
         agents = _labels(data["agents"], f"{ctx}.agents")
         signals = _parse_signals(data["signals"], f"{ctx}.signals", agents)
         bl = _expect(data["beliefs"], dict, f"{ctx}.beliefs", "an object")
-        beliefs = {}
         all_signals = {t: a for a in agents for t in signals[a]}
         unknown = sorted(set(bl) - set(all_signals))
         if unknown:
             _fail(f"{ctx}.beliefs", f"unknown signal(s) {unknown}")
-        for t, owner in all_signals.items():
-            if t not in bl:
-                _fail(f"{ctx}.beliefs", f"missing belief for signal {t}")
-            beliefs[t] = _parse_belief(
-                bl[t], f"{ctx}.beliefs.{t}", agents, signals, states, owner
-            )
+        beliefs = None
+        if len(all_signals) == sum(len(signals[a]) for a in agents):
+            beliefs = _belief_blocks(bl, agents, signals, len(states))
+        if beliefs is None:
+            # one signal at a time, so that the first error in declaration
+            # order is the one reported; the spec stacks the beliefs
+            beliefs = {}
+            for t, owner in all_signals.items():
+                if t not in bl:
+                    _fail(f"{ctx}.beliefs", f"missing belief for signal {t}")
+                beliefs[t] = _parse_belief(
+                    bl[t], f"{ctx}.beliefs.{t}", agents, signals, states, owner
+                )
         network = _parse_network(data["network"], f"{ctx}.network", len(agents))
         priors = None
         if "priors" in data:

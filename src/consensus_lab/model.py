@@ -5,14 +5,22 @@ index order is the declaration order of the labels.  Objects are immutable
 after construction (arrays are read-only, mappings are read-only copies),
 so what is derived from one is built once, on first use, and kept: a
 spec's interaction structure and first-order map, a network's analysis.
+
+A spec stores its interim beliefs by agent blocks (:class:`Beliefs`): one
+state table per agent, with a row per signal, and one block per (agent,
+counterpart) pair, with the agent's marginals over the counterpart's
+signals.  For a parsed marginal-mode scenario ``spec.beliefs[t]`` is an
+:class:`InterimBelief` over read-only row views of those arrays.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,6 +77,15 @@ class InterimBelief:
             object.__setattr__(self, "full", freeze(self.full))
 
     @classmethod
+    def _view(cls, state_marginal, signal_marginals) -> "InterimBelief":
+        """A belief over arrays that are read-only already, without copies."""
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "__dict__", {
+            "state_marginal": state_marginal,
+            "signal_marginals": MappingProxyType(signal_marginals), "full": None})
+        return belief
+
+    @classmethod
     def from_full(cls, full, other_agents: Sequence[str]) -> "InterimBelief":
         """Build a belief from a joint array, deriving all marginals.
 
@@ -88,6 +105,143 @@ class InterimBelief:
             axes = tuple(a for a in range(full.ndim) if a != keep)
             marginals[j] = full.sum(axis=axes)
         return cls(state_marginal, marginals, full)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class Beliefs(Mapping):
+    """Read-only mapping from signal label to :class:`InterimBelief`,
+    stored by agent blocks.
+
+    ``states`` holds one state marginal per declared signal, agents in
+    declaration order, and ``tables[a]`` is agent ``a``'s rows of it.
+    ``blocks[a, j]`` holds ``a``'s marginals over ``j``'s signals, one row
+    per signal of ``a``, for each agent ``j`` that some signal of ``a``
+    lists; ``listed[a, j]`` marks the rows that list ``j`` (the others are
+    zeros).  ``irregular`` marks the rows the arrays do not describe
+    alone: a missing belief, a full joint, or a vector that is not 1-D
+    with one entry per state or counterpart signal (or whose counterpart
+    is not another agent).
+
+    A parsed belief is built on first use over read-only row views of the
+    arrays.  A belief given as an :class:`InterimBelief` is kept as given,
+    and its vectors that fit are copied into the arrays.
+    """
+
+    def __init__(self, agents, signals, n_states, states, columns, beliefs,
+                 irregular=None):
+        """``columns`` maps ``(a, j)`` to the rows of ``a`` that list ``j``
+        (None for all) and their marginals; ``beliefs`` maps each label
+        with a belief to the belief, or to its counterparts in order when
+        it is to be built over row views."""
+        self.agents = tuple(dict.fromkeys(agents))
+        self.signals, self.n_states = signals, n_states
+        self.labels = tuple(chain.from_iterable(signals.get(a, ()) for a in self.agents))
+        self.states = _readonly(states)
+        self.irregular = _readonly(np.zeros(len(states), dtype=bool)
+                                   if irregular is None else irregular)
+        self._beliefs = beliefs
+        self.spans, tables, start = {}, {}, 0
+        for a in self.agents:
+            span = self.spans[a] = slice(start, start + len(signals.get(a, ())))
+            tables[a], start = self.states[span], span.stop
+        every = _readonly(np.ones(len(states), dtype=bool))
+        blocks, listed = {}, {}
+        for (a, j), (rows, arr) in columns.items():
+            n = len(tables[a])
+            if rows is None or len(rows) == n:
+                blocks[a, j], listed[a, j] = _readonly(arr), every[:n]
+            else:
+                block, rows_listed = np.zeros((n, arr.shape[1])), np.zeros(n, dtype=bool)
+                block[rows], rows_listed[rows] = arr, True
+                blocks[a, j], listed[a, j] = _readonly(block), _readonly(rows_listed)
+        self.tables, self.blocks, self.listed = map(MappingProxyType, (tables, blocks, listed))
+
+    @classmethod
+    def stack(cls, beliefs: Mapping, agents, signals, n_states) -> "Beliefs":
+        """Store a mapping from label to belief by agent blocks."""
+        shapes = {j: (len(signals.get(j, ())),) for j in agents}
+        blank = np.zeros(n_states)
+        states, irregular, columns, entries = [], [], {}, {}
+        for a in dict.fromkeys(agents):
+            found: dict = {}
+            for r, t in enumerate(signals.get(a, ())):
+                b = beliefs.get(t)
+                if b is None:
+                    states.append(blank)
+                    irregular.append(True)
+                    continue
+                fits = b.state_marginal.shape == (n_states,)
+                states.append(b.state_marginal if fits else blank)
+                regular = fits and b.full is None
+                for j, m in b.signal_marginals.items():
+                    if j != a and m.shape == shapes.get(j):
+                        found.setdefault(j, {})[r] = m
+                    else:
+                        regular = False
+                irregular.append(not regular)
+                # the given belief is kept: it holds read-only copies
+                # already, and views would cost an object per signal; a
+                # label declared twice is stored at both rows
+                entries.setdefault(t, b)
+            columns.update(((a, j), (list(rows), np.array(list(rows.values()))))
+                           for j, rows in found.items())
+        states = np.array(states, dtype=float).reshape(len(states), n_states)
+        return cls(agents, signals, n_states, states, columns, entries,
+                   np.array(irregular, dtype=bool))
+
+    @cached_property
+    def _rows(self) -> dict:
+        """Each label with a belief: its first (agent, row)."""
+        rows: dict = {}
+        for a in self.agents:
+            for r, t in enumerate(self.signals.get(a, ())):
+                if t in self._beliefs:
+                    rows.setdefault(t, (a, r))
+        return rows
+
+    def __getitem__(self, t) -> InterimBelief:
+        belief = self._beliefs[t]
+        if isinstance(belief, tuple):
+            a, r = self._rows[t]
+            belief = self._beliefs[t] = InterimBelief._view(
+                self.tables[a][r], {j: self.blocks[a, j][r] for j in belief})
+        return belief
+
+    def __contains__(self, t) -> bool:
+        return t in self._beliefs
+
+    def __iter__(self):
+        return iter(self._beliefs)
+
+    def __len__(self) -> int:
+        return len(self._beliefs)
+
+    def screen(self, tol: float) -> np.ndarray:
+        """Rows of ``states`` whose belief may break a probability rule:
+        irregular ones, and those with a state marginal or a listed
+        counterpart marginal that has an entry below ``-tol`` or a sum not
+        within ``tol`` of 1.  Blocks of one width are screened together;
+        each row sum has the bits of ``np.sum`` of the row."""
+        flagged = self.irregular | _off(self.states, tol)
+        groups: dict = {}
+        for (a, j), block in self.blocks.items():
+            groups.setdefault(block.shape[1], []).append((a, j))
+        for pairs in groups.values():
+            sizes = np.array([len(self.listed[p]) for p in pairs])
+            off = _off(np.concatenate([self.blocks[p] for p in pairs]), tol)
+            off &= np.concatenate([self.listed[p] for p in pairs])
+            # each stacked row's position among the rows of ``states``
+            starts = np.array([self.spans[a].start for a, _ in pairs]) + sizes - sizes.cumsum()
+            flagged[(np.arange(sizes.sum()) + np.repeat(starts, sizes))[off]] = True
+        return flagged
+
+
+def _off(rows: np.ndarray, tol: float) -> np.ndarray:
+    return (rows < -tol).any(axis=1) | ~(np.abs(rows.sum(axis=1) - 1.0) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,14 +284,17 @@ class ModelSpec:
 
     ``signals`` maps each agent to its ordered signal labels; labels are
     globally unique.  ``beliefs`` maps each signal label to the interim
-    belief held after observing it.  ``priors`` optionally gives each
-    agent an ex ante distribution over his own signals.
+    belief held after observing it; any mapping is stored as
+    :class:`Beliefs`, and a :class:`Beliefs` stored for the same agents,
+    signals and states (a parsed one, or another spec's) is kept as it is.
+    ``priors`` optionally gives each agent an ex ante distribution over
+    his own signals.
     """
 
     states: tuple[str, ...]
     agents: tuple[str, ...]
     signals: Mapping[str, tuple[str, ...]]
-    beliefs: Mapping[str, InterimBelief]
+    beliefs: Beliefs
     network: Network
     priors: Mapping[str, np.ndarray] | None = None
     y: BasicVariable | None = None
@@ -145,9 +302,14 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "agents", tuple(self.agents))
-        signals = {a: tuple(ts) for a, ts in self.signals.items()}
-        object.__setattr__(self, "signals", MappingProxyType(signals))
-        object.__setattr__(self, "beliefs", MappingProxyType(dict(self.beliefs)))
+        signals = MappingProxyType({a: tuple(ts) for a, ts in self.signals.items()})
+        object.__setattr__(self, "signals", signals)
+        beliefs = self.beliefs
+        layout = (tuple(dict.fromkeys(self.agents)), signals, self.n_states)
+        if not (isinstance(beliefs, Beliefs)
+                and (beliefs.agents, beliefs.signals, beliefs.n_states) == layout):
+            beliefs = Beliefs.stack(beliefs, self.agents, signals, self.n_states)
+        object.__setattr__(self, "beliefs", beliefs)
         if self.priors is not None:
             priors = {a: freeze(v) for a, v in self.priors.items()}
             object.__setattr__(self, "priors", MappingProxyType(priors))
@@ -184,43 +346,19 @@ class ModelSpec:
         raise KeyError(signal)
 
 
-def _screen_probs(violations, checks, tol):
-    """Check each ``(position, location, vector, length)`` probability
-    vector and insert its violations at the position.
-
-    A vector of the wrong length is reported as such; any other is
-    reported when an entry is below ``-tol`` and when its sum is not
-    within ``tol`` of 1 (NaN fails both tests).  All vectors are
-    concatenated once; those of the right length and one entry count are
-    gathered as the rows of one array, whose row sums add each row in
-    ``np.sum``'s order, so every sum has the bits of ``np.sum(vector)``.
-    """
-    if not checks:
+def _check_prob(v: list, loc: str, vec, n: int, tol: float) -> None:
+    """Append the violations of one probability vector of ``n`` entries:
+    a wrong length or shape, an entry below ``-tol``, a sum not within
+    ``tol`` of 1 (NaN fails both tests)."""
+    if np.shape(vec) != (n,):
+        got = len(vec) if np.ndim(vec) == 1 else f"shape {np.shape(vec)}"
+        v.append(f"{loc}: expected length {n}, got {got}")
         return
-    positions, locations, vecs, lengths = zip(*checks)
-    sizes = np.array([x.size for x in vecs])
-    sized = np.array(list(map(len, vecs))) == lengths
-    starts = np.cumsum(sizes) - sizes
-    flat = np.concatenate(vecs, axis=None)
-    sums = np.zeros(len(vecs))
-    for size in np.flatnonzero(np.bincount(sizes[sized])):
-        group = np.flatnonzero(sized & (sizes == size))
-        sums[group] = flat[starts[group, None] + np.arange(size)].sum(axis=1)
-    negative = np.zeros(len(vecs), dtype=bool)
-    below = flat < -tol
-    if below.any():
-        negative[np.repeat(np.arange(len(vecs)), sizes)[below]] = True
-    off = ~(np.abs(sums - 1.0) <= tol)
-    # from the back, so earlier positions stay valid
-    for k in np.flatnonzero(~sized | negative | off)[::-1]:
-        loc = locations[k]
-        if not sized[k]:
-            found = [f"{loc}: expected length {lengths[k]}, got {len(vecs[k])}"]
-        else:
-            found = [f"{loc}: negative entry"] if negative[k] else []
-            if off[k]:
-                found.append(f"{loc}: sums to {float(sums[k])!r} (expected 1 within {tol})")
-        violations[positions[k]:positions[k]] = found
+    if np.any(vec < -tol):
+        v.append(f"{loc}: negative entry")
+    total = np.sum(vec)
+    if not abs(total - 1.0) <= tol:
+        v.append(f"{loc}: sums to {float(total)!r} (expected 1 within {tol})")
 
 
 def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
@@ -269,24 +407,26 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                     " present but diagonal_allowed is false"
                 )
 
-    # probability vectors are screened together once the loop is done;
-    # each check keeps the position in ``v`` its violations belong at
-    checks: list[tuple[int, str, np.ndarray, int]] = []
+    # the block screen finds the signals to check one vector at a time
+    beliefs = spec.beliefs
+    flagged = np.flatnonzero(beliefs.screen(tol))
     agent_set = set(spec.agents)
     n_states = spec.n_states
-    for a in spec.agents:
-        for t in spec.signals.get(a, ()):
-            b = spec.beliefs.get(t)
+    for a in spec.agents if len(flagged) else ():
+        span = beliefs.spans[a]
+        for k in flagged[(span.start <= flagged) & (flagged < span.stop)]:
+            t = beliefs.labels[k]
+            b = beliefs.get(t)
             if b is None:
                 v.append(f"beliefs.{t}: missing belief")
                 continue
             loc = f"beliefs.{t}"
-            checks.append((len(v), f"{loc}.state", b.state_marginal, n_states))
+            _check_prob(v, f"{loc}.state", b.state_marginal, n_states, tol)
             for j, m in b.signal_marginals.items():
                 if j == a or j not in agent_set:
                     v.append(f"{loc}.signals.{j}: not another agent")
                     continue
-                checks.append((len(v), f"{loc}.signals.{j}", m, len(spec.signals[j])))
+                _check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]), tol)
             if b.full is not None:
                 others = [j for j in spec.agents if j != a]
                 shape = (spec.n_states,) + tuple(len(spec.signals[j]) for j in others)
@@ -298,28 +438,21 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                 if not abs(float(b.full.sum()) - 1.0) <= tol:
                     v.append(f"{loc}.full: sums to {float(b.full.sum())!r}")
                 rebuilt = InterimBelief.from_full(b.full, others)
-                # a state marginal of the wrong length is reported by the screen
-                if len(b.state_marginal) == n_states:
-                    gap = np.max(np.abs(rebuilt.state_marginal - b.state_marginal))
-                    if not gap <= tol:
-                        v.append(f"{loc}.state: inconsistent with full joint")
-                for j in b.signal_marginals:
-                    if j in others and len(b.signal_marginals[j]) == len(
-                        spec.signals[j]
-                    ):
-                        gap = np.max(
-                            np.abs(rebuilt.signal_marginals[j] - b.signal_marginals[j])
-                        )
-                        if not gap <= tol:
-                            v.append(f"{loc}.signals.{j}: inconsistent with full joint")
+                derived = [("state", b.state_marginal, rebuilt.state_marginal)] + [
+                    (f"signals.{j}", m, rebuilt.signal_marginals[j])
+                    for j, m in b.signal_marginals.items() if j in others]
+                for where, given, joint in derived:
+                    # a vector of the wrong shape is only reported as such
+                    if np.shape(given) == joint.shape and not np.max(
+                            np.abs(joint - given)) <= tol:
+                        v.append(f"{loc}.{where}: inconsistent with full joint")
 
     if spec.priors is not None:
         for a, mu in spec.priors.items():
             if a not in agent_set:
                 v.append(f"priors.{a}: unknown agent")
                 continue
-            checks.append((len(v), f"priors.{a}", mu, len(spec.signals[a])))
-    _screen_probs(v, checks, tol)
+            _check_prob(v, f"priors.{a}", mu, len(spec.signals[a]), tol)
 
     if spec.y is not None:
         if len(spec.y.values) != spec.n_states:

@@ -193,6 +193,21 @@ def sparse_reducible_model(rng, n_agents, n_signals, n_states=3):
     return ModelSpec(states, agents, signals, beliefs, Network(g), y=y)
 
 
+def scenario_object(spec):
+    """A general-kind scenario object for a marginal-mode spec."""
+    return {
+        "states": list(spec.states),
+        "agents": list(spec.agents),
+        "signals": {a: list(ts) for a, ts in spec.signals.items()},
+        "beliefs": {t: {"marginals": {
+            "state": b.state_marginal.tolist(),
+            "signals": {j: v.tolist() for j, v in b.signal_marginals.items()},
+        }} for t, b in spec.beliefs.items()},
+        "network": spec.network.weights.tolist(),
+        "y": {"values": spec.y.values.tolist(), "max": spec.y.bound},
+    }
+
+
 def cis_scenario(rng, n_agents=3, n_states=30, n_signals=None, zero_share=0.3):
     """Common-interpretation scenario object (``"kind": "cis"``).
 

@@ -12,7 +12,7 @@ from consensus_lab import interaction, spectral
 from consensus_lab import io as sio
 from consensus_lab.cli import main
 
-from conftest import cis_scenario, scenario_path, sparse_reducible_model
+from conftest import cis_scenario, scenario_object, scenario_path, sparse_reducible_model
 
 FIXTURES = ["cycle", "case2", "counterexample", "tightness", "tyranny_extreme", "cps"]
 
@@ -129,6 +129,9 @@ def test_game_solve_beta_out_of_range_is_precondition_failure():
     ("ann=abc,bob=0.5", "--beta-per-agent: expected numbers, got 'ann=abc,bob=0.5'"),
     ("0.5,x", "--beta-per-agent: expected numbers, got '0.5,x'"),
     ("0.5,", "--beta-per-agent: expected 2 values"),
+    ("ann=0.9,eve=0.5", "--beta-per-agent: unknown agent 'eve'"),
+    ("ann=0.9", "--beta-per-agent: missing agent(s) ['bob']"),
+    ("ann=0.9,ann=0.1,bob=0.5", "--beta-per-agent: repeated agent 'ann'"),
 ])
 def test_bad_per_agent_weights_are_precondition_failures(capsys, weights, message):
     code, out = run_cli(["game-solve", scenario_path("cps"), "--beta-per-agent", weights])
@@ -378,27 +381,12 @@ def test_report_and_build_golden_bytes(tmp_path, name, report, build_csv,
     assert _sha256((tmp_path / "first_order.csv").read_text()) == first_order
 
 
-def _scenario(spec):
-    """A general-kind scenario object for a marginal-mode spec."""
-    return {
-        "states": list(spec.states),
-        "agents": list(spec.agents),
-        "signals": {a: list(ts) for a, ts in spec.signals.items()},
-        "beliefs": {t: {"marginals": {
-            "state": b.state_marginal.tolist(),
-            "signals": {j: v.tolist() for j, v in b.signal_marginals.items()},
-        }} for t, b in spec.beliefs.items()},
-        "network": spec.network.weights.tolist(),
-        "y": {"values": spec.y.values.tolist(), "max": spec.y.bound},
-    }
-
-
 def test_build_golden_bytes_on_a_sparse_model(tmp_path):
     # 40 agents x 8 signals: 320 signals, most of B's 102,400 cells zero.
     # Digests captured while every cell was formatted on its own.
     spec = sparse_reducible_model(np.random.default_rng(3), 40, 8)
     path = tmp_path / "sparse.json"
-    path.write_text(json.dumps(_scenario(spec)))
+    path.write_text(json.dumps(scenario_object(spec)))
     code, out = run_cli(["build", str(path), "--format", "csv"])
     assert code == 0
     assert _sha256(out) == (

@@ -17,15 +17,18 @@ from consensus_lab.interaction import (
     joint_connectedness,
     strongly_connected_components,
 )
-from consensus_lab.io import load_scenario
+from consensus_lab.io import load_scenario, parse_scenario
 from consensus_lab.model import BasicVariable, InterimBelief, ModelSpec, Network
 from consensus_lab.optimism import markov_optimism_check, tightness_chain
 
 from conftest import (
     beliefs_connected_oracle,
     classes_oracle,
+    dirichlet,
     irreducible_oracle,
+    random_cps_model,
     random_model,
+    scenario_object,
     scenario_path,
     sparse_reducible_model,
 )
@@ -545,7 +548,35 @@ def oracle_cases():
         spec = sparse_reducible_model(rng, n_agents=40, n_signals=8)
         specs += [(f"sparse-{seed}", rng, spec),
                   (f"sparse-self-{seed}", rng, with_self_weights(rng, spec))]
+        # some signals list an agent their owner does not weight, others
+        # omit it; as built and as parsed
+        rng = np.random.default_rng([64, seed])
+        spec = listing_unweighted(rng, sparse_reducible_model(rng, n_agents=12, n_signals=6))
+        specs += [(f"omitted-{seed}", rng, spec),
+                  (f"omitted-parsed-{seed}", rng, parse_scenario(scenario_object(spec)))]
+    # full joints
+    specs.append(("cps", np.random.default_rng(66), load_scenario(scenario_path("cps"))))
+    for seed in range(3):
+        rng = np.random.default_rng([67, seed])
+        specs.append((f"full-{seed}", rng, random_cps_model(
+            rng, n_agents=3, n_signals=int(rng.integers(1, 4)))))
     return [(name, spec, random_row_weights(rng, spec)) for name, rng, spec in specs]
+
+
+def listing_unweighted(rng, spec):
+    """The spec with about half of each agent's signals also listing an
+    agent their owner does not weight; the other signals omit it."""
+    beliefs = dict(spec.beliefs)
+    for i, a in enumerate(spec.agents):
+        unweighted = [j for j in range(spec.n_agents)
+                      if j != i and spec.network.weights[i, j] == 0]
+        j = spec.agents[rng.choice(unweighted)]
+        for t in spec.signals[a]:
+            if rng.random() < 0.5:
+                b = beliefs[t]
+                beliefs[t] = InterimBelief(b.state_marginal, {
+                    **b.signal_marginals, j: dirichlet(rng, len(spec.signals[j]))})
+    return dataclasses.replace(spec, beliefs=beliefs)
 
 
 ORACLE_CASES = oracle_cases()
@@ -603,11 +634,13 @@ def test_missing_marginal_error_matches_the_per_signal_oracle():
             keep = {j: m for j, m in b.signal_marginals.items() if rng.random() < 0.5}
             beliefs[t] = InterimBelief(b.state_marginal, keep)
         broken = dataclasses.replace(spec, beliefs=beliefs)
+        parsed = parse_scenario(scenario_object(broken))
         weights = random_row_weights(rng, spec)
         if seed % 3 == 0:
             # a row of the wrong length, met before or after a missing marginal
             weights[labels[rng.integers(len(labels))]] = [1.0]
-        for args in ((broken,), (broken, weights), (spec, weights)):
+        for args in ((broken,), (broken, weights), (parsed,), (parsed, weights),
+                     (spec, weights)):
             try:
                 per_signal_matrix(*args)
             except PreconditionError as exc:
@@ -615,3 +648,43 @@ def test_missing_marginal_error_matches_the_per_signal_oracle():
             else:
                 got = build_interaction_structure(*args).matrix
                 assert same_bits(got, per_signal_matrix(*args))
+
+
+
+def test_beliefs_are_read_only_views_of_the_agent_arrays():
+    rng = np.random.default_rng(68)
+    library = listing_unweighted(rng, sparse_reducible_model(rng, n_agents=6, n_signals=6))
+    parsed = [parse_scenario(scenario_object(library)), load_scenario(scenario_path("cycle"))]
+    for spec in parsed:
+        layout = spec.beliefs
+        for a in spec.agents:
+            for r, t in enumerate(spec.signals[a]):
+                b = spec.beliefs[t]
+                assert np.shares_memory(b.state_marginal, layout.tables[a])
+                assert same_bits(b.state_marginal, layout.tables[a][r])
+                with pytest.raises(ValueError, match="read-only"):
+                    b.state_marginal[0] = 0.5
+                for j, m in b.signal_marginals.items():
+                    assert layout.listed[a, j][r]
+                    assert np.shares_memory(m, layout.blocks[a, j])
+                    assert same_bits(m, layout.blocks[a, j][r])
+                    with pytest.raises(ValueError, match="read-only"):
+                        m[0] = 0.5
+    # beliefs given as objects (also those parsed from full joints) are
+    # kept; the arrays hold copies of their vectors
+    beliefs = dict(library.beliefs)
+    again = dataclasses.replace(library, beliefs=beliefs)
+    assert all(again.beliefs[t] is b for t, b in beliefs.items())
+    for spec in (library, again, load_scenario(scenario_path("cps"))):
+        layout = spec.beliefs
+        for a in spec.agents:
+            for r, t in enumerate(spec.signals[a]):
+                b = spec.beliefs[t]
+                assert not np.shares_memory(b.state_marginal, layout.tables[a])
+                assert same_bits(b.state_marginal, layout.tables[a][r])
+                for j, m in b.signal_marginals.items():
+                    assert same_bits(m, layout.blocks[a, j][r])
+    for spec in parsed + [library]:
+        layout = spec.beliefs
+        arrays = [*layout.tables.values(), *layout.blocks.values(), *layout.listed.values()]
+        assert not any(rows.flags.writeable for rows in arrays)

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import as_structure
-from consensus_lab.io import load_scenario
+from consensus_lab.io import load_scenario, parse_scenario
 from consensus_lab.model import (
     PROB_TOL,
     BasicVariable,
@@ -103,6 +104,74 @@ def test_wrong_length_state_beside_a_full_joint_is_reported(state):
     assert validate_model(two_agent_spec(beliefs=beliefs)) == [
         f"beliefs.a1.state: expected length 2, got {len(state)}"
     ]
+
+
+@pytest.mark.parametrize("vec, got", [
+    (0.5, "shape ()"),
+    ([[0.6], [0.4]], "shape (2, 1)"),
+    ([[0.6, 0.4]], "shape (1, 2)"),
+])
+def test_misshapen_vectors_are_reported_as_wrong_lengths(vec, got):
+    beliefs = dict(two_agent_spec().beliefs)
+    beliefs["a1"] = InterimBelief(vec, {"bob": vec})
+    spec = two_agent_spec(beliefs=beliefs, priors={"ann": vec, "bob": [0.5, 0.5]})
+    expected = [f"{loc}: expected length 2, got {got}"
+                for loc in ("beliefs.a1.state", "beliefs.a1.signals.bob", "priors.ann")]
+    assert validate_model(spec) == expected == per_item_violations(spec)
+    # the vectors are kept as given, outside the agent arrays
+    assert spec.beliefs["a1"].state_marginal.shape == np.shape(vec)
+    assert not spec.beliefs.listed["ann", "bob"][0]
+
+
+def test_a_scalar_state_marginal_on_a_scenario_is_a_violation():
+    spec = load_scenario(scenario_path("cycle"))
+    beliefs = dict(spec.beliefs)
+    t = spec.signals[spec.agents[0]][0]
+    beliefs[t] = InterimBelief(0.5, beliefs[t].signal_marginals)
+    bad = dataclasses.replace(spec, beliefs=beliefs)
+    assert validate_model(bad) == [
+        f"beliefs.{t}.state: expected length {spec.n_states}, got shape ()"]
+
+
+def test_parsed_and_stacked_beliefs_have_the_same_layout():
+    rng = np.random.default_rng(12)
+    spec = random_model(rng, n_agents=4, max_signals=5, full_support=False)
+    beliefs = dict(spec.beliefs)
+    # some signals omit a counterpart, some list them in another order
+    for k, t in enumerate(spec.all_signals()[::2]):
+        b = beliefs[t]
+        items = list(b.signal_marginals.items())[::-1]
+        beliefs[t] = InterimBelief(b.state_marginal, dict(items[k % 2:]))
+    spec = dataclasses.replace(spec, beliefs=beliefs)
+    with open(scenario_path("cycle"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data.update(states=list(spec.states), agents=list(spec.agents),
+                signals={a: list(ts) for a, ts in spec.signals.items()},
+                network=spec.network.weights.tolist(),
+                beliefs={t: {"marginals": {"state": b.state_marginal.tolist(), "signals": {
+                    j: m.tolist() for j, m in b.signal_marginals.items()}}}
+                    for t, b in beliefs.items()})
+    data.pop("y", None)
+    parsed = parse_scenario(data)
+    for layout in (spec.beliefs, parsed.beliefs):
+        assert any(0 < rows.sum() < len(rows) for rows in layout.listed.values())
+        assert layout.tables.keys() == set(spec.agents)
+        assert layout.blocks.keys() == layout.listed.keys()
+        assert not layout.irregular.any()
+    bits = lambda x: np.asarray(x).view(np.uint64)
+    assert np.array_equal(bits(parsed.beliefs.states), bits(spec.beliefs.states))
+    assert parsed.beliefs.blocks.keys() == spec.beliefs.blocks.keys()
+    for pair, block in spec.beliefs.blocks.items():
+        assert np.array_equal(bits(parsed.beliefs.blocks[pair]), bits(block))
+        assert np.array_equal(parsed.beliefs.listed[pair], spec.beliefs.listed[pair])
+    for t, b in beliefs.items():
+        assert list(parsed.beliefs[t].signal_marginals) == list(b.signal_marginals)
+    # a spec replaced with the same signals keeps the layout, others restack
+    same = dataclasses.replace(parsed, network=Network(spec.network.weights))
+    assert same.beliefs is parsed.beliefs
+    fewer = dataclasses.replace(parsed, signals={**parsed.signals, spec.agents[0]: ()})
+    assert fewer.beliefs is not parsed.beliefs
+    assert spec.signals[spec.agents[0]][0] not in fewer.beliefs
 
 
 def test_ex_ante_constant_and_point_mass():
@@ -224,6 +293,10 @@ def per_item_violations(spec, tol=PROB_TOL):
     array screen must match, violation text and order included."""
 
     def check_prob(v, location, vec, n):
+        # only a 1-D vector of n entries is checked further
+        if np.ndim(vec) != 1:
+            v.append(f"{location}: expected length {n}, got shape {np.shape(vec)}")
+            return
         if len(vec) != n:
             v.append(f"{location}: expected length {n}, got {len(vec)}")
             return
@@ -291,7 +364,7 @@ def per_item_violations(spec, tol=PROB_TOL):
                 if not gap <= tol:
                     v.append(f"{loc}.state: inconsistent with full joint")
                 for j in b.signal_marginals:
-                    if j in others and len(b.signal_marginals[j]) == len(spec.signals[j]):
+                    if j in others and np.shape(b.signal_marginals[j]) == (len(spec.signals[j]),):
                         gap = np.max(
                             np.abs(rebuilt.signal_marginals[j] - b.signal_marginals[j]))
                         if not gap <= tol:
@@ -401,16 +474,16 @@ def test_validation_matches_the_per_item_oracle():
 
 
 def edge_vectors(rng, vec):
-    """``vec`` empty, as 2-D columns and a row, with a NaN, and with its
-    sum moved to within a few rounding steps of ``PROB_TOL`` from 1."""
+    """``vec`` empty, 0-d, as 2-D columns and a row, with a NaN, and with
+    its sum moved to within a few rounding steps of ``PROB_TOL`` from 1."""
     v = np.asarray(vec, dtype=float)
     k = rng.integers(len(v))
     nan = v.copy()
     nan[k] = np.nan
     step = v.copy()
     step[k] += rng.choice([-1, 1]) * PROB_TOL * (1 + rng.integers(-2, 3) * 2.0**-52)
-    return [np.zeros(0), v[:, None], v[None, :], np.repeat(v[:, None] / 2, 2, axis=1),
-            nan, nan[:, None], step, step[:, None]]
+    return [np.zeros(0), np.float64(v.sum()), v[:, None], v[None, :],
+            np.repeat(v[:, None] / 2, 2, axis=1), nan, nan[:, None], step, step[:, None]]
 
 
 def test_validation_matches_the_per_item_oracle_on_edge_vectors():
