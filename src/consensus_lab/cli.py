@@ -9,6 +9,8 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
+import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -286,18 +288,29 @@ def cmd_market(args, scenario, out) -> int:
     if args.format == "csv" or args.out:
         events_csv = StringIO()
         events_csv.write("run,period,seller,buyer,price,buyer_signal\n")
+        agents, n = model.agents, model.n_agents
         # price and signal columns of a buy at each signal
         tails = [f"{fmt(float(a))},{lab}\n" for a, lab in zip(kernel.actions, kernel.labels)]
+        # "t," for periods 1, 2, ...; grown only by a run longer than any before
+        periods = []
 
         def write_events(k, profile, holders):
-            sig = kernel.signals(profile)
-            suffix = [[f"{seller},{buyer},{tails[sig[j]]}"
-                       for j, buyer in enumerate(model.agents)]
-                      for seller in model.agents]
-            events_csv.write("".join([
-                f"{k},{t},{suffix[a][b]}"
-                for t, (a, b) in enumerate(zip(holders, holders[1:]), 1)
-            ]))
+            """Write run ``k``'s rows: its "run," lead, then per trade a
+            shared period prefix and the run's (seller, buyer) suffix."""
+            trades = len(holders) - 1
+            if not trades:
+                return
+            sig = kernel.signals(profile).tolist()
+            # "seller,buyer,price,signal\n" at seller * n + buyer
+            suffixes = [f"{seller},{buyer},{tails[s]}"
+                        for seller in agents for buyer, s in zip(agents, sig)]
+            path = np.fromiter(holders, dtype=np.intp, count=len(holders))
+            codes = (path[:-1] * n + path[1:]).tolist()
+            periods.extend(f"{t}," for t in range(len(periods) + 1, trades + 1))
+            lead = f"{k},"
+            # map stops at the run's last code, however long periods is
+            events_csv.write(lead + lead.join(
+                map(operator.add, periods, map(suffixes.__getitem__, codes))))
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
     stats = empirical_price_stats(kernel.batch(seeds, write_events))
@@ -418,9 +431,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

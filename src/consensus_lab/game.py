@@ -59,15 +59,17 @@ def solve_beta_game(spec: ModelSpec, beta: float, y=None, f=None) -> GameSolutio
 
 def _solve(spec: ModelSpec, agent_beta, y, f, beta) -> GameSolution:
     """Solve ``s = (1 - d) x1 + d B s``, ``d`` the per-signal owners'
-    weights from ``agent_beta``, and gate its fixed-point residual; the
-    solution reports ``beta``."""
+    weights from ``agent_beta``, and gate its fixed-point residual relative
+    to ``max(1, max|(1 - d) x1|)``; the solution reports ``beta``."""
     fvec = first_order_vector(spec, y, f)
     structure = spec.structure
     B = structure.matrix
     d = agent_beta[structure.index.agent_of]
-    s = np.linalg.solve(np.eye(len(d)) - d[:, None] * B, (1.0 - d) * fvec)
-    residual = float(np.max(np.abs(s - (1.0 - d) * fvec - d * (B @ s))))
-    if not residual <= RESIDUAL_TOL:
+    own = (1.0 - d) * fvec
+    s = np.linalg.solve(np.eye(len(d)) - d[:, None] * B, own)
+    residual = float(np.max(np.abs(s - own - d * (B @ s))))
+    # actions scale with the payoff, so past unit scale the gate does too
+    if not residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(own)))):
         raise ArithmeticError(f"fixed-point residual {residual:.3e}")
     return GameSolution(beta, s, residual, structure.index.labels)
 

@@ -361,6 +361,17 @@ def _check_prob(v: list, loc: str, vec, n: int, tol: float) -> None:
         v.append(f"{loc}: sums to {float(total)!r} (expected 1 within {tol})")
 
 
+def check_network_rows(v: list, agents, g: np.ndarray, tol: float) -> None:
+    """Append the violations of a square weight matrix ``g`` over
+    ``agents``: a negative weight, a row whose sum is not within ``tol``
+    of 1 (NaN fails that test)."""
+    if np.any(g < 0):
+        v.append("network: negative weight")
+    for i in np.nonzero(~(np.abs(g.sum(axis=1) - 1.0) <= tol))[0]:
+        v.append(f"network.row[{agents[i]}]: sums to {float(g[i].sum())!r}"
+                 f" (expected 1 within {tol})")
+
+
 def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     """Check every model invariant; return the violations (empty list = valid).
 
@@ -392,14 +403,7 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
             f"network: shape {g.shape} does not match {spec.n_agents} agents"
         )
     else:
-        if np.any(g < 0):
-            v.append("network: negative weight")
-        bad = np.nonzero(~(np.abs(g.sum(axis=1) - 1.0) <= tol))[0]
-        for i in bad:
-            v.append(
-                f"network.row[{spec.agents[i]}]: sums to {float(g[i].sum())!r}"
-                f" (expected 1 within {tol})"
-            )
+        check_network_rows(v, spec.agents, g, tol)
         if not spec.network.diagonal_allowed:
             for i in np.nonzero(np.abs(np.diag(g)) > 0)[0]:
                 v.append(
@@ -442,8 +446,9 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                     (f"signals.{j}", m, rebuilt.signal_marginals[j])
                     for j, m in b.signal_marginals.items() if j in others]
                 for where, given, joint in derived:
-                    # a vector of the wrong shape is only reported as such
-                    if np.shape(given) == joint.shape and not np.max(
+                    # a vector of the wrong shape is only reported as such;
+                    # an empty one (no states) has nothing to compare
+                    if np.shape(given) == joint.shape and joint.size and not np.max(
                             np.abs(joint - given)) <= tol:
                         v.append(f"{loc}.{where}: inconsistent with full joint")
 

@@ -23,7 +23,9 @@ from scipy.sparse.csgraph import shortest_path
 from .consensus import consensus_expectation
 from .errors import PreconditionError
 from .interaction import FirstOrderMap, InteractionStructure, as_structure
-from .model import BasicVariable, InterimBelief, ModelSpec, Network, freeze
+from .model import (
+    BasicVariable, InterimBelief, ModelSpec, Network, check_network_rows, freeze,
+)
 from .spectral import mfpt
 
 
@@ -89,6 +91,7 @@ def validate_cis(cis: CISSpec, tol: float = 1e-12) -> list[str]:
     if g.shape != (len(cis.agents),) * 2:
         v.append("network: dimension does not match the agent count")
     else:
+        check_network_rows(v, cis.agents, g, tol)
         off = g[~np.eye(len(cis.agents), dtype=bool)]
         if np.any(off <= 0):
             v.append("network: must be complete (positive off-diagonal weights)")

@@ -8,9 +8,12 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from consensus_lab import interaction, spectral
+from consensus_lab import cli, interaction, spectral
 from consensus_lab import io as sio
 from consensus_lab.cli import main
+from consensus_lab.game import solve_beta_game
+from consensus_lab.market import cis_generating, product_generating, simulate_market
+from consensus_lab.tyranny import CISSpec
 
 from conftest import cis_scenario, scenario_object, scenario_path, sparse_reducible_model
 
@@ -299,6 +302,92 @@ def test_simulate_market_golden_stdout_on_a_30_state_cis_model(tmp_path):
         "ca049c66dbcc94901b10a52a42224e5a6b0f811e6bd2a67e0fc8b9ec3c9fddae")
 
 
+def _events_oracle(scenario, beta, runs, seed):
+    """``events.csv`` rendered from one ``simulate_market`` call per run."""
+    model = scenario.model if isinstance(scenario, CISSpec) else scenario
+    draw = (cis_generating(scenario) if isinstance(scenario, CISSpec)
+            else product_generating(model))
+    prices = solve_beta_game(model, beta)
+    rows = ["run,period,seller,buyer,price,buyer_signal\n"]
+    for k, ss in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+        run = simulate_market(model, beta, ss, draw, prices=prices,
+                              initial_owner="centrality")
+        rows += [f"{k},{e.period},{e.seller},{e.buyer},{sio.fmt(e.price)},{e.buyer_signal}\n"
+                 for e in run.events]
+    return "".join(rows)
+
+
+def _first_difference(got: str, want: str):
+    """``None`` for equal texts, else the first differing line's number and
+    both lines (a cheap report: pytest's diff of megabyte strings is slow)."""
+    if got == want:
+        return None
+    a, b = got.splitlines(True), want.splitlines(True)
+    k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return k, a[k:k + 1], b[k:k + 1]
+
+
+@pytest.mark.parametrize("name, beta, runs, seed", [
+    ("cps", "0.999", 12, 21),  # ~1000 trades a run: run and period have several digits
+    ("cps", "0.5", 30, 22),  # many runs without a trade
+    ("tyranny_extreme", "0.9", 40, 23),
+    ("cis3", "0.9", 40, 24),
+])
+def test_events_csv_matches_one_simulate_market_per_run(tmp_path, name, beta, runs, seed):
+    if name == "cis3":
+        path = tmp_path / "cis3.json"
+        path.write_text(json.dumps(cis_scenario(np.random.default_rng(3), 3, 5)))
+    else:
+        path = scenario_path(name)
+    code, out = run_cli(["simulate-market", str(path), "--beta", beta, "--runs", str(runs),
+                         "--seed", str(seed), "--format", "csv", "--out", str(tmp_path / "o")])
+    assert code == 0
+    events = (tmp_path / "o" / "events.csv").read_text(encoding="utf-8")
+    expected = _events_oracle(sio.load_scenario(path), float(beta), runs, seed)
+    assert _first_difference(events, expected) is None
+    assert out.startswith(events) and out[len(events):].startswith("stat,label,value\n")
+    rows = [line.split(",") for line in events.splitlines()[1:]]
+    runs_seen = {row[0] for row in rows}
+    if beta == "0.5":
+        assert 0 < len(runs_seen) < runs
+    if beta == "0.999":
+        assert len(runs_seen) == runs and max(int(row[1]) for row in rows) >= 100
+
+
+def _call(argv, capsys):
+    """Exit code, stdout and stderr of one in-process ``main`` call."""
+    out = StringIO()
+    try:
+        code = main(argv, out=out)
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("calls, codes", [
+    ([["simulate-market", "cps", "--runs", "-1"], ["simulate-market", "cps", "--runs", "3"]],
+     [64, 0]),
+    ([["game-solve", "cps", "--beta-per-agent", "ann=0.9,bob=0.5"], ["game-solve", "cps"]],
+     [0, 0]),
+    ([["consensus", "cps", "--out", "<out>"], ["consensus", "cps", "--format", "csv"]],
+     [0, 0]),
+], ids=["usage-error-then-valid", "per-agent-then-common", "out-then-stdout"])
+def test_repeated_main_calls_match_the_calls_in_isolation(tmp_path, capsys, calls, codes):
+    # main parses with one parser per process; a fresh parser stands for a
+    # call in a process of its own
+    calls = [[scenario_path(a) if a == "cps" else str(tmp_path) if a == "<out>" else a
+              for a in argv] for argv in calls]
+    isolated = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        isolated.append(_call(argv, capsys))
+    cli._parser.cache_clear()
+    repeated = [_call(argv, capsys) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert repeated == isolated
+    assert [code for code, _, _ in repeated] == codes
+
+
 def _with(name, edit, tmp_path):
     data = _load_json(scenario_path(name))
     edit(data)
@@ -330,6 +419,22 @@ def test_non_finite_inputs_are_refused(tmp_path, capsys, name, command, edit, fi
     assert code == 2
     assert out == ""
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, col, value, message", [
+    (0, 0, 0.5, "network.row[iggy]: sums to 1.5 (expected 1 within 1e-12)"),
+    (0, 2, 2, "network.row[iggy]: sums to 2.5 (expected 1 within 1e-12)"),
+    (2, 1, float("nan"), "network.row[bern]: sums to nan (expected 1 within 1e-12)"),
+])
+@pytest.mark.parametrize("command", ["validate", "consensus", "verify-optimism"])
+def test_cis_network_rows_must_sum_to_one(tmp_path, capsys, command, row, col, value,
+                                          message):
+    # validate called these valid; consensus then ended in the stationary
+    # solve's ArithmeticError
+    path = _with("tyranny_extreme", lambda d: d["network"][row].__setitem__(col, value),
+                 tmp_path)
+    code, out = run_cli([command, path])
+    assert (code, out, capsys.readouterr().err) == (2, "", f"invalid: {message}\n")
 
 
 # SHA-256 of `report --runs 3` stdout, `build --format csv` stdout and the two

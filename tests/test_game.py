@@ -1,8 +1,11 @@
 import dataclasses
+import json
+from io import StringIO
 
 import numpy as np
 import pytest
 
+from consensus_lab.cli import main
 from consensus_lab.consensus import consensus_expectation, first_order_vector
 from consensus_lab.errors import PreconditionError
 from consensus_lab.game import (
@@ -214,6 +217,45 @@ def test_nan_belief_fails_the_heterogeneous_residual_gate():
     bad = dataclasses.replace(spec, beliefs=beliefs)
     with pytest.raises(ArithmeticError):
         solve_heterogeneous_game(bad, [0.9, 0.5, 0.3])
+
+
+@pytest.mark.parametrize("top", [1e7, 1e12])
+def test_large_payoffs_pass_the_scale_relative_residual_gate(tmp_path, top):
+    # actions scale with the payoff, and so does the solve's rounding: at
+    # 1e7 the residual is about 1e-9, which an absolute 1e-10 gate refused
+    with open(scenario_path("cps"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["y"] = {"values": {"lo": 0.0, "hi": top}, "max": top}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    out = StringIO()
+    assert main(["game-solve", str(path), "--beta", "0.9"], out=out) == 0
+    spec = load_scenario(path)
+    sol = solve_beta_game(spec, 0.9)
+    # oracle: the best-response iteration on B, 400 rounds (0.9^400 ~ 5e-19)
+    B = spec.structure.matrix
+    x1 = first_order_vector(spec)
+    s = np.zeros_like(x1)
+    for _ in range(400):
+        s = 0.1 * x1 + 0.9 * (B @ s)
+    assert np.max(np.abs(sol.actions - s)) <= 1e-10 * np.max(np.abs(s))
+    assert sol.residual > 1e-10
+
+
+@pytest.mark.parametrize("nudge, passes", [(0.5e-10, True), (2e-10, False)])
+def test_unit_scale_payoffs_keep_the_absolute_residual_gate(monkeypatch, nudge, passes):
+    # payoffs in [0, 1] at beta 0.999: max|(1 - beta) x1| is about 1e-3, and
+    # the gate stays RESIDUAL_TOL = 1e-10 rather than shrinking with it; a
+    # solve that is off by `nudge` in one entry has a residual of `nudge`
+    spec = load_scenario(scenario_path("cps"))
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solve(a, b) + nudge * (np.arange(len(b)) == 0))
+    if passes:
+        assert solve_beta_game(spec, 0.999).residual == pytest.approx(nudge, rel=1e-3)
+    else:
+        with pytest.raises(ArithmeticError, match="fixed-point residual"):
+            solve_beta_game(spec, 0.999)
 
 
 BAD_WEIGHTS = [1.0, float("nan"), -0.1, float("inf")]

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
 
+from consensus_lab.cli import main
 from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import as_structure
 from consensus_lab.io import load_scenario, parse_scenario
@@ -131,6 +133,25 @@ def test_a_scalar_state_marginal_on_a_scenario_is_a_violation():
     bad = dataclasses.replace(spec, beliefs=beliefs)
     assert validate_model(bad) == [
         f"beliefs.{t}.state: expected length {spec.n_states}, got shape ()"]
+
+
+def test_a_scenario_without_states_is_a_violation(tmp_path):
+    # full joints without entries gave an empty consistency comparison,
+    # whose np.max raised ValueError
+    with open(scenario_path("cps"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["states"] = []
+    for b in data["beliefs"].values():
+        b["full"] = []
+    del data["y"]
+    path = tmp_path / "stateless.json"
+    path.write_text(json.dumps(data))
+    spec = load_scenario(path)
+    violations = validate_model(spec)
+    assert violations[0] == "states: need at least one state"
+    assert violations == per_item_violations(spec)
+    assert not any("inconsistent" in v for v in violations)
+    assert main(["validate", str(path)], out=StringIO()) == 2
 
 
 def test_parsed_and_stacked_beliefs_have_the_same_layout():
@@ -360,13 +381,15 @@ def per_item_violations(spec, tol=PROB_TOL):
                 if not abs(float(b.full.sum()) - 1.0) <= tol:
                     v.append(f"{loc}.full: sums to {float(b.full.sum())!r}")
                 rebuilt = InterimBelief.from_full(b.full, others)
-                gap = np.max(np.abs(rebuilt.state_marginal - b.state_marginal))
+                gap = np.max(np.abs(rebuilt.state_marginal - b.state_marginal),
+                             initial=0.0)
                 if not gap <= tol:
                     v.append(f"{loc}.state: inconsistent with full joint")
                 for j in b.signal_marginals:
                     if j in others and np.shape(b.signal_marginals[j]) == (len(spec.signals[j]),):
                         gap = np.max(
-                            np.abs(rebuilt.signal_marginals[j] - b.signal_marginals[j]))
+                            np.abs(rebuilt.signal_marginals[j] - b.signal_marginals[j]),
+                            initial=0.0)
                         if not gap <= tol:
                             v.append(f"{loc}.signals.{j}: inconsistent with full joint")
     if spec.priors is not None:
