@@ -39,6 +39,8 @@ def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
             raise PreconditionError(
                 f"f: expected one value per signal ({n}), got {f.shape}"
             )
+        if not np.all(np.isfinite(f)):
+            raise PreconditionError("f: every value must be finite")
         return f
     if y is None:
         y = spec.y
@@ -49,7 +51,7 @@ def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
 
 def state_payoffs(spec: ModelSpec, y) -> np.ndarray:
     """The payoff ``y`` (a BasicVariable or an array over states) as one
-    float per state; refused unless it has one value per state."""
+    float per state; refused unless it has one finite value per state."""
     if isinstance(y, BasicVariable):
         y = y.values
     y = np.asarray(y, dtype=float)
@@ -57,6 +59,8 @@ def state_payoffs(spec: ModelSpec, y) -> np.ndarray:
         raise PreconditionError(
             f"y: expected one value per state ({spec.n_states}), got {y.shape}"
         )
+    if not np.all(np.isfinite(y)):
+        raise PreconditionError("y: every value must be finite")
     return y
 
 

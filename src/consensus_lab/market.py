@@ -514,6 +514,7 @@ def _weighted_quantiles(values, weights, qs=(0.1, 0.5, 0.9)):
     return tuple(out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def empirical_price_stats(data) -> PriceStats:
     """Summarize runs (a list of :class:`MarketRun` or a :class:`MarketBatch`).
 
@@ -521,7 +522,7 @@ def empirical_price_stats(data) -> PriceStats:
     order, with a class's price zeroed in runs where it bought nothing;
     that order fixes the float summation order.  The price standard error
     is cluster-robust over runs: runs, not individual trades, are the
-    independent units.
+    independent units.  Prices too large to sum are refused.
     """
     if isinstance(data, MarketBatch):
         bought = np.flatnonzero(data.class_counts.sum(axis=0) > 0)
@@ -562,6 +563,9 @@ def empirical_price_stats(data) -> PriceStats:
         class_means[a] = float((w * cprices[:, k]).sum() / w.sum())
         nz = w > 0
         class_q[a] = _weighted_quantiles(cprices[nz, k], w[nz])
+    summary = [v for v in (mean_price, se, *class_means.values()) if v is not None]
+    if not np.isfinite(summary).all():
+        raise PreconditionError("price summary is not finite: the prices are too large to sum")
     uniq, cnt = np.unique(durations, return_counts=True)
     return PriceStats(
         n_runs,

@@ -20,11 +20,11 @@ import numpy as np
 import scipy.sparse
 from scipy.sparse.csgraph import shortest_path
 
-from .consensus import consensus_expectation
+from .consensus import consensus_expectation, state_payoffs
 from .errors import PreconditionError
 from .interaction import FirstOrderMap, InteractionStructure, as_structure
 from .model import (
-    BasicVariable, InterimBelief, ModelSpec, Network, check_network_rows, freeze,
+    BasicVariable, Beliefs, ModelSpec, Network, check_network_rows, freeze,
 )
 from .spectral import mfpt
 
@@ -102,27 +102,28 @@ def build_pi_from_cis(cis: CISSpec) -> ModelSpec:
     """Derive interim beliefs by Bayes' rule; signals are conditionally
     independent across agents given the state.
 
-    Posterior over states is the technology row reweighted by the prior;
-    the belief about another agent's signal averages that agent's
-    technology under the posterior.  Also fills in each agent's implied
-    prior over his own signals.  A signal with zero prior probability
-    has no posterior and raises.
+    Each agent's posterior table, one row per signal, is his technology's
+    transpose reweighted by the prior; the belief about another agent's
+    signal averages that agent's technology under the posterior.  Also
+    fills in each agent's implied prior over his own signals.  A signal
+    with zero prior probability has no posterior and raises.
     """
-    beliefs: dict[str, InterimBelief] = {}
-    priors: dict[str, np.ndarray] = {}
+    tables, columns, keys, priors = [], {}, {}, {}
     for a in cis.agents:
-        mu = cis.rho[a] @ cis.eta[a]
-        priors[a] = mu
-        for ti, t in enumerate(cis.signals[a]):
-            if mu[ti] <= 0.0:
-                raise PreconditionError(
-                    f"signal {t} of agent {a} has zero prior probability"
-                )
-            posterior = cis.eta[a][:, ti] * cis.rho[a] / mu[ti]
-            marginals = {
-                j: posterior @ cis.eta[j] for j in cis.agents if j != a
-            }
-            beliefs[t] = InterimBelief(posterior, marginals)
+        mu = priors[a] = cis.rho[a] @ cis.eta[a]
+        zero = np.flatnonzero(mu <= 0.0)
+        if len(zero):
+            raise PreconditionError(f"signal {cis.signals[a][zero[0]]} of agent {a}"
+                                    " has zero prior probability")
+        # C order and one product per row keep a lone posterior vector's bits
+        table = np.ascontiguousarray(cis.eta[a].T) * cis.rho[a] / mu[:, None]
+        others = tuple(j for j in cis.agents if j != a)
+        tables.append(table)
+        columns.update(((a, j), (None, np.array([p @ cis.eta[j] for p in table])))
+                       for j in others if len(table))
+        keys.update(dict.fromkeys(cis.signals[a], others))
+    states = np.concatenate([np.empty((0, cis.n_states)), *tables])  # none without agents
+    beliefs = Beliefs(cis.agents, cis.signals, cis.n_states, states, columns, keys)
     return ModelSpec(
         cis.states,
         cis.agents,
@@ -152,39 +153,31 @@ class NoiseProfile:
 
 
 def _eps_noisy(eta: np.ndarray) -> tuple[float, dict[int, int] | None]:
-    n_states, n_signals = eta.shape
-    assignment: dict[int, int] = {}
-    for th in range(n_states):
-        row = eta[th]
-        top = int(np.argmax(row))
-        if np.count_nonzero(row == row[top]) > 1:
-            return float("inf"), None
-        assignment[th] = top
-    if len(set(assignment.values())) != n_states:
+    n_states = len(eta)
+    if not n_states:
+        return 0.0, {}
+    rows, top = np.arange(n_states), eta.argmax(axis=1)
+    peak = eta[rows, top]
+    ties = (eta == peak[:, None]).sum(axis=1) > 1
+    if ties.any() or len(np.unique(top)) != n_states:
         return float("inf"), None
-    eps = 0.0
-    for th, t in assignment.items():
-        eps = max(eps, 1.0 - eta[th, t])
-        others = [eta[o, t] for o in range(n_states) if o != th]
-        if others:
-            eps = max(eps, max(others))
+    # each certain signal's probability under the other states
+    spill = eta[:, top][~np.eye(n_states, dtype=bool)]
+    # at least 0.0, and +0.0 when zero: max keeps the first of equal values
+    eps = float(max(0.0, np.max(1.0 - peak), np.max(spill, initial=0.0)))
     # the near-certain signal must be unique at this eps
-    for th, t in assignment.items():
-        for other_t in range(n_signals):
-            if other_t != t and eta[th, other_t] >= 1.0 - eps and eps < 1.0:
-                return float("inf"), None
-    return eps, assignment
+    rival = eta >= 1.0 - eps
+    rival[rows, top] = False
+    if eps < 1.0 and rival.any():
+        return float("inf"), None
+    return eps, dict(enumerate(top.tolist()))
 
 
 def classify_noise(cis: CISSpec) -> NoiseProfile:
     """Noise classification of every agent's technology."""
-    eps: dict[str, float] = {}
-    delta: dict[str, float] = {}
-    certain: dict[str, dict[int, int] | None] = {}
+    eps, delta, certain = {}, {}, {}
     for a in cis.agents:
-        e, assignment = _eps_noisy(cis.eta[a])
-        eps[a] = e
-        certain[a] = assignment
+        eps[a], certain[a] = _eps_noisy(cis.eta[a])
         delta[a] = float(cis.eta[a].min())
     return NoiseProfile(eps, delta, certain)
 
@@ -208,10 +201,9 @@ def rounded_structure(cis: CISSpec, informed: Sequence[str]) -> RoundedStructure
     set, so that every signal keeps positive probability.
     """
     profile = classify_noise(cis)
-    eta_hat: dict[str, np.ndarray] = {}
+    eta_hat = dict(cis.eta)
     for a in cis.agents:
         if a not in informed:
-            eta_hat[a] = np.array(cis.eta[a])
             continue
         assignment = profile.certain_signal[a]
         if assignment is None or profile.eps[a] >= 0.5:
@@ -224,10 +216,8 @@ def rounded_structure(cis: CISSpec, informed: Sequence[str]) -> RoundedStructure
                 f"agent {a}: rounding needs exactly one signal per state,"
                 f" got {len(cis.signals[a])} signals for {cis.n_states} states"
             )
-        rounded = np.zeros_like(np.asarray(cis.eta[a]))
-        for th, t in assignment.items():
-            rounded[th, t] = 1.0
-        eta_hat[a] = rounded
+        eta_hat[a] = np.zeros_like(cis.eta[a])
+        eta_hat[a][list(assignment), list(assignment.values())] = 1.0
     cis_hat = CISSpec(
         cis.states, cis.agents, cis.signals, cis.rho, eta_hat, cis.network, cis.y
     )
@@ -315,6 +305,8 @@ def verify_tyranny(
         raise PreconditionError("; ".join(problems))
     if ignorant is None:
         ignorant = cis.agents[0]
+    elif ignorant not in cis.agents:
+        raise PreconditionError(f"ignorant: unknown agent {ignorant!r}")
     informed = [a for a in cis.agents if a != ignorant]
     profile = classify_noise(cis)
     delta = profile.delta[ignorant]
@@ -336,7 +328,7 @@ def verify_tyranny(
         y = cis.y
     if y is None:
         raise PreconditionError("no payoff given: pass y or set cis.y")
-    yv = y.values if isinstance(y, BasicVariable) else np.asarray(y, dtype=float)
+    yv = state_payoffs(model, y)
     y_max = float(np.max(np.abs(yv)))
 
     result = consensus_expectation(model, yv)
@@ -368,21 +360,20 @@ def verify_tyranny(
     # belief perturbation: every interim marginal moves by at most
     # 4 |states| |signals| eps / rho_min_i
     belief_gap_max = 0.0
-    belief_bound = 0.0
+    belief_bound = 4.0 * n_states * n_signals * eps / rho_min
+    blocks, hat = model.beliefs.blocks, rounded.model.beliefs.blocks
     for a in cis.agents:
-        rmin = float(cis.rho[a].min())
-        agent_bound = 4.0 * n_states * n_signals * eps / rmin
-        belief_bound = max(belief_bound, agent_bound)
-        for t in cis.signals[a]:
-            orig = model.beliefs[t].signal_marginals
-            hat = rounded.model.beliefs[t].signal_marginals
-            for j in orig:
-                gap_j = float(np.max(np.abs(orig[j] - hat[j])))
-                belief_gap_max = max(belief_gap_max, gap_j)
-                if gap_j > agent_bound + 1e-12:
-                    raise ArithmeticError(
-                        f"belief perturbation bound violated at {t} about {j}"
-                    )
+        agent_bound = 4.0 * n_states * n_signals * eps / float(cis.rho[a].min())
+        others = [j for j in cis.agents if j != a]
+        # one row per signal of a, one column per counterpart
+        gaps = np.column_stack([np.abs(blocks[a, j] - hat[a, j]).max(axis=1) for j in others])
+        belief_gap_max = max(belief_gap_max, float(gaps.max()))
+        over = np.argwhere(gaps > agent_bound + 1e-12)
+        if len(over):
+            r, k = over[0]
+            raise ArithmeticError(
+                f"belief perturbation bound violated at {cis.signals[a][r]} about {others[k]}"
+            )
 
     passage_bound = 2.0 / (delta * rho_min_ignorant * gamma_min**2)
     perturbation = stationary_perturbation_bound(result.structure, rounded.interaction)

@@ -421,6 +421,42 @@ def test_non_finite_inputs_are_refused(tmp_path, capsys, name, command, edit, fi
     assert field in capsys.readouterr().err
 
 
+EPS_REFUSAL = ("informed agents must be at most eps-noisy with eps < 1/2;"
+               " failing: ['alice'] with eps [0.6]")
+
+
+def _alice_mid(d):
+    d["signals"]["alice"].append("a_mid")
+    d["eta"]["alice"] = [[0.4, 0.35, 0.25], [0.2, 0.5, 0.3]]
+
+
+def test_eps_refusal_prints_python_floats(tmp_path, capsys):
+    # the eps list printed as [np.float64(0.6)]
+    path = _with("tyranny_extreme", _alice_mid, tmp_path)
+    code, out = run_cli(["verify-tyranny", path])
+    assert (code, out, capsys.readouterr().err) == (
+        3, "", f"precondition failure: {EPS_REFUSAL}\n")
+    code, out = run_cli(["report", path])
+    assert code == 0
+    assert f"== tyranny ==\nnot applicable: {EPS_REFUSAL}\n" in out
+
+
+PRICE_REFUSAL = "price summary is not finite: the prices are too large to sum"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_prices_too_large_to_sum_are_refused(tmp_path, capsys):
+    # the summary printed "mean price = inf (se nan)" with exit 0
+    path = _with("cps", lambda d: d.update(y={"values": {"lo": 5e307, "hi": 1e308},
+                                              "max": 1e308}), tmp_path)
+    code, out = run_cli(["simulate-market", path, "--runs", "20", "--beta", "0.9"])
+    assert (code, out, capsys.readouterr().err) == (
+        3, "", f"precondition failure: {PRICE_REFUSAL}\n")
+    code, out = run_cli(["report", path, "--runs", "3", "--beta", "0.9"])
+    assert code == 0
+    assert out.endswith(f"== market ==\nnot applicable: {PRICE_REFUSAL}\n")
+
+
 @pytest.mark.parametrize("row, col, value, message", [
     (0, 0, 0.5, "network.row[iggy]: sums to 1.5 (expected 1 within 1e-12)"),
     (0, 2, 2, "network.row[iggy]: sums to 2.5 (expected 1 within 1e-12)"),

@@ -404,3 +404,16 @@ def test_agent_specific_values_with_reducible_structure():
     vals = res.component_values
     assert vals[("a1", "a2", "a3")] == pytest.approx((0.9 + 0.8 + 0.7) / 3, abs=1e-12)
     assert vals[("b1", "b2", "b3")] == pytest.approx((0.1 + 0.2 + 0.3) / 3, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payoffs_are_refused(bad):
+    # a NaN payoff used to give a NaN consensus
+    spec = load_scenario(scenario_path("cps"))
+    with pytest.raises(PreconditionError, match="^y: every value must be finite$"):
+        consensus_expectation(spec, y=[bad, 1.0])
+    f = np.zeros(len(spec.all_signals()))
+    f[-1] = bad
+    with pytest.raises(PreconditionError, match="^f: every value must be finite$"):
+        consensus_expectation(spec, f=f)

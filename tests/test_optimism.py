@@ -292,3 +292,13 @@ def test_tightness_fixture_matches_generator():
     assert B_file.index.labels == B_gen.index.labels
     assert np.array_equal(B_file.matrix, B_gen.matrix)
     assert np.array_equal(spec_file.y.values, spec_gen.y.values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_payoffs_are_refused():
+    # a NaN payoff used to give bound 0.5 after a RuntimeWarning
+    spec = load_scenario(scenario_path("cps"))
+    with pytest.raises(PreconditionError, match="^y: every value must be finite$"):
+        optimism_hypotheses(spec, 0.5, y=[np.nan, 1.0])
+    with pytest.raises(PreconditionError, match="^f: every value must be finite$"):
+        optimism_hypotheses(spec, 0.5, f=[np.nan] * len(spec.all_signals()))

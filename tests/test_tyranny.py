@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from consensus_lab import tyranny
 from consensus_lab.consensus import consensus_expectation
 from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import joint_connectedness
-from consensus_lab.io import load_scenario
-from consensus_lab.model import BasicVariable, Network
+from consensus_lab.io import load_scenario, parse_scenario
+from consensus_lab.model import BasicVariable, InterimBelief, ModelSpec, Network
 from consensus_lab.tyranny import (
     CISSpec,
+    RoundedStructure,
     _bfs_diameter,
+    _eps_noisy,
     build_pi_from_cis,
     classify_noise,
     rounded_structure,
@@ -17,7 +22,7 @@ from consensus_lab.tyranny import (
     verify_tyranny,
 )
 
-from conftest import scenario_path
+from conftest import cis_scenario, scenario_path
 
 
 def make_cis(rng, n_states=2, n_agents=3, delta=0.3, eps=1e-3, ignorant_signals=2):
@@ -304,3 +309,247 @@ def test_path_length_matches_bfs_oracle():
         report = verify_tyranny(cis)
         rounded = rounded_structure(cis, list(cis.agents[1:]))
         assert report.max_path_length == diameter_oracle(rounded.interaction.matrix)
+
+
+def dense_cis(rng, n_states=12, eps_range=(0.005, 0.05)):
+    """Tyranny-ready model in the style of the benchmark's ``cis_dense``
+    family: a uniformly noisy first agent and two eps-noisy agents whose
+    certain signals are a random bijection, on a complete network."""
+    states = tuple(f"w{k}" for k in range(n_states))
+    agents = ("iggy", "ann", "bob")
+    signals = {a: tuple(f"{a[0]}{k}" for k in range(n_states)) for a in agents}
+    eps = rng.uniform(*eps_range)
+    eta = {"iggy": 0.5 / n_states + 0.5 * rng.dirichlet(np.ones(n_states), size=n_states)}
+    for a in ("ann", "bob"):
+        rows = eps * rng.dirichlet(np.ones(n_states), size=n_states)
+        top = rng.permutation(n_states)
+        rows[np.arange(n_states), top] = 0.0
+        rows[np.arange(n_states), top] = 1.0 - rows.sum(axis=1)
+        eta[a] = rows
+    rho = {a: 0.2 / n_states + 0.8 * rng.dirichlet(np.ones(n_states)) for a in agents}
+    g = 0.1 + 0.8 * rng.dirichlet(np.ones(2), size=3)
+    g = np.insert(g.ravel(), [0, 3, 6], 0.0).reshape(3, 3)
+    y = BasicVariable(rng.random(n_states), 1.0)
+    return CISSpec(states, agents, signals, rho, eta, Network(g), y)
+
+
+def bayes_reference(cis):
+    """The per-signal Bayes construction: one belief per signal, stored by
+    the spec; the reference for the block construction."""
+    beliefs, priors = {}, {}
+    for a in cis.agents:
+        mu = priors[a] = cis.rho[a] @ cis.eta[a]
+        for ti, t in enumerate(cis.signals[a]):
+            if mu[ti] <= 0.0:
+                raise PreconditionError(f"signal {t} of agent {a} has zero prior probability")
+            posterior = cis.eta[a][:, ti] * cis.rho[a] / mu[ti]
+            beliefs[t] = InterimBelief(
+                posterior, {j: posterior @ cis.eta[j] for j in cis.agents if j != a})
+    return ModelSpec(cis.states, cis.agents, cis.signals, beliefs, cis.network,
+                     priors=priors, y=cis.y)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _cis_fixtures():
+    rng = np.random.default_rng(13)
+    yield load_scenario(scenario_path("tyranny_extreme"))
+    for _ in range(3):
+        yield parse_scenario(cis_scenario(rng, n_agents=3, n_states=30))
+    yield parse_scenario(cis_scenario(rng, n_agents=3, n_states=7, n_signals=11))
+    for _ in range(2):
+        yield dense_cis(rng)
+    yield make_cis(rng, n_states=3)
+
+
+def test_block_construction_has_the_bits_of_per_signal_bayes():
+    for cis in _cis_fixtures():
+        model, ref = build_pi_from_cis(cis), bayes_reference(cis)
+        assert _same_bits(model.beliefs.states, ref.beliefs.states)
+        assert model.beliefs.blocks.keys() == ref.beliefs.blocks.keys()
+        for key, block in ref.beliefs.blocks.items():
+            assert _same_bits(model.beliefs.blocks[key], block), key
+        assert model.priors.keys() == ref.priors.keys()
+        for a, mu in ref.priors.items():
+            assert _same_bits(model.priors[a], mu)
+        assert not model.beliefs.irregular.any()
+        assert _same_bits(model.structure.matrix, ref.structure.matrix)
+        for t, b in ref.beliefs.items():
+            assert _same_bits(model.beliefs[t].state_marginal, b.state_marginal)
+            assert model.beliefs[t].signal_marginals.keys() == b.signal_marginals.keys()
+            for j, m in b.signal_marginals.items():
+                assert _same_bits(model.beliefs[t].signal_marginals[j], m)
+
+
+def test_block_construction_builds_no_per_signal_beliefs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-signal construction")
+
+    monkeypatch.setattr(InterimBelief, "__init__", refuse)
+    monkeypatch.setattr(tyranny.Beliefs, "stack", refuse)
+    cis = parse_scenario(cis_scenario(np.random.default_rng(14), n_states=6))
+    build_pi_from_cis(cis).structure
+
+
+def test_an_agent_without_signals_builds_as_the_reference():
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    g = np.full((4, 4), 1.0 / 3.0)
+    np.fill_diagonal(g, 0.0)
+    mute = CISSpec(
+        cis.states, cis.agents + ("mute",), {**cis.signals, "mute": ()},
+        {**cis.rho, "mute": np.array([0.5, 0.5])},
+        {**cis.eta, "mute": np.zeros((2, 0))}, Network(g), cis.y,
+    )
+    model, ref = build_pi_from_cis(mute), bayes_reference(mute)
+    assert _same_bits(model.beliefs.states, ref.beliefs.states)
+    assert model.beliefs.blocks.keys() == ref.beliefs.blocks.keys()
+    for key, block in ref.beliefs.blocks.items():
+        assert _same_bits(model.beliefs.blocks[key], block), key
+    assert _same_bits(model.priors["mute"], ref.priors["mute"])
+    assert list(model.beliefs) == list(ref.beliefs)
+    assert _same_bits(model.structure.matrix, ref.structure.matrix)
+    nobody = CISSpec(cis.states, (), {}, {}, {}, Network(np.zeros((0, 0))))
+    assert _same_bits(build_pi_from_cis(nobody).beliefs.states,
+                      bayes_reference(nobody).beliefs.states)
+
+
+def eps_noisy_oracle(eta):
+    """Smallest eps for which ``eta`` is at most eps-noisy, state by state
+    and signal by signal, with the state-to-certain-signal map."""
+    n_states, n_signals = eta.shape
+    assignment = {}
+    for th in range(n_states):
+        row = eta[th]
+        top = int(np.argmax(row))
+        if np.count_nonzero(row == row[top]) > 1:
+            return float("inf"), None
+        assignment[th] = top
+    if len(set(assignment.values())) != n_states:
+        return float("inf"), None
+    eps = 0.0
+    for th, t in assignment.items():
+        eps = max(eps, 1.0 - eta[th, t])
+        others = [eta[o, t] for o in range(n_states) if o != th]
+        if others:
+            eps = max(eps, max(others))
+    for th, t in assignment.items():
+        for other_t in range(n_signals):
+            if other_t != t and eta[th, other_t] >= 1.0 - eps and eps < 1.0:
+                return float("inf"), None
+    return float(eps), assignment
+
+
+def _technology(rng):
+    """A seeded technology: rectangular or square, near-certain, exact 0/1
+    (signed zeros included), or coarsely rounded so that ties and entries
+    at exactly 1 - eps are common."""
+    n_states = int(rng.integers(0, 6))
+    n_signals = int(rng.integers(1, 8))
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.dirichlet(np.ones(n_signals), size=n_states)
+    if kind == 1:
+        eta = rng.uniform(0.0, 0.3) * rng.dirichlet(np.ones(n_signals), size=n_states)
+        top = rng.choice(n_signals, size=n_states, replace=n_states > n_signals)
+        eta[np.arange(n_states), top] += 1.0 - eta.sum(axis=1)
+        return eta
+    if kind == 2:
+        eta = np.where(rng.random((n_states, n_signals)) < 0.5, -0.0, 0.0)
+        eta[np.arange(n_states), rng.integers(n_signals, size=n_states)] = 1.0
+        return eta
+    return np.round(rng.dirichlet(np.ones(n_signals), size=n_states), int(rng.integers(1, 3)))
+
+
+def test_eps_noisy_matches_the_loop_oracle():
+    rng = np.random.default_rng(15)
+    # no states and no signals; entries above one, where only the initial
+    # zero keeps eps from being -0.0
+    hand = [np.zeros((0, 0)), np.array([[1.5, -0.0], [-0.5, 1.5]])]
+    found = set()
+    for eta in hand + [_technology(rng) for _ in range(6000)]:
+        eps, assignment = _eps_noisy(eta)
+        want_eps, want_assignment = eps_noisy_oracle(eta)
+        assert type(eps) is float
+        assert eps == want_eps and math.copysign(1.0, eps) == math.copysign(1.0, want_eps)
+        assert assignment == want_assignment
+        found.add((len(eta) == 0, eps == float("inf"), 0.0 < eps < 1.0))
+    # no states, refusals and finite nonzero eps all occur
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= found
+
+
+def _gap_oracle(cis, model, hat):
+    """Largest change of any interim marginal, signal by signal, and the
+    first (signal, counterpart) over its agent's bound."""
+    n_signals = sum(len(cis.signals[a]) for a in cis.agents)
+    eps = max(classify_noise(cis).eps[a] for a in cis.agents[1:])
+    gap_max, first = 0.0, None
+    for a in cis.agents:
+        bound = 4.0 * cis.n_states * n_signals * eps / float(cis.rho[a].min())
+        for t in cis.signals[a]:
+            for j, m in model.beliefs[t].signal_marginals.items():
+                gap = float(np.max(np.abs(m - hat.beliefs[t].signal_marginals[j])))
+                gap_max = max(gap_max, gap)
+                if gap > bound + 1e-12 and first is None:
+                    first = f"at {t} about {j}"
+    return gap_max, first
+
+
+def test_belief_gap_matches_the_per_signal_oracle():
+    rng = np.random.default_rng(16)
+    fixtures = [load_scenario(scenario_path("tyranny_extreme")), dense_cis(rng)]
+    fixtures += [make_cis(rng, n_states=n, eps=e) for n in (2, 3) for e in (1e-3, 1e-5)]
+    for cis in fixtures:
+        report = verify_tyranny(cis)
+        rounded = rounded_structure(cis, cis.agents[1:])
+        assert (report.belief_gap_max, None) == _gap_oracle(cis, cis.model, rounded.model)
+
+
+def test_belief_gap_violation_names_the_first_signal_and_counterpart(monkeypatch):
+    # a tiny eps makes the bound tiny; the planted gaps keep every
+    # marginal a probability vector, so the consensus solves still run
+    cis = dense_cis(np.random.default_rng(17), n_states=4, eps_range=(1e-9, 2e-9))
+    rounded = rounded_structure(cis, cis.agents[1:])
+    beliefs = dict(rounded.model.beliefs.items())
+    for t, j in (("b2", "ann"), ("a3", "iggy"), ("a1", "bob")):
+        old = beliefs[t]
+        beliefs[t] = InterimBelief(old.state_marginal, {
+            **old.signal_marginals, j: 0.9 * old.signal_marginals[j] + 0.1 / 4})
+    m = rounded.model
+    broken = ModelSpec(m.states, m.agents, m.signals, beliefs, m.network, m.priors, m.y)
+    monkeypatch.setattr(tyranny, "rounded_structure", lambda *args: RoundedStructure(
+        rounded.cis, broken, rounded.interaction, rounded.first_order))
+    first = _gap_oracle(cis, cis.model, broken)[1]
+    assert first == "at a1 about bob"
+    with pytest.raises(ArithmeticError, match=f"belief perturbation bound violated {first}$"):
+        verify_tyranny(cis)
+
+
+def test_noise_profile_holds_python_floats_and_texts_show_them():
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    eta = dict(cis.eta, alice=np.array([[0.4, 0.35, 0.25], [0.2, 0.5, 0.3]]))
+    signals = dict(cis.signals, alice=("a_lo", "a_hi", "a_mid"))
+    mid = CISSpec(cis.states, cis.agents, signals, cis.rho, eta, cis.network, cis.y)
+    profile = classify_noise(mid)
+    assert {type(e) for e in profile.eps.values()} == {float}
+    assert profile.eps["alice"] == 0.6
+    with pytest.raises(PreconditionError) as exc:
+        verify_tyranny(mid)
+    assert str(exc.value) == (
+        "informed agents must be at most eps-noisy with eps < 1/2;"
+        " failing: ['alice'] with eps [0.6]")
+    with pytest.raises(PreconditionError) as exc:
+        rounded_structure(mid, ["alice"])
+    assert str(exc.value) == (
+        "agent alice: no unique near-certain signal per state (eps=0.6); cannot round")
+
+
+def test_non_finite_payoffs_and_unknown_agents_are_refused():
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    for y in ([np.nan, 1.0], [0.0, np.inf]):
+        with pytest.raises(PreconditionError, match="^y: every value must be finite$"):
+            verify_tyranny(cis, y=y)
+    with pytest.raises(PreconditionError, match="^ignorant: unknown agent 'nobody'$"):
+        verify_tyranny(cis, ignorant="nobody")
