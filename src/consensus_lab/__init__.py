@@ -33,7 +33,6 @@ from .game import (
 from .interaction import (
     FirstOrderMap,
     InteractionStructure,
-    SignalIndex,
     absorbing_components,
     aperiodicity,
     build_first_order_map,
@@ -60,6 +59,7 @@ from .model import (
     InterimBelief,
     ModelSpec,
     Network,
+    SignalIndex,
     ex_ante_expectation,
     validate_model,
 )

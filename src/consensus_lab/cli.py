@@ -53,20 +53,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _count(raw: str) -> int:
-    """argparse type for a non-negative integer."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
-    return value
+def _at_least_zero(kind, what: str):
+    """argparse type for a finite number >= 0 of type ``kind``, named
+    ``what`` in its usage error."""
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = -1
+        if not 0 <= value < np.inf:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {raw!r}")
+        return value
+    return parse
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="consensus-lab", description=__doc__)
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
+    count = _at_least_zero(int, "a non-negative integer")
+    tol = _at_least_zero(float, "a finite number >= 0")
     commands = [
         ("validate", "check a scenario file against every model invariant"),
         ("build", "emit the interaction structure and first-order map"),
@@ -83,7 +88,7 @@ def build_parser() -> _Parser:
         c.add_argument("scenario", help="path to a scenario JSON file")
         c.add_argument("--out", metavar="DIR", help="directory for CSV artifacts")
         c.add_argument("--format", choices=["csv", "txt"], default="txt")
-        c.add_argument("--tol", type=float, default=1e-12,
+        c.add_argument("--tol", type=tol, default=1e-12,
                        help="probability validation tolerance")
         if name in ("game-solve", "simulate-market", "report"):
             c.add_argument("--beta", type=float, default=0.99)
@@ -94,9 +99,9 @@ def build_parser() -> _Parser:
             c.add_argument("--fbar", type=float, default=None,
                            help="optimism threshold (default: highest first-order value)")
         if name in ("simulate-market", "report"):
-            c.add_argument("--runs", type=_count,
+            c.add_argument("--runs", type=count,
                            default=1 if name == "simulate-market" else 0)
-            c.add_argument("--seed", type=_count, default=0)
+            c.add_argument("--seed", type=count, default=0)
         if name == "simulate-market":
             c.add_argument("--state", help="fix the realized state")
             c.add_argument("--profile", metavar="LIST",

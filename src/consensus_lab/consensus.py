@@ -118,18 +118,18 @@ def consensus_expectation(
     f=None,
     type_dependent_weights=None,
 ) -> ConsensusResult:
-    """Consensus expectation of a payoff, handling reducible structures.
+    """Consensus expectation of a payoff, one value per terminal component.
 
-    Irreducible: the unique value is the stationary distribution applied
-    to first-order values, and agent-type weights, centralities and
-    pseudopriors are all reported.  Reducible: one value per terminal
-    component (the consensus conditional on that public event), plus
-    absorption probabilities for transient signals.
+    Each terminal component's value is its stationary distribution applied
+    to its first-order values: the consensus conditional on the public
+    event it represents.  An irreducible structure is one terminal
+    component, and it also gets pseudopriors (when the network has
+    centralities); a reducible one gets absorption probabilities for its
+    transient signals.
     """
     fvec = first_order_vector(spec, y, f)
     structure = (spec.structure if type_dependent_weights is None
                  else build_interaction_structure(spec, type_dependent_weights))
-    index = structure.index
 
     centralities = None
     if type_dependent_weights is None:
@@ -138,30 +138,21 @@ def consensus_expectation(
         except ReducibleError:
             centralities = None
 
-    if structure.irreducible:
-        p = structure.stationary[0]
-        value = float(p @ fvec)
-        comp = ComponentConsensus(index.labels, p, value)
-        lam = None if centralities is None else pseudopriors(spec)
-        return ConsensusResult(
-            True, value, (comp,), p, centralities, lam, None, structure
-        )
-
     components = []
-    weights = np.zeros(len(index))
+    weights = np.zeros(len(fvec))
     for comp, p_sub in zip(structure.terminal, structure.stationary):
         value = float(p_sub @ fvec[list(comp)])
         components.append(ComponentConsensus(structure.names(comp), p_sub, value))
         weights[list(comp)] = p_sub
-    single = len(components) == 1
+    single, irreducible = len(components) == 1, structure.irreducible
     return ConsensusResult(
-        False,
+        irreducible,
         components[0].value if single else None,
         tuple(components),
         weights if single else None,
         centralities,
-        None,
-        structure.absorption,
+        pseudopriors(spec) if irreducible and centralities is not None else None,
+        None if irreducible else structure.absorption,
         structure,
     )
 

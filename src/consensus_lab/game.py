@@ -18,9 +18,7 @@ import numpy as np
 from .consensus import ConsensusResult, consensus_expectation, first_order_vector
 from .errors import PreconditionError
 from .model import ModelSpec, Network, check_beta
-
-#: Fixed-point residual ceiling for reported solutions.
-RESIDUAL_TOL = 1e-10
+from .spectral import discounted_solve
 
 
 @dataclass(frozen=True)
@@ -59,18 +57,12 @@ def solve_beta_game(spec: ModelSpec, beta: float, y=None, f=None) -> GameSolutio
 
 def _solve(spec: ModelSpec, agent_beta, y, f, beta) -> GameSolution:
     """Solve ``s = (1 - d) x1 + d B s``, ``d`` the per-signal owners'
-    weights from ``agent_beta``, and gate its fixed-point residual relative
-    to ``max(1, max|(1 - d) x1|)``; the solution reports ``beta``."""
+    weights from ``agent_beta``, by the gated discounted solve; the
+    solution reports ``beta``."""
     fvec = first_order_vector(spec, y, f)
     structure = spec.structure
-    B = structure.matrix
     d = agent_beta[structure.index.agent_of]
-    own = (1.0 - d) * fvec
-    s = np.linalg.solve(np.eye(len(d)) - d[:, None] * B, own)
-    residual = float(np.max(np.abs(s - own - d * (B @ s))))
-    # actions scale with the payoff, so past unit scale the gate does too
-    if not residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(own)))):
-        raise ArithmeticError(f"fixed-point residual {residual:.3e}")
+    s, residual = discounted_solve(structure.matrix, (1.0 - d) * fvec, d)
     return GameSolution(beta, s, residual, structure.index.labels)
 
 

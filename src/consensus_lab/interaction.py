@@ -19,46 +19,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError
-from .model import ModelSpec, Network
-
-
-@dataclass(frozen=True)
-class SignalIndex:
-    """Dense index over the union of all agents' signals.
-
-    Blocks are contiguous in declaration order: agent k's signals occupy
-    ``blocks[k]``.  ``agent_of[s]`` is the agent index owning signal s.
-    """
-
-    labels: tuple[str, ...]
-    agents: tuple[str, ...]
-    agent_of: np.ndarray
-    blocks: tuple[slice, ...]
-
-    @classmethod
-    def from_spec(cls, spec: ModelSpec) -> "SignalIndex":
-        labels: list[str] = []
-        owner: list[int] = []
-        blocks: list[slice] = []
-        for k, a in enumerate(spec.agents):
-            start = len(labels)
-            labels.extend(spec.signals[a])
-            owner.extend([k] * len(spec.signals[a]))
-            blocks.append(slice(start, len(labels)))
-        idx = np.array(owner, dtype=int)
-        idx.setflags(write=False)
-        return cls(tuple(labels), spec.agents, idx, tuple(blocks))
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def block(self, agent) -> slice:
-        if isinstance(agent, str):
-            agent = self.agents.index(agent)
-        return self.blocks[agent]
+from .model import ModelSpec, Network, SignalIndex
 
 
 @dataclass(frozen=True)
@@ -68,9 +29,6 @@ class FirstOrderMap:
     matrix: np.ndarray
     index: SignalIndex
     states: tuple[str, ...]
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
 
     def apply(self, y) -> np.ndarray:
         return self.matrix @ np.asarray(y, dtype=float)
@@ -129,15 +87,12 @@ class InteractionStructure:
         """Stationary vector of each terminal component, over its members."""
         from .spectral import stationary_distribution
 
-        if self.irreducible:
-            return (stationary_distribution(self).vector,)
         out = []
         for comp, period in zip(self.terminal, self.periods):
-            members = tuple(range(len(comp)))
+            members = (tuple(range(len(comp))),)
             # a terminal component is strongly connected by construction
             sub = InteractionStructure(
-                self.matrix[np.ix_(comp, comp)], None, (members,), (members,), (period,)
-            )
+                self.matrix[np.ix_(comp, comp)], None, members, members, (period,))
             out.append(stationary_distribution(sub).vector)
         return tuple(out)
 
@@ -161,9 +116,17 @@ class InteractionStructure:
         return absorption
 
 
+def _signal_index(spec: ModelSpec) -> SignalIndex:
+    """The index its beliefs built; none when an agent label repeats."""
+    index = spec.beliefs.index
+    if index.agents != spec.agents:
+        raise PreconditionError("agents: duplicate agent label")
+    return index
+
+
 def build_first_order_map(spec: ModelSpec) -> FirstOrderMap:
-    """Stack the agents' state tables into the first-order map."""
-    index = SignalIndex.from_spec(spec)
+    """The first-order map: the spec's state table, one row per signal."""
+    index = _signal_index(spec)
     beliefs = spec.beliefs
     if beliefs.irregular.any():
         for t in index.labels:
@@ -175,8 +138,7 @@ def build_first_order_map(spec: ModelSpec) -> FirstOrderMap:
                     f"signal {t}: state marginal has shape {np.shape(b.state_marginal)},"
                     f" expected ({spec.n_states},)"
                 )
-    matrix = np.concatenate([beliefs.tables[a] for a in spec.agents])
-    return FirstOrderMap(matrix, index, spec.states)
+    return FirstOrderMap(beliefs.states, index, spec.states)
 
 
 def build_interaction_structure(
@@ -190,7 +152,7 @@ def build_interaction_structure(
     owner's row of the network.  A positive self-weight contributes to
     the diagonal: an agent is certain of his own signal.
     """
-    index = SignalIndex.from_spec(spec)
+    index = _signal_index(spec)
     beliefs = spec.beliefs
     n = len(index)
     B = np.zeros((n, n))

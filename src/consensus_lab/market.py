@@ -229,6 +229,8 @@ class _Kernel:
         self.starts = np.array([b.start for b in index.blocks], dtype=np.intp)
         self.yvals = state_payoffs(spec, yvec)
         self.network_cdf = np.cumsum(g, axis=1)
+        # a bid at or past a row's total buys from its last weighted agent
+        self.last_buyer = len(g) - 1 - np.argmax(g[:, ::-1] > 0, axis=1)
         # about two expected runs' worth of uniforms, two per period
         self.block = int(min(_BLOCK, max(64.0, 4.0 / (1.0 - beta))))
         self._resolve_draw(spec, draw)
@@ -366,7 +368,7 @@ class _Kernel:
         # buyer of trade t from each possible seller, then the chain through it
         table = np.minimum(
             [cdf.searchsorted(bids, side="right") for cdf in self.network_cdf],
-            len(self.agents) - 1,
+            self.last_buyer[:, None],
         ).tolist()
         o = owner
         return theta, profile, [owner] + [o := table[o][t] for t in range(trades)]

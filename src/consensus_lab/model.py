@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import Sequence
 
@@ -107,6 +107,28 @@ class InterimBelief:
         return cls(state_marginal, marginals, full)
 
 
+@dataclass(frozen=True)
+class SignalIndex:
+    """Dense index over the union of all agents' signals.
+
+    Blocks are contiguous in declaration order: agent k's signals occupy
+    ``blocks[k]``.  ``agent_of[s]`` is the agent index owning signal s.
+    """
+
+    labels: tuple[str, ...]
+    agents: tuple[str, ...]
+    agent_of: np.ndarray
+    blocks: tuple[slice, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def block(self, agent) -> slice:
+        if isinstance(agent, str):
+            agent = self.agents.index(agent)
+        return self.blocks[agent]
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -116,8 +138,9 @@ class Beliefs(Mapping):
     """Read-only mapping from signal label to :class:`InterimBelief`,
     stored by agent blocks.
 
-    ``states`` holds one state marginal per declared signal, agents in
-    declaration order, and ``tables[a]`` is agent ``a``'s rows of it.
+    ``index`` is the :class:`SignalIndex` over the declared signals,
+    agents in declaration order; ``states`` holds one state marginal per
+    signal in that order, and ``tables[a]`` is agent ``a``'s rows of it.
     ``blocks[a, j]`` holds ``a``'s marginals over ``j``'s signals, one row
     per signal of ``a``, for each agent ``j`` that some signal of ``a``
     lists; ``listed[a, j]`` marks the rows that list ``j`` (the others are
@@ -139,15 +162,16 @@ class Beliefs(Mapping):
         it is to be built over row views."""
         self.agents = tuple(dict.fromkeys(agents))
         self.signals, self.n_states = signals, n_states
-        self.labels = tuple(chain.from_iterable(signals.get(a, ()) for a in self.agents))
+        sizes = [len(signals.get(a, ())) for a in self.agents]
+        self.index = SignalIndex(
+            tuple(chain.from_iterable(signals.get(a, ()) for a in self.agents)),
+            self.agents, freeze(np.repeat(np.arange(len(sizes)), sizes), int),
+            tuple(slice(e - k, e) for k, e in zip(sizes, accumulate(sizes))))
         self.states = _readonly(states)
         self.irregular = _readonly(np.zeros(len(states), dtype=bool)
                                    if irregular is None else irregular)
         self._beliefs = beliefs
-        self.spans, tables, start = {}, {}, 0
-        for a in self.agents:
-            span = self.spans[a] = slice(start, start + len(signals.get(a, ())))
-            tables[a], start = self.states[span], span.stop
+        tables = {a: self.states[span] for a, span in zip(self.agents, self.index.blocks)}
         every = _readonly(np.ones(len(states), dtype=bool))
         blocks, listed = {}, {}
         for (a, j), (rows, arr) in columns.items():
@@ -235,7 +259,8 @@ class Beliefs(Mapping):
             off = _off(np.concatenate([self.blocks[p] for p in pairs]), tol)
             off &= np.concatenate([self.listed[p] for p in pairs])
             # each stacked row's position among the rows of ``states``
-            starts = np.array([self.spans[a].start for a, _ in pairs]) + sizes - sizes.cumsum()
+            starts = np.array([self.index.block(a).start for a, _ in pairs])
+            starts += sizes - sizes.cumsum()
             flagged[(np.arange(sizes.sum()) + np.repeat(starts, sizes))[off]] = True
         return flagged
 
@@ -337,13 +362,13 @@ class ModelSpec:
         return build_first_order_map(self)
 
     def all_signals(self) -> tuple[str, ...]:
-        return tuple(t for a in self.agents for t in self.signals[a])
+        return self.beliefs.index.labels
 
     def agent_of(self, signal: str) -> str:
-        for a in self.agents:
-            if signal in self.signals[a]:
-                return a
-        raise KeyError(signal)
+        index = self.beliefs.index
+        if signal not in index.labels:
+            raise KeyError(signal)
+        return index.agents[index.agent_of[index.labels.index(signal)]]
 
 
 def _check_prob(v: list, loc: str, vec, n: int, tol: float) -> None:
@@ -412,14 +437,14 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                 )
 
     # the block screen finds the signals to check one vector at a time
-    beliefs = spec.beliefs
+    beliefs, index = spec.beliefs, spec.beliefs.index
     flagged = np.flatnonzero(beliefs.screen(tol))
     agent_set = set(spec.agents)
     n_states = spec.n_states
     for a in spec.agents if len(flagged) else ():
-        span = beliefs.spans[a]
+        span = index.block(a)
         for k in flagged[(span.start <= flagged) & (flagged < span.stop)]:
-            t = beliefs.labels[k]
+            t = index.labels[k]
             b = beliefs.get(t)
             if b is None:
                 v.append(f"beliefs.{t}: missing belief")

@@ -54,8 +54,10 @@ def optimism_hypotheses(spec: ModelSpec, threshold: float, y=None, f=None) -> Op
     hold when the drift is positive; the consensus (computed per
     terminal component when the structure is reducible; the minimum over
     components is reported) is then at least
-    ``threshold / (1 + shortfall/drift)``.
+    ``threshold / (1 + shortfall/drift)``.  The threshold must be finite.
     """
+    if not np.isfinite(threshold):
+        raise PreconditionError(f"threshold must be finite, got {threshold}")
     x1 = first_order_vector(spec, y, f)
     B = spec.structure.matrix
     x2 = B @ x1
@@ -109,6 +111,8 @@ def markov_optimism_check(
         raise PreconditionError("delta and eps must be positive")
     structure = as_structure(Q)
     matrix = structure.matrix
+    if not 0 <= start < len(matrix):
+        raise PreconditionError(f"start: state {start} is outside 0..{len(matrix) - 1}")
     f = np.asarray(f, dtype=float)
     drift = matrix @ f - f
     violations = []

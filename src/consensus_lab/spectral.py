@@ -23,6 +23,9 @@ from .model import check_beta
 #: Residual ceiling enforced on every returned stationary distribution.
 STATIONARY_TOL = 1e-10
 
+#: Fixed-point residual ceiling of the discounted solve, relative past unit scale.
+RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class StationaryDistribution:
@@ -120,16 +123,27 @@ def eigenvector_centrality(network) -> np.ndarray:
     return structure.stationary[0]
 
 
+def discounted_solve(matrix: np.ndarray, own: np.ndarray, d: np.ndarray):
+    """``s`` solving ``s = own + d * (matrix @ s)`` directly, ``d`` one discount
+    per row, and its fixed-point residual, gated relative to
+    ``max(1, max|own|)`` since ``s`` scales with ``own`` (NaN fails)."""
+    s = np.linalg.solve(np.eye(len(d)) - d[:, None] * matrix, own)
+    residual = float(np.max(np.abs(s - own - d * (matrix @ s))))
+    if not residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(own)))):
+        raise ArithmeticError(f"fixed-point residual {residual:.3e}")
+    return s, residual
+
+
 def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     """Abel average of the sequence Q^n z.
 
     With ``beta`` in [0, 1) returns the discounted average
-    ``(1 - beta) * sum_n beta^n Q^n z`` via the Neumann identity
-    ``(1 - beta) (I - beta Q)^{-1} z``.  With ``beta=None`` returns the
+    ``(1 - beta) * sum_n beta^n Q^n z``, the solution of
+    ``x = (1 - beta) z + beta Q x`` (the game's solve, so it has the bits
+    of the coordination game's actions).  With ``beta=None`` returns the
     exact limit as the discount goes to one, the constant vector whose
     entries are the stationary distribution applied to ``z`` (requires
-    irreducibility).  The discounted solve's residual is gated relative to
-    the largest ``|z|``; a NaN residual fails the gate.
+    irreducibility).
     """
     structure = as_structure(Q)
     matrix = structure.matrix
@@ -138,12 +152,8 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
         _require_irreducible(structure, "abel_limit exact mode")
         return np.full(matrix.shape[0], float(structure.stationary[0] @ z))
     check_beta(beta, f"beta must lie in [0, 1), got {beta}")
-    n = matrix.shape[0]
-    x = (1.0 - beta) * np.linalg.solve(np.eye(n) - beta * matrix, z)
-    residual = float(np.max(np.abs(x - (1.0 - beta) * z - beta * (matrix @ x))))
-    if not residual <= 1e-10 * max(1.0, float(np.max(np.abs(z)))):
-        raise ArithmeticError(f"discounted average residual {residual:.3e} too large")
-    return x
+    d = np.full(matrix.shape[0], beta, dtype=float)
+    return discounted_solve(matrix, (1.0 - d) * z, d)[0]
 
 
 def mfpt(Q) -> MFPTMatrix:
@@ -183,6 +193,8 @@ def power_trajectory(Q, z, n_max: int, cycle_tol: float = 1e-9) -> PowerTrajecto
     structural period (equal to it for generic z).  None means no
     repetition was seen within the horizon.
     """
+    if n_max < 0:
+        raise PreconditionError(f"n_max must be at least 0, got {n_max}")
     matrix = as_structure(Q).matrix
     z = np.asarray(z, dtype=float)
     traj = np.empty((n_max + 1, len(z)))

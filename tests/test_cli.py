@@ -764,3 +764,42 @@ GOLDEN_CSV = [
                          ids=[f"{n}-{c}" for n, c, _, _ in GOLDEN_CSV])
 def test_csv_stdout_and_artifacts_golden_bytes(tmp_path, name, command, code, digest):
     assert _csv_digest(tmp_path, name, command) == (code, digest)
+
+
+@pytest.mark.parametrize("fbar", ["nan", "inf", "-inf"])
+def test_a_non_finite_fbar_is_a_precondition_failure(capsys, fbar):
+    # -inf printed "bound = -inf" and "optimism bound PASS", NaN
+    # "threshold = nan" and "FAIL", both with exit 0
+    code, out = run_cli(["verify-optimism", scenario_path("case2"), f"--fbar={fbar}"])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == f"precondition failure: threshold must be finite, got {float(fbar)}\n"
+    code, out = run_cli(["report", scenario_path("case2"), f"--fbar={fbar}"])
+    assert code == 0
+    optimism = out.split("== optimism ==\n")[1].split("== no-trade ==")[0]
+    assert optimism == f"not applicable: threshold must be finite, got {float(fbar)}\n"
+
+
+def _doubled_joint(d):
+    for entry in d["beliefs"]["a1"]["full"]:
+        entry["p"] *= 2
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-inf", "1e400", "x"])
+@pytest.mark.parametrize("command", ["validate", "consensus", "report"])
+def test_tol_must_be_a_finite_number_at_least_zero(tmp_path, capsys, command, tol):
+    # on a joint that sums to 2, --tol inf passed validation and ended in
+    # the stationary solve's ArithmeticError traceback; --tol nan reported
+    # every vector of a valid scenario as invalid, --tol -1 every entry
+    # as negative
+    for path in (_with("cps", _doubled_joint, tmp_path), scenario_path("cps")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, f"--tol={tol}"], out=StringIO())
+        assert exc.value.code == 64
+        assert (f"argument --tol: expected a finite number >= 0, got {tol!r}"
+                in capsys.readouterr().err)
+
+
+def test_tol_zero_and_a_finite_tol_still_validate(tmp_path):
+    assert run_cli(["validate", scenario_path("cps"), "--tol", "0"])[0] == 0
+    assert run_cli(["validate", _with("cps", _doubled_joint, tmp_path), "--tol", "2"])[0] == 0

@@ -5,7 +5,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from consensus_lab import interaction
+import consensus_lab
+from consensus_lab import interaction, model
 from consensus_lab.consensus import consensus_expectation, first_order_vector, pseudopriors
 from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import (
@@ -20,6 +21,7 @@ from consensus_lab.interaction import (
 from consensus_lab.io import load_scenario, parse_scenario
 from consensus_lab.model import BasicVariable, InterimBelief, ModelSpec, Network
 from consensus_lab.optimism import markov_optimism_check, tightness_chain
+from consensus_lab.spectral import stationary_distribution
 
 from conftest import (
     beliefs_connected_oracle,
@@ -471,10 +473,11 @@ def per_signal_matrix(spec, type_dependent_weights=None):
     """The interaction matrix filled one signal and one counterpart at a
     time: the reference that the block assembly must match bit for bit,
     errors included."""
-    index = interaction.SignalIndex.from_spec(spec)
-    B = np.zeros((len(index), len(index)))
-    for s, t in enumerate(index.labels):
-        i = index.agent_of[s]
+    labels = [t for a in spec.agents for t in spec.signals[a]]
+    owners = [i for i, a in enumerate(spec.agents) for _ in spec.signals[a]]
+    starts = np.cumsum([0] + [len(spec.signals[a]) for a in spec.agents])
+    B = np.zeros((len(labels), len(labels)))
+    for s, (t, i) in enumerate(zip(labels, owners)):
         if type_dependent_weights is not None:
             row = np.asarray(type_dependent_weights[t], dtype=float)
             if row.shape != (spec.n_agents,):
@@ -496,7 +499,7 @@ def per_signal_matrix(spec, type_dependent_weights=None):
                     f"signal {t}: agent {spec.agents[i]} weights {a_j} but carries no"
                     f" belief marginal over {a_j}'s signals"
                 )
-            B[s, index.block(j)] = row[j] * marg
+            B[s, starts[j]:starts[j + 1]] = row[j] * marg
     return B
 
 
@@ -688,3 +691,62 @@ def test_beliefs_are_read_only_views_of_the_agent_arrays():
         layout = spec.beliefs
         arrays = [*layout.tables.values(), *layout.blocks.values(), *layout.listed.values()]
         assert not any(rows.flags.writeable for rows in arrays)
+
+
+FIXTURES = ["cps", "case2", "counterexample", "cycle", "tightness", "tyranny_extreme"]
+
+
+def _model(name):
+    scenario = load_scenario(scenario_path(name))
+    return getattr(scenario, "model", scenario)
+
+
+def _index_fixtures():
+    rng = np.random.default_rng(41)
+    return [_model(name) for name in FIXTURES] + [
+        random_model(rng, n_agents=4, max_signals=3),
+        sparse_reducible_model(rng, 8, 3),
+    ]
+
+
+def test_the_first_order_map_is_the_state_table_and_shares_the_index():
+    for spec in _index_fixtures():
+        F = spec.first_order
+        assert F.matrix is spec.beliefs.states
+        assert np.shares_memory(F.matrix, spec.beliefs.states)
+        assert not F.matrix.flags.writeable
+        assert F.index is spec.structure.index is spec.beliefs.index
+        assert spec.all_signals() == F.index.labels
+        for s, t in enumerate(F.index.labels):
+            assert spec.agent_of(t) == spec.agents[F.index.agent_of[s]]
+
+
+def test_signal_index_lives_with_the_beliefs():
+    assert consensus_lab.SignalIndex is interaction.SignalIndex is model.SignalIndex
+    spec = _model("case2")
+    index = spec.beliefs.index
+    assert index.agents == spec.agents
+    assert index.labels == tuple(t for a in spec.agents for t in spec.signals[a])
+    assert [index.block(a) for a in spec.agents] == [index.block(k) for k in range(3)]
+    assert index.agent_of.tolist() == [k for k, a in enumerate(spec.agents)
+                                       for _ in spec.signals[a]]
+    with pytest.raises(KeyError):
+        spec.agent_of("nobody")
+
+
+def test_a_repeated_agent_is_refused_by_both_builders():
+    # the first-order map had 6 rows for 4 signals, and B named a
+    # marginal of "ann" about "ann"
+    spec = dataclasses.replace(_model("cps"), agents=("ann", "ann", "bob"))
+    for build in (build_first_order_map, build_interaction_structure):
+        with pytest.raises(PreconditionError, match="^agents: duplicate agent label$"):
+            build(spec)
+
+
+def test_an_irreducible_structure_is_solved_as_its_one_terminal_class():
+    for spec in _index_fixtures():
+        structure = spec.structure
+        if structure.irreducible:
+            assert structure.terminal == structure.components
+            assert same_bits(structure.stationary[0],
+                             stationary_distribution(structure.matrix).vector)

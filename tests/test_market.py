@@ -25,6 +25,13 @@ from consensus_lab.market import (
 )
 from consensus_lab.cli import main
 from consensus_lab.io import fmt, load_scenario, parse_scenario
+from consensus_lab.model import (
+    BasicVariable,
+    InterimBelief,
+    ModelSpec,
+    Network,
+    validate_model,
+)
 
 from conftest import cis_scenario, random_model, scenario_path
 
@@ -530,3 +537,25 @@ def test_many_agents_run_without_the_dense_joint():
     assert batch.n_runs == 1000
     # each run's terminal payoff is the payoff of a drawn state
     assert np.isin(batch.terminal_payoffs, spec.y.values).all()
+
+
+def test_a_bid_past_the_row_total_never_buys_from_a_zero_weight_agent(monkeypatch):
+    # c's row sums to 1 - 5e-13, within the validation tolerance; the bid
+    # 1 - 1e-13 lies past it and used to buy from c itself at weight zero
+    agents = ("a", "b", "c")
+    signals = {a: (f"{a}1", f"{a}2") for a in agents}
+    beliefs = {t: InterimBelief([0.5, 0.5], {j: [0.5, 0.5] for j in agents if j != a})
+               for a in agents for t in signals[a]}
+    g = [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5 - 5e-13, 0]]
+    spec = ModelSpec(("lo", "hi"), agents, signals, beliefs, Network(g),
+                     y=BasicVariable([0.0, 1.0], 1.0))
+    assert validate_model(spec) == []
+    kernel = _Kernel(spec, 0.9, product_generating(spec), initial_owner="c")
+
+    class Uniforms:
+        def random(self, size):
+            # nature, continue, bid, stop
+            return np.array([0.3, 0.9, 1 - 1e-13, 0.0])
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Uniforms())
+    assert kernel.run(0)[2] == [2, 1]

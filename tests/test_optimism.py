@@ -302,3 +302,21 @@ def test_non_finite_payoffs_are_refused():
         optimism_hypotheses(spec, 0.5, y=[np.nan, 1.0])
     with pytest.raises(PreconditionError, match="^f: every value must be finite$"):
         optimism_hypotheses(spec, 0.5, f=[np.nan] * len(spec.all_signals()))
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_threshold_is_refused(threshold):
+    # -inf gave bound -inf with the hypotheses holding; NaN a NaN threshold
+    spec = load_scenario(scenario_path("case2"))
+    with pytest.raises(PreconditionError, match="^threshold must be finite, got "):
+        optimism_hypotheses(spec, threshold)
+
+
+@pytest.mark.parametrize("start", [-1, 2, 5])
+def test_a_start_outside_the_chain_is_refused(start):
+    # start=-1 silently used the last state; start=5 raised IndexError
+    Q = np.array([[0.5, 0.5], [0.2, 0.8]])
+    with pytest.raises(PreconditionError, match=r"^start: state -?\d+ is outside 0\.\.1$"):
+        markov_optimism_check(Q, [0.0, 1.0], 0.5, 0.1, 0.1, start=start)
+    check = markov_optimism_check(Q, [0.0, 1.0], 0.5, 0.1, 0.1, start=1)
+    assert np.allclose(check.distribution, [2 / 7, 5 / 7], atol=1e-12)

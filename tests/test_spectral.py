@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from consensus_lab.consensus import first_order_vector
 from consensus_lab.errors import PreconditionError, ReducibleError
+from consensus_lab.game import solve_beta_game
 from consensus_lab.interaction import build_interaction_structure
+from consensus_lab.io import load_scenario
 from consensus_lab.model import Network
 from consensus_lab.optimism import tightness_chain
 from consensus_lab.spectral import (
@@ -13,7 +16,7 @@ from consensus_lab.spectral import (
     stationary_distribution,
 )
 
-from conftest import random_model
+from conftest import random_model, scenario_path
 
 
 def random_chain(rng, n, floor=0.01):
@@ -310,3 +313,41 @@ def test_mfpt_refuses_a_corrupted_chain():
     Q[1, 3] = np.nan
     with pytest.raises(ArithmeticError):
         mfpt(Q)
+
+
+@pytest.mark.parametrize("name", ["cps", "case2", "counterexample", "cycle", "tightness",
+                                  "tyranny_extreme"])
+def test_discounted_average_is_the_game_solve_bit_for_bit(name):
+    # abel_limit and the beta-game share one discounted solve
+    scenario = load_scenario(scenario_path(name))
+    spec = getattr(scenario, "model", scenario)
+    x1 = first_order_vector(spec)
+    for beta in (0.0, 0.5, 0.9, 0.999):
+        actions = solve_beta_game(spec, beta).actions
+        assert abel_limit(spec.structure, x1, beta).tobytes() == actions.tobytes()
+        assert abel_limit(spec.structure.matrix, x1, beta).tobytes() == actions.tobytes()
+
+
+@pytest.mark.parametrize("nudge, passes", [(1e-8, True), (1e-5, False)])
+def test_discounted_average_gate_scales_with_the_discounted_payoff(monkeypatch, nudge,
+                                                                   passes):
+    # the gate is 1e-10 * max(1, (1 - beta) max|z|): 1e-7 here, where it
+    # was 1e-10 * max|z| = 1e-4
+    Q = np.array([[0.5, 0.5], [0.2, 0.8]])
+    z = np.array([1e6, 0.0])
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solve(a, b) + nudge * (np.arange(len(b)) == 0))
+    if passes:
+        abel_limit(Q, z, beta=0.999)
+    else:
+        with pytest.raises(ArithmeticError, match="^fixed-point residual"):
+            abel_limit(Q, z, beta=0.999)
+
+
+@pytest.mark.parametrize("n_max", [-1, -5])
+def test_negative_horizon_is_refused(n_max):
+    # n_max=-1 raised IndexError
+    with pytest.raises(PreconditionError, match="n_max must be at least 0"):
+        power_trajectory(np.eye(2)[::-1], [1.0, 0.0], n_max=n_max)
+    assert len(power_trajectory(np.eye(2)[::-1], [1.0, 0.0], n_max=0).vectors) == 1
