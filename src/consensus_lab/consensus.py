@@ -93,7 +93,8 @@ class ConsensusResult:
     is None and ``components`` carries one value per public event.
     ``weights`` spans all signals, zero on transient ones.  For a
     reducible structure with transient signals, ``absorption`` gives each
-    signal's long-run distribution over the terminal components.
+    signal's long-run distribution over the terminal components, solved
+    when first read.
     Centralities and pseudopriors are present only when defined
     (irreducible network, resp. irreducible interaction structure).
     """
@@ -104,12 +105,17 @@ class ConsensusResult:
     weights: np.ndarray | None
     centralities: np.ndarray | None
     pseudopriors: dict[str, np.ndarray] | None
-    absorption: np.ndarray | None
     structure: InteractionStructure
 
     @property
     def component_values(self) -> dict[tuple[str, ...], float]:
         return {c.signals: c.value for c in self.components}
+
+    @property
+    def absorption(self) -> np.ndarray | None:
+        """The structure's absorption matrix, solved when first read; None
+        when the structure is irreducible."""
+        return None if self.irreducible else self.structure.absorption
 
 
 def consensus_expectation(
@@ -125,7 +131,7 @@ def consensus_expectation(
     event it represents.  An irreducible structure is one terminal
     component, and it also gets pseudopriors (when the network has
     centralities); a reducible one gets absorption probabilities for its
-    transient signals.
+    transient signals, solved only when read.
     """
     fvec = first_order_vector(spec, y, f)
     structure = (spec.structure if type_dependent_weights is None
@@ -152,7 +158,6 @@ def consensus_expectation(
         weights if single else None,
         centralities,
         pseudopriors(spec) if irreducible and centralities is not None else None,
-        None if irreducible else structure.absorption,
         structure,
     )
 

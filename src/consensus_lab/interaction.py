@@ -5,7 +5,11 @@ network weight i places on j times i's interim probability of j's signal.
 This module builds that matrix, the first-order map sending state payoffs to
 per-signal expectations, and the connectivity analysis of the result
 (strongly connected components, terminal components, periods), which the
-structure carries so that every caller shares one analysis.
+structure carries so that every caller shares one analysis.  It also owns
+its Markov solves, each made on first use and kept: each terminal
+component's stationary vector, by the one kernel ``stationary_vector``, and
+the absorption probabilities and times, by the one transient solve with
+``I - B_TT`` (transient signals).
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError
 from .model import ModelSpec, Network, SignalIndex
+
+#: Residual ceiling enforced on every returned stationary distribution.
+STATIONARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,8 +49,8 @@ class InteractionStructure:
     member; ``terminal`` are the closed ones (no edge leaves them), in the
     same order, and ``periods`` gives each terminal component's period.
     ``index`` is None for a bare matrix, whose states have no labels.
-    The per-terminal-component stationary vectors and the absorption
-    matrix are computed on first use and kept.
+    The per-terminal-component stationary vectors, the absorption matrix
+    and the absorption times are computed on first use and kept.
     """
 
     matrix: np.ndarray
@@ -68,7 +75,7 @@ class InteractionStructure:
         """True when every terminal component has period one."""
         return all(p == 1 for p in self.periods)
 
-    @property
+    @cached_property
     def transient(self) -> tuple[int, ...]:
         """Signals outside every terminal component, in index order."""
         closed = np.zeros(len(self.matrix), dtype=bool)
@@ -85,16 +92,24 @@ class InteractionStructure:
     @cached_property
     def stationary(self) -> tuple[np.ndarray, ...]:
         """Stationary vector of each terminal component, over its members."""
-        from .spectral import stationary_distribution
+        # a terminal component is strongly connected by construction
+        return tuple(stationary_vector(self.matrix[np.ix_(c, c)]) for c in self.terminal)
 
-        out = []
-        for comp, period in zip(self.terminal, self.periods):
-            members = (tuple(range(len(comp))),)
-            # a terminal component is strongly connected by construction
-            sub = InteractionStructure(
-                self.matrix[np.ix_(comp, comp)], None, members, members, (period,))
-            out.append(stationary_distribution(sub).vector)
-        return tuple(out)
+    def _transient_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(I - B_TT)^{-1} rhs`` by one dense solve, refused when it is not
+        finite, naming the first transient signal where it is not (the
+        first of all when the block is singular in floating point)."""
+        T = self.transient
+        try:
+            x = np.linalg.solve(np.eye(len(T)) - self.matrix[np.ix_(T, T)], rhs)
+        except np.linalg.LinAlgError:
+            x = np.full(np.shape(rhs), np.nan)
+        if not np.isfinite(x).all():
+            first = np.argwhere(~np.isfinite(x))[0][0]
+            raise PreconditionError(
+                f"transient signal {self.names(T)[first]}: (I - B_TT)^-1 is not finite"
+                " there; I - B_TT is singular in floating point or not finite")
+        return x
 
     @cached_property
     def absorption(self) -> np.ndarray:
@@ -107,13 +122,46 @@ class InteractionStructure:
         absorption = np.zeros((n, len(self.terminal)))
         for k, comp in enumerate(self.terminal):
             absorption[list(comp), k] = 1.0
-        transient = list(self.transient)
-        if transient:
-            into = self.matrix[transient] @ absorption
-            A = np.eye(len(transient)) - self.matrix[np.ix_(transient, transient)]
-            absorption[transient] = np.linalg.solve(A, into)
+        T = list(self.transient)
+        absorption[T] = self._transient_solve(self.matrix[T] @ absorption)
         absorption.setflags(write=False)
         return absorption
+
+    @cached_property
+    def absorption_time(self) -> np.ndarray:
+        """Expected steps from each transient signal (in ``transient`` order)
+        into a terminal component: ``t = (I - B_TT)^{-1} 1``."""
+        t = self._transient_solve(np.ones(len(self.transient)))
+        t.setflags(write=False)
+        return t
+
+
+def stationary_vector(Q: np.ndarray) -> np.ndarray:
+    """Stationary vector of an irreducible row-stochastic matrix, solved
+    directly with a normalization row (periodic chains need no special
+    care) and up to two rounds of iterative refinement.  A residual
+    ``sum |pQ - p|`` above ``STATIONARY_TOL``, or NaN, raises ArithmeticError."""
+    # replace the last equation of (Q^T - I) x = 0 with the normalization
+    n = Q.shape[0]
+    A = Q.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    x = np.linalg.solve(A, b)
+    for _ in range(2):
+        r = b - A @ x
+        if np.max(np.abs(r)) < 1e-14:
+            break
+        x = x + np.linalg.solve(A, r)
+    x = np.where(np.abs(x) < 1e-15, 0.0, x)
+    p = x / x.sum()
+    residual = float(np.abs(p @ Q - p).sum())
+    if not residual <= STATIONARY_TOL:
+        raise ArithmeticError(
+            f"stationary solve residual {residual:.3e} exceeds {STATIONARY_TOL:.1e}"
+        )
+    p.setflags(write=False)
+    return p
 
 
 def _signal_index(spec: ModelSpec) -> SignalIndex:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import consensus_expectation, first_order_vector
+from .consensus import consensus_expectation, first_order_vector, higher_order_expectations
 from .errors import PreconditionError
 from .interaction import as_structure
 from .model import BasicVariable, InterimBelief, ModelSpec, Network
@@ -23,8 +23,7 @@ from .model import BasicVariable, InterimBelief, ModelSpec, Network
 def second_order_expectations(spec: ModelSpec, y=None, f=None) -> np.ndarray:
     """Each signal's network-averaged expectation of counterparties'
     first-order expectations (the step-2 vector)."""
-    fvec = first_order_vector(spec, y, f)
-    return spec.structure.matrix @ fvec
+    return higher_order_expectations(spec, 2, y, f)
 
 
 @dataclass(frozen=True)
@@ -105,15 +104,19 @@ def markov_optimism_check(
     absorption-weighted mixture of the stationary distributions of the
     terminal components reachable from it.  When the hypotheses hold,
     its mass on states scoring at least the threshold must be at least
-    ``1 / (1 + eps/delta)``.
+    ``1 / (1 + eps/delta)``.  All inputs must be finite.
     """
-    if delta <= 0 or eps <= 0:
-        raise PreconditionError("delta and eps must be positive")
+    if not np.isfinite(threshold):
+        raise PreconditionError(f"threshold must be finite, got {threshold}")
+    if not (0 < delta < np.inf and 0 < eps < np.inf):
+        raise PreconditionError("delta and eps must be positive and finite")
     structure = as_structure(Q)
     matrix = structure.matrix
     if not 0 <= start < len(matrix):
         raise PreconditionError(f"start: state {start} is outside 0..{len(matrix) - 1}")
     f = np.asarray(f, dtype=float)
+    if f.shape != (len(matrix),) or not np.all(np.isfinite(f)):
+        raise PreconditionError(f"f: expected one finite value per state ({len(matrix)})")
     drift = matrix @ f - f
     violations = []
     for s in range(len(f)):

@@ -5,9 +5,9 @@ power series, raw power trajectories with cycle detection, and mean first
 passage times.  Everything works on dense arrays at desk scale.  Every
 entry point accepts an InteractionStructure, a Network (analysed once and
 kept on it) or a square array, and analyses a bare matrix once.  The
-stationary solve is direct with up to two rounds of iterative refinement;
-mean first passage times come from one inversion of the Kemeny-Snell
-fundamental matrix.
+stationary vector is the structure's cached one, solved once per terminal
+class; mean first passage times come from one inversion of the
+Kemeny-Snell fundamental matrix.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ReducibleError
-from .interaction import InteractionStructure, as_structure, joint_connectedness
+# STATIONARY_TOL, the stationary kernel's residual ceiling, is re-exported
+from .interaction import STATIONARY_TOL, InteractionStructure, as_structure, joint_connectedness
 from .model import check_beta
-
-#: Residual ceiling enforced on every returned stationary distribution.
-STATIONARY_TOL = 1e-10
 
 #: Fixed-point residual ceiling of the discounted solve, relative past unit scale.
 RESIDUAL_TOL = 1e-10
@@ -77,43 +75,19 @@ def _require_irreducible(structure: InteractionStructure, what: str):
         )
 
 
-def _direct_stationary(Q: np.ndarray) -> np.ndarray:
-    # replace the last equation of (Q^T - I) x = 0 with the normalization
-    n = Q.shape[0]
-    A = Q.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    x = np.linalg.solve(A, b)
-    for _ in range(2):
-        r = b - A @ x
-        if np.max(np.abs(r)) < 1e-14:
-            break
-        x = x + np.linalg.solve(A, r)
-    x = np.where(np.abs(x) < 1e-15, 0.0, x)
-    return x / x.sum()
-
-
-def stationary_distribution(Q, tol: float = STATIONARY_TOL) -> StationaryDistribution:
+def stationary_distribution(Q) -> StationaryDistribution:
     """Unique stationary distribution of an irreducible row-stochastic matrix.
 
     ``Q`` is an array, an InteractionStructure or a Network and must be
     irreducible; a reducible input raises :class:`ReducibleError`
-    carrying a closed-set certificate.  The fixed-point system is solved
-    directly with a normalization row, so periodic chains need no special
-    care.  A residual above ``tol``, or a NaN residual, raises
-    ``ArithmeticError``.
+    carrying a closed-set certificate.  The vector is the structure's
+    cached ``stationary[0]`` (see ``interaction.stationary_vector``); a
+    residual above ``STATIONARY_TOL``, or NaN, raises ``ArithmeticError``.
     """
     structure = as_structure(Q)
     _require_irreducible(structure, "stationary_distribution")
-    matrix = structure.matrix
-    p = _direct_stationary(matrix)
-    residual = float(np.abs(p @ matrix - p).sum())
-    if not residual <= tol:
-        raise ArithmeticError(
-            f"stationary solve residual {residual:.3e} exceeds {tol:.1e}"
-        )
-    return StationaryDistribution(p, residual)
+    p = structure.stationary[0]
+    return StationaryDistribution(p, float(np.abs(p @ structure.matrix - p).sum()))
 
 
 def eigenvector_centrality(network) -> np.ndarray:

@@ -13,8 +13,8 @@ bind on that class, so a reducible structure made only of closed classes
 has no trade either.  When some signal is transient, the payment
 ``x = -t / max t``, with ``t`` the expected absorption time, gains exactly
 ``1 / max t`` on every transient signal and nothing elsewhere.  The test
-reads the transient signals off the structure's graph analysis and
-solves one linear system for that witness.
+reads the transient signals and ``t`` off the structure, which solves for
+``t`` once and keeps it, and checks the witness against its inequalities.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ def no_trade_test(B) -> TradeResult:
 
     A trade exists exactly when some signal is transient.  The witness
     is ``x = -t / max t`` with ``t = (I - B_TT)^{-1} 1`` the expected
-    absorption time from each transient signal: it gains ``1 / max t``
-    on every transient signal and nothing on the terminal ones.
+    absorption time from each transient signal (``structure.absorption_time``,
+    refused when not finite): it gains ``1 / max t`` on every transient
+    signal and nothing on the terminal ones.
     """
     structure = as_structure(B)
     reducible = not structure.irreducible
@@ -64,10 +65,7 @@ def no_trade_test(B) -> TradeResult:
     if not transient:
         return TradeResult(None, reducible, 0.0, structure.labels)
     matrix = structure.matrix
-    t = np.linalg.solve(
-        np.eye(len(transient)) - matrix[np.ix_(transient, transient)],
-        np.ones(len(transient)),
-    )
+    t = structure.absorption_time
     x = np.zeros(len(matrix))
     x[transient] = -t / t.max()
     gains = matrix @ x - x

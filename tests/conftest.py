@@ -32,6 +32,22 @@ def scenario_path(name):
     return os.path.join(SCENARIOS, name + ".json")
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Shapes of the matrices handed to a dense solve or inverse (one LU
+    factorization each), one entry per call."""
+    shapes = []
+    for module, name in [(np.linalg, "solve"), (np.linalg, "inv")]:
+        original = getattr(module, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+    return shapes
+
+
 def dirichlet(rng, n, concentration=1.0):
     v = rng.gamma(concentration, 1.0, size=n)
     return v / v.sum()

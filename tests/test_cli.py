@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -8,7 +9,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from consensus_lab import cli, interaction, spectral
+from consensus_lab import cli, interaction
 from consensus_lab import io as sio
 from consensus_lab.cli import main
 from consensus_lab.game import solve_beta_game
@@ -563,7 +564,7 @@ def work_counts(monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, counts, [(interaction, "build_interaction_structure"),
                                        (interaction, "strongly_connected_components"),
-                                       (spectral, "stationary_distribution")])
+                                       (interaction, "stationary_vector")])
     return counts
 
 
@@ -576,7 +577,57 @@ def test_report_builds_each_structure_once(work_counts, name, builds, sccs, solv
     assert code == 0
     assert work_counts == Counter(build_interaction_structure=builds,
                                   strongly_connected_components=sccs,
-                                  stationary_distribution=solves)
+                                  stationary_vector=solves)
+
+
+def _bench_gen():
+    """The benchmark's seeded scenario generators, ``bench/gen.py``."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "gen.py")
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_solves_the_transient_block_once(tmp_path, factorizations):
+    # the benchmark's sparse_reducible model, seed 1: 1000 signals, 500 of
+    # them transient; only no-trade solves with I - B_TT (the consensus does
+    # not print the absorption matrix)
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(_bench_gen().sparse_reducible(np.random.default_rng(1))))
+    code, _ = run_cli(["report", str(path)])
+    assert code == 0
+    assert factorizations.count((500, 500)) == 1
+
+
+SINGULAR_TRANSIENT = {
+    "kind": "general", "states": ["s1", "s2"], "agents": ["a", "b"],
+    "signals": {"a": ["a1", "a2"], "b": ["b1", "b2"]},
+    "beliefs": {t: {"marginals": {"state": [0.5, 0.5],
+                                  "signals": {"b" if t[0] == "a" else "a": [0.5, 0.5]}}}
+                for t in ("a1", "a2", "b1", "b2")},
+    # a's weight on b rounds away: its rows sum to 1.0 and I - B_TT is
+    # exactly singular in floating point
+    "network": {"weights": [[1.0, 1e-17], [0.0, 1.0]], "diagonal_allowed": True},
+    "y": {"values": {"s1": 0.0, "s2": 1.0}, "max": 1.0},
+}
+
+
+def test_transient_block_singular_in_floating_point_is_refused(tmp_path, capsys):
+    # it passed validation and ended in LinAlgError (exit 1) in consensus,
+    # no-trade and report; the consensus needs no transient solve
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(SINGULAR_TRANSIENT))
+    assert run_cli(["validate", str(path)])[0] == 0
+    code, out = run_cli(["consensus", str(path)])
+    assert code == 0 and "component_consensus b1 = 0.5\n" in out
+    refusal = ("transient signal a1: (I - B_TT)^-1 is not finite there; I - B_TT is"
+               " singular in floating point or not finite")
+    assert run_cli(["no-trade", str(path)]) == (3, "")
+    assert capsys.readouterr().err == f"precondition failure: {refusal}\n"
+    code, out = run_cli(["report", str(path)])
+    assert code == 0
+    assert f"== no-trade ==\nnot applicable: {refusal}\n" in out
 
 
 @pytest.fixture

@@ -320,3 +320,21 @@ def test_a_start_outside_the_chain_is_refused(start):
         markov_optimism_check(Q, [0.0, 1.0], 0.5, 0.1, 0.1, start=start)
     check = markov_optimism_check(Q, [0.0, 1.0], 0.5, 0.1, 0.1, start=1)
     assert np.allclose(check.distribution, [2 / 7, 5 / 7], atol=1e-12)
+
+
+@pytest.mark.parametrize("threshold, delta, eps, f, match", [
+    (np.nan, 0.1, 0.1, [0.0, 1.0], "threshold must be finite"),
+    (np.inf, 0.1, 0.1, [0.0, 1.0], "threshold must be finite"),
+    (0.5, np.nan, 0.1, [0.0, 1.0], "delta and eps"),
+    (0.5, np.inf, 0.1, [0.0, 1.0], "delta and eps"),
+    (0.5, 0.1, np.nan, [0.0, 1.0], "delta and eps"),
+    (0.5, 0.1, np.inf, [0.0, 1.0], "delta and eps"),
+    (0.5, 0.1, 0.1, [0.0, np.nan], r"f: expected one finite value per state \(2\)"),
+    (0.5, 0.1, 0.1, [0.0], r"f: expected one finite value per state \(2\)"),
+])
+def test_markov_optimism_check_refuses_non_finite_inputs(threshold, delta, eps, f, match):
+    # a NaN threshold or f gave hypotheses_ok=True, satisfied=False (a false
+    # counterexample), a NaN delta gave bound nan, a short f numpy's ValueError
+    Q = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(PreconditionError, match=match):
+        markov_optimism_check(Q, f, threshold, delta, eps)

@@ -75,6 +75,12 @@ def test_nan_entry_fails_the_discounted_residual_gate():
         abel_limit(Q, np.arange(5.0), beta=0.9)
 
 
+def test_stationary_distribution_reads_the_structures_vector():
+    # no second solve: the structure's cached per-class vector is returned
+    structure = load_scenario(scenario_path("cps")).structure
+    assert stationary_distribution(structure).vector is structure.stationary[0]
+
+
 def test_reducible_input_raises_with_certificate():
     Q = np.eye(3)
     with pytest.raises(ReducibleError) as err:

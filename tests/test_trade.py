@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from consensus_lab.consensus import consensus_expectation
+from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import (
     absorbing_components,
+    as_structure,
     build_interaction_structure,
     joint_connectedness,
 )
@@ -130,3 +133,27 @@ def test_witness_on_large_sparse_reducible_models():
         assert np.allclose(gains[T], 1.0 / t.max(), rtol=1e-9, atol=0.0)
         assert np.max(np.abs(np.delete(gains, T))) <= 1e-12
         assert result.objective == pytest.approx(len(T) / t.max(), rel=1e-9)
+
+
+def test_consensus_and_no_trade_solve_the_transient_block_once(factorizations):
+    # the consensus does not solve for the absorption matrix it does not
+    # print, and no_trade_test reads the structure's cached absorption times
+    spec = load_scenario(scenario_path("case2"))
+    consensus_expectation(spec)
+    assert no_trade_test(spec.structure).has_trade
+    assert no_trade_test(spec.structure).has_trade
+    T = len(spec.structure.transient)
+    assert factorizations.count((T, T)) == 1
+
+
+@pytest.mark.parametrize("self_weight", [1.0, np.nan])
+def test_transient_block_singular_in_floating_point_or_nan_is_refused(self_weight):
+    # signal 0 is transient (its edge to 1 is nonzero), but I - B_TT is 0
+    # (1e-17 rounds away) or NaN
+    B = np.array([[self_weight, 1e-17], [0.0, 1.0]])
+    structure = as_structure(B)
+    assert structure.transient == (0,)
+    for read in (lambda: structure.absorption, lambda: structure.absorption_time,
+                 lambda: no_trade_test(structure)):
+        with pytest.raises(PreconditionError, match=r"^transient signal 0: \(I - B_TT\)\^-1"):
+            read()
