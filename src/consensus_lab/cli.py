@@ -205,7 +205,7 @@ def cmd_consensus(args, scenario, out) -> int:
             decomposition = verify_cps_decomposition(model)
             rows.append(("cps_decomposition_gap", "", fmt(decomposition.gap)))
         else:
-            rows.append(("cps_violation", "", fmt(check.max_violation)))
+            rows.append(("prior_stationarity_residual", "", fmt(check.residual)))
     except (CapabilityError, PreconditionError):
         pass
     _table(args, out, "kind,label,value", rows, "consensus.csv")

@@ -19,8 +19,8 @@ from .interaction import InteractionStructure, build_interaction_structure
 from .model import BasicVariable, ModelSpec, ex_ante_expectation
 from .spectral import eigenvector_centrality
 
-#: Tolerance for the common-prior-over-signals check.  Inputs are parsed
-#: decimals, so exact equality would be too brittle.
+#: Tolerance on the prior stationarity residual of :func:`cps_check`.
+#: Inputs are parsed decimals, so exact equality would be too brittle.
 CPS_TOL = 1e-10
 
 
@@ -188,43 +188,31 @@ def pseudopriors(spec: ModelSpec) -> dict[str, np.ndarray]:
 @dataclass(frozen=True)
 class CpsCheck:
     holds: bool
-    max_violation: float
+    residual: float
 
 
 def cps_check(spec: ModelSpec, tol: float = CPS_TOL) -> CpsCheck:
-    """Test for a common prior over signals.
+    """Test the one property of a common prior over signals that the
+    consensus decomposition uses: the ex ante weights are stationary under
+    the interaction structure.
 
-    Every agent's prior over his own signals, combined with his joint
-    interim beliefs about the others, must induce the same distribution
-    over full signal profiles.  Needs full-mode beliefs and priors;
-    marginal-only models raise :class:`CapabilityError`.
+    ``p̂`` puts mass ``e_i μ_i(t)`` on each signal ``t`` of agent ``i``,
+    where ``e`` is the network's eigenvector centrality and ``μ_i`` the
+    agent's prior over his signals; ``residual`` is ``‖p̂B − p̂‖₁`` and the
+    check holds when it is at most ``tol``.  A common prior over signal
+    profiles implies ``p̂B = p̂``, but not the reverse.  Models without a
+    prior for every agent raise :class:`CapabilityError`; a network without
+    a unique centrality raises :class:`ReducibleError`.
     """
     if spec.priors is None:
         raise CapabilityError("cps_check needs per-agent priors over signals")
     for a in spec.agents:
         if a not in spec.priors:
             raise CapabilityError(f"cps_check needs a prior for every agent; {a} has none")
-    # refuse before allocating: the profile tensor has one axis per agent
-    for t in spec.all_signals():
-        if spec.beliefs[t].full is None:
-            raise CapabilityError(
-                f"cps_check needs full joint beliefs; signal {t} carries"
-                " only marginals"
-            )
-    sizes = [len(spec.signals[a]) for a in spec.agents]
-    joints = []
-    for i, a in enumerate(spec.agents):
-        P = np.zeros(sizes)
-        for ti, t in enumerate(spec.signals[a]):
-            others_joint = spec.beliefs[t].full.sum(axis=0)
-            sl = [slice(None)] * len(sizes)
-            sl[i] = ti
-            P[tuple(sl)] = spec.priors[a][ti] * others_joint
-        joints.append(P)
-    violation = 0.0
-    for i in range(1, len(joints)):
-        violation = max(violation, float(np.max(np.abs(joints[i] - joints[0]))))
-    return CpsCheck(violation <= tol, violation)
+    e = eigenvector_centrality(spec.network)
+    p = np.concatenate([e[k] * spec.priors[a] for k, a in enumerate(spec.agents)])
+    residual = float(np.abs(p @ spec.structure.matrix - p).sum())
+    return CpsCheck(residual <= tol, residual)
 
 
 @dataclass(frozen=True)
@@ -245,13 +233,13 @@ def verify_cps_decomposition(
 
     The consensus must equal the centrality-weighted average of agents'
     ex ante expectations; when those expectations all agree, it must
-    equal the common value.  Raises when the model has no common prior
-    over signals.
+    equal the common value.  Raises unless :func:`cps_check` holds.
     """
     check = cps_check(spec)
     if not check.holds:
         raise PreconditionError(
-            f"no common prior over signals (max violation {check.max_violation:.3e})"
+            "the priors are not stationary under the interaction structure"
+            f" (residual {check.residual:.3e})"
         )
     if y is None:
         y = spec.y
@@ -260,11 +248,8 @@ def verify_cps_decomposition(
         raise PreconditionError(
             "consensus is not unique (several terminal components)"
         )
+    # cps_check refused a network without centralities
     e = result.centralities
-    if e is None:
-        raise PreconditionError(
-            "the decomposition needs an irreducible network for centralities"
-        )
     prior_exp = {
         a: ex_ante_expectation(spec, a, spec.priors[a], y) for a in spec.agents
     }

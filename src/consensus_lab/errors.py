@@ -6,7 +6,7 @@ class ScenarioError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """The operation needs data the model does not carry (e.g. full joint beliefs)."""
+    """The operation needs data the model does not carry (e.g. per-agent priors)."""
 
 
 class PreconditionError(ValueError):

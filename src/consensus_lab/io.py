@@ -134,29 +134,36 @@ def _parse_belief(obj, ctx, agents, signals, states, owner) -> InterimBelief:
     if "full" in obj and "marginals" in obj:
         _fail(ctx, "give either marginals or full, not both")
     if "full" in obj:
+        # each entry's p is added to its state and to each counterpart's
+        # signal, in entry order: the marginals of the joint, which is
+        # never built
         others = [a for a in agents if a != owner]
         entries = _expect(obj["full"], list, f"{ctx}.full", "a list of entries")
-        shape = (len(states),) + tuple(len(signals[j]) for j in others)
-        joint = np.zeros(shape)
+        state = np.zeros(len(states))
+        marginals = {j: np.zeros(len(signals[j])) for j in others}
         for k, ent in enumerate(entries):
             ectx = f"{ctx}.full[{k}]"
             _expect(ent, dict, ectx, "an object")
             _take(ent, ectx, ["state", "others", "p"])
             if ent["state"] not in states:
                 _fail(ectx, f"unknown state {ent['state']!r}")
-            coord = [states.index(ent["state"])]
             oth = _expect(ent["others"], dict, f"{ectx}.others", "an object")
             for j in others:
                 if j not in oth:
                     _fail(f"{ectx}.others", f"missing signal for agent {j}")
                 if oth[j] not in signals[j]:
                     _fail(f"{ectx}.others", f"unknown signal {oth[j]!r} for {j}")
-                coord.append(signals[j].index(oth[j]))
             extra = sorted(set(oth) - set(others))
             if extra:
                 _fail(f"{ectx}.others", f"unexpected agent(s) {extra}")
-            joint[tuple(coord)] += _number(ent["p"], f"{ectx}.p")
-        return InterimBelief.from_full(joint, others)
+            p = _number(ent["p"], f"{ectx}.p")
+            # a negative entry could hide in a marginal that sums it away
+            if not p >= 0:
+                _fail(f"{ectx}.p", f"expected a probability >= 0, got {p!r}")
+            state[states.index(ent["state"])] += p
+            for j in others:
+                marginals[j][signals[j].index(oth[j])] += p
+        return InterimBelief(state, marginals)
     if "marginals" not in obj:
         _fail(ctx, "belief needs either marginals or full")
     m = _expect(obj["marginals"], dict, f"{ctx}.marginals", "an object")
@@ -190,8 +197,8 @@ def _belief_blocks(bl, agents, signals, n_states) -> Beliefs | None:
     """Every belief in marginal form, screened and stored by agent blocks:
     one array for all state marginals and one per (agent, counterpart)
     pair, over the rows that list the counterpart.  None when some belief
-    fails the screen or gives a full joint: the per-signal parse then
-    finds the first error, or derives the marginals from the joint."""
+    fails the screen or is given in full mode: the per-signal parse then
+    finds the first error, or sums the entries into marginals."""
     state_lists, columns, keys = [], {}, {}
     for a in agents:
         labels = signals[a]

@@ -9,8 +9,11 @@ spec's interaction structure and first-order map, a network's analysis.
 A spec stores its interim beliefs by agent blocks (:class:`Beliefs`): one
 state table per agent, with a row per signal, and one block per (agent,
 counterpart) pair, with the agent's marginals over the counterpart's
-signals.  For a parsed marginal-mode scenario ``spec.beliefs[t]`` is an
-:class:`InterimBelief` over read-only row views of those arrays.
+signals.  Marginals are all a belief holds: a scenario's full-mode
+entries are summed into them as they are parsed, and no joint over
+signal profiles is kept.  For a parsed marginal-mode scenario
+``spec.beliefs[t]`` is an :class:`InterimBelief` over read-only row views
+of those arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from types import MappingProxyType
-from typing import Sequence
 
 import numpy as np
 
@@ -57,24 +59,15 @@ class InterimBelief:
     signal_marginals : mapping, other agent label -> array
         Probability over that agent's signals given the owner's signal.
         Agents the owner never weights may be omitted.
-    full : optional array
-        Joint distribution over (state, other agents' signal profile).
-        Axis 0 runs over states; the remaining axes run over the other
-        agents' signals in agent declaration order.  Only needed for
-        operations that inspect correlation across opponents (common
-        prior checks); everything else uses the marginals.
     """
 
     state_marginal: np.ndarray
     signal_marginals: Mapping[str, np.ndarray]
-    full: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "state_marginal", freeze(self.state_marginal))
         marginals = {j: freeze(v) for j, v in self.signal_marginals.items()}
         object.__setattr__(self, "signal_marginals", MappingProxyType(marginals))
-        if self.full is not None:
-            object.__setattr__(self, "full", freeze(self.full))
 
     @classmethod
     def _view(cls, state_marginal, signal_marginals) -> "InterimBelief":
@@ -82,29 +75,8 @@ class InterimBelief:
         belief = object.__new__(cls)
         object.__setattr__(belief, "__dict__", {
             "state_marginal": state_marginal,
-            "signal_marginals": MappingProxyType(signal_marginals), "full": None})
+            "signal_marginals": MappingProxyType(signal_marginals)})
         return belief
-
-    @classmethod
-    def from_full(cls, full, other_agents: Sequence[str]) -> "InterimBelief":
-        """Build a belief from a joint array, deriving all marginals.
-
-        ``full`` has axis 0 over states and one axis per entry of
-        ``other_agents`` (in that order).
-        """
-        full = np.asarray(full, dtype=float)
-        if full.ndim != 1 + len(other_agents):
-            raise PreconditionError(
-                f"joint belief needs {1 + len(other_agents)} axes, got {full.ndim}"
-            )
-        signal_axes = tuple(range(1, full.ndim))
-        state_marginal = full.sum(axis=signal_axes)
-        marginals = {}
-        for k, j in enumerate(other_agents):
-            keep = 1 + k
-            axes = tuple(a for a in range(full.ndim) if a != keep)
-            marginals[j] = full.sum(axis=axes)
-        return cls(state_marginal, marginals, full)
 
 
 @dataclass(frozen=True)
@@ -145,9 +117,9 @@ class Beliefs(Mapping):
     per signal of ``a``, for each agent ``j`` that some signal of ``a``
     lists; ``listed[a, j]`` marks the rows that list ``j`` (the others are
     zeros).  ``irregular`` marks the rows the arrays do not describe
-    alone: a missing belief, a full joint, or a vector that is not 1-D
-    with one entry per state or counterpart signal (or whose counterpart
-    is not another agent).
+    alone: a missing belief, or a vector that is not 1-D with one entry
+    per state or counterpart signal (or whose counterpart is not another
+    agent).
 
     A parsed belief is built on first use over read-only row views of the
     arrays.  A belief given as an :class:`InterimBelief` is kept as given,
@@ -200,7 +172,7 @@ class Beliefs(Mapping):
                     continue
                 fits = b.state_marginal.shape == (n_states,)
                 states.append(b.state_marginal if fits else blank)
-                regular = fits and b.full is None
+                regular = fits
                 for j, m in b.signal_marginals.items():
                     if j != a and m.shape == shapes.get(j):
                         found.setdefault(j, {})[r] = m
@@ -456,26 +428,6 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                     v.append(f"{loc}.signals.{j}: not another agent")
                     continue
                 _check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]), tol)
-            if b.full is not None:
-                others = [j for j in spec.agents if j != a]
-                shape = (spec.n_states,) + tuple(len(spec.signals[j]) for j in others)
-                if b.full.shape != shape:
-                    v.append(f"{loc}.full: shape {b.full.shape}, expected {shape}")
-                    continue
-                if np.any(b.full < -tol):
-                    v.append(f"{loc}.full: negative entry")
-                if not abs(float(b.full.sum()) - 1.0) <= tol:
-                    v.append(f"{loc}.full: sums to {float(b.full.sum())!r}")
-                rebuilt = InterimBelief.from_full(b.full, others)
-                derived = [("state", b.state_marginal, rebuilt.state_marginal)] + [
-                    (f"signals.{j}", m, rebuilt.signal_marginals[j])
-                    for j, m in b.signal_marginals.items() if j in others]
-                for where, given, joint in derived:
-                    # a vector of the wrong shape is only reported as such;
-                    # an empty one (no states) has nothing to compare
-                    if np.shape(given) == joint.shape and joint.size and not np.max(
-                            np.abs(joint - given)) <= tol:
-                        v.append(f"{loc}.{where}: inconsistent with full joint")
 
     if spec.priors is not None:
         for a, mu in spec.priors.items():

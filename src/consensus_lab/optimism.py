@@ -112,6 +112,8 @@ def markov_optimism_check(
         raise PreconditionError("delta and eps must be positive and finite")
     structure = as_structure(Q)
     matrix = structure.matrix
+    if isinstance(start, bool) or not isinstance(start, (int, np.integer)):
+        raise PreconditionError(f"start: expected an integer state index, got {start!r}")
     if not 0 <= start < len(matrix):
         raise PreconditionError(f"start: state {start} is outside 0..{len(matrix) - 1}")
     f = np.asarray(f, dtype=float)

@@ -99,7 +99,9 @@ def random_model(
 
 
 def random_cps_model(rng, n_agents=3, n_states=2, n_signals=2, common_state_belief=False):
-    """Full-mode model with a common prior over signal profiles.
+    """Model with a common prior over signal profiles; each belief holds
+    the marginals of the owner's conditional joint over (state, others'
+    signals).
 
     State assessments given a full profile are arbitrary per agent
     unless ``common_state_belief`` forces a single shared one (which
@@ -130,7 +132,11 @@ def random_cps_model(rng, n_agents=3, n_states=2, n_signals=2, common_state_beli
             full = np.moveaxis(
                 cond[..., None] * g[tuple(sl)], -1, 0
             )
-            beliefs[signals[a][ti]] = InterimBelief.from_full(full, [b for b in agents if b != a])
+            others = [b for b in agents if b != a]
+            beliefs[signals[a][ti]] = InterimBelief(
+                full.sum(axis=tuple(range(1, n_agents))),
+                {b: full.sum(axis=tuple(x for x in range(n_agents) if x != 1 + k))
+                 for k, b in enumerate(others)})
     g_net = np.zeros((n_agents, n_agents))
     for i in range(n_agents):
         others = [j for j in range(n_agents) if j != i]

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import os
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from io import StringIO
 
@@ -77,6 +79,141 @@ def test_consensus_on_cps_fixture_prints_pass():
     assert code == 0
     assert "decomposition check PASS" in out
     assert "consensus = 0.48499999999999999" in out
+
+
+def test_consensus_on_a_cis_model_prints_the_prior_stationarity_residual():
+    # heterogeneous priors over states: the ex ante weights are not
+    # stationary, so no decomposition is checked
+    code, out = run_cli(["consensus", scenario_path("tyranny_extreme")])
+    assert code == 0
+    assert [ln for ln in out.splitlines() if "prior_stationarity" in ln] == [
+        "prior_stationarity_residual = 0.34999999999999998"]
+    assert "decomposition" not in out
+
+
+def _product_belief(other, state, signals):
+    """A full-mode belief under which the state and ``other``'s signal are
+    independent, with the given marginals."""
+    return {"full": [{"state": s, "others": {other: u}, "p": ps * pu}
+                     for u, pu in signals.items() for s, ps in state.items()]}
+
+
+def _two_agent_scenario():
+    # ann: bob's signal matches hers with probability 0.9; bob: ann's
+    # signals are equally likely whatever he sees.  No joint over profiles
+    # gives both, but uniform priors are stationary.
+    return {
+        "states": ["lo", "hi"], "agents": ["ann", "bob"],
+        "signals": {"ann": ["a1", "a2"], "bob": ["b1", "b2"]},
+        "beliefs": {
+            "a1": _product_belief("bob", {"lo": 0.8, "hi": 0.2}, {"b1": 0.9, "b2": 0.1}),
+            "a2": _product_belief("bob", {"lo": 0.3, "hi": 0.7}, {"b1": 0.1, "b2": 0.9}),
+            "b1": _product_belief("ann", {"lo": 0.6, "hi": 0.4}, {"a1": 0.5, "a2": 0.5}),
+            "b2": _product_belief("ann", {"lo": 0.1, "hi": 0.9}, {"a1": 0.5, "a2": 0.5}),
+        },
+        "network": [[0, 1], [1, 0]],
+        "priors": {"ann": [0.5, 0.5], "bob": [0.5, 0.5]},
+        "y": {"values": [0.0, 1.0], "max": 1.0},
+    }
+
+
+def _pairwise_flip_scenario():
+    # three binary agents whose signals differ pairwise with probability
+    # 0.9, in marginal form: no joint over profiles has these marginals
+    agents = ["p", "q", "r"]
+    flip = [[0.1, 0.9], [0.9, 0.1]]
+    return {
+        "states": ["lo", "hi"], "agents": agents,
+        "signals": {a: [f"{a}0", f"{a}1"] for a in agents},
+        "beliefs": {f"{a}{k}": {"marginals": {
+            "state": [0.3 + 0.4 * k, 0.7 - 0.4 * k],
+            "signals": {b: flip[k] for b in agents if b != a}}}
+            for a in agents for k in range(2)},
+        "network": [[0, 0.5, 0.5], [0.3, 0, 0.7], [0.6, 0.4, 0]],
+        "priors": {a: [0.5, 0.5] for a in agents},
+        "y": {"values": [0.0, 1.0], "max": 1.0},
+    }
+
+
+@pytest.mark.parametrize("build", [_two_agent_scenario, _pairwise_flip_scenario],
+                         ids=["two-agents-full", "three-agents-marginal"])
+def test_stationary_priors_without_a_common_prior_pass_the_decomposition(tmp_path, build):
+    # the check once compared joints over profiles: it printed
+    # cps_violation = 0.2 on the first and refused the second
+    path = tmp_path / "stationary.json"
+    path.write_text(json.dumps(build()))
+    code, out = run_cli(["consensus", str(path)])
+    assert code == 0
+    rows = dict(ln.split(" = ") for ln in out.splitlines() if " = " in ln)
+    assert float(rows["cps_decomposition_gap"]) <= 1e-15
+    assert out.endswith("decomposition check PASS\n")
+
+
+def _many_agent_full_scenario(n):
+    """``n`` binary agents in full mode, two entries per signal: signal k
+    says every other agent holds k (state lo) or every other agent holds
+    the other one (state hi), each with probability 1/2."""
+    agents = [f"g{i}" for i in range(n)]
+    signals = {a: [f"{a}_0", f"{a}_1"] for a in agents}
+    beliefs = {}
+    for a in agents:
+        for k in range(2):
+            beliefs[signals[a][k]] = {"full": [
+                {"state": s, "others": {b: signals[b][m] for b in agents if b != a},
+                 "p": 0.5} for s, m in (("lo", k), ("hi", 1 - k))]}
+    ring = np.zeros((n, n))
+    for i in range(n):
+        ring[i, (i - 1) % n] = ring[i, (i + 1) % n] = 0.5
+    return {"states": ["lo", "hi"], "agents": agents, "signals": signals,
+            "beliefs": beliefs, "network": ring.tolist(),
+            "priors": {a: [0.5, 0.5] for a in agents},
+            "y": {"values": [0.0, 1.0], "max": 1.0}}
+
+
+def test_thirty_agents_in_full_mode_build_no_joint(tmp_path):
+    # each belief's joint over (state, 29 counterpart signals) would hold
+    # 2^30 cells: 8 GiB
+    path = tmp_path / "thirty.json"
+    path.write_text(json.dumps(_many_agent_full_scenario(30)))
+    for command in ("validate", "consensus"):
+        start = time.perf_counter()
+        code, out = run_cli([command, str(path)])
+        assert code == 0 and time.perf_counter() - start < 2.0
+        tracemalloc.start()
+        try:
+            assert run_cli([command, str(path)]) == (code, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+    assert out.endswith("decomposition check PASS\n")
+
+
+def _a1_entries(*ps):
+    def edit(d):
+        for entry, p in zip(d["beliefs"]["a1"]["full"], ps):
+            entry["p"] = p
+    return edit
+
+
+# a1's entries in cps.json are 0.48, 0.12, 0.16, 0.24 (lo-b1, hi-b1, lo-b2,
+# hi-b2); the first two edits keep every marginal of a1
+@pytest.mark.parametrize("edit, flags, message", [
+    (_a1_entries(0.74, -0.14, -0.1, 0.5), [],
+     "scenario error: {path}.beliefs.a1.full[1].p: expected a probability >= 0, got -0.14"),
+    (_a1_entries(0.48, 0.12, 0.4000001, -1e-7), ["--tol", "1e-6"],
+     "scenario error: {path}.beliefs.a1.full[3].p: expected a probability >= 0, got -1e-07"),
+    (_a1_entries(float("nan")), [],
+     "scenario error: {path}.beliefs.a1.full[0].p: expected a probability >= 0, got nan"),
+    (_a1_entries(float("inf")), [],
+     "invalid: beliefs.a1.state: sums to inf (expected 1 within 1e-12)"),
+], ids=["cancelled", "within-tol", "nan", "inf"])
+def test_full_mode_entries_must_be_probabilities(tmp_path, capsys, edit, flags, message):
+    # the negative entries once passed the parse and were found in the
+    # joint by validation (the second not at all under --tol 1e-6)
+    path = _with("cps", edit, tmp_path)
+    assert run_cli(["validate", path] + flags) == (2, "")
+    assert capsys.readouterr().err.splitlines()[0] == message.format(path=path)
 
 
 def test_verify_optimism_case1_fixture():
@@ -493,7 +630,9 @@ GOLDEN_BUILD_AND_REPORT = [
      "fe9693ee13965426e4252dc60ebdf7fcfea9fee44c5d10bc5d9736311a738598",
      "5ece2863b586614c0b53c1a3d194637b7d1b00ddfbeeb01f3aa91ccfc68294c2",
      "37c260b289890bd83ea33e84bcfa3453f72184e8ff2596b7d0b76bd396d777d8"),
-    ("tyranny_extreme", "85471f9bfce1c1abfcb573e8e24174c432180c196e56042cabee74744eefb483",
+    # report: the consensus section gained its prior_stationarity_residual
+    # row when the common-prior check began to run on marginal models
+    ("tyranny_extreme", "008f8158ba50e27f7d08d2d784b1dc3cdc59f29752192419836e6c00118132a4",
      "af30b1f5166807447def2b4abd64e98ae0cfadaf4bebac3167191f232873ef61",
      "25e49fbce33f0a37e91f7d8179bda943b5b844c36201260ed0b155e2f2ba4c99",
      "8b2bc1bbe3446bde774700a8bd9f31de4e662ae9334d00f79c25e21463433aa4"),
@@ -780,8 +919,9 @@ GOLDEN_CSV = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tightness", "no-trade", 0,
      "44da6a941b8ca97a593f87f1ecddb4e401df859146377f89356168cca191ac61"),
+    # gained the prior_stationarity_residual row (stdout and consensus.csv)
     ("tyranny_extreme", "consensus", 0,
-     "799d6f87792636dfc28c42a24e576c6bd298013f41b7ab1c914a8a3c01cc23bf"),
+     "4acd9e36b3ef37b3b9512d42f496b0a92de49d097ca3db7efd68fe141e97f799"),
     ("tyranny_extreme", "game", 0,
      "3adec9a449340b81547444114fc6a80ee2378d8214eaf342aaa3dcb4cc7e36a5"),
     ("tyranny_extreme", "game-per-agent", 0,

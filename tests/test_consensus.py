@@ -252,51 +252,103 @@ def test_cps_check_on_constructed_instance():
     spec = random_cps_model(rng)
     check = cps_check(spec)
     assert check.holds
-    assert check.max_violation < 1e-12
+    assert check.residual < 1e-12
+
+
+def test_cps_check_holds_on_every_common_prior_model():
+    # a common prior over signal profiles makes the ex ante weights
+    # stationary, so the residual is rounding only
+    worst = 0.0
+    for seed in range(200):
+        rng = np.random.default_rng([15, seed])
+        spec = random_cps_model(rng, n_agents=int(rng.integers(2, 5)),
+                                n_states=int(rng.integers(2, 4)),
+                                n_signals=int(rng.integers(2, 5)))
+        check = cps_check(spec)
+        assert check.holds
+        worst = max(worst, check.residual)
+    assert worst < 1e-14
 
 
 def test_cps_check_detects_perturbation():
     rng = np.random.default_rng(10)
     spec = random_cps_model(rng, n_agents=2)
-    a = spec.agents[0]
+    a, b = spec.agents
     t = spec.signals[a][0]
-    full = np.array(spec.beliefs[t].full)
-    full.flat[0] += 1e-3
-    full.flat[1] -= 1e-3
+    belief = spec.beliefs[t]
+    moved = np.array(belief.signal_marginals[b])
+    moved[0] += 1e-3
+    moved[1] -= 1e-3
     beliefs = dict(spec.beliefs)
-    beliefs[t] = InterimBelief.from_full(full, [spec.agents[1]])
-    bad = ModelSpec(
-        spec.states, spec.agents, spec.signals, beliefs, spec.network,
-        priors=spec.priors, y=spec.y,
-    )
-    check = cps_check(bad)
+    beliefs[t] = InterimBelief(belief.state_marginal, {b: moved})
+    check = cps_check(dataclasses.replace(spec, beliefs=beliefs))
     assert not check.holds
-    # the shifted probability mass reappears scaled by the signal's prior
+    # the shifted mass, weighted by a's centrality (1/2) and the signal's
+    # prior, leaves one of b's signals and reaches the other
     mu_t = float(spec.priors[a][0])
-    assert check.max_violation == pytest.approx(mu_t * 1e-3, rel=1e-9)
+    assert check.residual == pytest.approx(mu_t * 1e-3, rel=1e-9)
 
 
-def test_cps_check_needs_full_mode():
-    rng = np.random.default_rng(11)
-    spec = random_model(rng)
-    spec = ModelSpec(
-        spec.states, spec.agents, spec.signals, spec.beliefs, spec.network,
-        priors={a: np.full(len(spec.signals[a]), 1.0 / len(spec.signals[a]))
-                for a in spec.agents},
-        y=spec.y,
-    )
-    with pytest.raises(CapabilityError):
-        cps_check(spec)
+def stationarity_residual(spec):
+    """``‖p̂B − p̂‖₁`` summed one belief entry at a time, without ``B``."""
+    e = eigenvector_centrality(spec.network)
+    mass = {t: e[i] * spec.priors[a][k]
+            for i, a in enumerate(spec.agents) for k, t in enumerate(spec.signals[a])}
+    flow = dict.fromkeys(mass, 0.0)
+    for i, a in enumerate(spec.agents):
+        for t in spec.signals[a]:
+            for j, b in enumerate(spec.agents):
+                w = spec.network.weights[i, j]
+                if w == 0:
+                    continue
+                if b == a:
+                    flow[t] += mass[t] * w
+                    continue
+                for u, q in zip(spec.signals[b], spec.beliefs[t].signal_marginals[b]):
+                    flow[u] += mass[t] * w * q
+    return sum(abs(flow[t] - mass[t]) for t in mass)
 
 
-def test_cps_check_refuses_marginal_beliefs_before_allocating():
-    # one axis per agent: with more than 64 agents numpy cannot even
-    # describe the profile tensor, so the refusal has to come first
+def test_cps_check_gives_a_residual_on_a_100_agent_marginal_model():
+    # one product with B: the check once built a tensor with an axis per
+    # agent, and refused marginal beliefs because of it
     spec = sparse_reducible_model(np.random.default_rng(5), n_agents=100, n_signals=4)
     uniform = {a: np.full(4, 0.25) for a in spec.agents}
     spec = dataclasses.replace(spec, priors=uniform)
-    with pytest.raises(CapabilityError, match="full joint beliefs"):
+    check = cps_check(spec)
+    assert not check.holds
+    assert check.residual == pytest.approx(stationarity_residual(spec), rel=1e-12)
+    assert check.residual > 0.01
+
+
+def test_cps_check_holds_without_a_common_prior_over_profiles():
+    # three binary agents whose signals differ pairwise with probability
+    # 0.9: no joint over profiles has these marginals, but uniform priors
+    # are stationary
+    flip = [[0.1, 0.9], [0.9, 0.1]]
+    agents = ("p", "q", "r")
+    signals = {a: (f"{a}0", f"{a}1") for a in agents}
+    beliefs = {t: InterimBelief([0.3 + 0.4 * k, 0.7 - 0.4 * k],
+                                {b: flip[k] for b in agents if b != a})
+               for a in agents for k, t in enumerate(signals[a])}
+    gamma = Network([[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.6, 0.4, 0.0]])
+    spec = ModelSpec(("lo", "hi"), agents, signals, beliefs, gamma,
+                     priors={a: [0.5, 0.5] for a in agents},
+                     y=BasicVariable([0.0, 1.0], 1.0))
+    check = cps_check(spec)
+    assert check.holds
+    assert check.residual <= 1e-15 and stationarity_residual(spec) <= 1e-15
+    assert verify_cps_decomposition(spec).gap <= 1e-15
+
+
+def test_cps_check_needs_a_network_with_centralities():
+    spec = random_cps_model(np.random.default_rng(16), n_agents=3)
+    split = Network([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    spec = dataclasses.replace(spec, network=split)
+    with pytest.raises(ReducibleError):
         cps_check(spec)
+    with pytest.raises(CapabilityError, match="priors"):
+        cps_check(dataclasses.replace(spec, priors=None))
 
 
 def test_cps_check_names_an_agent_without_a_prior():
@@ -316,28 +368,25 @@ def test_ladder_cycle_beliefs_admit_no_common_prior():
     K = 5
     agents = spec.agents
     beliefs = {}
-    rng = np.random.default_rng(12)
+    point = np.eye(K)
     for i, a in enumerate(agents):
         left = agents[(i - 1) % 3]
         right = agents[(i + 1) % 3]
-        others = [b for b in agents if b != a]
         for k in range(1, K + 1):
             t = spec.signals[a][k - 1]
-            joint = np.zeros((K, K, K))
             up = min(k + 1, K) - 1
             down = max(k - 1, 1) - 1
-            coords = {left: up, right: down}
-            state = k - 1
-            joint[(state,) + tuple(coords[b] for b in others)] = 1.0
-            beliefs[t] = InterimBelief.from_full(joint, others)
+            beliefs[t] = InterimBelief(point[k - 1], {left: point[up], right: point[down]})
     for seed in range(3):
         r = np.random.default_rng(seed)
         priors = {a: r.dirichlet(np.ones(K)) for a in agents}
-        full_spec = ModelSpec(
+        ladder = ModelSpec(
             spec.states, agents, spec.signals, beliefs, spec.network,
             priors=priors, y=spec.y,
         )
-        assert not cps_check(full_spec).holds
+        check = cps_check(ladder)
+        assert not check.holds
+        assert 0.9 < check.residual == pytest.approx(stationarity_residual(ladder))
 
 
 def test_cps_decomposition_holds_and_full_common_prior_gives_mean():

@@ -557,7 +557,7 @@ def oracle_cases():
         spec = listing_unweighted(rng, sparse_reducible_model(rng, n_agents=12, n_signals=6))
         specs += [(f"omitted-{seed}", rng, spec),
                   (f"omitted-parsed-{seed}", rng, parse_scenario(scenario_object(spec)))]
-    # full joints
+    # full-mode entries, and marginals of a common prior over profiles
     specs.append(("cps", np.random.default_rng(66), load_scenario(scenario_path("cps"))))
     for seed in range(3):
         rng = np.random.default_rng([67, seed])
@@ -673,7 +673,7 @@ def test_beliefs_are_read_only_views_of_the_agent_arrays():
                     assert same_bits(m, layout.blocks[a, j][r])
                     with pytest.raises(ValueError, match="read-only"):
                         m[0] = 0.5
-    # beliefs given as objects (also those parsed from full joints) are
+    # beliefs given as objects (also those parsed from full entries) are
     # kept; the arrays hold copies of their vectors
     beliefs = dict(library.beliefs)
     again = dataclasses.replace(library, beliefs=beliefs)

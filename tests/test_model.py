@@ -81,33 +81,6 @@ def test_diagonal_rejected_unless_allowed():
     assert validate_model(ok) == []
 
 
-def test_full_mode_marginals_must_match_joint():
-    # joint: rows = states, cols = bob's signals
-    joint = np.array([[0.42, 0.28], [0.18, 0.12]])
-    good = InterimBelief.from_full(joint, ["bob"])
-    assert np.allclose(good.state_marginal, [0.7, 0.3])
-    assert np.allclose(good.signal_marginals["bob"], [0.6, 0.4])
-    bad = InterimBelief(
-        [0.5, 0.5], {"bob": [0.6, 0.4]}, full=joint
-    )
-    beliefs = dict(two_agent_spec().beliefs)
-    beliefs["a1"] = bad
-    spec = two_agent_spec(beliefs=beliefs)
-    assert any("inconsistent with full joint" in v for v in validate_model(spec))
-
-
-@pytest.mark.parametrize("state", [[0.7, 0.3, 0.0], [1.0], []])
-def test_wrong_length_state_beside_a_full_joint_is_reported(state):
-    # only the length is reported: like a signal marginal, a state marginal
-    # of the wrong length is not compared with the joint
-    joint = np.array([[0.42, 0.28], [0.18, 0.12]])
-    beliefs = dict(two_agent_spec().beliefs)
-    beliefs["a1"] = InterimBelief(state, {"bob": [0.6, 0.4]}, full=joint)
-    assert validate_model(two_agent_spec(beliefs=beliefs)) == [
-        f"beliefs.a1.state: expected length 2, got {len(state)}"
-    ]
-
-
 @pytest.mark.parametrize("vec, got", [
     (0.5, "shape ()"),
     ([[0.6], [0.4]], "shape (2, 1)"),
@@ -136,8 +109,8 @@ def test_a_scalar_state_marginal_on_a_scenario_is_a_violation():
 
 
 def test_a_scenario_without_states_is_a_violation(tmp_path):
-    # full joints without entries gave an empty consistency comparison,
-    # whose np.max raised ValueError
+    # full-mode beliefs without entries: once an empty consistency
+    # comparison with the joint, whose np.max raised ValueError
     with open(scenario_path("cps"), encoding="utf-8") as fh:
         data = json.load(fh)
     data["states"] = []
@@ -358,7 +331,6 @@ def per_item_violations(spec, tol=PROB_TOL):
                 v.append(f"network.diagonal[{spec.agents[i]}]: self-weight"
                          " present but diagonal_allowed is false")
     for a in spec.agents:
-        others = [j for j in spec.agents if j != a]
         for t in spec.signals.get(a, ()):
             b = spec.beliefs.get(t)
             if b is None:
@@ -371,27 +343,6 @@ def per_item_violations(spec, tol=PROB_TOL):
                     v.append(f"{loc}.signals.{j}: not another agent")
                     continue
                 check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]))
-            if b.full is not None:
-                shape = (spec.n_states,) + tuple(len(spec.signals[j]) for j in others)
-                if b.full.shape != shape:
-                    v.append(f"{loc}.full: shape {b.full.shape}, expected {shape}")
-                    continue
-                if np.any(b.full < -tol):
-                    v.append(f"{loc}.full: negative entry")
-                if not abs(float(b.full.sum()) - 1.0) <= tol:
-                    v.append(f"{loc}.full: sums to {float(b.full.sum())!r}")
-                rebuilt = InterimBelief.from_full(b.full, others)
-                gap = np.max(np.abs(rebuilt.state_marginal - b.state_marginal),
-                             initial=0.0)
-                if not gap <= tol:
-                    v.append(f"{loc}.state: inconsistent with full joint")
-                for j in b.signal_marginals:
-                    if j in others and np.shape(b.signal_marginals[j]) == (len(spec.signals[j]),):
-                        gap = np.max(
-                            np.abs(rebuilt.signal_marginals[j] - b.signal_marginals[j]),
-                            initial=0.0)
-                        if not gap <= tol:
-                            v.append(f"{loc}.signals.{j}: inconsistent with full joint")
     if spec.priors is not None:
         for a, mu in spec.priors.items():
             if a not in spec.agents:
@@ -442,7 +393,6 @@ def corrupted_spec(rng, spec):
         owner = spec.agent_of(t)
         state = b.state_marginal
         marginals = dict(b.signal_marginals)
-        full = b.full
         what = rng.integers(7)
         if what == 0:
             state = corrupt_vector(rng, state)
@@ -451,20 +401,13 @@ def corrupted_spec(rng, spec):
             marginals[j] = corrupt_vector(rng, marginals[j])
         elif what == 2:
             marginals[rng.choice([owner, "ghost"])] = [1.0]
-        elif what == 3 and full is not None:
-            state = state[::-1].copy()
-        elif what == 4 and full is not None:
-            full = full * (1 + 1e-6) if rng.random() < 0.5 else full[..., :1]
         elif what == 5:
             del beliefs[t]
             continue
         else:
             state = corrupt_vector(rng, state)
             marginals = {j: corrupt_vector(rng, m) for j, m in marginals.items()}
-        if full is not None and len(state) != len(b.state_marginal):
-            # validate_model cannot compare such a state with the joint
-            state = b.state_marginal
-        beliefs[t] = InterimBelief(state, marginals, full)
+        beliefs[t] = InterimBelief(state, marginals)
     priors = spec.priors
     if priors is not None:
         priors = {a: corrupt_vector(rng, mu) if rng.random() < 0.5 else mu

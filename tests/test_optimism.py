@@ -322,6 +322,22 @@ def test_a_start_outside_the_chain_is_refused(start):
     assert np.allclose(check.distribution, [2 / 7, 5 / 7], atol=1e-12)
 
 
+@pytest.mark.parametrize("Q, start", [
+    ([[0.5, 0.5], [0.5, 0.5]], 0.5),
+    (np.eye(2), True),
+    (np.eye(2), "1"),
+])
+def test_a_start_that_is_not_an_integer_is_refused(Q, start):
+    # 0.5 ended in numpy's IndexError, True in a ValueError (a boolean index)
+    with pytest.raises(PreconditionError,
+                       match=rf"^start: expected an integer state index, got {start!r}$"):
+        markov_optimism_check(Q, [0.0, 1.0], 0.5, 0.1, 0.1, start=start)
+    # a numpy integer is an index like any other
+    checks = [markov_optimism_check(Q, [0.0, 1.0], 0.5, 0.1, 0.1, start=k)
+              for k in (1, np.int64(1))]
+    assert np.array_equal(checks[0].distribution, checks[1].distribution)
+
+
 @pytest.mark.parametrize("threshold, delta, eps, f, match", [
     (np.nan, 0.1, 0.1, [0.0, 1.0], "threshold must be finite"),
     (np.inf, 0.1, 0.1, [0.0, 1.0], "threshold must be finite"),
