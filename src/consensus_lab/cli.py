@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     ScenarioError,
 )
-from .game import heterogeneous_transform, solve_beta_game, solve_heterogeneous_game
+from .game import solve_beta_game, solve_heterogeneous_game
 from .interaction import absorbing_components
 from .market import (
     FixedDraw,
@@ -201,7 +201,7 @@ def cmd_consensus(args, scenario, out) -> int:
     decomposition = None
     try:
         check = cps_check(model)
-        if check.holds:
+        if check.holds and result.value is not None:
             decomposition = verify_cps_decomposition(model)
             rows.append(("cps_decomposition_gap", "", fmt(decomposition.gap)))
         else:
@@ -251,8 +251,7 @@ def cmd_game(args, scenario, out) -> int:
     if getattr(args, "beta_per_agent", None):
         betas = _parse_beta_per_agent(args.beta_per_agent, model)
         solution = solve_heterogeneous_game(model, betas)
-        _, beta_hat = heterogeneous_transform(model.network, betas)
-        header = f"heterogeneous betas, common beta {fmt(beta_hat)}\n"
+        header = f"heterogeneous betas, common beta {fmt(float(betas.max()))}\n"
     else:
         solution = solve_beta_game(model, args.beta)
         header = f"beta {fmt(args.beta)}\n"

@@ -2,7 +2,8 @@
 
 The transition weight from a signal of agent i to a signal of agent j is the
 network weight i places on j times i's interim probability of j's signal.
-This module builds that matrix, the first-order map sending state payoffs to
+This module builds that matrix by (agent, counterpart) blocks, naming the
+first signal it cannot fill, the first-order map sending state payoffs to
 per-signal expectations, and the connectivity analysis of the result
 (strongly connected components, terminal components, periods), which the
 structure carries so that every caller shares one analysis.  It also owns
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import cycle
 from typing import Mapping
 
 import numpy as np
@@ -176,16 +178,13 @@ def build_first_order_map(spec: ModelSpec) -> FirstOrderMap:
     """The first-order map: the spec's state table, one row per signal."""
     index = _signal_index(spec)
     beliefs = spec.beliefs
-    if beliefs.irregular.any():
-        for t in index.labels:
-            b = beliefs.get(t)
-            if b is None:
-                raise PreconditionError(f"signal {t}: no state marginal available")
-            if np.shape(b.state_marginal) != (spec.n_states,):
-                raise PreconditionError(
-                    f"signal {t}: state marginal has shape {np.shape(b.state_marginal)},"
-                    f" expected ({spec.n_states},)"
-                )
+    for t in (index.labels[k] for k in np.flatnonzero(beliefs.irregular)):
+        if t not in beliefs:
+            raise PreconditionError(f"signal {t}: no state marginal available")
+        shape = np.shape(beliefs[t].state_marginal)
+        if shape != (spec.n_states,):
+            raise PreconditionError(f"signal {t}: state marginal has shape {shape},"
+                                    f" expected ({spec.n_states},)")
     return FirstOrderMap(beliefs.states, index, spec.states)
 
 
@@ -198,74 +197,60 @@ def build_interaction_structure(
     With ``type_dependent_weights`` each signal carries its own row of
     network weights (a probability vector over agents), replacing the
     owner's row of the network.  A positive self-weight contributes to
-    the diagonal: an agent is certain of his own signal.
+    the diagonal: an agent is certain of his own signal.  Agents are
+    filled in index order; a refusal names the first signal that fails.
     """
     index = _signal_index(spec)
     beliefs = spec.beliefs
     n = len(index)
     B = np.zeros((n, n))
-    try:
-        if beliefs.irregular.any() and not beliefs.keys() >= set(index.labels):
-            raise KeyError("a signal without a belief")
-        # one (agent i, counterpart j) block at a time: the rows of i that
-        # weight j get their weight times their rows of the (i, j) block
-        for i, block in enumerate(index.blocks):
-            a = spec.agents[i]
-            cells = B[block]
-            if type_dependent_weights is None:
-                # the owner's network row, once for all its signals (none
-                # when the owner has no signals)
-                W = spec.network.weights[i : i + 1][: len(cells)]
-            else:
-                W = np.array([_weight_row(spec, t, type_dependent_weights)
-                              for t in index.labels[block]])
-            # only weighted cells are written: unweighted ones stay +0.0
-            weighted = W != 0
-            for j in np.flatnonzero(weighted.any(axis=0)):
-                rows = slice(None) if len(W) == 1 else np.flatnonzero(weighted[:, j])
-                if j == i:
-                    # own signal is known with certainty
-                    own = np.arange(len(cells))[rows]
-                    cells[own, block.start + own] = W[rows, j]
-                    continue
-                pair = (a, spec.agents[j])
-                if pair not in beliefs.blocks or not beliefs.listed[pair][rows].all():
-                    raise PreconditionError("a weighted counterpart without a marginal")
-                cells[rows, index.blocks[j]] = W[rows, j, None] * beliefs.blocks[pair][rows]
-    except (KeyError, PreconditionError):
-        _first_signal_error(spec, index, type_dependent_weights)
-        raise
+    # agents with a signal that has no belief, sought among irregular rows
+    absent = {index.agent_of[k] for k in np.flatnonzero(beliefs.irregular)
+              if index.labels[k] not in beliefs}
+    for i, block in enumerate(index.blocks):
+        cells = B[block]
+        if type_dependent_weights is None:
+            # the owner's network row, once for all its signals (none
+            # when the owner has no signals)
+            W, fits = spec.network.weights[i : i + 1][: len(cells)], True
+        else:
+            W = [np.asarray(type_dependent_weights[t], dtype=float)
+                 for t in index.labels[block]]
+            fits = all(w.shape == (spec.n_agents,) for w in W)
+        if i in absent or not fits:
+            raise _unfillable(spec, i, W)
+        W = np.asarray(W)
+        # only weighted cells are written: unweighted ones stay +0.0
+        weighted = W != 0
+        for j in np.flatnonzero(weighted.any(axis=0)):
+            rows = slice(None) if len(W) == 1 else np.flatnonzero(weighted[:, j])
+            if j == i:
+                # own signal is known with certainty
+                own = np.arange(len(cells))[rows]
+                cells[own, block.start + own] = W[rows, j]
+                continue
+            pair = (spec.agents[i], spec.agents[j])
+            if pair not in beliefs.blocks or not beliefs.listed[pair][rows].all():
+                raise _unfillable(spec, i, W)
+            cells[rows, index.blocks[j]] = W[rows, j, None] * beliefs.blocks[pair][rows]
     return _analysed(B, index)
 
 
-def _weight_row(spec: ModelSpec, t: str, type_dependent_weights) -> np.ndarray:
-    row = np.asarray(type_dependent_weights[t], dtype=float)
-    if row.shape != (spec.n_agents,):
-        raise PreconditionError(
-            f"type-dependent weights for {t}: expected length"
-            f" {spec.n_agents}, got {row.shape}"
-        )
-    return row
-
-
-def _first_signal_error(spec: ModelSpec, index: SignalIndex, type_dependent_weights):
-    """Raise the error of the first signal that fails, checking them one
-    at a time in index order, so that the error names the same signal
-    whichever block is assembled first."""
-    for s, t in enumerate(index.labels):
-        i = index.agent_of[s]
-        if type_dependent_weights is None:
-            row = spec.network.weights[i]
-        else:
-            row = _weight_row(spec, t, type_dependent_weights)
-        marginals = spec.beliefs[t].signal_marginals
-        for j in np.flatnonzero(row):
-            a_j = spec.agents[j]
-            if j != i and np.shape(marginals.get(a_j)) != (len(spec.signals[a_j]),):
-                raise PreconditionError(
-                    f"signal {t}: agent {spec.agents[i]} weights {a_j} but carries no"
-                    f" belief marginal over {a_j}'s signals"
-                )
+def _unfillable(spec: ModelSpec, i: int, W) -> PreconditionError:
+    """The error of agent ``i``'s first signal that fails, given ``W``, one
+    weight row per signal or one for all: checked in turn, its weight row's
+    length, its belief, and its marginal over each weighted counterpart."""
+    beliefs, n, a = spec.beliefs, spec.n_agents, spec.agents[i]
+    for r, (t, w) in enumerate(zip(beliefs.index.labels[beliefs.index.blocks[i]], cycle(W))):
+        if np.shape(w) != (n,):
+            return PreconditionError(
+                f"type-dependent weights for {t}: expected length {n}, got {np.shape(w)}")
+        if t not in beliefs:
+            return PreconditionError(f"signal {t}: no belief")
+        for j, b in enumerate(spec.agents):
+            if j != i and beliefs.uncovered(a, b, w[j])[r]:
+                return PreconditionError(f"signal {t}: agent {a} weights {b} but carries"
+                                         f" no belief marginal over {b}'s signals")
 
 
 def as_structure(obj) -> InteractionStructure:

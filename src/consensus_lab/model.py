@@ -145,6 +145,7 @@ class Beliefs(Mapping):
         self._beliefs = beliefs
         tables = {a: self.states[span] for a, span in zip(self.agents, self.index.blocks)}
         every = _readonly(np.ones(len(states), dtype=bool))
+        self._unlisted = _readonly(np.zeros(len(states), dtype=bool))
         blocks, listed = {}, {}
         for (a, j), (rows, arr) in columns.items():
             n = len(tables[a])
@@ -215,6 +216,13 @@ class Beliefs(Mapping):
 
     def __len__(self) -> int:
         return len(self._beliefs)
+
+    def uncovered(self, a, b, weights) -> np.ndarray:
+        """Rows of agent ``a`` that give agent ``b`` a nonzero weight
+        (``weights``: one per row, or one for all) but list no marginal
+        over ``b``: the rows whose part of ``B`` cannot be filled."""
+        unlisted = self._unlisted[: len(self.tables[a])]
+        return (weights != 0) > self.listed.get((a, b), unlisted)
 
     def screen(self, tol: float) -> np.ndarray:
         """Rows of ``states`` whose belief may break a probability rule:
@@ -396,9 +404,7 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
 
     g = spec.network.weights
     if g.shape != (spec.n_agents, spec.n_agents):
-        v.append(
-            f"network: shape {g.shape} does not match {spec.n_agents} agents"
-        )
+        v.append(f"network: shape {g.shape} does not match {spec.n_agents} agents")
     else:
         check_network_rows(v, spec.agents, g, tol)
         if not spec.network.diagonal_allowed:
@@ -412,7 +418,6 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     beliefs, index = spec.beliefs, spec.beliefs.index
     flagged = np.flatnonzero(beliefs.screen(tol))
     agent_set = set(spec.agents)
-    n_states = spec.n_states
     for a in spec.agents if len(flagged) else ():
         span = index.block(a)
         for k in flagged[(span.start <= flagged) & (flagged < span.stop)]:
@@ -422,12 +427,22 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                 v.append(f"beliefs.{t}: missing belief")
                 continue
             loc = f"beliefs.{t}"
-            _check_prob(v, f"{loc}.state", b.state_marginal, n_states, tol)
+            _check_prob(v, f"{loc}.state", b.state_marginal, spec.n_states, tol)
             for j, m in b.signal_marginals.items():
                 if j == a or j not in agent_set:
                     v.append(f"{loc}.signals.{j}: not another agent")
                     continue
                 _check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]), tol)
+    # a regular row needs a marginal over each agent its owner weights;
+    # irregular rows are reported above
+    if index.agents == spec.agents and g.shape == (spec.n_agents, spec.n_agents):
+        for i, j in zip(*np.nonzero(g)):
+            span = index.blocks[i]
+            uncovered = beliefs.uncovered(spec.agents[i], spec.agents[j], g[i, j])
+            if i != j and np.count_nonzero(uncovered):
+                for k in np.flatnonzero(uncovered > beliefs.irregular[span]):
+                    v.append(f"beliefs.{index.labels[span.start + k]}.signals.{spec.agents[j]}:"
+                             " missing marginal over an agent the owner weights")
 
     if spec.priors is not None:
         for a, mu in spec.priors.items():

@@ -14,7 +14,7 @@ import pytest
 from consensus_lab import cli, interaction
 from consensus_lab import io as sio
 from consensus_lab.cli import main
-from consensus_lab.game import solve_beta_game
+from consensus_lab.game import solve_beta_game, solve_heterogeneous_game
 from consensus_lab.market import cis_generating, product_generating, simulate_market
 from consensus_lab.tyranny import CISSpec
 
@@ -89,6 +89,38 @@ def test_consensus_on_a_cis_model_prints_the_prior_stationarity_residual():
     assert [ln for ln in out.splitlines() if "prior_stationarity" in ln] == [
         "prior_stationarity_residual = 0.34999999999999998"]
     assert "decomposition" not in out
+
+
+def test_consensus_prints_the_residual_when_the_priors_hold_but_consensus_is_not_unique(
+        tmp_path):
+    # each agent is certain of the other's signal: two terminal classes,
+    # under which uniform priors are stationary
+    certain = {"states": ["lo", "hi"], "agents": ["ann", "bob"],
+               "signals": {"ann": ["a1", "a2"], "bob": ["b1", "b2"]},
+               "beliefs": {f"{t}{k + 1}": {"marginals": {
+                   "state": [1.0 - k, float(k)], "signals": {other: [1.0 - k, float(k)]}}}
+                   for t, other in (("a", "bob"), ("b", "ann")) for k in range(2)},
+               "network": [[0, 1], [1, 0]],
+               "priors": {"ann": [0.5, 0.5], "bob": [0.5, 0.5]},
+               "y": {"values": [0.0, 1.0], "max": 1.0}}
+    path = tmp_path / "certain.json"
+    path.write_text(json.dumps(certain))
+    code, out = run_cli(["consensus", str(path)])
+    assert code == 0
+    assert out.count("component_consensus ") == 2
+    assert [ln for ln in out.splitlines() if "prior_stationarity" in ln or "cps_" in ln] == [
+        "prior_stationarity_residual = 0"]
+    assert "decomposition" not in out
+
+
+def test_validate_refuses_an_omitted_marginal_over_a_weighted_agent(tmp_path, capsys):
+    path = _with("cps", lambda d: d["beliefs"].update(
+        a1={"marginals": {"state": [0.8, 0.2]}}), tmp_path)
+    for command in ("validate", "consensus"):
+        code, out, err = _call([command, path], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("invalid: beliefs.a1.signals.bob: missing marginal over an agent"
+                       " the owner weights\n")
 
 
 def _product_belief(other, state, signals):
@@ -257,6 +289,21 @@ def test_game_solve_beta_per_agent():
     )
     assert code == 0
     assert "heterogeneous" in out
+
+
+def test_game_solve_beta_per_agent_on_a_network_with_self_weights(tmp_path, capsys):
+    # the header once went through heterogeneous_transform, which refuses
+    # a self-weight after the game is solved (exit 3)
+    path = _with("cps", lambda d: d.update(network={
+        "weights": [[0.5, 0.5], [0.5, 0.5]], "diagonal_allowed": True}), tmp_path)
+    code, out, err = _call(["game-solve", path, "--beta-per-agent", "ann=0.9,bob=0.5",
+                            "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    solution = solve_heterogeneous_game(sio.load_scenario(path), [0.9, 0.5])
+    assert out == "signal,action\n" + "".join(
+        f"{t},{sio.fmt(a)}\n" for t, a in zip(solution.labels, solution.actions))
+    code, out, _ = _call(["game-solve", path, "--beta-per-agent", "ann=0.9,bob=0.5"], capsys)
+    assert out.startswith("heterogeneous betas, common beta 0.90000000000000002\n")
 
 
 def test_game_solve_beta_out_of_range_is_precondition_failure():

@@ -654,6 +654,64 @@ def test_missing_marginal_error_matches_the_per_signal_oracle():
 
 
 
+def without(spec, *labels):
+    """The spec with the beliefs of ``labels`` dropped."""
+    beliefs = {t: b for t, b in spec.beliefs.items() if t not in labels}
+    return dataclasses.replace(spec, beliefs=beliefs)
+
+
+def test_a_signal_without_a_belief_is_named():
+    spec = without(load_scenario(scenario_path("cps")), "a1")
+    assert error_text(build_interaction_structure, spec) == "signal a1: no belief"
+    f = np.zeros(len(spec.all_signals()))
+    assert error_text(lambda: consensus_expectation(spec, f=f)) == "signal a1: no belief"
+    assert error_text(consensus_expectation, spec).startswith("signal a1: ")
+    # also when its owner weights only himself
+    alone = dataclasses.replace(without(spec, "a1", "b2"), network=Network(
+        [[1.0, 0.0], [0.5, 0.5]], diagonal_allowed=True))
+    assert error_text(build_interaction_structure, alone) == "signal a1: no belief"
+
+
+def test_the_first_failing_signal_is_named_in_index_order():
+    spec = load_scenario(scenario_path("cps"))
+    beliefs = dict(spec.beliefs)
+    beliefs["a1"] = InterimBelief(beliefs["a1"].state_marginal, {})
+    del beliefs["a2"], beliefs["b1"]
+    missing = "signal a1: agent ann weights bob but carries no belief marginal over bob's signals"
+    assert error_text(build_interaction_structure,
+                      dataclasses.replace(spec, beliefs=beliefs)) == missing
+    weights = {t: [0.0, 1.0] for t in ("a1", "a2")} | {t: [1.0, 0.0] for t in ("b1", "b2")}
+    weights["a1"] = [1.0]
+    assert error_text(build_interaction_structure, spec, weights) == (
+        "type-dependent weights for a1: expected length 2, got (1,)")
+    # a wrong-length row after a failing one in the same agent's block
+    weights["a1"], weights["a2"] = [0.0, 1.0], [1.0]
+    assert error_text(build_interaction_structure,
+                      dataclasses.replace(spec, beliefs=beliefs), weights) == missing
+    del beliefs["a1"]
+    assert error_text(build_interaction_structure,
+                      dataclasses.replace(spec, beliefs=beliefs)) == "signal a1: no belief"
+
+
+@pytest.mark.parametrize("name", ["cps", "case2", "cycle"])
+def test_the_builder_reads_no_per_signal_belief(monkeypatch, name):
+    spec = load_scenario(scenario_path(name))
+    broken = without(spec, spec.all_signals()[-1])
+    beliefs = dict(spec.beliefs)
+    t = spec.all_signals()[0]
+    beliefs[t] = InterimBelief(beliefs[t].state_marginal, {})
+    omitted = dataclasses.replace(spec, beliefs=beliefs)
+    B = build_interaction_structure(spec).matrix
+    want = [error_text(build_interaction_structure, bad) for bad in (broken, omitted)]
+
+    def refuse(self, t):
+        raise AssertionError(f"belief of {t} read")
+
+    monkeypatch.setattr(model.Beliefs, "__getitem__", refuse)
+    assert same_bits(build_interaction_structure(spec).matrix, B)
+    assert [error_text(build_interaction_structure, bad) for bad in (broken, omitted)] == want
+
+
 def test_beliefs_are_read_only_views_of_the_agent_arrays():
     rng = np.random.default_rng(68)
     library = listing_unweighted(rng, sparse_reducible_model(rng, n_agents=6, n_signals=6))

@@ -7,7 +7,7 @@ import pytest
 
 from consensus_lab.cli import main
 from consensus_lab.errors import PreconditionError
-from consensus_lab.interaction import as_structure
+from consensus_lab.interaction import as_structure, build_interaction_structure
 from consensus_lab.io import load_scenario, parse_scenario
 from consensus_lab.model import (
     PROB_TOL,
@@ -20,7 +20,7 @@ from consensus_lab.model import (
 )
 from consensus_lab.spectral import eigenvector_centrality
 
-from conftest import dirichlet, random_cps_model, random_model, scenario_path
+from conftest import dirichlet, random_cps_model, random_model, scenario_object, scenario_path
 
 
 def two_agent_spec(**overrides):
@@ -96,6 +96,55 @@ def test_misshapen_vectors_are_reported_as_wrong_lengths(vec, got):
     # the vectors are kept as given, outside the agent arrays
     assert spec.beliefs["a1"].state_marginal.shape == np.shape(vec)
     assert not spec.beliefs.listed["ann", "bob"][0]
+
+
+def test_a_signal_needs_a_marginal_over_each_agent_its_owner_weights():
+    beliefs = dict(two_agent_spec().beliefs)
+    beliefs["a1"] = InterimBelief([0.7, 0.3], {})
+    spec = two_agent_spec(beliefs=beliefs)
+    assert validate_model(spec) == per_item_violations(spec) == [
+        "beliefs.a1.signals.bob: missing marginal over an agent the owner weights"]
+    # a misshapen signal keeps its own message only
+    beliefs["a1"] = InterimBelief([0.7, 0.3, 0.0], {})
+    spec = two_agent_spec(beliefs=beliefs)
+    assert validate_model(spec) == per_item_violations(spec) == [
+        "beliefs.a1.state: expected length 2, got 3"]
+    # no marginal over one's own signals, nor over an agent weighted zero
+    beliefs["a1"] = InterimBelief([0.7, 0.3], {})
+    net = Network([[1.0, 0.0], [0.5, 0.5]], diagonal_allowed=True)
+    assert validate_model(two_agent_spec(beliefs=beliefs, network=net)) == []
+
+
+def test_validation_refuses_exactly_the_omissions_the_builder_refuses():
+    refused = 0
+    for seed in range(40):
+        rng = np.random.default_rng([73, seed])
+        spec = random_model(rng, n_agents=int(rng.integers(2, 6)),
+                            max_signals=int(rng.integers(1, 6)),
+                            network_density=float(rng.uniform(0.2, 1.0)))
+        beliefs = dict(spec.beliefs)
+        labels = spec.all_signals()
+        for t in rng.choice(labels, size=min(3, len(labels)), replace=False):
+            b = beliefs[t]
+            keep = {j: m for j, m in b.signal_marginals.items() if rng.random() < 0.5}
+            beliefs[t] = InterimBelief(b.state_marginal, keep)
+        for bad in (dataclasses.replace(spec, beliefs=beliefs),
+                    parse_scenario(scenario_object(dataclasses.replace(spec, beliefs=beliefs)))):
+            violations = validate_model(bad)
+            assert violations == per_item_violations(bad)
+            try:
+                build_interaction_structure(bad)
+            except PreconditionError as exc:
+                refused += 1
+                # the builder names the first of them in index order,
+                # then agent order
+                omitted = [v.split(":")[0].split(".")[1::2] for v in violations]
+                t, b = min(omitted, key=lambda tb: (labels.index(tb[0]), bad.agents.index(tb[1])))
+                assert str(exc).startswith(f"signal {t}: agent ")
+                assert f" weights {b} but carries no belief marginal" in str(exc)
+            else:
+                assert violations == []
+    assert 10 < refused < 80
 
 
 def test_a_scalar_state_marginal_on_a_scenario_is_a_violation():
@@ -343,6 +392,21 @@ def per_item_violations(spec, tol=PROB_TOL):
                     v.append(f"{loc}.signals.{j}: not another agent")
                     continue
                 check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]))
+
+    def regular(a, b):
+        return b is not None and np.shape(b.state_marginal) == (spec.n_states,) and all(
+            j != a and np.shape(m) == (len(spec.signals.get(j, ())),)
+            for j, m in b.signal_marginals.items())
+
+    # a regular signal lists a marginal over each agent its owner weights
+    if len(set(spec.agents)) == spec.n_agents and g.shape == (spec.n_agents, spec.n_agents):
+        for i, a in enumerate(spec.agents):
+            for j in np.flatnonzero(g[i]):
+                for t in spec.signals.get(a, ()) if j != i else ():
+                    b = spec.beliefs.get(t)
+                    if regular(a, b) and spec.agents[j] not in b.signal_marginals:
+                        v.append(f"beliefs.{t}.signals.{spec.agents[j]}: missing marginal"
+                                 " over an agent the owner weights")
     if spec.priors is not None:
         for a, mu in spec.priors.items():
             if a not in spec.agents:
