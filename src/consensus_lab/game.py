@@ -4,9 +4,9 @@ Each signal's action best-responds to a convex mix of the own first-order
 expectation (weight ``1 - beta``) and the network-and-belief weighted average
 of counterparties' actions (weight ``beta``).  For ``beta < 1`` the best
 response is a contraction, so the game has a unique rationalizable profile,
-obtained here by one linear solve.  Iterated dominance bounds and the
-reduction of heterogeneous coordination weights to a common weight on a
-modified network are also provided.
+obtained here by one direct solve along the structure's condensation.
+Iterated dominance bounds and the reduction of heterogeneous coordination
+weights to a common weight on a modified network are also provided.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _solve(spec: ModelSpec, agent_beta, y, f, beta) -> GameSolution:
     fvec = first_order_vector(spec, y, f)
     structure = spec.structure
     d = agent_beta[structure.index.agent_of]
-    s, residual = discounted_solve(structure.matrix, (1.0 - d) * fvec, d)
+    s, residual = discounted_solve(structure, (1.0 - d) * fvec, d)
     return GameSolution(beta, s, residual, structure.index.labels)
 
 

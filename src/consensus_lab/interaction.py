@@ -7,10 +7,12 @@ first signal it cannot fill, the first-order map sending state payoffs to
 per-signal expectations, and the connectivity analysis of the result
 (strongly connected components, terminal components, periods), which the
 structure carries so that every caller shares one analysis.  It also owns
-its Markov solves, each made on first use and kept: each terminal
-component's stationary vector, by the one kernel ``stationary_vector``, and
-the absorption probabilities and times, by the one transient solve with
-``I - B_TT`` (transient signals).
+its Markov solves: each terminal component's stationary vector, by the one
+kernel ``stationary_vector``, and every solve with ``I - D B`` (``D`` a
+diagonal of discounts), by one walk along the condensation, sinks first,
+that factors each component of two or more signals on its own; the
+absorption probabilities and times are such walks over the transient
+signals.  Each is made on first use and kept, the game's solves excepted.
 """
 
 from __future__ import annotations
@@ -50,9 +52,12 @@ class InteractionStructure:
     ``components`` are the strongly connected components sorted by least
     member; ``terminal`` are the closed ones (no edge leaves them), in the
     same order, and ``periods`` gives each terminal component's period.
-    ``index`` is None for a bare matrix, whose states have no labels.
-    The per-terminal-component stationary vectors, the absorption matrix
-    and the absorption times are computed on first use and kept.
+    ``component_of`` gives each signal's position in ``components``, and
+    ``crossing`` holds the edges between components, as source and target
+    signals in row-major order.  ``index`` is None for a bare matrix, whose
+    states have no labels.  The per-terminal-component stationary vectors,
+    the levels of the condensation, the absorption matrix and the
+    absorption times are computed on first use and kept.
     """
 
     matrix: np.ndarray
@@ -60,6 +65,8 @@ class InteractionStructure:
     components: tuple[tuple[int, ...], ...]
     terminal: tuple[tuple[int, ...], ...]
     periods: tuple[int, ...]
+    component_of: np.ndarray
+    crossing: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -97,17 +104,84 @@ class InteractionStructure:
         # a terminal component is strongly connected by construction
         return tuple(stationary_vector(self.matrix[np.ix_(c, c)]) for c in self.terminal)
 
+    @cached_property
+    def _levels(self) -> tuple[_Level, ...]:
+        """The condensation's levels, sinks first.
+
+        A component's level is the length of its longest path to a
+        terminal component, found by relaxing the crossing edges once per
+        level: level 0 holds the terminal components, and every successor
+        of a component lies at a lower level.
+        """
+        label = self.component_of
+        u, v = self.crossing
+        level = np.zeros(len(self.components), dtype=np.intp)
+        while True:
+            deeper = level.copy()
+            np.maximum.at(deeper, label[u], level[label[v]] + 1)
+            if (deeper == level).all():
+                break
+            level = deeper
+        sizes = np.bincount(label)
+        signal_level = level[label]
+        single = sizes[label] == 1
+        # crossing edges by level, each level's grouped by source signal
+        # (they come in row-major order)
+        order = np.argsort(signal_level[u], kind="stable")
+        u, v = u[order], v[order]
+        edge_level = signal_level[u]
+        levels = []
+        for k in range(int(level.max()) + 1):
+            singles = np.flatnonzero(single & (signal_level == k))
+            blocks = tuple(np.flatnonzero(label == c)
+                           for c in np.flatnonzero((level == k) & (sizes > 1)))
+            lo, hi = np.searchsorted(edge_level, [k, k + 1])
+            src, starts = np.unique(u[lo:hi], return_index=True)
+            levels.append(_Level(singles, self.matrix[singles, singles], blocks, src,
+                                 starts, v[lo:hi], self.matrix[u[lo:hi], v[lo:hi]]))
+        return tuple(levels)
+
+    def solve(self, rhs: np.ndarray, d: np.ndarray, terminal_known: bool = False) -> np.ndarray:
+        """``x`` solving ``x = rhs + d * (B @ x)``, ``d`` one discount per
+        signal and ``rhs`` a vector or one column per right-hand side.
+
+        The walk goes along the condensation, sinks first.  At each level
+        the solved successors' values are added to the right-hand side, all
+        singleton components are solved by one vector division, and each
+        larger component by one dense solve with ``I - d B`` on its block;
+        an irreducible structure is the one dense solve with the whole
+        matrix.  A singular component is not finite (a block is set to NaN,
+        a singleton divides by zero) and the walk goes on, so neither is
+        any signal upstream of it.  With ``terminal_known`` the terminal
+        rows of ``rhs`` are taken as the solution there and only the
+        transient levels are walked.
+        """
+        x = np.array(rhs, dtype=float)
+        col = (slice(None),) + (None,) * (x.ndim - 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for level in self._levels[int(terminal_known):]:
+                if len(level.dst):
+                    pulled = np.add.reduceat(level.weights[col] * x[level.dst], level.starts)
+                    x[level.src] += d[level.src][col] * pulled
+                s = level.singles
+                x[s] /= (1.0 - d[s] * level.loops)[col]
+                for m in level.blocks:
+                    try:
+                        x[m] = np.linalg.solve(
+                            np.eye(len(m)) - d[m][:, None] * self.matrix[np.ix_(m, m)], x[m])
+                    except np.linalg.LinAlgError:
+                        x[m] = np.nan
+        return x
+
     def _transient_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(I - B_TT)^{-1} rhs`` by one dense solve, refused when it is not
-        finite, naming the first transient signal where it is not (the
-        first of all when the block is singular in floating point)."""
+        """``x = rhs + B x`` on the transient signals, with the terminal rows
+        of ``rhs`` as known values there, by the condensation walk; refused
+        when not finite, naming the first transient signal where it is not."""
         T = self.transient
-        try:
-            x = np.linalg.solve(np.eye(len(T)) - self.matrix[np.ix_(T, T)], rhs)
-        except np.linalg.LinAlgError:
-            x = np.full(np.shape(rhs), np.nan)
-        if not np.isfinite(x).all():
-            first = np.argwhere(~np.isfinite(x))[0][0]
+        x = self.solve(rhs, np.ones(len(self.matrix)), terminal_known=True)
+        bad = ~np.isfinite(x[list(T)])
+        if bad.any():
+            first = np.argwhere(bad)[0][0]
             raise PreconditionError(
                 f"transient signal {self.names(T)[first]}: (I - B_TT)^-1 is not finite"
                 " there; I - B_TT is singular in floating point or not finite")
@@ -120,12 +194,10 @@ class InteractionStructure:
         Rows of terminal signals are indicators; transient rows solve
         ``(I - B_TT) X = B_TC``, one column per terminal component.
         """
-        n = len(self.matrix)
-        absorption = np.zeros((n, len(self.terminal)))
+        indicators = np.zeros((len(self.matrix), len(self.terminal)))
         for k, comp in enumerate(self.terminal):
-            absorption[list(comp), k] = 1.0
-        T = list(self.transient)
-        absorption[T] = self._transient_solve(self.matrix[T] @ absorption)
+            indicators[list(comp), k] = 1.0
+        absorption = self._transient_solve(indicators)
         absorption.setflags(write=False)
         return absorption
 
@@ -133,9 +205,28 @@ class InteractionStructure:
     def absorption_time(self) -> np.ndarray:
         """Expected steps from each transient signal (in ``transient`` order)
         into a terminal component: ``t = (I - B_TT)^{-1} 1``."""
-        t = self._transient_solve(np.ones(len(self.transient)))
+        T = list(self.transient)
+        steps = np.zeros(len(self.matrix))
+        steps[T] = 1.0
+        t = self._transient_solve(steps)[T]
         t.setflags(write=False)
         return t
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One level of the condensation: its singleton components with their
+    self-weights, the members of its larger components, and the crossing
+    edges leaving it with their weights, grouped by source (``src[k]``'s
+    edges start at ``starts[k]``)."""
+
+    singles: np.ndarray
+    loops: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    src: np.ndarray
+    starts: np.ndarray
+    dst: np.ndarray
+    weights: np.ndarray
 
 
 def stationary_vector(Q: np.ndarray) -> np.ndarray:
@@ -180,7 +271,7 @@ def build_first_order_map(spec: ModelSpec) -> FirstOrderMap:
     beliefs = spec.beliefs
     for t in (index.labels[k] for k in np.flatnonzero(beliefs.irregular)):
         if t not in beliefs:
-            raise PreconditionError(f"signal {t}: no state marginal available")
+            raise PreconditionError(f"signal {t}: no belief")
         shape = np.shape(beliefs[t].state_marginal)
         if shape != (spec.n_states,):
             raise PreconditionError(f"signal {t}: state marginal has shape {shape},"
@@ -202,6 +293,10 @@ def build_interaction_structure(
     """
     index = _signal_index(spec)
     beliefs = spec.beliefs
+    shape, agents = np.shape(spec.network.weights), (spec.n_agents, spec.n_agents)
+    if type_dependent_weights is None and shape != agents:
+        raise PreconditionError(f"network: shape {shape} does not match"
+                                f" {spec.n_agents} agents, expected {agents}")
     n = len(index)
     B = np.zeros((n, n))
     # agents with a signal that has no belief, sought among irregular rows
@@ -277,11 +372,13 @@ def _analysed(B: np.ndarray, index: SignalIndex | None) -> InteractionStructure:
     label[np.concatenate(comps)] = np.repeat(
         np.arange(len(comps)), [len(c) for c in comps]
     )
+    crossing = label[u] != label[v]
     closed = np.ones(len(comps), dtype=bool)
-    closed[label[u][label[u] != label[v]]] = False
+    closed[label[u[crossing]]] = False
     terminal = tuple(c for c, ok in zip(comps, closed) if ok)
     periods = tuple(component_period(B, c) for c in terminal)
-    return InteractionStructure(B, index, tuple(comps), terminal, periods)
+    return InteractionStructure(B, index, tuple(comps), terminal, periods, label,
+                                (u[crossing], v[crossing]))
 
 
 def strongly_connected_components(matrix) -> list[tuple[int, ...]]:

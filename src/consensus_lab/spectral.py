@@ -2,11 +2,12 @@
 
 Stationary distributions, eigenvector centralities, Abel limits of matrix
 power series, raw power trajectories with cycle detection, and mean first
-passage times.  Everything works on dense arrays at desk scale.  Every
-entry point accepts an InteractionStructure, a Network (analysed once and
-kept on it) or a square array, and analyses a bare matrix once.  The
-stationary vector is the structure's cached one, solved once per terminal
-class; mean first passage times come from one inversion of the
+passage times.  Every entry point accepts an InteractionStructure, a
+Network (analysed once and kept on it) or a square array, and analyses a
+bare matrix once.  The stationary vector is the structure's cached one,
+solved once per terminal class; the discounted solve is the structure's
+walk along its condensation, one dense solve per component of two or more
+signals; mean first passage times come from one inversion of the dense
 Kemeny-Snell fundamental matrix.
 """
 
@@ -97,12 +98,13 @@ def eigenvector_centrality(network) -> np.ndarray:
     return structure.stationary[0]
 
 
-def discounted_solve(matrix: np.ndarray, own: np.ndarray, d: np.ndarray):
-    """``s`` solving ``s = own + d * (matrix @ s)`` directly, ``d`` one discount
-    per row, and its fixed-point residual, gated relative to
-    ``max(1, max|own|)`` since ``s`` scales with ``own`` (NaN fails)."""
-    s = np.linalg.solve(np.eye(len(d)) - d[:, None] * matrix, own)
-    residual = float(np.max(np.abs(s - own - d * (matrix @ s))))
+def discounted_solve(structure: InteractionStructure, own: np.ndarray, d: np.ndarray):
+    """``s`` solving ``s = own + d * (B @ s)`` by the structure's walk along
+    its condensation, ``d`` one discount per signal, and its fixed-point
+    residual, gated relative to ``max(1, max|own|)`` since ``s`` scales
+    with ``own`` (NaN fails)."""
+    s = structure.solve(own, d)
+    residual = float(np.max(np.abs(s - own - d * (structure.matrix @ s))))
     if not residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(own)))):
         raise ArithmeticError(f"fixed-point residual {residual:.3e}")
     return s, residual
@@ -113,11 +115,11 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
 
     With ``beta`` in [0, 1) returns the discounted average
     ``(1 - beta) * sum_n beta^n Q^n z``, the solution of
-    ``x = (1 - beta) z + beta Q x`` (the game's solve, so it has the bits
-    of the coordination game's actions).  With ``beta=None`` returns the
-    exact limit as the discount goes to one, the constant vector whose
-    entries are the stationary distribution applied to ``z`` (requires
-    irreducibility).
+    ``x = (1 - beta) z + beta Q x`` by the structure's walk along its
+    condensation (the game's solve, so it has the bits of the coordination
+    game's actions).  With ``beta=None`` returns the exact limit as the
+    discount goes to one, the constant vector whose entries are the
+    stationary distribution applied to ``z`` (requires irreducibility).
     """
     structure = as_structure(Q)
     matrix = structure.matrix
@@ -127,7 +129,7 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
         return np.full(matrix.shape[0], float(structure.stationary[0] @ z))
     check_beta(beta, f"beta must lie in [0, 1), got {beta}")
     d = np.full(matrix.shape[0], beta, dtype=float)
-    return discounted_solve(matrix, (1.0 - d) * z, d)[0]
+    return discounted_solve(structure, (1.0 - d) * z, d)[0]
 
 
 def mfpt(Q) -> MFPTMatrix:

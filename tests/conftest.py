@@ -23,6 +23,20 @@ from consensus_lab.model import (
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
+# A scenario whose I - B_TT is exactly singular in floating point.
+SINGULAR_TRANSIENT = {
+    "kind": "general", "states": ["s1", "s2"], "agents": ["a", "b"],
+    "signals": {"a": ["a1", "a2"], "b": ["b1", "b2"]},
+    "beliefs": {t: {"marginals": {"state": [0.5, 0.5],
+                                  "signals": {"b" if t[0] == "a" else "a": [0.5, 0.5]}}}
+                for t in ("a1", "a2", "b1", "b2")},
+    # a's weight on b rounds away: its rows sum to 1.0 and I - B_TT is
+    # exactly singular in floating point
+    "network": {"weights": [[1.0, 1e-17], [0.0, 1.0]], "diagonal_allowed": True},
+    "y": {"values": {"s1": 0.0, "s2": 1.0}, "max": 1.0},
+}
+
+
 @pytest.fixture
 def scenarios_dir():
     return SCENARIOS

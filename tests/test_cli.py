@@ -18,7 +18,13 @@ from consensus_lab.game import solve_beta_game, solve_heterogeneous_game
 from consensus_lab.market import cis_generating, product_generating, simulate_market
 from consensus_lab.tyranny import CISSpec
 
-from conftest import cis_scenario, scenario_object, scenario_path, sparse_reducible_model
+from conftest import (
+    SINGULAR_TRANSIENT,
+    cis_scenario,
+    scenario_object,
+    scenario_path,
+    sparse_reducible_model,
+)
 
 FIXTURES = ["cycle", "case2", "counterexample", "tightness", "tyranny_extreme", "cps"]
 
@@ -665,7 +671,10 @@ GOLDEN_BUILD_AND_REPORT = [
      "b01c2278cde50c9551ac05018131638dd7c9a96a2d9239615d4fdb8361c9a534",
      "264c9455da1d0cc194bd1bd404a7735e9d29a69a9983234e1fc93d2cf35cbb44",
      "9c63ed72c14f5390372028cc934e09eff76469cfa7db1473bab5d75e3962a9ad"),
-    ("case2", "d24c15dd33f9bdf4a12d0e12efee35cb37b2763e89edec42209eadd25b9a7870",
+    # report: game (case2, tightness) and no-trade (tightness) digits from
+    # the solve along the condensation, each within 2.2e-15 of the exact
+    # solution
+    ("case2", "a03535c2310e0a6318eae0c1bf8febd096c9f1106eab6fb12d7e1c9b57f62c33",
      "f9c966d4fb7170e9569627f7d7912f2589783e78be764eb7cb31049e590bac28",
      "99b80d472aefce7a36c1af17429e631e5a4d93a8788026ebeb50d411c7309beb",
      "1eefa6553459c4d40433e03ec6bf76ffb3b8dfe556327ddb5b0d78e3d5a3bdcf"),
@@ -673,7 +682,7 @@ GOLDEN_BUILD_AND_REPORT = [
      "457c27a91b73669c9d7ae200c8733be95e6461b3cdd170286644054b5ff0909f",
      "8216b8a1a12c00860b52d32175c4fb51d2f51b010ca22860c5bd622d1d74b526",
      "9c63ed72c14f5390372028cc934e09eff76469cfa7db1473bab5d75e3962a9ad"),
-    ("tightness", "f7487af86d46d0689925a5fabd2c7eb40fb5ca01ef2ce7b593b7dff849865710",
+    ("tightness", "f60bb1e0741331c5934354438e8da7d31c01792b59a984ab77b084777ceff84b",
      "fe9693ee13965426e4252dc60ebdf7fcfea9fee44c5d10bc5d9736311a738598",
      "5ece2863b586614c0b53c1a3d194637b7d1b00ddfbeeb01f3aa91ccfc68294c2",
      "37c260b289890bd83ea33e84bcfa3453f72184e8ff2596b7d0b76bd396d777d8"),
@@ -777,26 +786,20 @@ def _bench_gen():
 
 def test_report_solves_the_transient_block_once(tmp_path, factorizations):
     # the benchmark's sparse_reducible model, seed 1: 1000 signals, 500 of
-    # them transient; only no-trade solves with I - B_TT (the consensus does
-    # not print the absorption matrix)
+    # them transient, one transient SCC of 191 signals.  The game and
+    # no-trade each walk the condensation and factor that SCC once; no
+    # solve is made with the 500 x 500 transient block or the whole matrix
+    # (the consensus does not print the absorption matrix)
     path = tmp_path / "sparse.json"
     path.write_text(json.dumps(_bench_gen().sparse_reducible(np.random.default_rng(1))))
     code, _ = run_cli(["report", str(path)])
     assert code == 0
-    assert factorizations.count((500, 500)) == 1
-
-
-SINGULAR_TRANSIENT = {
-    "kind": "general", "states": ["s1", "s2"], "agents": ["a", "b"],
-    "signals": {"a": ["a1", "a2"], "b": ["b1", "b2"]},
-    "beliefs": {t: {"marginals": {"state": [0.5, 0.5],
-                                  "signals": {"b" if t[0] == "a" else "a": [0.5, 0.5]}}}
-                for t in ("a1", "a2", "b1", "b2")},
-    # a's weight on b rounds away: its rows sum to 1.0 and I - B_TT is
-    # exactly singular in floating point
-    "network": {"weights": [[1.0, 1e-17], [0.0, 1.0]], "diagonal_allowed": True},
-    "y": {"values": {"s1": 0.0, "s2": 1.0}, "max": 1.0},
-}
+    structure = sio.load_scenario(str(path)).structure
+    sizes = [len(c) for c in structure.components
+             if len(c) > 1 and c not in structure.terminal]
+    assert sizes == [191]
+    assert factorizations.count((191, 191)) == 2
+    assert (500, 500) not in factorizations and (1000, 1000) not in factorizations
 
 
 def test_transient_block_singular_in_floating_point_is_refused(tmp_path, capsys):
@@ -926,10 +929,12 @@ GOLDEN_CSV = [
      "ad6f973cfbf672ee9c329f69eef930b1b550d775db311d96d69cd20171978700"),
     ("case2", "consensus", 0,
      "59485c7a4b7a91cb0942fd36c98f35cdfc3e65e9e79f63de47d420779bb3a835"),
+    # game (case2, tightness) and no-trade (tightness): digits from the solve
+    # along the condensation, each within 5.6e-16 of the exact solution
     ("case2", "game", 0,
-     "f31d7735173829c2654d17a96d050f1608b505f2991a75cb9177fc97db21ee56"),
+     "97a133b29d1209ad37c458fc999fde9a300ad5b864345f43192ad7fecb4613ab"),
     ("case2", "game-per-agent", 0,
-     "a864c2af6e6400a72ff98cfa1775ac7e58d7c31c7a01f23ccfbbe6cdc32b9616"),
+     "7d3d33dffd5467ce56c24cb1b9976fdb08e5707b3e8b010a3fabd89ac01ab400"),
     ("case2", "market", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("case2", "optimism", 0,
@@ -955,9 +960,9 @@ GOLDEN_CSV = [
     ("tightness", "consensus", 0,
      "796f9665ea74e7bc8f8ac3be7aceedc55407a79f64e49e59e7db95cd0a5eb9b9"),
     ("tightness", "game", 0,
-     "858d8e37062c427feae23dc144777bd174a23a9d32e3d744db9f2134fd244264"),
+     "3a411eaf9c3046fc8028f8796479ceea194607c910c1b77b1443ed526a57473e"),
     ("tightness", "game-per-agent", 0,
-     "5b99924ec4f21ad8c023e9fdda10cff1e087679e5cfa9bd83c4709402b848c8e"),
+     "bd2e628ade27298abc13ab297fdb230c00bbccf1f9927213b4075ff4b5ab79d0"),
     ("tightness", "market", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tightness", "optimism", 0,
@@ -965,7 +970,7 @@ GOLDEN_CSV = [
     ("tightness", "tyranny", 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tightness", "no-trade", 0,
-     "44da6a941b8ca97a593f87f1ecddb4e401df859146377f89356168cca191ac61"),
+     "5fd075320640956bc016bc478722c1432ac912a6bb6340a8ceeefecb3603dbc4"),
     # gained the prior_stationarity_residual row (stdout and consensus.csv)
     ("tyranny_extreme", "consensus", 0,
      "4acd9e36b3ef37b3b9512d42f496b0a92de49d097ca3db7efd68fe141e97f799"),

@@ -672,6 +672,25 @@ def test_a_signal_without_a_belief_is_named():
     assert error_text(build_interaction_structure, alone) == "signal a1: no belief"
 
 
+def test_a_missing_belief_is_named_alike_with_and_without_f():
+    # without f the first-order map said "no state marginal available"
+    spec = without(load_scenario(scenario_path("cps")), "a1")
+    f = np.zeros(len(spec.all_signals()))
+    assert (error_text(consensus_expectation, spec)
+            == error_text(lambda: consensus_expectation(spec, f=f))
+            == "signal a1: no belief")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_network_that_does_not_match_the_agents_is_refused(n):
+    # 1 x 1 gave a B whose bob rows were zero, 3 x 3 ended in an IndexError
+    spec = load_scenario(scenario_path("cps"))
+    spec = dataclasses.replace(spec, network=Network(np.full((n, n), 1 / n),
+                                                     diagonal_allowed=True))
+    assert error_text(build_interaction_structure, spec) == (
+        f"network: shape ({n}, {n}) does not match 2 agents, expected (2, 2)")
+
+
 def test_the_first_failing_signal_is_named_in_index_order():
     spec = load_scenario(scenario_path("cps"))
     beliefs = dict(spec.beliefs)

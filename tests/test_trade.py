@@ -137,13 +137,21 @@ def test_witness_on_large_sparse_reducible_models():
 
 def test_consensus_and_no_trade_solve_the_transient_block_once(factorizations):
     # the consensus does not solve for the absorption matrix it does not
-    # print, and no_trade_test reads the structure's cached absorption times
-    spec = load_scenario(scenario_path("case2"))
+    # print, and no_trade_test reads the structure's cached absorption
+    # times, whose walk factors each transient SCC of tightness (four of
+    # two signals) once and never the transient block or the whole matrix
+    spec = load_scenario(scenario_path("tightness"))
     consensus_expectation(spec)
     assert no_trade_test(spec.structure).has_trade
     assert no_trade_test(spec.structure).has_trade
-    T = len(spec.structure.transient)
-    assert factorizations.count((T, T)) == 1
+    structure = spec.structure
+    sizes = [len(c) for c in structure.components
+             if len(c) > 1 and c not in structure.terminal]
+    assert sizes == [2, 2, 2, 2]
+    # one more 2 x 2 solve: the two-agent network's centrality
+    assert factorizations.count((2, 2)) == 4 + 1
+    T, n = len(structure.transient), len(structure.matrix)
+    assert (T, T) not in factorizations and (n, n) not in factorizations
 
 
 @pytest.mark.parametrize("self_weight", [1.0, np.nan])
