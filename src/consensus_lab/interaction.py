@@ -6,8 +6,12 @@ This module builds that matrix by (agent, counterpart) blocks, naming the
 first signal it cannot fill, the first-order map sending state payoffs to
 per-signal expectations, and the connectivity analysis of the result
 (strongly connected components, terminal components, periods), which the
-structure carries so that every caller shares one analysis.  It also owns
-its Markov solves: each terminal component's stationary vector, by the one
+structure carries so that every caller shares one analysis.  The analysis
+runs on numpy alone, over the edges of the matrix in row-major order: the
+builder reads them from the blocks it writes, and a bare matrix is scanned
+for them.  The SCCs come from an iterative Tarjan search, after a
+vectorized test that settles a structure of one component.  The module owns
+its Markov solves too: each terminal component's stationary vector, by the one
 kernel ``stationary_vector``, and every solve with ``I - D B`` (``D`` a
 diagonal of discounts), by one walk along the condensation, sinks first,
 that factors each component of two or more signals on its own; the
@@ -23,8 +27,6 @@ from itertools import cycle
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError
 from .model import ModelSpec, Network, SignalIndex
@@ -302,6 +304,8 @@ def build_interaction_structure(
     # agents with a signal that has no belief, sought among irregular rows
     absent = {index.agent_of[k] for k in np.flatnonzero(beliefs.irregular)
               if index.labels[k] not in beliefs}
+    # written[i, j]: agent i's rows may hold nonzeros in agent j's columns
+    written = np.zeros((spec.n_agents, spec.n_agents), dtype=bool)
     for i, block in enumerate(index.blocks):
         cells = B[block]
         if type_dependent_weights is None:
@@ -317,7 +321,8 @@ def build_interaction_structure(
         W = np.asarray(W)
         # only weighted cells are written: unweighted ones stay +0.0
         weighted = W != 0
-        for j in np.flatnonzero(weighted.any(axis=0)):
+        written[i] = weighted.any(axis=0)
+        for j in np.flatnonzero(written[i]):
             rows = slice(None) if len(W) == 1 else np.flatnonzero(weighted[:, j])
             if j == i:
                 # own signal is known with certainty
@@ -328,7 +333,30 @@ def build_interaction_structure(
             if pair not in beliefs.blocks or not beliefs.listed[pair][rows].all():
                 raise _unfillable(spec, i, W)
             cells[rows, index.blocks[j]] = W[rows, j, None] * beliefs.blocks[pair][rows]
-    return _analysed(B, index)
+    return _analysed(B, index, _written_edges(B, index, written))
+
+
+def _written_edges(B: np.ndarray, index: SignalIndex, written: np.ndarray):
+    """``B``'s nonzero positions ``(u, v)`` in row-major order, read from
+    the blocks that may hold them: ``written[i, j]`` when agent ``i``'s rows
+    were written in agent ``j``'s columns."""
+    starts = np.array([b.start for b in index.blocks], dtype=np.intp)
+    sizes = np.array([b.stop - b.start for b in index.blocks], dtype=np.intp)
+    i, j = np.nonzero(written)
+    # each agent's written columns in ascending order, agent after agent
+    columns = _ranges(starts[j], sizes[j])
+    width = np.bincount(i, weights=sizes[j], minlength=len(sizes)).astype(np.intp)
+    # every signal's row across its owner's written columns
+    owner = index.agent_of
+    v = columns[_ranges((np.cumsum(width) - width)[owner], width[owner])]
+    u = np.repeat(np.arange(len(B)), width[owner])
+    edge = B[u, v] != 0
+    return u[edge], v[edge]
+
+
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[k] : lo[k] + counts[k]``, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 def _unfillable(spec: ModelSpec, i: int, W) -> PreconditionError:
@@ -336,16 +364,18 @@ def _unfillable(spec: ModelSpec, i: int, W) -> PreconditionError:
     weight row per signal or one for all: checked in turn, its weight row's
     length, its belief, and its marginal over each weighted counterpart."""
     beliefs, n, a = spec.beliefs, spec.n_agents, spec.agents[i]
-    for r, (t, w) in enumerate(zip(beliefs.index.labels[beliefs.index.blocks[i]], cycle(W))):
+    block = beliefs.index.blocks[i]
+    for s, t, w in zip(range(block.start, block.stop), beliefs.index.labels[block], cycle(W)):
         if np.shape(w) != (n,):
             return PreconditionError(
                 f"type-dependent weights for {t}: expected length {n}, got {np.shape(w)}")
         if t not in beliefs:
             return PreconditionError(f"signal {t}: no belief")
-        for j, b in enumerate(spec.agents):
-            if j != i and beliefs.uncovered(a, b, w[j])[r]:
-                return PreconditionError(f"signal {t}: agent {a} weights {b} but carries"
-                                         f" no belief marginal over {b}'s signals")
+        missing = beliefs.uncovered(w, s)
+        if missing.any():
+            b = spec.agents[np.argmax(missing)]
+            return PreconditionError(f"signal {t}: agent {a} weights {b} but carries"
+                                     f" no belief marginal over {b}'s signals")
 
 
 def as_structure(obj) -> InteractionStructure:
@@ -360,13 +390,12 @@ def as_structure(obj) -> InteractionStructure:
     return _analysed(np.array(_weights(obj)), index=None)
 
 
-def _analysed(B: np.ndarray, index: SignalIndex | None) -> InteractionStructure:
-    # one scan for the edges feeds both the SCCs and the terminal test
-    u, v = np.nonzero(B != 0)
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(len(u), dtype=bool), (u, v)), shape=B.shape
-    )
-    comps = strongly_connected_components(graph)
+def _analysed(B: np.ndarray, index: SignalIndex | None, edges=None) -> InteractionStructure:
+    """The structure of ``B`` with its graph analysis; ``edges`` are its
+    nonzero positions ``(u, v)`` in row-major order, found by a scan of
+    ``B`` when not given.  They feed both the SCCs and the terminal test."""
+    u, v = np.nonzero(B != 0) if edges is None else edges
+    comps = strongly_connected_components(B, (u, v))
     # a component is terminal when no edge leaves it
     label = np.empty(len(B), dtype=np.intp)
     label[np.concatenate(comps)] = np.repeat(
@@ -381,21 +410,107 @@ def _analysed(B: np.ndarray, index: SignalIndex | None) -> InteractionStructure:
                                 (u[crossing], v[crossing]))
 
 
-def strongly_connected_components(matrix) -> list[tuple[int, ...]]:
+def strongly_connected_components(matrix, edges=None) -> list[tuple[int, ...]]:
     """SCCs of the directed graph of nonzero entries, sorted by least member.
 
-    ``matrix`` may also be a scipy sparse matrix whose stored entries are
-    the edges.
+    ``edges`` are the graph's edges ``(u, v)`` in row-major order, when
+    known, so that ``matrix`` is not scanned for them.  A graph in which
+    every vertex has an in-edge and an out-edge, and vertex 0 reaches and
+    is reached from every vertex, is one component: that is settled by two
+    vectorized searches.  Any other graph is walked by Tarjan's search
+    (*SIAM J. Comput.* 1, 1972), iteratively, in time linear in its edges.
     """
-    if not scipy.sparse.issparse(matrix):
-        matrix = scipy.sparse.csr_matrix(_weights(matrix) != 0)
-    n_comp, labels = connected_components(matrix, directed=True, connection="strong")
+    matrix = _weights(matrix)
+    n = len(matrix)
+    u, v = np.nonzero(matrix != 0) if edges is None else edges
+    # the out-edges of vertex k go to v[starts[k]:starts[k + 1]]
+    starts = np.searchsorted(u, np.arange(n + 1))
+    if n and _one_component(u, v, starts):
+        return [tuple(np.arange(n))]
+    labels = np.array(_tarjan(starts.tolist(), v.tolist()), dtype=np.intp)
     # members of each component in index order: a stable sort by label
     order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=n_comp).tolist()
+    sizes = np.bincount(labels).tolist()
     ends = np.cumsum(sizes).tolist()
     comps = [tuple(order[e - k : e]) for k, e in zip(sizes, ends)]
     return sorted(comps, key=lambda c: c[0])
+
+
+def _one_component(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> bool:
+    """Whether every vertex has an in-edge and an out-edge and vertex 0
+    reaches every vertex along the edges and against them."""
+    n = len(starts) - 1
+    if not (starts[1:] > starts[:-1]).all() or np.bincount(v, minlength=n).min() == 0:
+        return False
+    back = np.argsort(v, kind="stable")
+    return (_reaches_all(starts, v)
+            and _reaches_all(np.searchsorted(v[back], np.arange(n + 1)), u[back]))
+
+
+def _reaches_all(starts: np.ndarray, targets: np.ndarray) -> bool:
+    """Whether vertex 0 reaches every vertex, by a breadth-first search
+    that takes each level's out-edges at once; a level costs its edges."""
+    n = len(starts) - 1
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    # claim[w]: the position in its level's list of new vertices of the
+    # copy of w that is kept, so that each is kept once
+    frontier, claim = np.zeros(1, dtype=np.intp), np.empty(n, dtype=np.intp)
+    while len(frontier):
+        lo = starts[frontier]
+        reached = targets[_ranges(lo, starts[frontier + 1] - lo)]
+        new = reached[~seen[reached]]
+        seen[new] = True
+        claim[new] = np.arange(len(new))
+        frontier = new[claim[new] == np.arange(len(new))]
+    return bool(seen.all())
+
+
+def _tarjan(starts: list, targets: list) -> list:
+    """Component label of each vertex by Tarjan's search without recursion:
+    ``path`` holds the vertices being searched, ``pos`` the next out-edge
+    of each.  A vertex that is visited but not labelled is on ``stack``."""
+    n = len(starts) - 1
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    stack: list = []
+    count = n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        path, pos = [root], [starts[root]]
+        while path:
+            node, p = path[-1], pos[-1]
+            end = starts[node + 1]
+            while p < end:
+                w = targets[p]
+                p += 1
+                if index[w] < 0:
+                    # descend into w; node resumes at its next edge
+                    pos[-1] = p
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    path.append(w)
+                    pos.append(starts[w])
+                    break
+                if label[w] < 0 and index[w] < low[node]:
+                    low[node] = index[w]
+            else:
+                path.pop()
+                pos.pop()
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = n_comp
+                        if w == node:
+                            break
+                    n_comp += 1
+                elif low[node] < low[path[-1]]:
+                    low[path[-1]] = low[node]
+    return label
 
 
 def component_period(matrix, component) -> int:

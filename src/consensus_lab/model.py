@@ -145,7 +145,6 @@ class Beliefs(Mapping):
         self._beliefs = beliefs
         tables = {a: self.states[span] for a, span in zip(self.agents, self.index.blocks)}
         every = _readonly(np.ones(len(states), dtype=bool))
-        self._unlisted = _readonly(np.zeros(len(states), dtype=bool))
         blocks, listed = {}, {}
         for (a, j), (rows, arr) in columns.items():
             n = len(tables[a])
@@ -217,12 +216,23 @@ class Beliefs(Mapping):
     def __len__(self) -> int:
         return len(self._beliefs)
 
-    def uncovered(self, a, b, weights) -> np.ndarray:
-        """Rows of agent ``a`` that give agent ``b`` a nonzero weight
-        (``weights``: one per row, or one for all) but list no marginal
-        over ``b``: the rows whose part of ``B`` cannot be filled."""
-        unlisted = self._unlisted[: len(self.tables[a])]
-        return (weights != 0) > self.listed.get((a, b), unlisted)
+    @cached_property
+    def _covered(self) -> np.ndarray:
+        """``[s, j]``: signal ``s`` lists a marginal over agent ``j``, or
+        ``j`` is its owner."""
+        covered = np.zeros((len(self.states), len(self.agents)), dtype=bool)
+        covered[np.arange(len(self.states)), self.index.agent_of] = True
+        position = {a: k for k, a in enumerate(self.agents)}
+        for (a, j), rows in self.listed.items():
+            covered[self.index.blocks[position[a]], position[j]] = rows
+        return covered
+
+    def uncovered(self, weights, rows=slice(None)) -> np.ndarray:
+        """Cells ``(s, j)`` of the given signal rows where ``s`` gives
+        agent ``j`` a nonzero weight (``weights``: a row of agent weights
+        per signal, or one for all) but lists no marginal over ``j``, nor
+        owns it: the cells whose part of ``B`` cannot be filled."""
+        return (weights != 0) & ~self._covered[rows]
 
     def screen(self, tol: float) -> np.ndarray:
         """Rows of ``states`` whose belief may break a probability rule:
@@ -436,13 +446,11 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     # a regular row needs a marginal over each agent its owner weights;
     # irregular rows are reported above
     if index.agents == spec.agents and g.shape == (spec.n_agents, spec.n_agents):
-        for i, j in zip(*np.nonzero(g)):
-            span = index.blocks[i]
-            uncovered = beliefs.uncovered(spec.agents[i], spec.agents[j], g[i, j])
-            if i != j and np.count_nonzero(uncovered):
-                for k in np.flatnonzero(uncovered > beliefs.irregular[span]):
-                    v.append(f"beliefs.{index.labels[span.start + k]}.signals.{spec.agents[j]}:"
-                             " missing marginal over an agent the owner weights")
+        s, j = np.nonzero(beliefs.uncovered(g[index.agent_of]) & ~beliefs.irregular[:, None])
+        # by owner, weighted agent, then signal
+        for k in np.lexsort((s, j, index.agent_of[s])):
+            v.append(f"beliefs.{index.labels[s[k]]}.signals.{spec.agents[j[k]]}:"
+                     " missing marginal over an agent the owner weights")
 
     if spec.priors is not None:
         for a, mu in spec.priors.items():

@@ -17,8 +17,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import shortest_path
 
 from .consensus import consensus_expectation, state_payoffs
 from .errors import PreconditionError
@@ -283,9 +281,20 @@ class TyrannyReport:
 
 
 def _bfs_diameter(matrix) -> int:
-    """Longest shortest path in the directed graph of nonzero entries."""
-    dist = shortest_path(scipy.sparse.csr_matrix(matrix != 0), unweighted=True)
-    return int(dist[np.isfinite(dist)].max())
+    """Longest shortest path in the directed graph of nonzero entries; pairs
+    with no path do not count.  A breadth-first search from every vertex at
+    once: one product of the frontiers with the 0/1 adjacency matrix per
+    step.  The products count paths, integers exact in floating point, so
+    the result is the same in any order of summation."""
+    adjacency = (np.asarray(matrix) != 0).astype(float)
+    seen = np.eye(len(adjacency), dtype=bool)
+    frontier, length = seen, 0
+    while True:
+        frontier = (frontier @ adjacency > 0) & ~seen
+        if not frontier.any():
+            return length
+        seen |= frontier
+        length += 1
 
 
 def verify_tyranny(

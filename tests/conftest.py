@@ -6,6 +6,7 @@ closure, connectivity of beliefs enumerates product events, and the class
 oracle reads scipy's component labels directly.
 """
 
+import importlib.util
 import os
 
 import numpy as np
@@ -44,6 +45,15 @@ def scenarios_dir():
 
 def scenario_path(name):
     return os.path.join(SCENARIOS, name + ".json")
+
+
+def bench_gen():
+    """The benchmark's seeded scenario generators, ``bench/gen.py``."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "gen.py")
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 import hashlib
-import importlib.util
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -20,6 +20,7 @@ from consensus_lab.tyranny import CISSpec
 
 from conftest import (
     SINGULAR_TRANSIENT,
+    bench_gen,
     cis_scenario,
     scenario_object,
     scenario_path,
@@ -33,6 +34,46 @@ def run_cli(argv):
     out = StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+#: Runs each argv list given as JSON through ``cli.main`` with every import
+#: of scipy made to fail; prints the exit code and stdout digest of each.
+WITHOUT_SCIPY = """
+import hashlib, json, sys
+from io import StringIO
+sys.modules["scipy"] = None
+from consensus_lab.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = StringIO()
+    runs.append([main(argv, out=out), hashlib.sha256(out.getvalue().encode()).hexdigest()])
+assert not [m for m in sys.modules if m.startswith("scipy.")]
+json.dump(runs, sys.stdout)
+"""
+
+SUBCOMMANDS = [["validate"], ["build"], ["consensus"], ["game-solve", "--beta", "0.9"],
+               ["simulate-market", "--beta", "0.9", "--runs", "2", "--seed", "1"],
+               ["verify-optimism"], ["verify-tyranny"], ["no-trade"], ["report", "--runs", "2"]]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # the six bundled scenarios and the benchmark's dense CIS and sparse
+    # reducible models: the same exit codes and stdout bytes as a normal run
+    paths = [scenario_path(name) for name in FIXTURES]
+    for name in ("cis_dense", "sparse_reducible"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(getattr(bench_gen(), name)(np.random.default_rng(1))))
+        paths.append(str(path))
+    argvs = [[command, path, *options] for path in paths for command, *options in SUBCOMMANDS]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    child = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(argvs)],
+                           capture_output=True, text=True, env=env, check=False)
+    assert child.returncode == 0, child.stderr[-3000:]
+    expected = []
+    for argv in argvs:
+        code, out = run_cli(argv)
+        expected.append([code, hashlib.sha256(out.encode()).hexdigest()])
+    assert json.loads(child.stdout) == expected
 
 
 def _load_json(path):
@@ -775,15 +816,6 @@ def test_report_builds_each_structure_once(work_counts, name, builds, sccs, solv
                                   stationary_vector=solves)
 
 
-def _bench_gen():
-    """The benchmark's seeded scenario generators, ``bench/gen.py``."""
-    path = os.path.join(os.path.dirname(__file__), "..", "bench", "gen.py")
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_report_solves_the_transient_block_once(tmp_path, factorizations):
     # the benchmark's sparse_reducible model, seed 1: 1000 signals, 500 of
     # them transient, one transient SCC of 191 signals.  The game and
@@ -791,7 +823,7 @@ def test_report_solves_the_transient_block_once(tmp_path, factorizations):
     # solve is made with the 500 x 500 transient block or the whole matrix
     # (the consensus does not print the absorption matrix)
     path = tmp_path / "sparse.json"
-    path.write_text(json.dumps(_bench_gen().sparse_reducible(np.random.default_rng(1))))
+    path.write_text(json.dumps(bench_gen().sparse_reducible(np.random.default_rng(1))))
     code, _ = run_cli(["report", str(path)])
     assert code == 0
     structure = sio.load_scenario(str(path)).structure

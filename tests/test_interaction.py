@@ -12,6 +12,7 @@ from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import (
     absorbing_components,
     aperiodicity,
+    as_structure,
     build_first_order_map,
     build_interaction_structure,
     component_period,
@@ -25,6 +26,7 @@ from consensus_lab.spectral import stationary_distribution
 
 from conftest import (
     beliefs_connected_oracle,
+    bench_gen,
     classes_oracle,
     dirichlet,
     irreducible_oracle,
@@ -350,6 +352,100 @@ def test_component_period_refuses_a_set_that_is_not_strongly_connected():
         component_period(flow, (0, 1))
 
 
+def cycle_matrix(n, rng=None):
+    """The cycle 0 -> 1 -> ... -> n - 1 -> 0, with random weights."""
+    weights = np.ones(n) if rng is None else rng.random(n) + 0.1
+    A = np.zeros((n, n))
+    A[np.arange(n), (np.arange(n) + 1) % n] = weights
+    return A
+
+
+def scc_cases():
+    """Seeded digraphs for the SCC kernel, by name.  The last four pass
+    the degree test (every vertex has an in-edge and an out-edge) but are
+    reducible, so the one-component search must fall through."""
+    rng = np.random.default_rng(2020)
+    cases = {
+        "single signal without a self-loop": np.zeros((1, 1)),
+        "single signal with a self-loop": np.full((1, 1), 0.5),
+        "self-loops only": np.diag(rng.random(6) + 0.1),
+        "no edges": np.zeros((4, 4)),
+        "rows with no out-edge": np.triu(rng.random((9, 9)) < 0.4, 1) * rng.random((9, 9)),
+        "complete": rng.random((12, 12)) + 0.01,
+        "complete without self-loops": (rng.random((7, 7)) + 0.01) * (1 - np.eye(7)),
+        "cycle of 8": cycle_matrix(8, rng),
+        "planted period 3": planted_cycle(rng, 3, 4),
+        "planted period 5": planted_cycle(rng, 5, 2),
+    }
+    two = np.zeros((9, 9))
+    two[:4, :4], two[4:, 4:] = cycle_matrix(4, rng), cycle_matrix(5, rng)
+    cases["two disjoint cycles"] = two
+    feeding = two.copy()
+    feeding[2, 6] = 0.5
+    cases["a cycle feeding another"] = feeding
+    # the same, with the signals shuffled so that signal 0 sits downstream
+    shuffle = rng.permutation(9)
+    cases["a cycle feeding another, shuffled"] = feeding[np.ix_(shuffle, shuffle)]
+    loops = np.diag(rng.random(5) + 0.1)
+    loops[0, 1:] = 0.2  # 0 reaches every signal, and none reaches 0
+    cases["a self-looped source into self-loops"] = loops
+    return cases
+
+
+@pytest.mark.parametrize("name", list(scc_cases()))
+def test_sccs_match_the_scipy_oracle_on_named_graphs(name):
+    A = scc_cases()[name]
+    members, terminal, _ = classes_oracle(A)
+    assert strongly_connected_components(A) == members
+    assert strongly_connected_components(A, np.nonzero(A)) == members
+    assert absorbing_components(A) == terminal
+    u, v = np.nonzero(A)
+    starts = np.searchsorted(u, np.arange(len(A) + 1))
+    # a lone signal without a self-loop has no edge to pass the degree test
+    assert interaction._one_component(u, v, starts) == (len(members) == 1 and len(u) > 0)
+    if name in list(scc_cases())[-4:]:
+        assert (np.diff(starts) > 0).all() and (np.bincount(v, minlength=len(A)) > 0).all()
+
+
+def test_sccs_match_the_scipy_oracle_on_seeded_random_digraphs():
+    rng = np.random.default_rng(2021)
+    shapes = {"one component": 0, "several": 0, "degree test passed, several": 0}
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        A = (rng.random((n, n)) < rng.uniform(0.01, 0.3)) * rng.random((n, n))
+        members, _, _ = classes_oracle(A)
+        assert strongly_connected_components(A) == members
+        degrees = (A != 0).any(axis=1).all() and (A != 0).any(axis=0).all()
+        shapes["one component" if len(members) == 1 else
+               "degree test passed, several" if degrees else "several"] += 1
+    assert min(shapes.values()) > 0, shapes
+
+
+def test_scc_kernel_walks_a_long_chain_without_recursion():
+    # a 10^5-signal path, and the same path closed into one component with
+    # an extra source in front, so that the search runs 10^5 levels deep;
+    # given the edges, the matrix only gives the number of signals
+    n = 100_000
+    sized = np.broadcast_to(0.0, (n, n))
+    u, v = np.arange(n - 1), np.arange(1, n)
+    comps = strongly_connected_components(sized, (u, v))
+    assert comps == [(k,) for k in range(n)]
+    # signals 1..n-1 form a cycle and signal 0 feeds it
+    closing = (np.append(u, n - 1), np.append(v, 1))
+    comps = strongly_connected_components(sized, closing)
+    assert comps == [(0,), tuple(range(1, n))]
+
+
+def test_sccs_of_the_6000_signal_sparse_reducible_model_match_the_oracle():
+    scn = bench_gen().sparse_reducible(np.random.default_rng(1), n_agents=600)
+    structure = build_interaction_structure(parse_scenario(scn))
+    assert len(structure.matrix) == 6000
+    members, terminal, transient = classes_oracle(structure.matrix)
+    assert structure.components == tuple(members)
+    assert structure.terminal == tuple(terminal)
+    assert structure.transient == transient
+
+
 def absorption_oracle(A, terminal, transient):
     """Absorption probabilities by one direct solve per terminal class."""
     out = np.zeros((len(A), len(terminal)))
@@ -416,9 +512,9 @@ def scc_calls(monkeypatch):
     original = interaction.strongly_connected_components
     calls = []
 
-    def counted(matrix):
+    def counted(matrix, *edges):
         calls.append(np.shape(matrix))
-        return original(matrix)
+        return original(matrix, *edges)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "consensus_lab":
@@ -588,9 +684,23 @@ ORACLE_CASES = oracle_cases()
 @pytest.mark.parametrize("name, spec, weights", ORACLE_CASES,
                          ids=[case[0] for case in ORACLE_CASES])
 def test_block_assembly_matches_the_per_signal_oracle(name, spec, weights):
-    assert same_bits(build_interaction_structure(spec).matrix, per_signal_matrix(spec))
-    got = build_interaction_structure(spec, type_dependent_weights=weights).matrix
-    assert same_bits(got, per_signal_matrix(spec, weights))
+    built = build_interaction_structure(spec)
+    assert same_bits(built.matrix, per_signal_matrix(spec))
+    assert_scanned_analysis(built)
+    built = build_interaction_structure(spec, type_dependent_weights=weights)
+    assert same_bits(built.matrix, per_signal_matrix(spec, weights))
+    assert_scanned_analysis(built)
+
+
+def assert_scanned_analysis(structure):
+    """The builder reads the edges from the blocks it writes: its analysis
+    must equal that of a scan of every cell of the matrix."""
+    scanned = as_structure(np.array(structure.matrix))
+    assert structure.components == scanned.components
+    assert structure.terminal == scanned.terminal and structure.periods == scanned.periods
+    assert same_bits(structure.component_of, scanned.component_of)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(structure.crossing, scanned.crossing))
 
 
 def test_unweighted_marginals_are_never_written():
@@ -609,13 +719,18 @@ def test_unweighted_marginals_are_never_written():
     }
     g = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]
     spec = ModelSpec(("w",), agents, signals, beliefs, Network(g))
-    B = build_interaction_structure(spec).matrix
+    structure = build_interaction_structure(spec)
+    B = structure.matrix
     assert same_bits(B, per_signal_matrix(spec))
     assert same_bits(B[0:2, 4:5], np.zeros((2, 1)))
+    # written -0.0 cells are no edges; inf cells are
+    assert_scanned_analysis(structure)
     weights = {"p": [0, 1, 0], "q": [0, 1, 0], "r": [1, 0, 0], "s": [0.5, 0, 0.5],
                "u": [0, 1, 0]}
-    B = build_interaction_structure(spec, type_dependent_weights=weights).matrix
+    structure = build_interaction_structure(spec, type_dependent_weights=weights)
+    B = structure.matrix
     assert same_bits(B, per_signal_matrix(spec, weights))
+    assert_scanned_analysis(structure)
     assert same_bits(B[2, 4], 0.0) and same_bits(B[3, 4], -0.0)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.csgraph import shortest_path
 
 from consensus_lab import tyranny
 from consensus_lab.consensus import consensus_expectation
@@ -296,14 +298,24 @@ def diameter_oracle(matrix):
 
 
 def test_path_length_matches_bfs_oracle():
+    # against the Python BFS and scipy's shortest paths, up to 300 signals
     rng = np.random.default_rng(8)
     unreachable = 0
+    cases = [np.zeros((1, 1)), np.ones((1, 1)), np.eye(4), np.roll(np.eye(60), 1, axis=1)]
     for _ in range(60):
         n = int(rng.integers(1, 30))
-        A = (rng.random((n, n)) < rng.uniform(0.02, 0.3)) * rng.random((n, n))
+        cases.append((rng.random((n, n)) < rng.uniform(0.02, 0.3)) * rng.random((n, n)))
+    # sparse graphs have the longest paths; the Python oracle is slow on
+    # dense large ones
+    for n in (120, 300):
+        for density in (0.5 / n, 2.0 / n, 6.0 / n, 0.05):
+            cases.append((rng.random((n, n)) < density) * rng.random((n, n)))
+    for A in cases:
         unreachable += not joint_connectedness(A)[0]
-        assert _bfs_diameter(A) == diameter_oracle(A)
+        dist = shortest_path(scipy.sparse.csr_matrix(A != 0), unweighted=True)
+        assert _bfs_diameter(A) == diameter_oracle(A) == int(dist[np.isfinite(dist)].max())
     assert unreachable > 0
+    assert _bfs_diameter(cases[3]) == 59
     for n_states in (2, 3, 4):
         cis = make_cis(rng, n_states=n_states, n_agents=3, ignorant_signals=3)
         report = verify_tyranny(cis)
