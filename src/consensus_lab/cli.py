@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 scenario validation failure, 3 precondition
 failure inside an operation or an --out artifact that cannot be written,
-64 usage error.  Identical inputs, flags and seed produce byte-identical
+64 usage error, 141 (128 + SIGPIPE) stdout closed by its reader before the
+output ended.  Identical inputs, flags and seed produce byte-identical
 output.
 """
 
@@ -470,7 +471,17 @@ def main(argv=None, out=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    # Python's SIGPIPE recipe: a reader that closes stdout early (``| head``)
+    # ends the command quietly with the shell's code for it.  The flush in
+    # the try catches a close during the last buffered write; devnull on
+    # stdout's descriptor leaves the flush at exit nothing to fail on.
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -344,9 +344,14 @@ def write_matrix_csv(fh, row_labels, col_labels, matrix, prefix=None):
     only the other cells are replaced; each distinct value is formatted
     once. So the Python work grows with the rows and the non-zero cells,
     not with every cell.
+
+    Each row's lines go to ``fh`` as soon as they are formed, so the text
+    held at once is one row's, next to the index of the non-zero cells
+    and their distinct values; ``fh`` does its own buffering.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    lines = ["row,col,value\n"] if prefix is None else []
+    if prefix is None:
+        fh.write("row,col,value\n")
     lead = prefix or ""
     bits = matrix.view(np.uint64)[: len(row_labels), : len(col_labels)]
     if bits.size:
@@ -365,5 +370,4 @@ def write_matrix_csv(fh, row_labels, col_labels, matrix, prefix=None):
                 j = cols[k]
                 cells[j] = heads[j] + texts[keys[k]]
             p = f"{lead}{r},"
-            lines.append(p + p.join(cells))
-    fh.write("".join(lines))
+            fh.write(p + p.join(cells))

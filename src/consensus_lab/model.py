@@ -241,6 +241,7 @@ class Beliefs(Mapping):
         within ``tol`` of 1.  Blocks of one width are screened together;
         each row sum has the bits of ``np.sum`` of the row."""
         flagged = self.irregular | _off(self.states, tol)
+        first = {a: b.start for a, b in zip(self.agents, self.index.blocks)}
         groups: dict = {}
         for (a, j), block in self.blocks.items():
             groups.setdefault(block.shape[1], []).append((a, j))
@@ -249,7 +250,7 @@ class Beliefs(Mapping):
             off = _off(np.concatenate([self.blocks[p] for p in pairs]), tol)
             off &= np.concatenate([self.listed[p] for p in pairs])
             # each stacked row's position among the rows of ``states``
-            starts = np.array([self.index.block(a).start for a, _ in pairs])
+            starts = np.array([first[a] for a, _ in pairs])
             starts += sizes - sizes.cumsum()
             flagged[(np.arange(sizes.sum()) + np.repeat(starts, sizes))[off]] = True
         return flagged

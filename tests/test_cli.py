@@ -76,6 +76,21 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert json.loads(child.stdout) == expected
 
 
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(tmp_path):
+    # the 1000-signal sparse model's CSV is about 26 MB, far above a pipe's
+    # buffer, so the reader's close always lands while the command writes
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(bench_gen().sparse_reducible(np.random.default_rng(1))))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "consensus_lab.cli", "build", str(path), "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"matrix,row,col,value\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err.decode()) == (141, "")
+
+
 def _load_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)

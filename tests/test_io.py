@@ -1,13 +1,14 @@
 import json
+import tracemalloc
 from io import StringIO
 
 import numpy as np
 import pytest
 
 from consensus_lab.errors import ScenarioError
-from consensus_lab.io import fmt, load_scenario, write_matrix_csv
+from consensus_lab.io import fmt, load_scenario, parse_scenario, write_matrix_csv
 
-from conftest import scenario_path, sparse_reducible_model
+from conftest import bench_gen, scenario_path, sparse_reducible_model
 
 
 def per_cell_csv(rows, cols, matrix, prefix=None):
@@ -76,6 +77,38 @@ def test_writer_truncates_to_the_labels():
     fh = StringIO()
     write_matrix_csv(fh, rows, cols, matrix)
     assert fh.getvalue() == per_cell_csv(rows, cols, matrix)
+
+
+class _RecordedWrites:
+    """A text sink that keeps, per ``write``, its line count and the
+    distinct row labels its lines start with."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        lines = text.splitlines()
+        self.writes.append((len(lines), {line.split(",", 1)[0] for line in lines}))
+
+
+def test_writer_streams_one_row_at_a_time(tmp_path):
+    # the benchmark's 1000-signal sparse model: B's 10^6 triplets are about
+    # 26 MB of text, which the writer never holds at once
+    spec = parse_scenario(bench_gen().sparse_reducible(np.random.default_rng(1)))
+    labels, matrix = spec.structure.index.labels, spec.structure.matrix
+    with open(tmp_path / "interaction.csv", "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            write_matrix_csv(fh, labels, labels, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20
+    sink = _RecordedWrites()
+    write_matrix_csv(sink, labels, labels, matrix)
+    assert sink.writes[0] == (1, {"row"})
+    assert [lines for lines, _ in sink.writes[1:]] == [len(labels)] * len(labels)
+    assert [heads for _, heads in sink.writes[1:]] == [{r} for r in labels]
 
 
 def _set(path, value):
