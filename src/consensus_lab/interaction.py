@@ -10,13 +10,15 @@ structure carries so that every caller shares one analysis.  The analysis
 runs on numpy alone, over the edges of the matrix in row-major order: the
 builder reads them from the blocks it writes, and a bare matrix is scanned
 for them.  The SCCs come from an iterative Tarjan search, after a
-vectorized test that settles a structure of one component.  The module owns
-its Markov solves too: each terminal component's stationary vector, by the one
-kernel ``stationary_vector``, and every solve with ``I - D B`` (``D`` a
-diagonal of discounts), by one walk along the condensation, sinks first,
-that factors each component of two or more signals on its own; the
-absorption probabilities and times are such walks over the transient
-signals.  Each is made on first use and kept, the game's solves excepted.
+vectorized test that settles a structure of one component; the periods are
+read from that same search's depths, and ``component_period`` reads a
+component's edges.  The module owns its Markov solves too: each terminal
+component's stationary vector, by ``stationary_vector``, and every solve
+with ``I - D B`` (``D`` a diagonal of discounts), by one walk along the
+condensation, sinks first, that factors each component of two or more
+signals on its own; the absorption probabilities and times are such walks
+over the transient signals, refused when out of range.  Each is made on
+first use and kept, the game's solves excepted.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .model import ModelSpec, Network, SignalIndex
 
 #: Residual ceiling enforced on every returned stationary distribution.
 STATIONARY_TOL = 1e-10
+
+#: Rounding allowed past [0, 1] for an absorption probability, below 1 for a time.
+ABSORPTION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -175,18 +180,25 @@ class InteractionStructure:
                         x[m] = np.nan
         return x
 
-    def _transient_solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _transient_solve(self, rhs: np.ndarray, what: str, lo: float, hi: float) -> np.ndarray:
         """``x = rhs + B x`` on the transient signals, with the terminal rows
-        of ``rhs`` as known values there, by the condensation walk; refused
-        when not finite, naming the first transient signal where it is not."""
+        of ``rhs`` as known values there, by the condensation walk; refused,
+        naming the first transient signal where it fails, when not finite
+        or when ``what`` it solves for is outside ``[lo, hi]`` by more than
+        ``ABSORPTION_TOL``."""
         T = self.transient
         x = self.solve(rhs, np.ones(len(self.matrix)), terminal_known=True)
-        bad = ~np.isfinite(x[list(T)])
-        if bad.any():
-            first = np.argwhere(bad)[0][0]
-            raise PreconditionError(
-                f"transient signal {self.names(T)[first]}: (I - B_TT)^-1 is not finite"
-                " there; I - B_TT is singular in floating point or not finite")
+        xt = x[list(T)]
+        ok = np.isfinite(xt) & (xt >= lo - ABSORPTION_TOL) & (xt <= hi + ABSORPTION_TOL)
+        if not ok.all():
+            first = np.argmin(ok.all(axis=tuple(range(1, x.ndim))))
+            row, fine = np.ravel(xt[first]), np.ravel(ok[first])
+            where = f"transient signal {self.names(T)[first]}"
+            if not np.isfinite(row).all():
+                raise PreconditionError(f"{where}: (I - B_TT)^-1 is not finite there;"
+                                        " I - B_TT is singular in floating point or not finite")
+            raise PreconditionError(f"{where}: {what} {float(row[~fine][0])!r} is outside"
+                                    f" [{lo:g}, {hi:g}]; I - B_TT is singular in floating point")
         return x
 
     @cached_property
@@ -199,7 +211,7 @@ class InteractionStructure:
         indicators = np.zeros((len(self.matrix), len(self.terminal)))
         for k, comp in enumerate(self.terminal):
             indicators[list(comp), k] = 1.0
-        absorption = self._transient_solve(indicators)
+        absorption = self._transient_solve(indicators, "absorption probability", 0.0, 1.0)
         absorption.setflags(write=False)
         return absorption
 
@@ -210,7 +222,7 @@ class InteractionStructure:
         T = list(self.transient)
         steps = np.zeros(len(self.matrix))
         steps[T] = 1.0
-        t = self._transient_solve(steps)[T]
+        t = self._transient_solve(steps, "absorption time", 1.0, np.inf)[T]
         t.setflags(write=False)
         return t
 
@@ -393,21 +405,23 @@ def as_structure(obj) -> InteractionStructure:
 def _analysed(B: np.ndarray, index: SignalIndex | None, edges=None) -> InteractionStructure:
     """The structure of ``B`` with its graph analysis; ``edges`` are its
     nonzero positions ``(u, v)`` in row-major order, found by a scan of
-    ``B`` when not given.  They feed both the SCCs and the terminal test."""
+    ``B`` when not given.  One search gives the SCCs and the depths that
+    the periods are read from."""
     u, v = np.nonzero(B != 0) if edges is None else edges
-    comps = strongly_connected_components(B, (u, v))
+    comps, depth = _scc_search(len(B), u, v)
     # a component is terminal when no edge leaves it
     label = np.empty(len(B), dtype=np.intp)
     label[np.concatenate(comps)] = np.repeat(
         np.arange(len(comps)), [len(c) for c in comps]
     )
-    crossing = label[u] != label[v]
+    source = label[u]
+    crossing = source != label[v]
     closed = np.ones(len(comps), dtype=bool)
-    closed[label[u[crossing]]] = False
+    closed[source[crossing]] = False
     terminal = tuple(c for c, ok in zip(comps, closed) if ok)
-    periods = tuple(component_period(B, c) for c in terminal)
-    return InteractionStructure(B, index, tuple(comps), terminal, periods, label,
-                                (u[crossing], v[crossing]))
+    periods = _periods(depth, u, v, source, len(comps))[closed]
+    return InteractionStructure(B, index, tuple(comps), terminal, tuple(periods.tolist()),
+                                label, (u[crossing], v[crossing]))
 
 
 def strongly_connected_components(matrix, edges=None) -> list[tuple[int, ...]]:
@@ -421,57 +435,57 @@ def strongly_connected_components(matrix, edges=None) -> list[tuple[int, ...]]:
     (*SIAM J. Comput.* 1, 1972), iteratively, in time linear in its edges.
     """
     matrix = _weights(matrix)
-    n = len(matrix)
     u, v = np.nonzero(matrix != 0) if edges is None else edges
+    return _scc_search(len(matrix), u, v)[0]
+
+
+def _scc_search(n: int, u: np.ndarray, v: np.ndarray):
+    """The SCCs of ``n`` vertices and the edges ``(u, v)`` in row-major
+    order, sorted by least member, and each vertex's depth in the search
+    that found them, of which every component is a subtree."""
     # the out-edges of vertex k go to v[starts[k]:starts[k + 1]]
     starts = np.searchsorted(u, np.arange(n + 1))
-    if n and _one_component(u, v, starts):
-        return [tuple(np.arange(n))]
-    labels = np.array(_tarjan(starts.tolist(), v.tolist()), dtype=np.intp)
+    # one component when every vertex has an in-edge and an out-edge and
+    # vertex 0 reaches every vertex along the edges and against them
+    if n and (starts[1:] > starts[:-1]).all() and np.bincount(v, minlength=n).min() > 0:
+        depth, back = _bfs_depths(starts, v), np.argsort(v, kind="stable")
+        against = _bfs_depths(np.searchsorted(v[back], np.arange(n + 1)), u[back])
+        if min(depth.min(), against.min()) >= 0:
+            return [tuple(np.arange(n))], depth
+    labels, depth = (np.array(x, dtype=np.intp) for x in _tarjan(starts.tolist(), v.tolist()))
     # members of each component in index order: a stable sort by label
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels).tolist()
     ends = np.cumsum(sizes).tolist()
     comps = [tuple(order[e - k : e]) for k, e in zip(sizes, ends)]
-    return sorted(comps, key=lambda c: c[0])
+    return sorted(comps, key=lambda c: c[0]), depth
 
 
-def _one_component(u: np.ndarray, v: np.ndarray, starts: np.ndarray) -> bool:
-    """Whether every vertex has an in-edge and an out-edge and vertex 0
-    reaches every vertex along the edges and against them."""
+def _bfs_depths(starts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Breadth-first depth of each vertex from vertex 0 (-1 if unreached),
+    by a search that takes each level's out-edges at once; a level costs its edges."""
     n = len(starts) - 1
-    if not (starts[1:] > starts[:-1]).all() or np.bincount(v, minlength=n).min() == 0:
-        return False
-    back = np.argsort(v, kind="stable")
-    return (_reaches_all(starts, v)
-            and _reaches_all(np.searchsorted(v[back], np.arange(n + 1)), u[back]))
-
-
-def _reaches_all(starts: np.ndarray, targets: np.ndarray) -> bool:
-    """Whether vertex 0 reaches every vertex, by a breadth-first search
-    that takes each level's out-edges at once; a level costs its edges."""
-    n = len(starts) - 1
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
+    depth = np.full(n, -1, dtype=np.intp)
+    depth[0] = 0
     # claim[w]: the position in its level's list of new vertices of the
     # copy of w that is kept, so that each is kept once
     frontier, claim = np.zeros(1, dtype=np.intp), np.empty(n, dtype=np.intp)
     while len(frontier):
         lo = starts[frontier]
         reached = targets[_ranges(lo, starts[frontier + 1] - lo)]
-        new = reached[~seen[reached]]
-        seen[new] = True
+        new = reached[depth[reached] < 0]
+        depth[new] = depth[frontier[0]] + 1
         claim[new] = np.arange(len(new))
         frontier = new[claim[new] == np.arange(len(new))]
-    return bool(seen.all())
+    return depth
 
 
-def _tarjan(starts: list, targets: list) -> list:
-    """Component label of each vertex by Tarjan's search without recursion:
-    ``path`` holds the vertices being searched, ``pos`` the next out-edge
-    of each.  A vertex that is visited but not labelled is on ``stack``."""
+def _tarjan(starts: list, targets: list) -> tuple[list, list]:
+    """Component label and search depth of each vertex by Tarjan's search
+    without recursion: ``path`` holds the vertices being searched, ``pos``
+    the next out-edge of each, and ``stack`` the visited, unlabelled ones."""
     n = len(starts) - 1
-    index, low, label = [-1] * n, [0] * n, [-1] * n
+    index, low, label, depth = [-1] * n, [0] * n, [-1] * n, [0] * n
     stack: list = []
     count = n_comp = 0
     for root in range(n):
@@ -492,6 +506,7 @@ def _tarjan(starts: list, targets: list) -> list:
                     pos[-1] = p
                     index[w] = low[w] = count
                     count += 1
+                    depth[w] = len(path)
                     stack.append(w)
                     path.append(w)
                     pos.append(starts[w])
@@ -510,7 +525,22 @@ def _tarjan(starts: list, targets: list) -> list:
                     n_comp += 1
                 elif low[node] < low[path[-1]]:
                     low[path[-1]] = low[node]
-    return label
+    return label, depth
+
+
+def _periods(depth: np.ndarray, u: np.ndarray, v: np.ndarray, group, k: int) -> np.ndarray:
+    """Period of each of ``k`` strongly connected components: the gcd of
+    ``|depth(u) + 1 - depth(v)|`` over its edges ``(u, v)``, ``group`` giving
+    each edge's component (None when ``k`` is 1), and 0 if it has none.  For
+    depths that are, up to a constant, path lengths inside the component,
+    each term is a multiple of the period and a cycle's terms sum to its
+    length.  An edge that leaves a component changes only that one's value."""
+    term = np.abs(depth[u] + 1 - depth[v])
+    if k == 1:
+        return np.gcd.reduce(term, keepdims=True)
+    periods = np.zeros(k, dtype=term.dtype)
+    np.gcd.at(periods, group, term)
+    return periods
 
 
 def component_period(matrix, component) -> int:
@@ -521,22 +551,15 @@ def component_period(matrix, component) -> int:
     every other member.
     """
     matrix = _weights(matrix)
-    comp = list(component)
-    if len(comp) == 1:
-        return 1 if matrix[comp[0], comp[0]] != 0 else 0
-    # BFS levels from the first member, one vectorized step per level;
-    # period = gcd over edges of level(u) + 1 - level(v)
-    sub = matrix[np.ix_(comp, comp)] != 0
-    level = np.full(len(comp), -1)
-    level[0] = 0
-    frontier = level == 0
-    while frontier.any():
-        frontier = sub[frontier].any(axis=0) & (level < 0)
-        level[frontier] = level.max() + 1
-    if (level < 0).any():
+    comp = np.asarray(component, dtype=np.intp)
+    # the edges between members, by position in ``component``
+    local = np.full(len(matrix), -1, dtype=np.intp)
+    local[comp] = np.arange(len(comp))
+    u, v = np.nonzero((matrix[comp] != 0) & (local >= 0))
+    depth = _bfs_depths(np.searchsorted(u, np.arange(len(comp) + 1)), local[v])
+    if depth.min() < 0:
         raise PreconditionError(f"component {component} is not strongly connected")
-    u, v = np.nonzero(sub)
-    return int(abs(np.gcd.reduce(level[u] + 1 - level[v])))
+    return int(_periods(depth, u, local[v], None, 1)[0])
 
 
 def _weights(obj) -> np.ndarray:

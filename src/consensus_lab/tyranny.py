@@ -113,11 +113,12 @@ def build_pi_from_cis(cis: CISSpec) -> ModelSpec:
         if len(zero):
             raise PreconditionError(f"signal {cis.signals[a][zero[0]]} of agent {a}"
                                     " has zero prior probability")
-        # C order and one product per row keep a lone posterior vector's bits
+        # C order and one vector-matrix product per row (a stack of 1 x k
+        # rows, not one matrix product) keep a lone posterior vector's bits
         table = np.ascontiguousarray(cis.eta[a].T) * cis.rho[a] / mu[:, None]
         others = tuple(j for j in cis.agents if j != a)
         tables.append(table)
-        columns.update(((a, j), (None, np.array([p @ cis.eta[j] for p in table])))
+        columns.update(((a, j), (None, np.matmul(table[:, None, :], cis.eta[j])[:, 0, :]))
                        for j in others if len(table))
         keys.update(dict.fromkeys(cis.signals[a], others))
     states = np.concatenate([np.empty((0, cis.n_states)), *tables])  # none without agents

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -811,10 +812,10 @@ def _count_calls(monkeypatch, counts, targets):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Counts structure builds, SCC passes and stationary solves."""
+    """Counts structure builds, SCC searches and stationary solves."""
     counts = Counter()
     _count_calls(monkeypatch, counts, [(interaction, "build_interaction_structure"),
-                                       (interaction, "strongly_connected_components"),
+                                       (interaction, "_scc_search"),
                                        (interaction, "stationary_vector")])
     return counts
 
@@ -827,7 +828,7 @@ def test_report_builds_each_structure_once(work_counts, name, builds, sccs, solv
     code, _ = run_cli(["report", scenario_path(name), "--runs", "3"])
     assert code == 0
     assert work_counts == Counter(build_interaction_structure=builds,
-                                  strongly_connected_components=sccs,
+                                  _scc_search=sccs,
                                   stationary_vector=solves)
 
 
@@ -864,6 +865,25 @@ def test_transient_block_singular_in_floating_point_is_refused(tmp_path, capsys)
     code, out = run_cli(["report", str(path)])
     assert code == 0
     assert f"== no-trade ==\nnot applicable: {refusal}\n" in out
+
+
+def test_transient_block_singular_in_floating_point_but_finite_is_refused(tmp_path, capsys):
+    # a 1e-300 marginal entry makes I - B_TT singular in floating point but
+    # leaves the solve finite: the absorption times came out near -4e16 and
+    # no-trade and report ended in the witness's ArithmeticError (exit 1)
+    scn = bench_gen().sparse_reducible(np.random.default_rng(1), 6, 6, 3)
+    scn["beliefs"]["a4x3"]["marginals"]["signals"]["a1"][5] = 1e-300
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(scn))
+    assert run_cli(["validate", str(path)])[0] == 0
+    # the time's last digits are the LU solve's rounding
+    refusal = ("transient signal a0x3: absorption time -[0-9.]+e\\+1[5-8] is outside \\[1, inf\\];"
+               " I - B_TT is singular in floating point")
+    assert run_cli(["no-trade", str(path)]) == (3, "")
+    assert re.fullmatch(f"precondition failure: {refusal}\n", capsys.readouterr().err)
+    code, out = run_cli(["report", str(path)])
+    assert code == 0
+    assert re.search(f"\n== no-trade ==\nnot applicable: {refusal}\n", out)
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 from math import gcd
 
 import numpy as np
@@ -345,6 +344,85 @@ def test_component_period_matches_bfs_oracle_on_random_digraphs():
     assert singletons[0] > 0 and singletons[1] > 0
 
 
+def planted_reducible(rng, periods):
+    """Closed classes of the given planted periods (a period of 0 is a
+    signal without an out-edge, and a planted period of 1 on one signal is
+    a self-loop alone), transient signals feeding them and one another,
+    all shuffled."""
+    blocks = []
+    for d in periods:
+        if d == 0:
+            blocks.append(np.zeros((1, 1)))
+        elif d == 1 and rng.random() < 0.5:
+            blocks.append(np.full((1, 1), rng.random() + 0.1))
+        else:
+            blocks.append(planted_cycle(rng, d, int(rng.integers(1, 4))))
+    closed = sum(len(b) for b in blocks)
+    n = closed + int(rng.integers(1, 8))
+    A = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        A[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    for s in range(closed, n):
+        # each transient signal leaks into a closed class, and may loop
+        # among the transient signals, itself included
+        A[s, rng.integers(0, closed)] = rng.random() + 0.1
+        A[s, rng.integers(closed, n, size=2)] += rng.random(2) * (rng.random(2) < 0.6)
+    shuffle = rng.permutation(n)
+    return A[np.ix_(shuffle, shuffle)]
+
+
+def _period_routes(monkeypatch, A):
+    """The periods of ``A``'s terminal classes from the structure, from
+    component_period and from the oracle (scipy's classes and a plain
+    breadth-first search), and whether the one-component search settled it."""
+    walks = _tarjan_walks(monkeypatch)
+    periods = as_structure(A).periods
+    _, terminal, _ = classes_oracle(A)
+    return (periods, tuple(component_period(A, c) for c in terminal),
+            tuple(period_oracle(A, c) for c in terminal), walks == [])
+
+
+def test_structure_periods_match_the_oracle_on_both_search_routes(monkeypatch):
+    rng = np.random.default_rng(2206)
+    seen = {"one component": set(), "several": set(), "singleton periods": set()}
+    for trial in range(120):
+        d = 1 + (trial // 2) % 6
+        if trial % 2 == 0:
+            # irreducible: the one-component search's levels give the period
+            A = planted_cycle(rng, d, int(rng.integers(1, 5)))
+            got, kernel, oracle, one = _period_routes(monkeypatch, A)
+            assert one and got == kernel == oracle == (d,)
+            # Tarjan's depths on the same graph give the same period
+            u, v = np.nonzero(A)
+            _, depth = interaction._tarjan(np.searchsorted(u, np.arange(len(A) + 1)).tolist(),
+                                           v.tolist())
+            zero = np.zeros(len(u), dtype=np.intp)
+            assert interaction._periods(np.array(depth), u, v, zero, 1).tolist() == [d]
+            seen["one component"].add(d)
+        else:
+            periods = [d] + rng.integers(0, 7, size=int(rng.integers(1, 4))).tolist()
+            A = planted_reducible(rng, periods)
+            got, kernel, oracle, one = _period_routes(monkeypatch, A)
+            assert not one and got == kernel == oracle
+            assert sorted(got) == sorted(periods)
+            seen["several"].update(got)
+            seen["singleton periods"].update(
+                p for c, p in zip(as_structure(A).terminal, got) if len(c) == 1)
+    assert seen["one component"] == set(range(1, 7))
+    assert seen["several"] == set(range(0, 7))
+    assert seen["singleton periods"] == {0, 1}
+
+
+def test_structure_periods_of_the_benchmark_sparse_model_match_the_oracle(monkeypatch):
+    # three terminal classes, one of them the period-2 double cover
+    spec = parse_scenario(bench_gen().sparse_reducible(np.random.default_rng(1), 6, 6, 3))
+    got, kernel, oracle, one = _period_routes(monkeypatch, spec.structure.matrix)
+    assert not one and len(got) == 3 and 2 in got
+    assert got == spec.structure.periods == kernel == oracle
+
+
 def test_component_period_refuses_a_set_that_is_not_strongly_connected():
     # signal 1 flows into the closed class {0}, which never reaches it
     flow = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -392,17 +470,29 @@ def scc_cases():
     return cases
 
 
+TARJAN = interaction._tarjan
+
+
+def _tarjan_walks(monkeypatch):
+    """A list that gets an entry each time the SCC search falls through to
+    Tarjan's search, which the one-component search leaves unwalked."""
+    walks = []
+    monkeypatch.setattr(interaction, "_tarjan", lambda *lists: walks.append(1) or TARJAN(*lists))
+    return walks
+
+
 @pytest.mark.parametrize("name", list(scc_cases()))
-def test_sccs_match_the_scipy_oracle_on_named_graphs(name):
+def test_sccs_match_the_scipy_oracle_on_named_graphs(monkeypatch, name):
     A = scc_cases()[name]
     members, terminal, _ = classes_oracle(A)
+    walks = _tarjan_walks(monkeypatch)
     assert strongly_connected_components(A) == members
     assert strongly_connected_components(A, np.nonzero(A)) == members
     assert absorbing_components(A) == terminal
     u, v = np.nonzero(A)
     starts = np.searchsorted(u, np.arange(len(A) + 1))
     # a lone signal without a self-loop has no edge to pass the degree test
-    assert interaction._one_component(u, v, starts) == (len(members) == 1 and len(u) > 0)
+    assert (walks == []) == (len(members) == 1 and len(u) > 0)
     if name in list(scc_cases())[-4:]:
         assert (np.diff(starts) > 0).all() and (np.bincount(v, minlength=len(A)) > 0).all()
 
@@ -507,26 +597,23 @@ def test_structure_analysis_matches_independent_oracles():
 
 @pytest.fixture
 def scc_calls(monkeypatch):
-    """Records every call of strongly_connected_components, at every
-    module of the package that holds a reference to it."""
-    original = interaction.strongly_connected_components
+    """Records every SCC search, by its number of vertices: the one search
+    that both strongly_connected_components and the structure's analysis
+    run, and that also gives the depths the periods are read from."""
+    original = interaction._scc_search
     calls = []
 
-    def counted(matrix, *edges):
-        calls.append(np.shape(matrix))
-        return original(matrix, *edges)
+    def counted(n, u, v):
+        calls.append(n)
+        return original(n, u, v)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "consensus_lab":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(interaction, "_scc_search", counted)
     return calls
 
 
-# The bound on SCC passes is one per distinct matrix analysed plus at most
-# one per terminal class.  The class stationary solves reuse the analysis
-# of the whole structure, so they add none, and the counts below are exact.
+# One SCC search per distinct matrix analysed: the periods come from that
+# search's depths, and the class stationary solves reuse the analysis of
+# the whole structure, so neither adds one, and the counts below are exact.
 
 
 def test_consensus_analyses_each_matrix_once(scc_calls):

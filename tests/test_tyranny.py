@@ -406,6 +406,31 @@ def test_block_construction_builds_no_per_signal_beliefs(monkeypatch):
     build_pi_from_cis(cis).structure
 
 
+def test_posterior_blocks_have_the_bits_of_one_product_per_row():
+    # each block is one batched product, a stack of 1 x k rows; every row
+    # must keep the bits of the lone product p @ eta[j], over shapes that
+    # include one state, one signal and the benchmark's 50 x 50
+    rng = np.random.default_rng(2205)
+    agents = ("a", "b", "c")
+    g = np.full((3, 3), 0.5) - 0.5 * np.eye(3)
+    for n_states, counts in [(1, (1, 4, 2)), (4, (1, 1, 6)), (6, (3, 1, 9)),
+                             (17, (31, 1, 5)), (50, (50, 50, 50))]:
+        cis = CISSpec(
+            tuple(f"w{k}" for k in range(n_states)), agents,
+            {x: tuple(f"{x}{k}" for k in range(c)) for x, c in zip(agents, counts)},
+            {x: rng.dirichlet(np.ones(n_states)) for x in agents},
+            {x: rng.dirichlet(np.ones(c), size=n_states) for x, c in zip(agents, counts)},
+            Network(g),
+        )
+        beliefs = build_pi_from_cis(cis).beliefs
+        for i, a in enumerate(agents):
+            table = beliefs.states[beliefs.index.blocks[i]]
+            for j in agents:
+                if j != a:
+                    rows = np.array([p @ cis.eta[j] for p in table])
+                    assert _same_bits(beliefs.blocks[a, j], rows), (n_states, a, j)
+
+
 def test_an_agent_without_signals_builds_as_the_reference():
     cis = load_scenario(scenario_path("tyranny_extreme"))
     g = np.full((4, 4), 1.0 / 3.0)

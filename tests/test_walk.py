@@ -18,7 +18,11 @@ from consensus_lab.cli import main
 from consensus_lab.consensus import first_order_vector
 from consensus_lab.errors import PreconditionError
 from consensus_lab.game import solve_beta_game, solve_heterogeneous_game
-from consensus_lab.interaction import as_structure, build_interaction_structure
+from consensus_lab.interaction import (
+    InteractionStructure,
+    as_structure,
+    build_interaction_structure,
+)
 from consensus_lab.io import load_scenario
 from consensus_lab.spectral import abel_limit
 from consensus_lab.tyranny import CISSpec
@@ -265,6 +269,39 @@ def test_walk_refuses_a_singular_transient_block_without_a_runtime_warning(tmp_p
     assert capsys.readouterr().err == (
         "precondition failure: transient signal a1: (I - B_TT)^-1 is not finite there;"
         " I - B_TT is singular in floating point or not finite\n")
+
+
+@pytest.mark.parametrize("shift, refusals", [
+    (5e-7, {}),
+    (-5e-7, {}),
+    (2e-6, {"absorption":
+            "transient signal 0: absorption probability 1.000002 is outside [0, 1]"}),
+    (-2e-6, {"absorption_time":
+             "transient signal 1: absorption time 0.999998 is outside [1, inf]"}),
+])
+def test_transient_solve_refuses_a_finite_result_outside_its_range(monkeypatch, shift, refusals):
+    # the chain 0 -> 1 -> 2, 2 absorbing: each transient signal is absorbed
+    # with probability 1, after 2 and 1 steps; the solve's transient rows
+    # are shifted, and only a shift beyond ABSORPTION_TOL = 1e-6 is refused
+    B = np.zeros((3, 3))
+    B[0, 1] = B[1, 2] = B[2, 2] = 1.0
+    solve = InteractionStructure.solve
+
+    def shifted(self, *args, **kwargs):
+        x = solve(self, *args, **kwargs)
+        x[list(self.transient)] += shift
+        return x
+
+    monkeypatch.setattr(InteractionStructure, "solve", shifted)
+    structure = as_structure(B)
+    for read, exact in (("absorption", [[1.0], [1.0], [1.0]]), ("absorption_time", [2.0, 1.0])):
+        if read in refusals:
+            with pytest.raises(PreconditionError) as refused:
+                getattr(structure, read)
+            assert str(refused.value) == (f"{refusals[read]}; I - B_TT is singular in"
+                                          " floating point")
+        else:
+            assert np.abs(getattr(structure, read) - exact).max() <= abs(shift) + 1e-15
 
 
 def test_walk_carries_a_singular_block_only_upstream():
