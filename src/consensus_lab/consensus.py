@@ -241,9 +241,9 @@ def verify_cps_decomposition(
             "the priors are not stationary under the interaction structure"
             f" (residual {check.residual:.3e})"
         )
-    if y is None:
-        y = spec.y
-    result = consensus_expectation(spec, y)
+    # each agent's first-order values, however y was given
+    fvec = first_order_vector(spec, y)
+    result = consensus_expectation(spec, f=fvec)
     if result.value is None:
         raise PreconditionError(
             "consensus is not unique (several terminal components)"
@@ -251,7 +251,8 @@ def verify_cps_decomposition(
     # cps_check refused a network without centralities
     e = result.centralities
     prior_exp = {
-        a: ex_ante_expectation(spec, a, spec.priors[a], y) for a in spec.agents
+        a: ex_ante_expectation(spec, a, spec.priors[a], fvec[span])
+        for a, span in zip(spec.agents, spec.first_order.index.blocks)
     }
     weighted = float(
         sum(e[k] * prior_exp[a] for k, a in enumerate(spec.agents))

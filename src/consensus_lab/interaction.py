@@ -399,7 +399,10 @@ def as_structure(obj) -> InteractionStructure:
     if isinstance(obj, Network):
         return obj.structure
     # a copy, so that freezing it leaves the caller's array writable
-    return _analysed(np.array(_weights(obj)), index=None)
+    B = np.array(_weights(obj))
+    if not B.size:
+        raise PreconditionError("interaction structure: the matrix has no entries")
+    return _analysed(B, index=None)
 
 
 def _analysed(B: np.ndarray, index: SignalIndex | None, edges=None) -> InteractionStructure:

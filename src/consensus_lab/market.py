@@ -38,13 +38,16 @@ decodes the nature uniform with one search per level, finds the duration
 with one vectorized scan of the continuation uniforms and the buyers from
 an ``n_agents x trades`` table of ``searchsorted(..., side="right")``
 lookups, chained from the initial owner.
+
+:func:`empirical_price_stats` summarizes a :class:`MarketBatch`: the mean
+price with its standard error over runs, each class's mean price and the
+mean duration.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -93,24 +96,13 @@ class NatureDraw:
     ``state`` weighs the states; ``tables`` holds one ``n_states x
     |signals|`` table per agent, in declaration order, whose row for a
     state weighs the agent's signals in that state.  A cell's weight is
-    its state's weight times its signal's entry in every agent's row.  A
-    dense joint given as ``state``, with no tables, is one factor over
-    all cells: one axis for the states and one per agent.  Weights need
-    not be normalized.
+    its state's weight times its signal's entry in every agent's row.
+    Weights need not be normalized.  A dense joint over all cells is not
+    a draw: given as ``state`` it fails the shape check.
     """
 
     state: np.ndarray
     tables: tuple[np.ndarray, ...] = ()
-
-    @property
-    def joint(self) -> np.ndarray:
-        """The dense ``n_states x |signals_1| x ...`` product, built on
-        every read."""
-        joint = np.asarray(self.state, dtype=float)
-        for table in self.tables:
-            # axis 0 stays the state; each table row is indexed by it
-            joint = joint[..., None] * np.expand_dims(table, tuple(range(1, joint.ndim)))
-        return joint
 
 
 @dataclass(frozen=True)
@@ -259,10 +251,7 @@ class _Kernel:
         elif isinstance(draw, NatureDraw):
             sizes = tuple(len(spec.signals[a]) for a in spec.agents)
             factors = [np.asarray(f, dtype=float) for f in (draw.state, *draw.tables)]
-            if draw.tables:
-                shapes = [(spec.n_states,)] + [(spec.n_states, m) for m in sizes]
-            else:
-                shapes = [(spec.n_states,) + sizes]
+            shapes = [(spec.n_states,)] + [(spec.n_states, m) for m in sizes]
             got = [f.shape for f in factors]
             if got != shapes:
                 raise PreconditionError(
@@ -275,16 +264,12 @@ class _Kernel:
             # a state's weight carries its rows' totals, so a state with an
             # all-zero row is never drawn
             row_cdfs = [np.cumsum(t, axis=1) for t in factors[1:]]
-            weights = factors[0].reshape(-1)
+            weights = factors[0]
             for cdfs in row_cdfs:
                 weights = weights * cdfs[:, -1]
-            self.nature_cdf = _cumulative(weights, "generating distribution")
-            self.nature_shape = factors[0].shape
-            # each run searches a few short lists of Python floats; only a
-            # dense joint's running sums stay an array
+            # each run searches a few short lists of Python floats
+            self.nature_cdf = _cumulative(weights, "generating distribution").tolist()
             self.row_cdfs = [cdfs.tolist() for cdfs in row_cdfs]
-            if row_cdfs:
-                self.nature_cdf = self.nature_cdf.tolist()
         else:
             raise PreconditionError(
                 "draw must be a NatureDraw (generating distribution) or a FixedDraw"
@@ -292,6 +277,11 @@ class _Kernel:
 
     def _resolve_owner(self, spec, initial_owner):
         self.owner_cdf = None
+        if isinstance(initial_owner, bool):
+            raise PreconditionError(
+                f"initial owner: expected an agent name, index or distribution,"
+                f" got {initial_owner!r}"
+            )
         if isinstance(initial_owner, str) and initial_owner != "centrality":
             if initial_owner not in spec.agents:
                 raise PreconditionError(f"initial owner: unknown agent {initial_owner!r}")
@@ -320,17 +310,12 @@ class _Kernel:
         """State and signal profile (positions within each agent's signals)
         drawn by the nature uniform ``u``.
 
-        ``u`` picks a cell of the first factor: a state, or a cell of a
-        dense joint.  Where it fell inside that cell, rescaled to [0, 1),
-        picks the signal in the first agent's row for the state, and so on
-        through the agents.
+        ``u`` picks the state.  Where it fell inside that state's cell,
+        rescaled to [0, 1), picks the signal in the first agent's row for
+        the state, and so on through the agents.
         """
         cum = self.nature_cdf
         cell = _pick(cum, u)
-        if not self.row_cdfs:
-            # a dense joint: the cell is the state and the whole profile
-            theta, *profile = map(int, np.unravel_index(cell, self.nature_shape))
-            return theta, tuple(profile)
         theta, profile = cell, []
         for cdfs in self.row_cdfs:
             lo = cum[cell - 1] if cell else 0.0
@@ -442,9 +427,9 @@ def simulate_market(
 class MarketBatch:
     """Compact aggregate of many runs.
 
-    Per run: duration, trade count, the per-class buy counts, and the
-    per-class price implied by the run's signal profile.  This is enough
-    to reconstruct the full multiset of transaction prices.
+    Per run: duration, the per-class buy counts, the per-class price
+    implied by the run's signal profile, and the terminal payoff.  This is
+    enough to reconstruct the full multiset of transaction prices.
     """
 
     beta: float
@@ -457,14 +442,6 @@ class MarketBatch:
     @property
     def n_runs(self) -> int:
         return len(self.durations)
-
-    @property
-    def trade_counts(self) -> np.ndarray:
-        return self.class_counts.sum(axis=1)
-
-    @property
-    def price_sums(self) -> np.ndarray:
-        return (self.class_counts * self.class_prices).sum(axis=1)
 
 
 def simulate_batch(
@@ -490,35 +467,20 @@ def simulate_batch(
 
 @dataclass(frozen=True)
 class PriceStats:
-    """Deterministic aggregation of transaction prices and durations."""
+    """Mean transaction price with its standard error, the mean price of
+    each class that bought, and the mean duration of a batch's runs."""
 
     n_runs: int
     n_trades: int
     mean_price: float | None
     price_se: float | None
-    price_min: float | None
-    price_max: float | None
     class_means: dict[str, float]
-    class_quantiles: dict[str, tuple[float, float, float]]
     mean_duration: float
-    duration_counts: dict[int, int]
-
-
-def _weighted_quantiles(values, weights, qs=(0.1, 0.5, 0.9)):
-    order = np.argsort(values)
-    v = np.asarray(values)[order]
-    w = np.asarray(weights, dtype=float)[order]
-    cum = np.cumsum(w)
-    out = []
-    for q in qs:
-        k = int(np.searchsorted(cum, q * cum[-1], side="left"))
-        out.append(float(v[min(k, len(v) - 1)]))
-    return tuple(out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def empirical_price_stats(data) -> PriceStats:
-    """Summarize runs (a list of :class:`MarketRun` or a :class:`MarketBatch`).
+def empirical_price_stats(batch: MarketBatch) -> PriceStats:
+    """Summarize a :class:`MarketBatch`.
 
     The summary is taken over the classes that bought, in sorted name
     order, with a class's price zeroed in runs where it bought nothing;
@@ -526,58 +488,25 @@ def empirical_price_stats(data) -> PriceStats:
     is cluster-robust over runs: runs, not individual trades, are the
     independent units.  Prices too large to sum are refused.
     """
-    if isinstance(data, MarketBatch):
-        bought = np.flatnonzero(data.class_counts.sum(axis=0) > 0)
-        cols = sorted(bought, key=lambda k: data.agents[k])
-        agents = tuple(data.agents[k] for k in cols)
-        durations = data.durations
-        counts = data.class_counts[:, cols]
-        cprices = np.where(counts > 0, data.class_prices[:, cols], 0.0)
-    else:
-        runs = list(data)
-        agents = tuple(sorted({e.buyer for r in runs for e in r.events}))
-        durations = np.array([r.duration for r in runs], dtype=int)
-        counts = np.zeros((len(runs), len(agents)), dtype=int)
-        cprices = np.zeros((len(runs), len(agents)))
-        for ri, r in enumerate(runs):
-            for e in r.events:
-                k = agents.index(e.buyer)
-                counts[ri, k] += 1
-                cprices[ri, k] = e.price
-
-    n_runs = len(durations)
-    if n_runs == 0:
+    if batch.n_runs == 0:
         raise PreconditionError("no runs to aggregate")
+    bought = np.flatnonzero(batch.class_counts.sum(axis=0) > 0)
+    cols = sorted(bought, key=lambda k: batch.agents[k])
+    counts = batch.class_counts[:, cols]
+    cprices = np.where(counts > 0, batch.class_prices[:, cols], 0.0)
     n_trades = int(counts.sum())
-    mean_price = se = pmin = pmax = None
+    mean_price = se = None
     if n_trades > 0:
         sums = (counts * cprices).sum(axis=1)
         mean_price = float(sums.sum() / n_trades)
         resid = sums - mean_price * counts.sum(axis=1)
         se = float(np.sqrt((resid**2).sum()) / n_trades)
-        all_prices = cprices[counts > 0]
-        pmin = float(all_prices.min())
-        pmax = float(all_prices.max())
     class_means = {}
-    class_q = {}
-    for k, a in enumerate(agents):
-        w = counts[:, k]
-        class_means[a] = float((w * cprices[:, k]).sum() / w.sum())
-        nz = w > 0
-        class_q[a] = _weighted_quantiles(cprices[nz, k], w[nz])
+    for j, k in enumerate(cols):
+        w = counts[:, j]
+        class_means[batch.agents[k]] = float((w * cprices[:, j]).sum() / w.sum())
     summary = [v for v in (mean_price, se, *class_means.values()) if v is not None]
     if not np.isfinite(summary).all():
         raise PreconditionError("price summary is not finite: the prices are too large to sum")
-    uniq, cnt = np.unique(durations, return_counts=True)
-    return PriceStats(
-        n_runs,
-        n_trades,
-        mean_price,
-        se,
-        pmin,
-        pmax,
-        class_means,
-        class_q,
-        float(durations.mean()),
-        {int(u): int(c) for u, c in zip(uniq, cnt)},
-    )
+    return PriceStats(batch.n_runs, n_trades, mean_price, se, class_means,
+                      float(batch.durations.mean()))

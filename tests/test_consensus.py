@@ -416,6 +416,23 @@ def test_cps_decomposition_across_two_networks():
     assert np.max(np.abs(e1 - e2)) > 1e-3
 
 
+CPS_MODELS = {
+    "cps.json": lambda: load_scenario(scenario_path("cps")),
+    "random cps model": lambda: random_cps_model(np.random.default_rng(17), n_agents=3),
+}
+
+
+@pytest.mark.parametrize("make", CPS_MODELS.values(), ids=CPS_MODELS.keys())
+def test_cps_decomposition_reads_y_in_every_form(make):
+    # an array over states was read as per-signal values: on cps.json the
+    # prior expectations came out 0.5/0.5 and the check failed
+    spec = make()
+    want = verify_cps_decomposition(spec)
+    assert want.passed
+    for y in (spec.y, spec.y.values):
+        assert verify_cps_decomposition(spec, y=y) == want
+
+
 def test_consensus_invariant_under_relabeling():
     rng = np.random.default_rng(15)
     spec = random_model(rng, n_agents=3, full_support=True)

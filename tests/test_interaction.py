@@ -22,6 +22,7 @@ from consensus_lab.io import load_scenario, parse_scenario
 from consensus_lab.model import BasicVariable, InterimBelief, ModelSpec, Network
 from consensus_lab.optimism import markov_optimism_check, tightness_chain
 from consensus_lab.spectral import stationary_distribution
+from consensus_lab.trade import no_trade_test
 
 from conftest import (
     beliefs_connected_oracle,
@@ -1029,3 +1030,12 @@ def test_an_irreducible_structure_is_solved_as_its_one_terminal_class():
             assert structure.terminal == structure.components
             assert same_bits(structure.stationary[0],
                              stationary_distribution(structure.matrix).vector)
+
+
+def test_an_empty_matrix_is_refused():
+    # the analysis ended in numpy's "need at least one array to concatenate"
+    empty = np.zeros((0, 0))
+    assert strongly_connected_components(empty) == []
+    for call in (as_structure, stationary_distribution, joint_connectedness, no_trade_test):
+        with pytest.raises(PreconditionError, match="no entries"):
+            call(empty)
