@@ -358,7 +358,7 @@ def cmd_tyranny(args, scenario, out) -> int:
         raise PreconditionError(
             "verify-tyranny needs a common-interpretation scenario (kind: cis)"
         )
-    report = verify_tyranny(scenario)
+    report = verify_tyranny(scenario, tol=args.tol)
     rows = [
         ("consensus", fmt(report.consensus)),
         ("prior_expectation", fmt(report.prior_expectation)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, PreconditionError, ReducibleError
-from .interaction import InteractionStructure, build_interaction_structure
+from .interaction import InteractionStructure
 from .model import BasicVariable, ModelSpec, ex_ante_expectation
 from .spectral import eigenvector_centrality
 
@@ -122,9 +122,9 @@ def consensus_expectation(
     spec: ModelSpec,
     y=None,
     f=None,
-    type_dependent_weights=None,
 ) -> ConsensusResult:
-    """Consensus expectation of a payoff, one value per terminal component.
+    """Consensus expectation of a payoff on ``spec.structure``, one value
+    per terminal component.
 
     Each terminal component's value is its stationary distribution applied
     to its first-order values: the consensus conditional on the public
@@ -134,15 +134,11 @@ def consensus_expectation(
     transient signals, solved only when read.
     """
     fvec = first_order_vector(spec, y, f)
-    structure = (spec.structure if type_dependent_weights is None
-                 else build_interaction_structure(spec, type_dependent_weights))
-
-    centralities = None
-    if type_dependent_weights is None:
-        try:
-            centralities = eigenvector_centrality(spec.network)
-        except ReducibleError:
-            centralities = None
+    structure = spec.structure
+    try:
+        centralities = eigenvector_centrality(spec.network)
+    except ReducibleError:
+        centralities = None
 
     components = []
     weights = np.zeros(len(fvec))

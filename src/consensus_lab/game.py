@@ -79,6 +79,9 @@ def best_response_iterates(
     fvec = first_order_vector(spec, y, f)
     B = spec.structure.matrix
     s = np.zeros_like(fvec) if start is None else np.asarray(start, dtype=float)
+    if s.shape != fvec.shape:
+        raise PreconditionError(f"start: expected one action per signal ({len(fvec)}),"
+                                f" got shape {s.shape}")
     out = [s]
     for _ in range(rounds):
         s = (1.0 - beta) * fvec + beta * (B @ s)
@@ -91,27 +94,15 @@ def rationalizable_bounds(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-round interval bounds from iterated deletion of dominated actions.
 
-    Round k keeps exactly the actions between
-    ``(1 - beta) sum_{n <= k} beta^(n-1) x(n)`` and that plus
-    ``beta^k M``, an interval whose width shrinks by a factor beta per
-    round, pinching onto the unique solution.
+    Round k keeps exactly the actions between the k-th best response from
+    the zero profile, ``(1 - beta) sum_{n <= k} beta^(n-1) x(n)`` (see
+    :func:`best_response_iterates`), and that plus ``beta^k M``, an
+    interval whose width shrinks by a factor beta per round, pinching onto
+    the unique solution.
     """
-    check_beta(beta, f"beta must lie in [0, 1), got {beta}")
-    fvec = first_order_vector(spec, y, f)
+    iterates = best_response_iterates(spec, beta, y, f, rounds=k_max)
     M = _payoff_bound(spec, f)
-    B = spec.structure.matrix
-    ones = np.ones_like(fvec)
-    bounds = []
-    xn = fvec
-    acc = np.zeros_like(fvec)
-    scale = 1.0
-    for k in range(1, k_max + 1):
-        acc = acc + scale * xn
-        lower = (1.0 - beta) * acc
-        bounds.append((lower, lower + beta**k * M * ones))
-        xn = B @ xn
-        scale *= beta
-    return bounds
+    return [(iterates[k], iterates[k] + beta**k * M) for k in range(1, k_max + 1)]
 
 
 def heterogeneous_transform(network: Network, beta_vec) -> tuple[Network, float]:
@@ -123,6 +114,8 @@ def heterogeneous_transform(network: Network, beta_vec) -> tuple[Network, float]
     ``beta_vec`` and each agent's slack becomes a self-weight.
     """
     beta_vec = np.asarray(beta_vec, dtype=float)
+    if beta_vec.shape != (network.n,):
+        raise PreconditionError(f"beta_vec: expected one weight per agent ({network.n})")
     check_beta(beta_vec, "every per-agent weight must lie in [0, 1); the order"
                          " of limits matters when some weight reaches 1")
     g = network.weights
@@ -176,6 +169,8 @@ def convention_limit(
     Also reports how fast the finite-beta solution approaches it, as the
     fitted constant C in ``max |s(beta) - c| <= C (1 - beta)``.
     """
+    if len(betas) == 0:
+        raise PreconditionError("betas: expected at least one coordination weight")
     result = consensus_expectation(spec, y, f)
     gaps = []
     rate = None

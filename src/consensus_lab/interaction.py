@@ -393,13 +393,15 @@ def _unfillable(spec: ModelSpec, i: int, W) -> PreconditionError:
 def as_structure(obj) -> InteractionStructure:
     """The analysed structure of an InteractionStructure, a Network or a
     square array; a structure is returned as it is and a network's cached
-    analysis is shared, so neither is analysed again."""
+    analysis is shared, so neither is analysed again.  Any other input, or
+    an array that is not square or not numeric, is refused with a
+    :class:`PreconditionError`."""
     if isinstance(obj, InteractionStructure):
         return obj
     if isinstance(obj, Network):
         return obj.structure
     # a copy, so that freezing it leaves the caller's array writable
-    B = np.array(_weights(obj))
+    B = np.array(_square(obj))
     if not B.size:
         raise PreconditionError("interaction structure: the matrix has no entries")
     return _analysed(B, index=None)
@@ -427,18 +429,18 @@ def _analysed(B: np.ndarray, index: SignalIndex | None, edges=None) -> Interacti
                                 label, (u[crossing], v[crossing]))
 
 
-def strongly_connected_components(matrix, edges=None) -> list[tuple[int, ...]]:
-    """SCCs of the directed graph of nonzero entries, sorted by least member.
+def strongly_connected_components(matrix) -> list[tuple[int, ...]]:
+    """SCCs of the directed graph of a square array's nonzero entries,
+    sorted by least member; other input raises :class:`PreconditionError`.
 
-    ``edges`` are the graph's edges ``(u, v)`` in row-major order, when
-    known, so that ``matrix`` is not scanned for them.  A graph in which
-    every vertex has an in-edge and an out-edge, and vertex 0 reaches and
-    is reached from every vertex, is one component: that is settled by two
-    vectorized searches.  Any other graph is walked by Tarjan's search
-    (*SIAM J. Comput.* 1, 1972), iteratively, in time linear in its edges.
+    A graph in which every vertex has an in-edge and an out-edge, and vertex 0
+    reaches and is reached from every vertex, within a budget of levels that
+    grows with its edges, is one component: that is settled by two vectorized
+    searches.  Any other graph is walked by Tarjan's search (*SIAM J. Comput.*
+    1, 1972), iteratively, in time linear in its edges.
     """
-    matrix = _weights(matrix)
-    u, v = np.nonzero(matrix != 0) if edges is None else edges
+    matrix = _square(matrix)
+    u, v = np.nonzero(matrix != 0)
     return _scc_search(len(matrix), u, v)[0]
 
 
@@ -449,10 +451,13 @@ def _scc_search(n: int, u: np.ndarray, v: np.ndarray):
     # the out-edges of vertex k go to v[starts[k]:starts[k + 1]]
     starts = np.searchsorted(u, np.arange(n + 1))
     # one component when every vertex has an in-edge and an out-edge and
-    # vertex 0 reaches every vertex along the edges and against them
+    # vertex 0 reaches every vertex along the edges and against them; a
+    # level costs about as much as 300 of Tarjan's edges, so a search
+    # deeper than its budget is left to Tarjan
     if n and (starts[1:] > starts[:-1]).all() and np.bincount(v, minlength=n).min() > 0:
-        depth, back = _bfs_depths(starts, v), np.argsort(v, kind="stable")
-        against = _bfs_depths(np.searchsorted(v[back], np.arange(n + 1)), u[back])
+        levels = max(64, len(u) // 256)
+        depth, back = _bfs_depths(starts, v, levels), np.argsort(v, kind="stable")
+        against = _bfs_depths(np.searchsorted(v[back], np.arange(n + 1)), u[back], levels)
         if min(depth.min(), against.min()) >= 0:
             return [tuple(np.arange(n))], depth
     labels, depth = (np.array(x, dtype=np.intp) for x in _tarjan(starts.tolist(), v.tolist()))
@@ -464,16 +469,17 @@ def _scc_search(n: int, u: np.ndarray, v: np.ndarray):
     return sorted(comps, key=lambda c: c[0]), depth
 
 
-def _bfs_depths(starts: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Breadth-first depth of each vertex from vertex 0 (-1 if unreached),
-    by a search that takes each level's out-edges at once; a level costs its edges."""
+def _bfs_depths(starts: np.ndarray, targets: np.ndarray, levels: float = np.inf) -> np.ndarray:
+    """Breadth-first depth of each vertex from vertex 0 (-1 if unreached, or
+    deeper than ``levels``), by a search that takes each level's out-edges
+    at once; a level costs its edges."""
     n = len(starts) - 1
     depth = np.full(n, -1, dtype=np.intp)
     depth[0] = 0
     # claim[w]: the position in its level's list of new vertices of the
     # copy of w that is kept, so that each is kept once
     frontier, claim = np.zeros(1, dtype=np.intp), np.empty(n, dtype=np.intp)
-    while len(frontier):
+    while len(frontier) and depth[frontier[0]] < levels:
         lo = starts[frontier]
         reached = targets[_ranges(lo, starts[frontier + 1] - lo)]
         new = reached[depth[reached] < 0]
@@ -547,14 +553,18 @@ def _periods(depth: np.ndarray, u: np.ndarray, v: np.ndarray, group, k: int) -> 
 
 
 def component_period(matrix, component) -> int:
-    """Period of one strongly connected component (gcd of its cycle lengths).
+    """Period of one strongly connected component (gcd of its cycle lengths)
+    of a square array's graph of nonzero entries.
 
     Returns 0 for a singleton without a self-loop, which supports no cycle.
-    Raises :class:`PreconditionError` when the first member does not reach
-    every other member.
+    Raises :class:`PreconditionError` for an input that is not a square
+    numeric array, an empty component, or when the first member does not
+    reach every other member.
     """
-    matrix = _weights(matrix)
+    matrix = _square(matrix)
     comp = np.asarray(component, dtype=np.intp)
+    if not len(comp):
+        raise PreconditionError("component: no members")
     # the edges between members, by position in ``component``
     local = np.full(len(matrix), -1, dtype=np.intp)
     local[comp] = np.arange(len(comp))
@@ -565,13 +575,15 @@ def component_period(matrix, component) -> int:
     return int(_periods(depth, u, local[v], None, 1)[0])
 
 
-def _weights(obj) -> np.ndarray:
-    """The matrix of a structure or a network, or the array itself."""
-    if isinstance(obj, InteractionStructure):
-        return obj.matrix
-    if isinstance(obj, Network):
-        return obj.weights
-    return np.asarray(obj, dtype=float)
+def _square(matrix) -> np.ndarray:
+    """A bare matrix as a square float array; anything else is refused."""
+    try:
+        B = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"matrix: {type(matrix).__name__} is not a numeric array") from None
+    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+        raise PreconditionError(f"matrix: expected a square array, got shape {B.shape}")
+    return B
 
 
 def joint_connectedness(B):

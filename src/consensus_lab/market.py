@@ -461,6 +461,8 @@ def simulate_batch(
     Each run is reduced to its class counts as soon as it ends, so memory
     does not grow with run length.
     """
+    if n_runs < 0:
+        raise PreconditionError(f"n_runs must be at least 0, got {n_runs}")
     kernel = _Kernel(spec, beta, draw, y, prices, initial_owner, allow_own_market)
     return kernel.batch(np.random.SeedSequence(seed).spawn(n_runs))
 

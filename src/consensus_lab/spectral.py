@@ -124,6 +124,9 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     structure = as_structure(Q)
     matrix = structure.matrix
     z = np.asarray(z, dtype=float)
+    if z.shape != (len(matrix),):
+        raise PreconditionError(f"z: expected one value per state ({len(matrix)}),"
+                                f" got shape {z.shape}")
     if beta is None:
         _require_irreducible(structure, "abel_limit exact mode")
         return np.full(matrix.shape[0], float(structure.stationary[0] @ z))

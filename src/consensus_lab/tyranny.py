@@ -22,7 +22,7 @@ from .consensus import consensus_expectation, state_payoffs
 from .errors import PreconditionError
 from .interaction import FirstOrderMap, InteractionStructure, as_structure
 from .model import (
-    BasicVariable, Beliefs, ModelSpec, Network, check_network_rows, freeze,
+    PROB_TOL, BasicVariable, Beliefs, ModelSpec, Network, check_network_rows, freeze,
 )
 from .spectral import mfpt
 
@@ -299,7 +299,7 @@ def _bfs_diameter(matrix) -> int:
 
 
 def verify_tyranny(
-    cis: CISSpec, y=None, ignorant: str | None = None
+    cis: CISSpec, y=None, ignorant: str | None = None, tol: float = PROB_TOL
 ) -> TyrannyReport:
     """Check the least-informed bound and its two supporting inequalities.
 
@@ -308,9 +308,11 @@ def verify_tyranny(
     eps-noisy with eps < 1/2 (eps = 0, perfectly informative, is
     allowed); the network must be complete.  The consensus is then
     within ``4 |states| |signals|^2 / (gamma_min rho_min)^2 * y_max *
-    eps / delta`` of the ignorant agent's prior expectation.
+    eps / delta`` of the ignorant agent's prior expectation.  ``cis`` is
+    checked first by :func:`validate_cis` at the probability tolerance
+    ``tol``.
     """
-    problems = validate_cis(cis)
+    problems = validate_cis(cis, tol)
     if problems:
         raise PreconditionError("; ".join(problems))
     if ignorant is None:

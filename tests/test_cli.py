@@ -331,6 +331,31 @@ def test_verify_tyranny_extreme_fixture():
     assert "consensus = 0.7" in out
 
 
+def test_verify_tyranny_and_report_read_the_tolerance(tmp_path, capsys):
+    # alice's prior sums to 1 + 1e-9: valid at --tol 1e-6, and verify_tyranny
+    # once checked it again at 1e-12 (exit 3, "not applicable" in report)
+    with open(scenario_path("tyranny_extreme")) as fh:
+        scn = json.load(fh)
+    scn["rho"]["alice"] = [p * (1 + 1e-9) for p in scn["rho"]["alice"]]
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(scn))
+    assert run_cli(["validate", str(path), "--tol", "1e-6"]) == (0, "scenario is valid\n")
+    code, out = run_cli(["verify-tyranny", str(path), "--tol", "1e-6"])
+    assert code == 0 and out.endswith("\ntyranny bound PASS\n")
+    code, out = run_cli(["report", str(path), "--tol", "1e-6"])
+    assert code == 0 and out.split("== tyranny ==\n")[1].endswith("\ntyranny bound PASS\n")
+    assert capsys.readouterr().err == ""
+    assert run_cli(["verify-tyranny", str(path)]) == (2, "")
+    assert capsys.readouterr().err == "invalid: rho.alice: not a probability vector\n"
+
+
+@pytest.mark.parametrize("flag", [["--state", "hi"], ["--profile", "a1,b2"]])
+def test_a_fixed_draw_needs_both_state_and_profile(capsys, flag):
+    assert run_cli(["simulate-market", scenario_path("cps"), *flag]) == (3, "")
+    assert capsys.readouterr().err == (
+        "precondition failure: fixed draws need both --state and --profile\n")
+
+
 def test_game_solve_csv_output():
     code, out = run_cli(
         ["game-solve", scenario_path("cps"), "--beta", "0.5", "--format", "csv"]

@@ -6,6 +6,7 @@ import pytest
 from consensus_lab.consensus import (
     consensus_expectation,
     cps_check,
+    first_order_vector,
     higher_order_expectations,
     pseudopriors,
     verify_cps_decomposition,
@@ -483,3 +484,28 @@ def test_non_finite_payoffs_are_refused(bad):
     f[-1] = bad
     with pytest.raises(PreconditionError, match="^f: every value must be finite$"):
         consensus_expectation(spec, f=f)
+
+
+def test_decomposition_and_first_order_refusals_name_their_cause():
+    spec = load_scenario(scenario_path("cps"))
+    with pytest.raises(PreconditionError, match=r"^f: expected one value per signal \(4\),"
+                       r" got \(3,\)$"):
+        first_order_vector(spec, f=np.zeros(3))
+    moved = dataclasses.replace(spec, priors={**spec.priors, "ann": [0.9, 0.1]})
+    residual = cps_check(moved).residual
+    with pytest.raises(PreconditionError, match=r"^the priors are not stationary under the"
+                       rf" interaction structure \(residual {residual:.3e}\)$"):
+        verify_cps_decomposition(moved)
+    # each agent's signal reveals the state to both: two public events, and
+    # the uniform priors are stationary on each
+    exact = {"g": [1.0, 0.0], "b": [0.0, 1.0]}
+    beliefs = {f"{x}{k}": InterimBelief(exact[s], {other: exact[s]})
+               for x, other in (("a", "bob"), ("b", "ann")) for k, s in ((1, "g"), (2, "b"))}
+    public = ModelSpec(("g", "b"), ("ann", "bob"), {"ann": ("a1", "a2"), "bob": ("b1", "b2")},
+                       beliefs, Network([[0.0, 1.0], [1.0, 0.0]]),
+                       priors={"ann": [0.5, 0.5], "bob": [0.5, 0.5]},
+                       y=BasicVariable([0.0, 1.0], 1.0))
+    assert cps_check(public).holds and len(public.structure.terminal) == 2
+    with pytest.raises(PreconditionError,
+                       match=r"^consensus is not unique \(several terminal components\)$"):
+        verify_cps_decomposition(public)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from io import StringIO
 
 import numpy as np
@@ -16,8 +17,11 @@ from consensus_lab.game import (
     solve_beta_game,
     solve_heterogeneous_game,
 )
+from consensus_lab.interaction import component_period
 from consensus_lab.io import load_scenario
+from consensus_lab.market import product_generating, simulate_batch
 from consensus_lab.model import InterimBelief, Network
+from consensus_lab.spectral import abel_limit
 
 from conftest import random_cps_model, random_model, scenario_path
 
@@ -132,6 +136,13 @@ def test_heterogeneous_transform_rejects_weight_one():
     net = Network([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(PreconditionError):
         heterogeneous_transform(net, [1.0, 0.5])
+
+
+def test_heterogeneous_transform_rejects_self_weights():
+    net = Network([[0.5, 0.5], [1.0, 0.0]], diagonal_allowed=True)
+    with pytest.raises(PreconditionError,
+                       match="^heterogeneous_transform expects a zero-diagonal network$"):
+        heterogeneous_transform(net, [0.9, 0.5])
 
 
 def test_transformed_game_matches_direct_heterogeneous_solve():
@@ -300,3 +311,32 @@ def test_one_common_weight_solves_as_the_per_agent_game():
             per_agent = solve_heterogeneous_game(spec, [beta] * spec.n_agents)
             assert common.actions.tobytes() == per_agent.actions.tobytes()
             assert common.residual == per_agent.residual
+
+
+def _cps():
+    return load_scenario(scenario_path("cps"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: abel_limit(np.full((2, 2), 0.5), [1.0, 2.0, 3.0], beta=0.5),
+     "z: expected one value per state (2), got shape (3,)"),
+    (lambda: abel_limit(np.full((2, 2), 0.5), [1.0, 2.0, 3.0]),
+     "z: expected one value per state (2), got shape (3,)"),
+    (lambda: heterogeneous_transform(Network([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.4, 0.3]),
+     "beta_vec: expected one weight per agent (2)"),
+    (lambda: convention_limit(_cps(), betas=()),
+     "betas: expected at least one coordination weight"),
+    (lambda: component_period(np.full((2, 2), 0.5), ()), "component: no members"),
+    (lambda: simulate_batch(_cps(), 0.9, -1, 0, product_generating(_cps())),
+     "n_runs must be at least 0, got -1"),
+    (lambda: best_response_iterates(_cps(), 0.9, start=np.zeros(3)),
+     "start: expected one action per signal (4), got shape (3,)"),
+], ids=["abel_limit z length", "abel_limit z length, exact mode",
+        "heterogeneous_transform weights length", "convention_limit without betas",
+        "component_period of no members", "simulate_batch with negative runs",
+        "best_response_iterates start length"])
+def test_library_misuse_is_refused_with_a_typed_error(call, message):
+    # each ended in a bare numpy or Python error (ValueError, IndexError,
+    # OverflowError) from deep inside the call
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from math import gcd
 
 import numpy as np
@@ -21,7 +22,7 @@ from consensus_lab.interaction import (
 from consensus_lab.io import load_scenario, parse_scenario
 from consensus_lab.model import BasicVariable, InterimBelief, ModelSpec, Network
 from consensus_lab.optimism import markov_optimism_check, tightness_chain
-from consensus_lab.spectral import stationary_distribution
+from consensus_lab.spectral import eigenvector_centrality, stationary_distribution
 from consensus_lab.trade import no_trade_test
 
 from conftest import (
@@ -488,7 +489,7 @@ def test_sccs_match_the_scipy_oracle_on_named_graphs(monkeypatch, name):
     members, terminal, _ = classes_oracle(A)
     walks = _tarjan_walks(monkeypatch)
     assert strongly_connected_components(A) == members
-    assert strongly_connected_components(A, np.nonzero(A)) == members
+    assert interaction._scc_search(len(A), *np.nonzero(A))[0] == members
     assert absorbing_components(A) == terminal
     u, v = np.nonzero(A)
     starts = np.searchsorted(u, np.arange(len(A) + 1))
@@ -514,17 +515,31 @@ def test_sccs_match_the_scipy_oracle_on_seeded_random_digraphs():
 
 def test_scc_kernel_walks_a_long_chain_without_recursion():
     # a 10^5-signal path, and the same path closed into one component with
-    # an extra source in front, so that the search runs 10^5 levels deep;
-    # given the edges, the matrix only gives the number of signals
+    # an extra source in front, so that the search runs 10^5 levels deep
     n = 100_000
-    sized = np.broadcast_to(0.0, (n, n))
     u, v = np.arange(n - 1), np.arange(1, n)
-    comps = strongly_connected_components(sized, (u, v))
+    comps, _ = interaction._scc_search(n, u, v)
     assert comps == [(k,) for k in range(n)]
     # signals 1..n-1 form a cycle and signal 0 feeds it
-    closing = (np.append(u, n - 1), np.append(v, 1))
-    comps = strongly_connected_components(sized, closing)
+    comps, _ = interaction._scc_search(n, np.append(u, n - 1), np.append(v, 1))
     assert comps == [(0,), tuple(range(1, n))]
+
+
+def test_a_search_deeper_than_its_level_budget_is_left_to_tarjan(monkeypatch):
+    # a 10^5-signal cycle is one component 10^5 levels deep, past the
+    # one-component search's level budget, so Tarjan settles it (the
+    # breadth-first levels once took seconds); the bundled cycle and the
+    # benchmark's dense models stay on the one-component search
+    n = 100_000
+    u = np.arange(n)
+    walks = _tarjan_walks(monkeypatch)
+    comps, depth = interaction._scc_search(n, u, np.roll(u, -1))
+    assert comps == [tuple(range(n))] and walks == [1]
+    assert interaction._periods(depth, u, np.roll(u, -1), None, 1).tolist() == [n]
+    walks.clear()
+    cis = parse_scenario(bench_gen().cis_dense(np.random.default_rng([1, 0])))
+    assert _model("cycle").structure.irreducible and cis.model.structure.irreducible
+    assert walks == []
 
 
 def test_sccs_of_the_6000_signal_sparse_reducible_model_match_the_oracle():
@@ -1039,3 +1054,48 @@ def test_an_empty_matrix_is_refused():
     for call in (as_structure, stationary_distribution, joint_connectedness, no_trade_test):
         with pytest.raises(PreconditionError, match="no entries"):
             call(empty)
+
+
+BARE_MATRIX_ENTRIES = {
+    "as_structure": as_structure,
+    "stationary_distribution": stationary_distribution,
+    "eigenvector_centrality": eigenvector_centrality,
+    "no_trade_test": no_trade_test,
+    "strongly_connected_components": strongly_connected_components,
+    "component_period": lambda matrix: component_period(matrix, (0,)),
+}
+
+
+@pytest.mark.parametrize("entry", list(BARE_MATRIX_ENTRIES))
+@pytest.mark.parametrize("matrix, message", [
+    (np.full((2, 3), 0.5), "matrix: expected a square array, got shape (2, 3)"),
+    (np.full(3, 0.5), "matrix: expected a square array, got shape (3,)"),
+    ([["a", "b"], ["c", "d"]], "matrix: list is not a numeric array"),
+], ids=["2 x 3", "1-D", "not numeric"])
+def test_a_matrix_that_is_not_square_and_numeric_is_refused(entry, matrix, message):
+    # a 2 x 3 array ended in an IndexError, a 1-D one in "not enough values
+    # to unpack", and text in numpy's ValueError
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        BARE_MATRIX_ENTRIES[entry](matrix)
+
+
+@pytest.mark.parametrize("kernel", [strongly_connected_components,
+                                    lambda matrix: component_period(matrix, (0, 1))],
+                         ids=["strongly_connected_components", "component_period"])
+def test_the_graph_kernels_take_a_bare_matrix_only(kernel):
+    # a structure or a network goes through as_structure, which keeps its
+    # analysis; the kernels refuse them with a typed error, not a TypeError
+    spec = _model("cps")
+    for obj in (spec.structure, spec.network):
+        with pytest.raises(PreconditionError,
+                           match=f"^matrix: {type(obj).__name__} is not a numeric array$"):
+            kernel(obj)
+
+
+def test_first_order_map_refuses_a_state_marginal_of_the_wrong_length():
+    spec = _model("cps")
+    beliefs = dict(spec.beliefs)
+    beliefs["a1"] = InterimBelief([0.5, 0.3, 0.2], beliefs["a1"].signal_marginals)
+    with pytest.raises(PreconditionError, match=r"^signal a1: state marginal has shape"
+                       r" \(3,\), expected \(2,\)$"):
+        build_first_order_map(dataclasses.replace(spec, beliefs=beliefs))

@@ -287,10 +287,12 @@ def _dense_joint(spec):
         (product_generating, "nobody", "initial owner"),
         (product_generating, [np.nan, 1.0], "initial owner"),
         (product_generating, True, "initial owner"),
+        (product_generating, [0.5, 0.25, 0.25], "^initial owner distribution: wrong length$"),
         (_dense_joint, 0, "generating distribution: expected shape"),
     ],
     ids=["owner -1", "owner past last agent", "unknown owner name",
-         "owner distribution with NaN", "owner True", "dense joint"],
+         "owner distribution with NaN", "owner True", "owner distribution of the wrong length",
+         "dense joint"],
 )
 @pytest.mark.parametrize("entry", ["market", "batch"])
 def test_invalid_draw_or_owner_is_refused(entry, draw_of, owner, message):

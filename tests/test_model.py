@@ -81,6 +81,31 @@ def test_diagonal_rejected_unless_allowed():
     assert validate_model(ok) == []
 
 
+_ONE_AGENT_BELIEFS = {"a1": InterimBelief([0.7, 0.3], {}), "a2": InterimBelief([0.3, 0.7], {})}
+
+
+@pytest.mark.parametrize("overrides, violation", [
+    (dict(network=Network([[0.0, 1.0], [1.5, -0.5]], diagonal_allowed=True)),
+     "network: negative weight"),
+    (dict(agents=("ann",), signals={"ann": ("a1", "a2")}, beliefs=_ONE_AGENT_BELIEFS,
+          network=Network([[1.0]], diagonal_allowed=True)),
+     "agents: need at least two agents"),
+    (dict(agents=("ann", "bob", "bob"), network=Network(0.5 - 0.5 * np.eye(3))),
+     "agents: duplicate agent label"),
+    (dict(signals={"ann": ("a1", "a2"), "bob": ()}, beliefs=_ONE_AGENT_BELIEFS),
+     "signals.bob: agent needs at least one signal"),
+    (dict(network=Network([[1.0]])), "network: shape (1, 1) does not match 2 agents"),
+    (dict(y=BasicVariable([0.0, 1.0, 0.5], 1.0)), "y: 3 values for 2 states"),
+    (dict(y=BasicVariable([0.0, 1.0], 0.0)), "y: bound must be positive"),
+    (dict(y=BasicVariable([0.0, 2.0], 1.0)), "y: values outside [0, 1.0]"),
+], ids=["negative weight", "one agent", "duplicate agent", "agent without signals",
+        "network shape", "y length", "y bound", "y outside its bound"])
+def test_each_model_violation_is_reported(overrides, violation):
+    # the first violation is the one the override makes; others may follow
+    # from it (a duplicate agent's signals are labels used twice)
+    assert validate_model(two_agent_spec(**overrides))[0] == violation
+
+
 @pytest.mark.parametrize("vec, got", [
     (0.5, "shape ()"),
     ([[0.6], [0.4]], "shape (2, 1)"),

@@ -181,6 +181,8 @@ def test_tightness_chain_rejects_bad_parameters():
         tightness_chain(0, 0.2, 0.05)
     with pytest.raises(PreconditionError):
         tightness_chain(3, 1.2, 0.05)
+    with pytest.raises(PreconditionError, match=r"^perturbation must lie in \[0, 1\)$"):
+        tightness_chain(3, 0.2, 0.05, perturbation=1.0)
 
 
 def test_markov_check_drift_everywhere_absorbs_top():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -275,6 +276,43 @@ def test_validate_cis_flags_problems():
         cis.states, cis.agents, cis.signals, rho, cis.eta, cis.network, cis.y
     )
     assert any("full support" in v for v in validate_cis(bad))
+
+
+@pytest.mark.parametrize("fields, violation", [
+    (dict(agents=("iggy",), network=Network([[1.0]], diagonal_allowed=True)),
+     "agents: need at least two agents"),
+    (dict(rho={"alice": [0.6, 0.3, 0.1]}), "rho.alice: expected one probability per state"),
+    (dict(eta={"alice": [[1.0, 0.0]]}), "eta.alice: expected shape (2, 2)"),
+    (dict(eta={"alice": [[1.5, -0.5], [0.0, 1.0]]}), "eta.alice: negative entry"),
+    (dict(eta={"alice": [[0.9, 0.0], [0.0, 1.0]]}), "eta.alice.row[lo]: does not sum to 1"),
+    (dict(network=Network([[0.0, 1.0], [1.0, 0.0]])),
+     "network: dimension does not match the agent count"),
+], ids=["one agent", "rho shape", "eta shape", "negative eta", "eta row sum",
+        "network dimension"])
+def test_each_cis_violation_is_reported(fields, violation):
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    # a per-agent field overrides that agent's entry only
+    fields = {k: {**getattr(cis, k), **v} if k in ("rho", "eta") else v
+              for k, v in fields.items()}
+    assert validate_cis(dataclasses.replace(cis, **fields)) == [violation]
+
+
+def test_tyranny_and_rounding_refusals_name_their_cause():
+    cis = load_scenario(scenario_path("tyranny_extreme"))
+    # alice's technology is exact, so she is nowhere uniformly noisy
+    with pytest.raises(PreconditionError, match="^agent alice is not uniformly noisy: some"
+                       " signal has zero probability under some state$"):
+        verify_tyranny(cis, ignorant="alice")
+    with pytest.raises(PreconditionError, match=r"^no payoff given: pass y or set cis\.y$"):
+        verify_tyranny(dataclasses.replace(cis, y=None))
+    # a third signal that no state sends leaves alice exact, but not one
+    # signal per state
+    three = dataclasses.replace(
+        cis, signals={**cis.signals, "alice": ("a_lo", "a_hi", "a_x")},
+        eta={**cis.eta, "alice": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]})
+    with pytest.raises(PreconditionError, match=r"^agent alice: rounding needs exactly one"
+                       r" signal per state, got 3 signals for 2 states$"):
+        rounded_structure(three, ["alice"])
 
 
 def diameter_oracle(matrix):
