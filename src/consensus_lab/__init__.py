@@ -34,7 +34,6 @@ from .interaction import (
     FirstOrderMap,
     InteractionStructure,
     absorbing_components,
-    aperiodicity,
     build_first_order_map,
     build_interaction_structure,
     joint_connectedness,
@@ -68,7 +67,6 @@ from .optimism import (
     OptimismReport,
     markov_optimism_check,
     optimism_hypotheses,
-    second_order_expectations,
     tightness_chain,
 )
 from .spectral import (

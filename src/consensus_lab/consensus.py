@@ -23,14 +23,16 @@ from .spectral import eigenvector_centrality
 #: Inputs are parsed decimals, so exact equality would be too brittle.
 CPS_TOL = 1e-10
 
+#: Tolerance of :func:`verify_cps_decomposition` on each gap it checks.
+DECOMPOSITION_TOL = 1e-9
+
 
 def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
     """Resolve the per-signal first-order value vector.
 
     ``f`` supplies agent-specific values directly (one per signal) and
-    takes precedence.  Otherwise ``y`` (a BasicVariable, an array over
-    states, or None meaning the model's own variable) is pushed through
-    the first-order map.
+    takes precedence.  Otherwise the payoff :func:`state_payoffs` reads
+    from ``y`` is pushed through the first-order map.
     """
     if f is not None:
         f = np.asarray(f, dtype=float)
@@ -42,16 +44,17 @@ def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
         if not np.all(np.isfinite(f)):
             raise PreconditionError("f: every value must be finite")
         return f
-    if y is None:
-        y = spec.y
-    if y is None:
-        raise PreconditionError("no payoff given: pass y or f, or set spec.y")
     return spec.first_order.matrix @ state_payoffs(spec, y)
 
 
-def state_payoffs(spec: ModelSpec, y) -> np.ndarray:
-    """The payoff ``y`` (a BasicVariable or an array over states) as one
-    float per state; refused unless it has one finite value per state."""
+def state_payoffs(spec: ModelSpec, y=None) -> np.ndarray:
+    """The payoff ``y`` (a BasicVariable, an array over states, or None
+    meaning the model's own ``spec.y``) as one float per state; refused
+    when there is none, and unless it has one finite value per state."""
+    if y is None:
+        y = spec.y
+    if y is None:
+        raise PreconditionError("no payoff given: pass y or set spec.y")
     if isinstance(y, BasicVariable):
         y = y.values
     y = np.asarray(y, dtype=float)
@@ -106,10 +109,6 @@ class ConsensusResult:
     centralities: np.ndarray | None
     pseudopriors: dict[str, np.ndarray] | None
     structure: InteractionStructure
-
-    @property
-    def component_values(self) -> dict[tuple[str, ...], float]:
-        return {c.signals: c.value for c in self.components}
 
     @property
     def absorption(self) -> np.ndarray | None:
@@ -174,9 +173,9 @@ def pseudopriors(spec: ModelSpec) -> dict[str, np.ndarray]:
         )
     p = structure.stationary[0]
     e = eigenvector_centrality(spec.network)
-    index = structure.index
+    blocks = structure.index.blocks
     return {
-        a: np.asarray(p[index.block(k)] / e[k])
+        a: np.asarray(p[blocks[k]] / e[k])
         for k, a in enumerate(spec.agents)
     }
 
@@ -187,7 +186,7 @@ class CpsCheck:
     residual: float
 
 
-def cps_check(spec: ModelSpec, tol: float = CPS_TOL) -> CpsCheck:
+def cps_check(spec: ModelSpec) -> CpsCheck:
     """Test the one property of a common prior over signals that the
     consensus decomposition uses: the ex ante weights are stationary under
     the interaction structure.
@@ -195,7 +194,7 @@ def cps_check(spec: ModelSpec, tol: float = CPS_TOL) -> CpsCheck:
     ``p̂`` puts mass ``e_i μ_i(t)`` on each signal ``t`` of agent ``i``,
     where ``e`` is the network's eigenvector centrality and ``μ_i`` the
     agent's prior over his signals; ``residual`` is ``‖p̂B − p̂‖₁`` and the
-    check holds when it is at most ``tol``.  A common prior over signal
+    check holds when it is at most ``CPS_TOL``.  A common prior over signal
     profiles implies ``p̂B = p̂``, but not the reverse.  Models without a
     prior for every agent raise :class:`CapabilityError`; a network without
     a unique centrality raises :class:`ReducibleError`.
@@ -208,7 +207,7 @@ def cps_check(spec: ModelSpec, tol: float = CPS_TOL) -> CpsCheck:
     e = eigenvector_centrality(spec.network)
     p = np.concatenate([e[k] * spec.priors[a] for k, a in enumerate(spec.agents)])
     residual = float(np.abs(p @ spec.structure.matrix - p).sum())
-    return CpsCheck(residual <= tol, residual)
+    return CpsCheck(residual <= CPS_TOL, residual)
 
 
 @dataclass(frozen=True)
@@ -222,14 +221,13 @@ class CpsDecomposition:
     passed: bool
 
 
-def verify_cps_decomposition(
-    spec: ModelSpec, y=None, tol: float = 1e-9
-) -> CpsDecomposition:
+def verify_cps_decomposition(spec: ModelSpec, y=None) -> CpsDecomposition:
     """Check the separability of consensus under a common prior over signals.
 
     The consensus must equal the centrality-weighted average of agents'
-    ex ante expectations; when those expectations all agree, it must
-    equal the common value.  Raises unless :func:`cps_check` holds.
+    ex ante expectations within ``DECOMPOSITION_TOL``; when those
+    expectations all agree within it, it must equal the common value.
+    Raises unless :func:`cps_check` holds.
     """
     check = cps_check(spec)
     if not check.holds:
@@ -256,10 +254,10 @@ def verify_cps_decomposition(
     gap = abs(result.value - weighted)
     values = np.array([prior_exp[a] for a in spec.agents])
     common = common_gap = None
-    if np.max(values) - np.min(values) <= tol:
+    if np.max(values) - np.min(values) <= DECOMPOSITION_TOL:
         common = float(values.mean())
         common_gap = abs(result.value - common)
-    passed = gap <= tol and (common_gap is None or common_gap <= tol)
+    passed = gap <= DECOMPOSITION_TOL and (common_gap is None or common_gap <= DECOMPOSITION_TOL)
     return CpsDecomposition(
         result.value, weighted, gap, prior_exp, common, common_gap, passed
     )

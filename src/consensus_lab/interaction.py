@@ -48,9 +48,6 @@ class FirstOrderMap:
     index: SignalIndex
     states: tuple[str, ...]
 
-    def apply(self, y) -> np.ndarray:
-        return self.matrix @ np.asarray(y, dtype=float)
-
 
 @dataclass(frozen=True)
 class InteractionStructure:
@@ -394,8 +391,8 @@ def as_structure(obj) -> InteractionStructure:
     """The analysed structure of an InteractionStructure, a Network or a
     square array; a structure is returned as it is and a network's cached
     analysis is shared, so neither is analysed again.  Any other input, or
-    an array that is not square or not numeric, is refused with a
-    :class:`PreconditionError`."""
+    an array that is not square, not numeric, complex or not finite, is
+    refused with a :class:`PreconditionError`."""
     if isinstance(obj, InteractionStructure):
         return obj
     if isinstance(obj, Network):
@@ -558,16 +555,25 @@ def component_period(matrix, component) -> int:
 
     Returns 0 for a singleton without a self-loop, which supports no cycle.
     Raises :class:`PreconditionError` for an input that is not a square
-    numeric array, an empty component, or when the first member does not
-    reach every other member.
+    numeric array, an empty component, a member outside the matrix or
+    listed twice, or when the first member does not reach every other
+    member.
     """
     matrix = _square(matrix)
     comp = np.asarray(component, dtype=np.intp)
     if not len(comp):
         raise PreconditionError("component: no members")
-    # the edges between members, by position in ``component``
+    outside = (comp < 0) | (comp >= len(matrix))
+    if outside.any():
+        raise PreconditionError(f"component: member {comp[outside][0]} is outside"
+                                f" 0..{len(matrix) - 1}")
+    # the edges between members, by position in ``component``; a member
+    # listed twice keeps only its last position
     local = np.full(len(matrix), -1, dtype=np.intp)
     local[comp] = np.arange(len(comp))
+    twice = local[comp] != np.arange(len(comp))
+    if twice.any():
+        raise PreconditionError(f"component: member {comp[twice][0]} is listed twice")
     u, v = np.nonzero((matrix[comp] != 0) & (local >= 0))
     depth = _bfs_depths(np.searchsorted(u, np.arange(len(comp) + 1)), local[v])
     if depth.min() < 0:
@@ -576,13 +582,20 @@ def component_period(matrix, component) -> int:
 
 
 def _square(matrix) -> np.ndarray:
-    """A bare matrix as a square float array; anything else is refused."""
+    """A bare matrix as a square array of finite floats; anything else, a
+    complex array included, is refused before it is cast."""
     try:
-        B = np.asarray(matrix, dtype=float)
+        B = np.asarray(matrix)
+        if B.dtype.kind != "c":
+            B = B.astype(float, copy=False)
     except (TypeError, ValueError):
         raise PreconditionError(f"matrix: {type(matrix).__name__} is not a numeric array") from None
+    if B.dtype.kind == "c":
+        raise PreconditionError(f"matrix: expected real entries, got {B.dtype}")
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise PreconditionError(f"matrix: expected a square array, got shape {B.shape}")
+    if not np.isfinite(B).all():
+        raise PreconditionError("matrix: every entry must be finite")
     return B
 
 
@@ -604,8 +617,3 @@ def absorbing_components(B) -> list[tuple]:
     """Terminal strongly connected components (no outgoing edges), by index order."""
     structure = as_structure(B)
     return [structure.names(c) for c in structure.terminal]
-
-
-def aperiodicity(B) -> bool:
-    """True when every terminal component has period one, so powers converge."""
-    return as_structure(B).aperiodic

@@ -211,15 +211,12 @@ class _Kernel:
                 " to let the asset be resold into the owner's own market"
             )
         index = spec.first_order.index
-        yvec = spec.y if y is None else y
-        if yvec is None:
-            raise PreconditionError("no payoff given: pass y or set spec.y")
         self.beta = beta
         self.agents = spec.agents
         self.labels = index.labels
         self.actions = np.asarray(prices.actions, dtype=float)
         self.starts = np.array([b.start for b in index.blocks], dtype=np.intp)
-        self.yvals = state_payoffs(spec, yvec)
+        self.yvals = state_payoffs(spec, y)
         self.network_cdf = np.cumsum(g, axis=1)
         # a bid at or past a row's total buys from its last weighted agent
         self.last_buyer = len(g) - 1 - np.argmax(g[:, ::-1] > 0, axis=1)

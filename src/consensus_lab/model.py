@@ -95,11 +95,6 @@ class SignalIndex:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def block(self, agent) -> slice:
-        if isinstance(agent, str):
-            agent = self.agents.index(agent)
-        return self.blocks[agent]
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -429,8 +424,9 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     beliefs, index = spec.beliefs, spec.beliefs.index
     flagged = np.flatnonzero(beliefs.screen(tol))
     agent_set = set(spec.agents)
+    spans = dict(zip(index.agents, index.blocks))
     for a in spec.agents if len(flagged) else ():
-        span = index.block(a)
+        span = spans[a]
         for k in flagged[(span.start <= flagged) & (flagged < span.stop)]:
             t = index.labels[k]
             b = beliefs.get(t)
@@ -473,12 +469,10 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
 
 
 def ex_ante_expectation(spec: ModelSpec, agent: str, prior, z) -> float:
-    """Ex ante expectation of ``z`` for one agent under a prior over his signals.
-
-    ``z`` is either a per-signal array over the agent's signals or a
-    :class:`BasicVariable`; in the latter case each signal's value is the
-    conditional expectation of the variable under the signal's
-    state marginal.
+    """Ex ante expectation of ``z``, one value per signal of the agent, under
+    a prior over his signals.  For a payoff ``y`` over states, ``z`` is the
+    agent's block of the first-order values,
+    ``first_order_vector(spec, y)[index.blocks[k]]``.
     """
     labels = spec.signals[agent]
     prior = np.asarray(prior, dtype=float)
@@ -486,15 +480,9 @@ def ex_ante_expectation(spec: ModelSpec, agent: str, prior, z) -> float:
         raise PreconditionError(
             f"prior for {agent}: expected length {len(labels)}, got {prior.shape}"
         )
-    if isinstance(z, BasicVariable):
-        z = z.values
-        per_signal = np.array(
-            [float(spec.beliefs[t].state_marginal @ z) for t in labels]
+    per_signal = np.asarray(z, dtype=float)
+    if per_signal.shape != (len(labels),):
+        raise PreconditionError(
+            f"z for {agent}: expected length {len(labels)}, got {per_signal.shape}"
         )
-    else:
-        per_signal = np.asarray(z, dtype=float)
-        if per_signal.shape != (len(labels),):
-            raise PreconditionError(
-                f"z for {agent}: expected length {len(labels)}, got {per_signal.shape}"
-            )
     return float(prior @ per_signal)

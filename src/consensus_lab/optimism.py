@@ -14,16 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import consensus_expectation, first_order_vector, higher_order_expectations
+from .consensus import consensus_expectation, first_order_vector
 from .errors import PreconditionError
 from .interaction import as_structure
 from .model import BasicVariable, InterimBelief, ModelSpec, Network
-
-
-def second_order_expectations(spec: ModelSpec, y=None, f=None) -> np.ndarray:
-    """Each signal's network-averaged expectation of counterparties'
-    first-order expectations (the step-2 vector)."""
-    return higher_order_expectations(spec, 2, y, f)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ from .model import check_beta
 #: Fixed-point residual ceiling of the discounted solve, relative past unit scale.
 RESIDUAL_TOL = 1e-10
 
+#: Largest difference at which :func:`power_trajectory` takes two vectors as repeats.
+CYCLE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StationaryDistribution:
@@ -60,11 +63,6 @@ class PowerTrajectory:
     vectors: np.ndarray
     cycle_length: int | None
 
-    def cycle_vectors(self) -> np.ndarray:
-        if self.cycle_length is None:
-            raise PreconditionError("no limit cycle was detected")
-        return self.vectors[-self.cycle_length:]
-
 
 def _require_irreducible(structure: InteractionStructure, what: str):
     ok, cert = joint_connectedness(structure)
@@ -74,6 +72,14 @@ def _require_irreducible(structure: InteractionStructure, what: str):
             f" for the closed set {cert}",
             cert,
         )
+
+
+def _per_state(z, n: int) -> np.ndarray:
+    """``z`` as one float per state of an ``n``-state chain; other shapes are refused."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (n,):
+        raise PreconditionError(f"z: expected one value per state ({n}), got shape {z.shape}")
+    return z
 
 
 def stationary_distribution(Q) -> StationaryDistribution:
@@ -123,10 +129,7 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     """
     structure = as_structure(Q)
     matrix = structure.matrix
-    z = np.asarray(z, dtype=float)
-    if z.shape != (len(matrix),):
-        raise PreconditionError(f"z: expected one value per state ({len(matrix)}),"
-                                f" got shape {z.shape}")
+    z = _per_state(z, len(matrix))
     if beta is None:
         _require_irreducible(structure, "abel_limit exact mode")
         return np.full(matrix.shape[0], float(structure.stationary[0] @ z))
@@ -162,20 +165,22 @@ def mfpt(Q) -> MFPTMatrix:
     return MFPTMatrix(M, residual)
 
 
-def power_trajectory(Q, z, n_max: int, cycle_tol: float = 1e-9) -> PowerTrajectory:
+def power_trajectory(Q, z, n_max: int) -> PowerTrajectory:
     """Iterate x -> Q x and report a limit cycle when the tail repeats.
 
-    The trajectory holds Q^n z for n = 0..n_max.  The detected cycle
-    length is the smallest L whose tail vectors repeat within
-    ``cycle_tol``: 1 for an ergodic chain, and on a periodic chain the
+    The trajectory holds Q^n z for n = 0..n_max, an integer.  The detected
+    cycle length is the smallest L whose tail vectors repeat within
+    ``CYCLE_TOL``: 1 for an ergodic chain, and on a periodic chain the
     minimal repeat length of the value sequence, a divisor of the
     structural period (equal to it for generic z).  None means no
     repetition was seen within the horizon.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise PreconditionError(f"n_max: expected an integer, got {n_max!r}")
     if n_max < 0:
         raise PreconditionError(f"n_max must be at least 0, got {n_max}")
     matrix = as_structure(Q).matrix
-    z = np.asarray(z, dtype=float)
+    z = _per_state(z, len(matrix))
     traj = np.empty((n_max + 1, len(z)))
     traj[0] = z
     for n in range(1, n_max + 1):
@@ -183,7 +188,7 @@ def power_trajectory(Q, z, n_max: int, cycle_tol: float = 1e-9) -> PowerTrajecto
     cycle = None
     for L in range(1, n_max // 3 + 1):
         checks = range(n_max, max(n_max - 2 * L, L) - 1, -1)
-        if all(np.max(np.abs(traj[k] - traj[k - L])) < cycle_tol for k in checks):
+        if all(np.max(np.abs(traj[k] - traj[k - L])) < CYCLE_TOL for k in checks):
             cycle = L
             break
     return PowerTrajectory(traj, cycle)

@@ -247,6 +247,9 @@ def stationary_perturbation_bound(B, B_ref) -> PerturbationBound:
     """
     perturbed = as_structure(B)
     reference = as_structure(B_ref)
+    if perturbed.matrix.shape != reference.matrix.shape:
+        raise PreconditionError(f"B: shape {perturbed.matrix.shape} does not match"
+                                f" B_ref's shape {reference.matrix.shape}")
     gap = float(np.max(np.abs(perturbed.matrix - reference.matrix).sum(axis=1)))
     passage = mfpt(reference).max_off_diagonal()
     bound = 0.5 * gap * passage
@@ -336,10 +339,6 @@ def verify_tyranny(
         )
 
     model = cis.model
-    if y is None:
-        y = cis.y
-    if y is None:
-        raise PreconditionError("no payoff given: pass y or set cis.y")
     yv = state_payoffs(model, y)
     y_max = float(np.max(np.abs(yv)))
 

@@ -99,16 +99,16 @@ def test_c02_centrality_sum_and_representation():
     for spec in irreducible_instances(1002, 200):
         res = consensus_expectation(spec)
         e = res.centralities
-        index = res.structure.index
+        blocks = res.structure.index.blocks
         for k, a in enumerate(spec.agents):
-            assert abs(res.weights[index.block(k)].sum() - e[k]) <= 1e-10
+            assert abs(res.weights[blocks[k]].sum() - e[k]) <= 1e-10
         lam = pseudopriors(spec)
         for _ in range(10):
             y = rng.random(spec.n_states)
             value = consensus_expectation(spec, y).value
+            fvec = first_order_vector(spec, y)
             rebuilt = sum(
-                e[k]
-                * ex_ante_expectation(spec, a, lam[a], BasicVariable(y, 1.0))
+                e[k] * ex_ante_expectation(spec, a, lam[a], fvec[blocks[k]])
                 for k, a in enumerate(spec.agents)
             )
             assert abs(value - rebuilt) <= 1e-10

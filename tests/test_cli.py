@@ -121,6 +121,30 @@ def test_parse_error_reports_location(tmp_path, capsys):
     assert "line" in err
 
 
+def test_a_directory_is_a_scenario_error(tmp_path, capsys):
+    code, out = run_cli(["validate", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"scenario error: {re.escape(str(tmp_path))}: .*Is a directory.*\n",
+                        err), err
+
+
+def test_a_scenario_without_a_payoff_names_the_one_payoff_rule(tmp_path, capsys):
+    # the consensus, the game, optimism, the market and tyranny all read the
+    # payoff through one rule, so they refuse with one message
+    data = _load_json(scenario_path("tyranny_extreme"))
+    del data["y"]
+    path = tmp_path / "no_payoff.json"
+    path.write_text(json.dumps(data))
+    message = "no payoff given: pass y or set spec.y"
+    for command in ("consensus", "game-solve", "verify-optimism", "simulate-market",
+                    "verify-tyranny"):
+        code, out = run_cli([command, str(path)])
+        assert (code, out, capsys.readouterr().err) == (3, "", f"precondition failure: {message}\n")
+    code, out = run_cli(["report", str(path)])
+    assert code == 0 and out.count(f"not applicable: {message}\n") == 3
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     bad = tmp_path / "extra.json"
     data = _load_json(scenario_path("cycle"))

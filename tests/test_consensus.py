@@ -178,7 +178,7 @@ def test_reducible_consensus_per_component_and_absorption():
     res = consensus_expectation(spec)
     assert not res.irreducible
     assert res.value is None
-    assert res.component_values == {
+    assert {c.signals: c.value for c in res.components} == {
         ("a1", "a2", "a3"): pytest.approx(1.0, abs=1e-12),
         ("b1", "b2", "b3"): pytest.approx(0.0, abs=1e-12),
     }
@@ -201,11 +201,13 @@ def test_pseudopriors_identity_and_representation():
         spec = random_model(rng, n_agents=3, full_support=True)
         lam = pseudopriors(spec)
         e = eigenvector_centrality(spec.network)
+        blocks = spec.beliefs.index.blocks
         for k in range(10):
             y = rng.random(spec.n_states)
             res = consensus_expectation(spec, y)
+            fvec = first_order_vector(spec, y)
             rebuilt = sum(
-                e[i] * ex_ante_expectation(spec, a, lam[a], BasicVariable(y, 1.0))
+                e[i] * ex_ante_expectation(spec, a, lam[a], fvec[blocks[i]])
                 for i, a in enumerate(spec.agents)
             )
             assert abs(res.value - rebuilt) < 1e-10
@@ -217,9 +219,9 @@ def test_centrality_sum_identity():
         spec = random_model(rng, n_agents=3, full_support=True)
         res = consensus_expectation(spec)
         e = res.centralities
-        index = res.structure.index
+        blocks = res.structure.index.blocks
         for k, a in enumerate(spec.agents):
-            assert res.weights[index.block(k)].sum() == pytest.approx(
+            assert res.weights[blocks[k]].sum() == pytest.approx(
                 e[k], abs=1e-10
             )
 
@@ -468,7 +470,7 @@ def test_agent_specific_values_with_reducible_structure():
     f = np.array([0.9, 0.1, 0.8, 0.2, 0.7, 0.3])
     res = consensus_expectation(spec, f=f)
     assert res.value is None
-    vals = res.component_values
+    vals = {c.signals: c.value for c in res.components}
     assert vals[("a1", "a2", "a3")] == pytest.approx((0.9 + 0.8 + 0.7) / 3, abs=1e-12)
     assert vals[("b1", "b2", "b3")] == pytest.approx((0.1 + 0.2 + 0.3) / 3, abs=1e-12)
 
@@ -488,6 +490,9 @@ def test_non_finite_payoffs_are_refused(bad):
 
 def test_decomposition_and_first_order_refusals_name_their_cause():
     spec = load_scenario(scenario_path("cps"))
+    # one rule states where the payoff comes from
+    with pytest.raises(PreconditionError, match=r"^no payoff given: pass y or set spec\.y$"):
+        first_order_vector(dataclasses.replace(spec, y=None))
     with pytest.raises(PreconditionError, match=r"^f: expected one value per signal \(4\),"
                        r" got \(3,\)$"):
         first_order_vector(spec, f=np.zeros(3))

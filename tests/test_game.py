@@ -21,7 +21,8 @@ from consensus_lab.interaction import component_period
 from consensus_lab.io import load_scenario
 from consensus_lab.market import product_generating, simulate_batch
 from consensus_lab.model import InterimBelief, Network
-from consensus_lab.spectral import abel_limit
+from consensus_lab.spectral import abel_limit, power_trajectory
+from consensus_lab.tyranny import stationary_perturbation_bound
 
 from conftest import random_cps_model, random_model, scenario_path
 
@@ -81,6 +82,24 @@ def test_round_one_interval_and_width_shrinkage():
         assert np.allclose(width, beta**k * M, rtol=0, atol=2 * eps)
 
 
+def test_rationalizable_bounds_without_a_model_payoff():
+    # with f and no spec.y, the interval's height is max|f|; with neither
+    # payoff there is nothing to bound, and with only an array y there is
+    # no action bound
+    spec = dataclasses.replace(load_scenario(scenario_path("cps")), y=None)
+    beta, f = 0.8, np.array([0.2, -0.9, 0.4, 0.1])
+    bounds = rationalizable_bounds(spec, beta, 3, f=f)
+    iterates = best_response_iterates(spec, beta, f=f, rounds=3)
+    for k, (lo, hi) in enumerate(bounds, start=1):
+        assert lo.tobytes() == iterates[k].tobytes()
+        assert hi.tobytes() == (iterates[k] + beta**k * 0.9).tobytes()
+    with pytest.raises(PreconditionError, match=r"^no payoff given: pass y or set spec\.y$"):
+        rationalizable_bounds(spec, beta, 3)
+    with pytest.raises(PreconditionError,
+                       match=r"^no action bound available: set spec\.y or pass f$"):
+        rationalizable_bounds(spec, beta, 3, y=[0.0, 1.0])
+
+
 def test_solution_inside_every_round_interval():
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -130,6 +149,18 @@ def test_heterogeneous_transform_hand_example():
     assert out.weights[1, 0] == pytest.approx(1.0 / 9.0, abs=1e-15)
     assert out.weights[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(out.weights.sum(axis=1), 1.0)
+
+
+def test_heterogeneous_transform_with_no_coordination_keeps_the_network():
+    # every weight 0: the common weight is 0 and the network is unchanged
+    net = Network([[0.0, 1.0], [1.0, 0.0]])
+    out, beta_hat = heterogeneous_transform(net, [0.0, 0.0])
+    assert beta_hat == 0.0
+    assert out.weights.tobytes() == net.weights.tobytes()
+    assert out.diagonal_allowed is net.diagonal_allowed
+    spec = load_scenario(scenario_path("cps"))
+    played = solve_heterogeneous_game(spec, [0.0, 0.0]).actions
+    assert played.tobytes() == first_order_vector(spec).tobytes()
 
 
 def test_heterogeneous_transform_rejects_weight_one():
@@ -327,16 +358,36 @@ def _cps():
     (lambda: convention_limit(_cps(), betas=()),
      "betas: expected at least one coordination weight"),
     (lambda: component_period(np.full((2, 2), 0.5), ()), "component: no members"),
+    (lambda: component_period(np.full((2, 2), 0.5), (5,)),
+     "component: member 5 is outside 0..1"),
+    (lambda: component_period(np.eye(2)[::-1], (-1, 0)),
+     "component: member -1 is outside 0..1"),
+    (lambda: component_period(np.full((2, 2), 0.5), (0, 0, 1)),
+     "component: member 0 is listed twice"),
     (lambda: simulate_batch(_cps(), 0.9, -1, 0, product_generating(_cps())),
      "n_runs must be at least 0, got -1"),
     (lambda: best_response_iterates(_cps(), 0.9, start=np.zeros(3)),
      "start: expected one action per signal (4), got shape (3,)"),
+    (lambda: solve_heterogeneous_game(_cps(), [0.5, 0.4, 0.3]),
+     "beta_vec: expected one weight per agent (2)"),
+    (lambda: power_trajectory(np.full((2, 2), 0.5), [1.0, 2.0, 3.0], 5),
+     "z: expected one value per state (2), got shape (3,)"),
+    (lambda: power_trajectory(np.full((2, 2), 0.5), [1.0, 2.0], 2.5),
+     "n_max: expected an integer, got 2.5"),
+    (lambda: stationary_perturbation_bound(np.full((2, 2), 0.5), np.full((3, 3), 1 / 3)),
+     "B: shape (2, 2) does not match B_ref's shape (3, 3)"),
 ], ids=["abel_limit z length", "abel_limit z length, exact mode",
         "heterogeneous_transform weights length", "convention_limit without betas",
-        "component_period of no members", "simulate_batch with negative runs",
-        "best_response_iterates start length"])
+        "component_period of no members", "component_period member past the end",
+        "component_period negative member", "component_period member twice",
+        "simulate_batch with negative runs",
+        "best_response_iterates start length", "solve_heterogeneous_game weights length",
+        "power_trajectory z length", "power_trajectory n_max not an integer",
+        "stationary_perturbation_bound sizes"])
 def test_library_misuse_is_refused_with_a_typed_error(call, message):
     # each ended in a bare numpy or Python error (ValueError, IndexError,
-    # OverflowError) from deep inside the call
+    # OverflowError, TypeError) from deep inside the call, except the
+    # component members -1 (read from the end: period 2) and 0 twice
+    # (accepted), and the per-agent game's weights, refused but untested
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         call()

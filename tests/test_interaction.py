@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 from math import gcd
 
 import numpy as np
@@ -11,7 +12,6 @@ from consensus_lab.consensus import consensus_expectation, first_order_vector, p
 from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import (
     absorbing_components,
-    aperiodicity,
     as_structure,
     build_first_order_map,
     build_interaction_structure,
@@ -98,7 +98,7 @@ def test_first_order_apply_dot_products():
         Network([[0.0, 1.0], [1.0, 0.0]]),
     )
     F = build_first_order_map(spec)
-    assert np.allclose(F.apply([0.0, 1.0])[:2], [0.3, 0.8])
+    assert np.allclose((F.matrix @ [0.0, 1.0])[:2], [0.3, 0.8])
 
 
 def test_complete_information_reduces_to_network():
@@ -158,7 +158,7 @@ def test_block_row_sums_reproduce_network():
         for s, t in enumerate(B.index.labels):
             i = B.index.agent_of[s]
             for j in range(spec.n_agents):
-                blk = B.matrix[s, B.index.block(j)].sum()
+                blk = B.matrix[s, B.index.blocks[j]].sum()
                 assert blk == pytest.approx(
                     spec.network.weights[i, j], abs=1e-12
                 )
@@ -178,7 +178,7 @@ def test_type_dependent_weights():
     assert np.max(np.abs(B.matrix.sum(axis=1) - 1.0)) < 1e-12
     for s, t in enumerate(B.index.labels):
         for j in range(spec.n_agents):
-            assert B.matrix[s, B.index.block(j)].sum() == pytest.approx(
+            assert B.matrix[s, B.index.blocks[j]].sum() == pytest.approx(
                 weights[t][j], abs=1e-12
             )
 
@@ -211,16 +211,16 @@ def test_joint_connectedness_agrees_with_closure_oracle():
 def test_period_examples():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert component_period(swap, (0, 1)) == 2
-    assert not aperiodicity(swap)
+    assert not as_structure(swap).aperiodic
     lazy = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert aperiodicity(lazy)
+    assert as_structure(lazy).aperiodic
     # a positive diagonal in each terminal component forces period 1
     rng = np.random.default_rng(2)
     for _ in range(5):
         n = int(rng.integers(2, 6))
         Q = rng.random((n, n)) + 0.01
         Q = Q / Q.sum(axis=1, keepdims=True)
-        assert aperiodicity(Q)
+        assert as_structure(Q).aperiodic
 
 
 def test_absorbing_components_of_reducible_chain():
@@ -232,7 +232,7 @@ def test_absorbing_components_of_reducible_chain():
     Q[4, 2] = 0.5
     comps = absorbing_components(Q)
     assert comps == [(0, 1), (2, 3)]
-    assert not aperiodicity(Q)
+    assert not as_structure(Q).aperiodic
 
 
 def test_sufficiency_complete_network_and_connected_beliefs():
@@ -280,7 +280,7 @@ def test_self_loops_in_every_terminal_component_force_aperiodicity():
     Q[2, 3] = 0.7
     Q[3, 2] = 1.0
     assert absorbing_components(Q) == [(0, 1), (2, 3)]
-    assert aperiodicity(Q)
+    assert as_structure(Q).aperiodic
 
 
 def period_oracle(matrix, component):
@@ -797,8 +797,10 @@ def test_block_assembly_matches_the_per_signal_oracle(name, spec, weights):
 
 def assert_scanned_analysis(structure):
     """The builder reads the edges from the blocks it writes: its analysis
-    must equal that of a scan of every cell of the matrix."""
-    scanned = as_structure(np.array(structure.matrix))
+    must equal that of a scan of every cell of the matrix.  The scan is the
+    analysis's own: the builder may write inf cells, which as_structure
+    refuses in a bare matrix."""
+    scanned = interaction._analysed(np.array(structure.matrix), index=None)
     assert structure.components == scanned.components
     assert structure.terminal == scanned.terminal and structure.periods == scanned.periods
     assert same_bits(structure.component_of, scanned.component_of)
@@ -1022,7 +1024,6 @@ def test_signal_index_lives_with_the_beliefs():
     index = spec.beliefs.index
     assert index.agents == spec.agents
     assert index.labels == tuple(t for a in spec.agents for t in spec.signals[a])
-    assert [index.block(a) for a in spec.agents] == [index.block(k) for k in range(3)]
     assert index.agent_of.tolist() == [k for k, a in enumerate(spec.agents)
                                        for _ in spec.signals[a]]
     with pytest.raises(KeyError):
@@ -1071,12 +1072,29 @@ BARE_MATRIX_ENTRIES = {
     (np.full((2, 3), 0.5), "matrix: expected a square array, got shape (2, 3)"),
     (np.full(3, 0.5), "matrix: expected a square array, got shape (3,)"),
     ([["a", "b"], ["c", "d"]], "matrix: list is not a numeric array"),
-], ids=["2 x 3", "1-D", "not numeric"])
+    (np.array([[1 + 5j, 0], [0, 1]]), "matrix: expected real entries, got complex128"),
+    (np.array([[np.nan, 1.0], [1.0, 0.0]]), "matrix: every entry must be finite"),
+    (np.array([[np.inf, 1.0], [1.0, 0.0]]), "matrix: every entry must be finite"),
+], ids=["2 x 3", "1-D", "not numeric", "complex", "nan", "inf"])
 def test_a_matrix_that_is_not_square_and_numeric_is_refused(entry, matrix, message):
     # a 2 x 3 array ended in an IndexError, a 1-D one in "not enough values
-    # to unpack", and text in numpy's ValueError
-    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
-        BARE_MATRIX_ENTRIES[entry](matrix)
+    # to unpack", and text in numpy's ValueError; a complex array lost its
+    # imaginary parts with only numpy's ComplexWarning (itself raised under
+    # -W error::RuntimeWarning), NaN ended in a bare LinAlgError and inf in
+    # has_trade=False.  The refusal comes before any cast, so no warning is
+    # given, whether warnings are errors or not.
+    for action in ("always", "error"):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action)
+            with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+                BARE_MATRIX_ENTRIES[entry](matrix)
+        assert seen == []
+
+
+def test_a_network_with_a_non_finite_weight_is_refused():
+    network = Network([[np.nan, 1.0], [1.0, 0.0]], diagonal_allowed=True)
+    with pytest.raises(PreconditionError, match="^matrix: every entry must be finite$"):
+        eigenvector_centrality(network)
 
 
 @pytest.mark.parametrize("kernel", [strongly_connected_components,

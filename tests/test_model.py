@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from consensus_lab.cli import main
+from consensus_lab.consensus import first_order_vector
 from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import as_structure, build_interaction_structure
 from consensus_lab.io import load_scenario, parse_scenario
@@ -263,7 +264,8 @@ def test_ex_ante_two_signal_hand_value():
         Network([[0.0, 1.0], [1.0, 0.0]]),
         y=BasicVariable([0.0, 1.0], 1.0),
     )
-    assert ex_ante_expectation(spec, "ann", [0.5, 0.5], spec.y) == pytest.approx(
+    ann = first_order_vector(spec)[spec.beliefs.index.blocks[0]]
+    assert ex_ante_expectation(spec, "ann", [0.5, 0.5], ann) == pytest.approx(
         0.5, abs=1e-15
     )
 

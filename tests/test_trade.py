@@ -4,6 +4,7 @@ import pytest
 from consensus_lab.consensus import consensus_expectation
 from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import (
+    _analysed,
     absorbing_components,
     as_structure,
     build_interaction_structure,
@@ -157,9 +158,10 @@ def test_consensus_and_no_trade_solve_the_transient_block_once(factorizations):
 @pytest.mark.parametrize("self_weight", [1.0, np.nan])
 def test_transient_block_singular_in_floating_point_or_nan_is_refused(self_weight):
     # signal 0 is transient (its edge to 1 is nonzero), but I - B_TT is 0
-    # (1e-17 rounds away) or NaN
+    # (1e-17 rounds away) or NaN; as_structure refuses a bare NaN matrix,
+    # so the structure is analysed as a spec's structure would be
     B = np.array([[self_weight, 1e-17], [0.0, 1.0]])
-    structure = as_structure(B)
+    structure = _analysed(B, index=None)
     assert structure.transient == (0,)
     for read in (lambda: structure.absorption, lambda: structure.absorption_time,
                  lambda: no_trade_test(structure)):

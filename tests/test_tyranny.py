@@ -303,7 +303,7 @@ def test_tyranny_and_rounding_refusals_name_their_cause():
     with pytest.raises(PreconditionError, match="^agent alice is not uniformly noisy: some"
                        " signal has zero probability under some state$"):
         verify_tyranny(cis, ignorant="alice")
-    with pytest.raises(PreconditionError, match=r"^no payoff given: pass y or set cis\.y$"):
+    with pytest.raises(PreconditionError, match=r"^no payoff given: pass y or set spec\.y$"):
         verify_tyranny(dataclasses.replace(cis, y=None))
     # a third signal that no state sends leaves alice exact, but not one
     # signal per state
