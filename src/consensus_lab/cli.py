@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -299,23 +298,21 @@ def cmd_market(args, scenario, out) -> int:
         # "t," for periods 1, 2, ...; grown only by a run longer than any before
         periods = []
 
-        def write_events(k, profile, holders):
-            """Write run ``k``'s rows: its "run," lead, then per trade a
-            shared period prefix and the run's (seller, buyer) suffix."""
-            trades = len(holders) - 1
+        def write_events(k, profile, path):
+            """Write run ``k``'s rows in one join: per trade its "run," lead,
+            a shared period prefix and the run's (seller, buyer) suffix."""
+            trades = len(path) - 1
             if not trades:
                 return
             sig = kernel.signals(profile).tolist()
             # "seller,buyer,price,signal\n" at seller * n + buyer
             suffixes = [f"{seller},{buyer},{tails[s]}"
                         for seller in agents for buyer, s in zip(agents, sig)]
-            path = np.fromiter(holders, dtype=np.intp, count=len(holders))
-            codes = (path[:-1] * n + path[1:]).tolist()
             periods.extend(f"{t}," for t in range(len(periods) + 1, trades + 1))
-            lead = f"{k},"
-            # map stops at the run's last code, however long periods is
-            events_csv.write(lead + lead.join(
-                map(operator.add, periods, map(suffixes.__getitem__, codes))))
+            parts = [f"{k},"] * (3 * trades)
+            parts[1::3] = periods[:trades]
+            parts[2::3] = map(suffixes.__getitem__, (path[:-1] * n + path[1:]).tolist())
+            events_csv.write("".join(parts))
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
     stats = empirical_price_stats(kernel.batch(seeds, write_events))

@@ -555,11 +555,14 @@ def component_period(matrix, component) -> int:
 
     Returns 0 for a singleton without a self-loop, which supports no cycle.
     Raises :class:`PreconditionError` for an input that is not a square
-    numeric array, an empty component, a member outside the matrix or
-    listed twice, or when the first member does not reach every other
-    member.
+    numeric array, an empty component, a member that is not an integer,
+    lies outside the matrix or is listed twice, or when the first member
+    does not reach every other member.
     """
     matrix = _square(matrix)
+    bad = [m for m in component if isinstance(m, bool) or not isinstance(m, (int, np.integer))]
+    if bad:
+        raise PreconditionError(f"component: member {bad[0]!r} is not an integer index")
     comp = np.asarray(component, dtype=np.intp)
     if not len(comp):
         raise PreconditionError("component: no members")

@@ -33,11 +33,15 @@ One kernel serves :func:`simulate_market`, :func:`simulate_batch` and the
 CLI.  Once per call it validates the draw and the initial owner and hoists
 what every run shares: the state and per-row signal running sums, the
 initial-owner running sums (the centrality is computed once), the
-network's per-row running sums and the price schedule.  Per run it
-decodes the nature uniform with one search per level, finds the duration
-with one vectorized scan of the continuation uniforms and the buyers from
-an ``n_agents x trades`` table of ``searchsorted(..., side="right")``
-lookups, chained from the initial owner.
+network's per-row running sums (each row's weights finite and
+non-negative with a positive total) and the price schedule.  Inside each
+bin between the rows' distinct running sums, every seller's
+``searchsorted(..., side="right")`` finds one buyer, read once per call
+at the bin's lower edge.  Per run it decodes the nature uniform with one
+search per level, finds the duration with one vectorized scan of the
+continuation uniforms, bins the bids with one search and chains their
+buyers from the initial owner into one path array.  A network with at
+least a run's block of distinct sums searches each row per run instead.
 
 :func:`empirical_price_stats` summarizes a :class:`MarketBatch`: the mean
 price with its standard error over runs, each class's mean price and the
@@ -205,6 +209,9 @@ class _Kernel:
         if prices is None:
             prices = solve_beta_game(spec, beta, y)
         g = spec.network.weights
+        # both buyer searches assume each row's running sums ascend
+        self.network_cdf = np.array([_cumulative(w, f"network.row[{a}]")
+                                     for a, w in zip(spec.agents, g)])
         if not allow_own_market and np.any(np.diag(g) > 0):
             raise PreconditionError(
                 "owner's class has positive self-weight; pass allow_own_market=True"
@@ -217,11 +224,15 @@ class _Kernel:
         self.actions = np.asarray(prices.actions, dtype=float)
         self.starts = np.array([b.start for b in index.blocks], dtype=np.intp)
         self.yvals = state_payoffs(spec, y)
-        self.network_cdf = np.cumsum(g, axis=1)
         # a bid at or past a row's total buys from its last weighted agent
         self.last_buyer = len(g) - 1 - np.argmax(g[:, ::-1] > 0, axis=1)
         # about two expected runs' worth of uniforms, two per period
         self.block = int(min(_BLOCK, max(64.0, 4.0 / (1.0 - beta))))
+        # the distinct running sums cut the bids into bins, in each of which every
+        # seller buys from one agent; kept while smaller than a run's own table
+        self.breaks = np.unique(self.network_cdf)
+        self.buyers = (self._buyers(np.r_[-np.inf, self.breaks])
+                       if self.breaks.size < self.block else None)
         self._resolve_draw(spec, draw)
         self._resolve_owner(spec, initial_owner)
 
@@ -322,9 +333,16 @@ class _Kernel:
             profile.append(cell)
         return theta, tuple(profile)
 
-    def run(self, seed) -> tuple[int, tuple[int, ...], list[int]]:
+    def _buyers(self, bids) -> list[list[int]]:
+        """Buyer from each seller (rows) at each bid (columns)."""
+        return np.minimum(
+            [cdf.searchsorted(bids, side="right") for cdf in self.network_cdf],
+            self.last_buyer[:, None],
+        ).tolist()
+
+    def run(self, seed) -> tuple[int, tuple[int, ...], np.ndarray]:
         """State, signal profile (positions within each agent's signals) and
-        holder path of one run; the path starts with the initial owner."""
+        holder path of one run, an ``intp`` array from the initial owner."""
         rng = np.random.default_rng(seed)
         u = rng.random(self.block)
         off = 0
@@ -347,28 +365,29 @@ class _Kernel:
             stop = u[off::2] < 1.0 - self.beta
             trades = int(stop.argmax())
         bids = u[off + 1:off + 2 * trades:2]
-        # buyer of trade t from each possible seller, then the chain through it
-        table = np.minimum(
-            [cdf.searchsorted(bids, side="right") for cdf in self.network_cdf],
-            self.last_buyer[:, None],
-        ).tolist()
-        o = owner
-        return theta, profile, [owner] + [o := table[o][t] for t in range(trades)]
+        # buyer of each trade from each possible seller, then the chain through it
+        if self.buyers is None:
+            table, cols = self._buyers(bids), range(trades)
+        else:
+            table, cols = self.buyers, self.breaks.searchsorted(bids, side="right").tolist()
+        path = np.empty(trades + 1, dtype=np.intp)
+        path[0] = o = owner
+        path[1:] = [o := table[o][c] for c in cols]
+        return theta, profile, path
 
     def batch(self, seeds, each=None) -> MarketBatch:
         """Run every seed in order, reducing each run to its class counts;
-        ``each(k, profile, holders)``, if given, sees run k's path first."""
+        ``each(k, profile, path)``, if given, sees run k's path array first."""
         n_runs, n = len(seeds), len(self.agents)
         durations = np.empty(n_runs, dtype=np.int64)
         counts = np.empty((n_runs, n), dtype=np.int64)
         class_prices = np.empty((n_runs, n))
         payoffs = np.empty(n_runs)
         for k, seed in enumerate(seeds):
-            theta, profile, holders = self.run(seed)
+            theta, profile, path = self.run(seed)
             if each is not None:
-                each(k, profile, holders)
-            durations[k] = len(holders)
-            path = np.fromiter(holders, dtype=np.intp, count=len(holders))
+                each(k, profile, path)
+            durations[k] = len(path)
             counts[k] = np.bincount(path[1:], minlength=n)
             class_prices[k] = self.actions[self.signals(profile)]
             payoffs[k] = self.yvals[theta]
@@ -458,6 +477,8 @@ def simulate_batch(
     Each run is reduced to its class counts as soon as it ends, so memory
     does not grow with run length.
     """
+    if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)):
+        raise PreconditionError(f"n_runs: expected an integer, got {n_runs!r}")
     if n_runs < 0:
         raise PreconditionError(f"n_runs must be at least 0, got {n_runs}")
     kernel = _Kernel(spec, beta, draw, y, prices, initial_owner, allow_own_market)

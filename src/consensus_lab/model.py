@@ -472,17 +472,25 @@ def ex_ante_expectation(spec: ModelSpec, agent: str, prior, z) -> float:
     """Ex ante expectation of ``z``, one value per signal of the agent, under
     a prior over his signals.  For a payoff ``y`` over states, ``z`` is the
     agent's block of the first-order values,
-    ``first_order_vector(spec, y)[index.blocks[k]]``.
+    ``first_order_vector(spec, y)[index.blocks[k]]``.  The prior's weights
+    must be finite and non-negative, and ``z`` finite.
     """
+    if agent not in spec.signals:
+        raise PreconditionError(f"ex ante expectation: unknown agent {agent!r}")
     labels = spec.signals[agent]
     prior = np.asarray(prior, dtype=float)
     if prior.shape != (len(labels),):
         raise PreconditionError(
             f"prior for {agent}: expected length {len(labels)}, got {prior.shape}"
         )
+    # NaN fails both comparisons
+    if not np.all((prior >= 0.0) & (prior < np.inf)):
+        raise PreconditionError(f"prior for {agent}: weights must be finite and non-negative")
     per_signal = np.asarray(z, dtype=float)
     if per_signal.shape != (len(labels),):
         raise PreconditionError(
             f"z for {agent}: expected length {len(labels)}, got {per_signal.shape}"
         )
+    if not np.isfinite(per_signal).all():
+        raise PreconditionError(f"z for {agent}: every value must be finite")
     return float(prior @ per_signal)

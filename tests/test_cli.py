@@ -599,6 +599,27 @@ def test_simulate_market_golden_stdout_on_a_30_state_cis_model(tmp_path):
         "ca049c66dbcc94901b10a52a42224e5a6b0f811e6bd2a67e0fc8b9ec3c9fddae")
 
 
+@pytest.mark.parametrize("make, argv, digest", [
+    (lambda: bench_gen().cis_dense(np.random.default_rng([1, 0]), 30),
+     ["--beta", "0.999", "--runs", "20", "--seed", "5"],
+     "45f132c9249f5102d4961f48d02fb34a545330b8c18c4d441dabc5f3a0596dd1"),
+    (lambda: cis_scenario(np.random.default_rng(12), 12, 3, 2),
+     ["--beta", "0.9", "--runs", "200", "--seed", "6"],
+     "b087be4201959c52cae0738f8b52ea123dbbd08bdd69a2348bc5f8a13149633b"),
+], ids=["benchmark cis_dense model, 30 states", "12-agent complete network"])
+def test_simulate_market_csv_golden_on_generated_models(tmp_path, make, argv, digest):
+    # digests captured before the buyers came from one table per call: the
+    # dense CIS model at beta 0.999 takes that table, while the complete
+    # network's 124 distinct running sums at beta 0.9 keep a table per run.
+    # The CIS model has 30 states, not the benchmark's 50: at 150 signals
+    # the game solve's bits depend on the BLAS thread count
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(make()))
+    code, out = run_cli(["simulate-market", str(path), *argv, "--format", "csv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _events_oracle(scenario, beta, runs, seed):
     """``events.csv`` rendered from one ``simulate_market`` call per run."""
     model = scenario.model if isinstance(scenario, CISSpec) else scenario

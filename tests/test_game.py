@@ -20,7 +20,7 @@ from consensus_lab.game import (
 from consensus_lab.interaction import component_period
 from consensus_lab.io import load_scenario
 from consensus_lab.market import product_generating, simulate_batch
-from consensus_lab.model import InterimBelief, Network
+from consensus_lab.model import InterimBelief, Network, ex_ante_expectation
 from consensus_lab.spectral import abel_limit, power_trajectory
 from consensus_lab.tyranny import stationary_perturbation_bound
 
@@ -364,8 +364,30 @@ def _cps():
      "component: member -1 is outside 0..1"),
     (lambda: component_period(np.full((2, 2), 0.5), (0, 0, 1)),
      "component: member 0 is listed twice"),
+    (lambda: component_period(np.eye(2)[::-1], (0.5, 1)),
+     "component: member 0.5 is not an integer index"),
+    (lambda: component_period(np.eye(2)[::-1], (True, False)),
+     "component: member True is not an integer index"),
+    (lambda: component_period(np.eye(2)[::-1], ((0, 1),)),
+     "component: member (0, 1) is not an integer index"),
     (lambda: simulate_batch(_cps(), 0.9, -1, 0, product_generating(_cps())),
      "n_runs must be at least 0, got -1"),
+    (lambda: simulate_batch(_cps(), 0.9, True, 0, product_generating(_cps())),
+     "n_runs: expected an integer, got True"),
+    (lambda: simulate_batch(_cps(), 0.9, 2.0, 0, product_generating(_cps())),
+     "n_runs: expected an integer, got 2.0"),
+    (lambda: simulate_batch(_cps(), 0.9, 2.5, 0, product_generating(_cps())),
+     "n_runs: expected an integer, got 2.5"),
+    (lambda: simulate_batch(_cps(), 0.9, "3", 0, product_generating(_cps())),
+     "n_runs: expected an integer, got '3'"),
+    (lambda: ex_ante_expectation(_cps(), "ann", [np.nan, 1.0], [1.0, 2.0]),
+     "prior for ann: weights must be finite and non-negative"),
+    (lambda: ex_ante_expectation(_cps(), "ann", [2.0, -1.0], [1.0, 2.0]),
+     "prior for ann: weights must be finite and non-negative"),
+    (lambda: ex_ante_expectation(_cps(), "eve", [0.5, 0.5], [1.0, 2.0]),
+     "ex ante expectation: unknown agent 'eve'"),
+    (lambda: ex_ante_expectation(_cps(), "ann", [0.5, 0.5], [np.nan, 1.0]),
+     "z for ann: every value must be finite"),
     (lambda: best_response_iterates(_cps(), 0.9, start=np.zeros(3)),
      "start: expected one action per signal (4), got shape (3,)"),
     (lambda: solve_heterogeneous_game(_cps(), [0.5, 0.4, 0.3]),
@@ -380,14 +402,22 @@ def _cps():
         "heterogeneous_transform weights length", "convention_limit without betas",
         "component_period of no members", "component_period member past the end",
         "component_period negative member", "component_period member twice",
-        "simulate_batch with negative runs",
+        "component_period float member", "component_period bool members",
+        "component_period nested member",
+        "simulate_batch with negative runs", "simulate_batch with True runs",
+        "simulate_batch with 2.0 runs", "simulate_batch with 2.5 runs",
+        "simulate_batch with '3' runs",
+        "ex_ante_expectation NaN prior", "ex_ante_expectation negative prior",
+        "ex_ante_expectation unknown agent", "ex_ante_expectation NaN z",
         "best_response_iterates start length", "solve_heterogeneous_game weights length",
         "power_trajectory z length", "power_trajectory n_max not an integer",
         "stationary_perturbation_bound sizes"])
 def test_library_misuse_is_refused_with_a_typed_error(call, message):
     # each ended in a bare numpy or Python error (ValueError, IndexError,
-    # OverflowError, TypeError) from deep inside the call, except the
-    # component members -1 (read from the end: period 2) and 0 twice
-    # (accepted), and the per-agent game's weights, refused but untested
+    # OverflowError, TypeError, KeyError) from deep inside the call, except
+    # the component members -1 (read from the end: period 2), 0 twice
+    # (accepted), 0.5 and True (truncated: period 2), a batch of True runs
+    # (one run), the NaN and negative priors and the NaN z (NaN, 0.0 and
+    # NaN returned), and the per-agent game's weights, refused but untested
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         call()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import signal
 import tracemalloc
 from contextlib import contextmanager
@@ -549,4 +550,81 @@ def test_a_bid_past_the_row_total_never_buys_from_a_zero_weight_agent(monkeypatc
             return np.array([0.3, 0.9, 1 - 1e-13, 0.0])
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Uniforms())
-    assert kernel.run(0)[2] == [2, 1]
+    assert kernel.run(0)[2].tolist() == [2, 1]
+
+
+def _one_signal_spec(g, diagonal_allowed=False):
+    """A model with one signal per agent on the network ``g``: only the
+    network differs between the specs the buyer tests build."""
+    agents = tuple(f"ag{i}" for i in range(len(g)))
+    signals = {a: (f"{a}s",) for a in agents}
+    beliefs = {f"{a}s": InterimBelief([0.5, 0.5], {j: [1.0] for j in agents if j != a})
+               for a in agents}
+    return ModelSpec(("lo", "hi"), agents, signals, beliefs,
+                     Network(g, diagonal_allowed=diagonal_allowed),
+                     y=BasicVariable([0.0, 1.0], 1.0))
+
+
+def _searched_buyer(row, bid):
+    """The first agent whose running sum of ``row`` exceeds ``bid``; a bid at
+    or past the row's total buys from the last agent with positive weight."""
+    total = 0.0
+    for j, w in enumerate(row):
+        total += w
+        if bid < total:
+            return j
+    return max(j for j, w in enumerate(row) if w > 0)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_bin_table_buys_from_the_agent_each_row_search_finds(n):
+    # zero weights, self-weights (under allow_own_market) and rows summing
+    # to 1 +- 5e-13; bids on a running sum, just below and above one, and
+    # past a row's total
+    rng = np.random.default_rng(n)
+    own = n % 2 == 0
+    g = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    if not own:
+        np.fill_diagonal(g, 0.0)
+    g[np.arange(n), (np.arange(n) + 1) % n] += 0.1
+    g /= g.sum(axis=1, keepdims=True)
+    for i, off in zip(range(n), (5e-13, -5e-13, 0.0)):
+        g[i, np.flatnonzero(g[i])[-1]] += off
+    spec = _one_signal_spec(g, diagonal_allowed=own)
+    cdf = np.cumsum(g, axis=1)
+    bids = np.concatenate([rng.random(200), cdf.ravel(), np.nextafter(cdf.ravel(), 0),
+                           np.nextafter(cdf.ravel(), 2), [0.0, 1 - 1e-13, _BELOW_ONE]])
+    draw = fixed_draw(spec)
+    for beta in (0.5, 0.999):
+        kernel = _Kernel(spec, beta, draw, allow_own_market=own)
+        assert (kernel.buyers is None) == (np.unique(cdf).size >= kernel.block)
+        want = [[_searched_buyer(row, b) for b in bids.tolist()] for row in g.tolist()]
+        assert kernel._buyers(bids) == want
+        if kernel.buyers is not None:
+            cols = kernel.breaks.searchsorted(bids, side="right")
+            assert [[r[c] for c in cols] for r in kernel.buyers] == want
+            # whole runs are the same paths on either side of the size rule
+            per_run = _Kernel(spec, beta, draw, allow_own_market=own)
+            per_run.buyers = None
+            for seed in range(5):
+                assert kernel.run(seed)[2].tolist() == per_run.run(seed)[2].tolist()
+    # both sides of the size rule: from 10 agents on, these networks have
+    # more distinct running sums than beta 0.5's block of 64 uniforms
+    assert (_Kernel(spec, 0.5, draw, allow_own_market=own).buyers is None) == (n >= 10)
+
+
+@pytest.mark.parametrize("row", [[1.5, 0.0, -0.5], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0]],
+                         ids=["negative", "nan", "inf", "zero total"])
+@pytest.mark.parametrize("entry", ["market", "batch"])
+def test_a_network_row_the_buyer_search_cannot_read_is_refused(entry, row):
+    # library callers skip validate_model, and the prices are given, so the
+    # game solve does not see the network: the kernel ran [1.5, 0, -0.5]
+    spec = load_scenario(scenario_path("case2"))
+    prices = solve_beta_game(spec, 0.9)
+    g = np.array(spec.network.weights)
+    g[1] = row
+    bad = dataclasses.replace(spec, network=Network(g))
+    with pytest.raises(PreconditionError, match=re.escape(
+            "network.row[agent2]: weights must be finite and non-negative with a positive total")):
+        _simulate(entry, bad, 0.9, fixed_draw(bad), prices=prices)
