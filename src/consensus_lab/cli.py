@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 scenario validation failure, 3 precondition
 failure inside an operation or an --out artifact that cannot be written,
 64 usage error, 141 (128 + SIGPIPE) stdout closed by its reader before the
 output ended.  Identical inputs, flags and seed produce byte-identical
-output.
+output per BLAS thread count when a component has 100 or more signals
+(one LAPACK solve each), and for any thread count otherwise.
 """
 
 from __future__ import annotations

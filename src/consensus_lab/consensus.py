@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapabilityError, PreconditionError, ReducibleError
 from .interaction import InteractionStructure
-from .model import BasicVariable, ModelSpec, ex_ante_expectation
+from .model import BasicVariable, ModelSpec, _count, _vector, ex_ante_expectation
 from .spectral import eigenvector_centrality
 
 #: Tolerance on the prior stationarity residual of :func:`cps_check`.
@@ -35,15 +35,7 @@ def first_order_vector(spec: ModelSpec, y=None, f=None) -> np.ndarray:
     from ``y`` is pushed through the first-order map.
     """
     if f is not None:
-        f = np.asarray(f, dtype=float)
-        n = len(spec.all_signals())
-        if f.shape != (n,):
-            raise PreconditionError(
-                f"f: expected one value per signal ({n}), got {f.shape}"
-            )
-        if not np.all(np.isfinite(f)):
-            raise PreconditionError("f: every value must be finite")
-        return f
+        return _vector(f, len(spec.all_signals()), "f", "signal")
     return spec.first_order.matrix @ state_payoffs(spec, y)
 
 
@@ -57,20 +49,12 @@ def state_payoffs(spec: ModelSpec, y=None) -> np.ndarray:
         raise PreconditionError("no payoff given: pass y or set spec.y")
     if isinstance(y, BasicVariable):
         y = y.values
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.n_states,):
-        raise PreconditionError(
-            f"y: expected one value per state ({spec.n_states}), got {y.shape}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise PreconditionError("y: every value must be finite")
-    return y
+    return _vector(y, spec.n_states, "y", "state")
 
 
 def higher_order_expectations(spec: ModelSpec, n: int, y=None, f=None) -> np.ndarray:
     """Step-n average expectation vector over all signals (n >= 1)."""
-    if n < 1:
-        raise PreconditionError("order n must be at least 1")
+    _count(n, 1, "n")
     x = first_order_vector(spec, y, f)
     B = spec.structure.matrix
     for _ in range(n - 1):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .consensus import ConsensusResult, consensus_expectation, first_order_vector
 from .errors import PreconditionError
-from .model import ModelSpec, Network, check_beta
+from .model import ModelSpec, Network, _count, _real, _vector, check_beta
 from .spectral import discounted_solve
 
 
@@ -50,9 +50,9 @@ def solve_beta_game(spec: ModelSpec, beta: float, y=None, f=None) -> GameSolutio
     ``0 <= beta < 1``; at the boundary the convention is the consensus
     expectation (see :func:`convention_limit`).
     """
-    check_beta(beta, f"beta must lie in [0, 1); for the beta -> 1 limit use"
-                     f" convention_limit (got {beta})")
-    return _solve(spec, np.full(spec.n_agents, beta, dtype=float), y, f, beta)
+    beta = check_beta(beta, f"beta must lie in [0, 1); for the beta -> 1 limit use"
+                            f" convention_limit (got {beta})")
+    return _solve(spec, np.full(spec.n_agents, beta), y, f, beta)
 
 
 def _solve(spec: ModelSpec, agent_beta, y, f, beta) -> GameSolution:
@@ -71,17 +71,16 @@ def best_response_iterates(
 ) -> list[np.ndarray]:
     """Successive best responses from a flat start; the contraction oracle.
 
-    Returns ``rounds + 1`` vectors beginning with the start profile.  The
+    Returns ``rounds + 1`` vectors beginning with the start profile (one
+    finite value per signal); ``rounds`` is an integer of at least 0.  The
     sup-norm distance to the fixed point shrinks by at least a factor
     ``beta`` each round.
     """
-    check_beta(beta, f"beta must lie in [0, 1), got {beta}")
+    beta = check_beta(beta, f"beta must lie in [0, 1), got {beta}")
+    _count(rounds, 0, "rounds")
     fvec = first_order_vector(spec, y, f)
     B = spec.structure.matrix
-    s = np.zeros_like(fvec) if start is None else np.asarray(start, dtype=float)
-    if s.shape != fvec.shape:
-        raise PreconditionError(f"start: expected one action per signal ({len(fvec)}),"
-                                f" got shape {s.shape}")
+    s = np.zeros_like(fvec) if start is None else _vector(start, len(fvec), "start", "signal")
     out = [s]
     for _ in range(rounds):
         s = (1.0 - beta) * fvec + beta * (B @ s)
@@ -98,8 +97,9 @@ def rationalizable_bounds(
     the zero profile, ``(1 - beta) sum_{n <= k} beta^(n-1) x(n)`` (see
     :func:`best_response_iterates`), and that plus ``beta^k M``, an
     interval whose width shrinks by a factor beta per round, pinching onto
-    the unique solution.
+    the unique solution.  ``k_max`` is an integer of at least 0.
     """
+    _count(k_max, 0, "k_max")
     iterates = best_response_iterates(spec, beta, y, f, rounds=k_max)
     M = _payoff_bound(spec, f)
     return [(iterates[k], iterates[k] + beta**k * M) for k in range(1, k_max + 1)]
@@ -113,11 +113,8 @@ def heterogeneous_transform(network: Network, beta_vec) -> tuple[Network, float]
     has identical play: the common weight is the largest of the
     ``beta_vec`` and each agent's slack becomes a self-weight.
     """
-    beta_vec = np.asarray(beta_vec, dtype=float)
-    if beta_vec.shape != (network.n,):
-        raise PreconditionError(f"beta_vec: expected one weight per agent ({network.n})")
-    check_beta(beta_vec, "every per-agent weight must lie in [0, 1); the order"
-                         " of limits matters when some weight reaches 1")
+    beta_vec = check_beta(beta_vec, "every per-agent weight must lie in [0, 1); the order"
+                                    " of limits matters when some weight reaches 1", network.n)
     g = network.weights
     if np.any(np.diag(g) != 0):
         raise PreconditionError(
@@ -142,12 +139,7 @@ def solve_heterogeneous_game(
     the owners' weights.  Serves as the independent cross-check of
     :func:`heterogeneous_transform`.
     """
-    beta_vec = np.asarray(beta_vec, dtype=float)
-    if beta_vec.shape != (spec.n_agents,):
-        raise PreconditionError(
-            f"beta_vec: expected one weight per agent ({spec.n_agents})"
-        )
-    check_beta(beta_vec, "every per-agent weight must lie in [0, 1)")
+    beta_vec = check_beta(beta_vec, "every per-agent weight must lie in [0, 1)", spec.n_agents)
     return _solve(spec, beta_vec, y, f, float("nan"))
 
 
@@ -167,10 +159,13 @@ def convention_limit(
     """The common action in the high-coordination limit: the consensus.
 
     Also reports how fast the finite-beta solution approaches it, as the
-    fitted constant C in ``max |s(beta) - c| <= C (1 - beta)``.
+    fitted constant C in ``max |s(beta) - c| <= C (1 - beta)``.  ``betas``
+    is a non-empty list of weights in [0, 1).
     """
-    if len(betas) == 0:
+    betas = _real(betas, "betas")
+    if betas.ndim != 1 or not betas.size:
         raise PreconditionError("betas: expected at least one coordination weight")
+    check_beta(betas, f"betas: every weight must lie in [0, 1), got {betas.tolist()}", len(betas))
     result = consensus_expectation(spec, y, f)
     gaps = []
     rate = None
@@ -179,4 +174,4 @@ def convention_limit(
             s = solve_beta_game(spec, b, y, f)
             gaps.append(float(np.max(np.abs(s.actions - result.value))))
         rate = max(g / (1.0 - b) for g, b in zip(gaps, betas))
-    return ConventionReport(result, tuple(betas), tuple(gaps), rate)
+    return ConventionReport(result, tuple(betas.tolist()), tuple(gaps), rate)

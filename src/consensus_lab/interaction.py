@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PreconditionError
-from .model import ModelSpec, Network, SignalIndex
+from .model import ModelSpec, Network, SignalIndex, _indices, _real
 
 #: Residual ceiling enforced on every returned stationary distribution.
 STATIONARY_TOL = 1e-10
@@ -322,9 +322,9 @@ def build_interaction_structure(
             # when the owner has no signals)
             W, fits = spec.network.weights[i : i + 1][: len(cells)], True
         else:
-            W = [np.asarray(type_dependent_weights[t], dtype=float)
+            W = [_real(type_dependent_weights[t], f"type-dependent weights for {t}")
                  for t in index.labels[block]]
-            fits = all(w.shape == (spec.n_agents,) for w in W)
+            fits = all(w.shape == (spec.n_agents,) and np.isfinite(w).all() for w in W)
         if i in absent or not fits:
             raise _unfillable(spec, i, W)
         W = np.asarray(W)
@@ -371,13 +371,16 @@ def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _unfillable(spec: ModelSpec, i: int, W) -> PreconditionError:
     """The error of agent ``i``'s first signal that fails, given ``W``, one
     weight row per signal or one for all: checked in turn, its weight row's
-    length, its belief, and its marginal over each weighted counterpart."""
+    length and finiteness, its belief, and its marginal over each weighted
+    counterpart."""
     beliefs, n, a = spec.beliefs, spec.n_agents, spec.agents[i]
     block = beliefs.index.blocks[i]
     for s, t, w in zip(range(block.start, block.stop), beliefs.index.labels[block], cycle(W)):
         if np.shape(w) != (n,):
             return PreconditionError(
                 f"type-dependent weights for {t}: expected length {n}, got {np.shape(w)}")
+        if not np.isfinite(w).all():
+            return PreconditionError(f"signal {t}: every weight must be finite")
         if t not in beliefs:
             return PreconditionError(f"signal {t}: no belief")
         missing = beliefs.uncovered(w, s)
@@ -560,23 +563,12 @@ def component_period(matrix, component) -> int:
     does not reach every other member.
     """
     matrix = _square(matrix)
-    bad = [m for m in component if isinstance(m, bool) or not isinstance(m, (int, np.integer))]
-    if bad:
-        raise PreconditionError(f"component: member {bad[0]!r} is not an integer index")
-    comp = np.asarray(component, dtype=np.intp)
+    comp = _indices(component, len(matrix), "component: member")
     if not len(comp):
         raise PreconditionError("component: no members")
-    outside = (comp < 0) | (comp >= len(matrix))
-    if outside.any():
-        raise PreconditionError(f"component: member {comp[outside][0]} is outside"
-                                f" 0..{len(matrix) - 1}")
-    # the edges between members, by position in ``component``; a member
-    # listed twice keeps only its last position
+    # the edges between members, by position in ``component``
     local = np.full(len(matrix), -1, dtype=np.intp)
     local[comp] = np.arange(len(comp))
-    twice = local[comp] != np.arange(len(comp))
-    if twice.any():
-        raise PreconditionError(f"component: member {comp[twice][0]} is listed twice")
     u, v = np.nonzero((matrix[comp] != 0) & (local >= 0))
     depth = _bfs_depths(np.searchsorted(u, np.arange(len(comp) + 1)), local[v])
     if depth.min() < 0:
@@ -585,16 +577,9 @@ def component_period(matrix, component) -> int:
 
 
 def _square(matrix) -> np.ndarray:
-    """A bare matrix as a square array of finite floats; anything else, a
-    complex array included, is refused before it is cast."""
-    try:
-        B = np.asarray(matrix)
-        if B.dtype.kind != "c":
-            B = B.astype(float, copy=False)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"matrix: {type(matrix).__name__} is not a numeric array") from None
-    if B.dtype.kind == "c":
-        raise PreconditionError(f"matrix: expected real entries, got {B.dtype}")
+    """A bare matrix as a square array of finite floats; anything else is
+    refused, a complex or string array before it is cast."""
+    B = _real(matrix, "matrix")
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise PreconditionError(f"matrix: expected a square array, got shape {B.shape}")
     if not np.isfinite(B).all():

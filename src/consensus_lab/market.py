@@ -58,7 +58,7 @@ import numpy as np
 from .consensus import state_payoffs
 from .errors import PreconditionError
 from .game import GameSolution, solve_beta_game
-from .model import ModelSpec, check_beta
+from .model import ModelSpec, _count, _indices, _real, _vector, check_beta
 from .spectral import eigenvector_centrality
 
 @dataclass(frozen=True)
@@ -155,22 +155,25 @@ def cis_generating(cis, prior_agent: str | None = None) -> NatureDraw:
     """
     if prior_agent is None:
         prior_agent = cis.agents[0]
-    if prior_agent not in cis.rho:
+    # by equality: an unhashable label is unknown too
+    if prior_agent not in tuple(cis.rho):
         raise PreconditionError(
             f"generating distribution: no prior for agent {prior_agent!r}"
         )
     return NatureDraw(cis.rho[prior_agent], tuple(cis.eta[a] for a in cis.agents))
 
 
+def _seeded(seed) -> np.random.SeedSequence:
+    """``SeedSequence(seed)``; an entropy it refuses is refused typed."""
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"seed: {exc}") from None
+
+
 #: Largest first block of uniforms drawn for a run; a run that needs more
 #: doubles its block.  Block sizes never change the stream.
 _BLOCK = 4096
-
-
-def _refused(what: str) -> PreconditionError:
-    return PreconditionError(
-        f"{what}: weights must be finite and non-negative with a positive total"
-    )
 
 
 def _cumulative(weights, what: str) -> np.ndarray:
@@ -179,7 +182,8 @@ def _cumulative(weights, what: str) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     cum = np.cumsum(w)
     if not (w.size and w.min() >= 0.0 and 0.0 < cum[-1] < np.inf):
-        raise _refused(what)
+        raise PreconditionError(
+            f"{what}: weights must be finite and non-negative with a positive total")
     return cum
 
 
@@ -205,7 +209,7 @@ class _Kernel:
     def __init__(self, spec: ModelSpec, beta: float, draw, y=None,
                  prices: GameSolution | None = None, initial_owner=0,
                  allow_own_market: bool = False):
-        check_beta(beta, f"beta must lie in [0, 1), got {beta}")
+        beta = check_beta(beta, f"beta must lie in [0, 1), got {beta}")
         if prices is None:
             prices = solve_beta_game(spec, beta, y)
         g = spec.network.weights
@@ -221,7 +225,7 @@ class _Kernel:
         self.beta = beta
         self.agents = spec.agents
         self.labels = index.labels
-        self.actions = np.asarray(prices.actions, dtype=float)
+        self.actions = _vector(prices.actions, len(index.labels), "prices", "signal")
         self.starts = np.array([b.start for b in index.blocks], dtype=np.intp)
         self.yvals = state_payoffs(spec, y)
         # a bid at or past a row's total buys from its last weighted agent
@@ -258,7 +262,7 @@ class _Kernel:
             )
         elif isinstance(draw, NatureDraw):
             sizes = tuple(len(spec.signals[a]) for a in spec.agents)
-            factors = [np.asarray(f, dtype=float) for f in (draw.state, *draw.tables)]
+            factors = [_real(f, "generating distribution") for f in (draw.state, *draw.tables)]
             shapes = [(spec.n_states,)] + [(spec.n_states, m) for m in sizes]
             got = [f.shape for f in factors]
             if got != shapes:
@@ -266,9 +270,8 @@ class _Kernel:
                     "generating distribution: expected shape"
                     f" {', '.join(map(str, shapes))}, got {', '.join(map(str, got))}"
                 )
-            # NaN fails both comparisons; a factor without entries has no cells
-            if not all(f.size and f.min() >= 0.0 and f.max() < np.inf for f in factors):
-                raise _refused("generating distribution")
+            for f in factors:
+                _cumulative(f, "generating distribution")
             # a state's weight carries its rows' totals, so a state with an
             # all-zero row is never drawn
             row_cdfs = [np.cumsum(t, axis=1) for t in factors[1:]]
@@ -285,30 +288,19 @@ class _Kernel:
 
     def _resolve_owner(self, spec, initial_owner):
         self.owner_cdf = None
-        if isinstance(initial_owner, bool):
-            raise PreconditionError(
-                f"initial owner: expected an agent name, index or distribution,"
-                f" got {initial_owner!r}"
-            )
         if isinstance(initial_owner, str) and initial_owner != "centrality":
             if initial_owner not in spec.agents:
                 raise PreconditionError(f"initial owner: unknown agent {initial_owner!r}")
             self.owner = spec.agents.index(initial_owner)
         elif isinstance(initial_owner, (int, np.integer)):
-            if not 0 <= initial_owner < spec.n_agents:
-                raise PreconditionError(
-                    f"initial owner: agent index {initial_owner} is outside"
-                    f" 0..{spec.n_agents - 1}"
-                )
-            self.owner = int(initial_owner)
+            # a bool is refused there
+            self.owner = int(_indices((initial_owner,), spec.n_agents,
+                                      "initial owner: agent index")[0])
         else:
-            if isinstance(initial_owner, str):
-                dist = eigenvector_centrality(spec.network)
-            else:
-                dist = np.asarray(initial_owner, dtype=float)
-            if dist.shape != (spec.n_agents,):
-                raise PreconditionError("initial owner distribution: wrong length")
-            self.owner_cdf = _cumulative(dist, "initial owner distribution")
+            what = "initial owner distribution"
+            dist = (eigenvector_centrality(spec.network) if isinstance(initial_owner, str)
+                    else _vector(initial_owner, spec.n_agents, what, "agent", finite=False))
+            self.owner_cdf = _cumulative(dist, what)
 
     def signals(self, profile) -> np.ndarray:
         """Signal index of each class's realized signal."""
@@ -419,7 +411,7 @@ def simulate_market(
     """
     kernel = _Kernel(spec, beta, draw, y, prices, initial_owner, allow_own_market)
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+        seed = _seeded(seed)
     theta, profile, holders = kernel.run(seed)
     sig = kernel.signals(profile)
     agents = spec.agents
@@ -477,12 +469,9 @@ def simulate_batch(
     Each run is reduced to its class counts as soon as it ends, so memory
     does not grow with run length.
     """
-    if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)):
-        raise PreconditionError(f"n_runs: expected an integer, got {n_runs!r}")
-    if n_runs < 0:
-        raise PreconditionError(f"n_runs must be at least 0, got {n_runs}")
+    _count(n_runs, 0, "n_runs")
     kernel = _Kernel(spec, beta, draw, y, prices, initial_owner, allow_own_market)
-    return kernel.batch(np.random.SeedSequence(seed).spawn(n_runs))
+    return kernel.batch(_seeded(seed).spawn(n_runs))
 
 
 @dataclass(frozen=True)

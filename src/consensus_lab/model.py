@@ -14,6 +14,10 @@ entries are summed into them as they are parsed, and no joint over
 signal profiles is kept.  For a parsed marginal-mode scenario
 ``spec.beliefs[t]`` is an :class:`InterimBelief` over read-only row views
 of those arrays.
+
+The library's entry points check their arguments through the private
+``_real``, ``_vector``, ``_count`` and ``_indices`` here; each refusal is a
+:class:`PreconditionError` that names the argument.
 """
 
 from __future__ import annotations
@@ -33,12 +37,70 @@ from .errors import PreconditionError
 PROB_TOL = 1e-12
 
 
-def check_beta(beta, message: str):
-    """Raise :class:`PreconditionError` with ``message`` unless every
-    coordination weight in ``beta`` (a scalar or an array) lies in
-    [0, 1); NaN lies nowhere."""
+def _real(x, what: str, scalar: bool = False):
+    """``x`` as a float array, or with ``scalar`` as one float: the one
+    numeric cast of the entry points.  A value that is not numeric (a
+    string included), complex or, with ``scalar``, not a single number is
+    refused before it is cast; ``what`` names it."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind in "biufO":
+            arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is not None and arr.dtype.kind == "c":
+        raise PreconditionError(f"{what}: expected real entries, got {arr.dtype}")
+    if arr is None or arr.dtype.kind != "f":
+        raise PreconditionError(f"{what}: {type(x).__name__} is not a numeric array")
+    if scalar and arr.ndim:
+        raise PreconditionError(f"{what}: expected a number, got shape {arr.shape}")
+    return float(arr) if scalar else arr
+
+
+def _vector(x, n: int, what: str, per: str, finite: bool = True) -> np.ndarray:
+    """``x`` as ``n`` floats, one per ``per``, each finite unless ``finite``
+    is False (for a caller whose own range test refuses NaN and inf)."""
+    v = _real(x, what)
+    if v.shape != (n,):
+        raise PreconditionError(f"{what}: expected one value per {per} ({n}), got shape {v.shape}")
+    if finite and not np.isfinite(v).all():
+        raise PreconditionError(f"{what}: every value must be finite")
+    return v
+
+
+def _count(x, k: int, what: str) -> None:
+    """Refuse ``x`` unless it is an integer (not a ``bool``) of at least ``k``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise PreconditionError(f"{what}: expected an integer, got {x!r}")
+    if x < k:
+        raise PreconditionError(f"{what} must be at least {k}, got {x}")
+
+
+def _indices(members, n: int, what: str) -> np.ndarray:
+    """``members`` as an ``intp`` array of distinct integer indices below
+    ``n``; ``what`` names one member in a refusal, as ``"start: state"``."""
+    bad = [m for m in members if isinstance(m, bool) or not isinstance(m, (int, np.integer))]
+    if bad:
+        raise PreconditionError(f"{what} {bad[0]!r} is not an integer index")
+    idx = np.array(members, dtype=np.intp)
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise PreconditionError(f"{what} {idx[outside][0]} is outside 0..{n - 1}")
+    _, first, counts = np.unique(idx, return_index=True, return_counts=True)
+    if (counts > 1).any():
+        raise PreconditionError(f"{what} {idx[first[counts > 1].min()]} is listed twice")
+    return idx
+
+
+def check_beta(beta, message: str, n: int | None = None):
+    """``beta`` as one coordination weight (a float) or, given ``n``, as one
+    weight per agent (an array, named ``beta_vec``); refused with
+    ``message`` unless every weight lies in [0, 1), where NaN lies nowhere."""
+    beta = (_real(beta, "beta", scalar=True) if n is None
+            else _vector(beta, n, "beta_vec", "agent", finite=False))
     if not np.all((0.0 <= beta) & (beta < 1.0)):
         raise PreconditionError(message)
+    return beta
 
 
 def freeze(values, dtype=float) -> np.ndarray:
@@ -389,6 +451,7 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     Each violation is a human-readable string prefixed with the location
     of the offending field.
     """
+    tol = _real(tol, "tol", scalar=True)
     v: list[str] = []
     if spec.n_states < 1:
         v.append("states: need at least one state")
@@ -473,24 +536,14 @@ def ex_ante_expectation(spec: ModelSpec, agent: str, prior, z) -> float:
     a prior over his signals.  For a payoff ``y`` over states, ``z`` is the
     agent's block of the first-order values,
     ``first_order_vector(spec, y)[index.blocks[k]]``.  The prior's weights
-    must be finite and non-negative, and ``z`` finite.
+    must be finite and non-negative, and ``z`` finite; an unknown agent is
+    refused.
     """
-    if agent not in spec.signals:
+    if agent not in spec.agents:
         raise PreconditionError(f"ex ante expectation: unknown agent {agent!r}")
-    labels = spec.signals[agent]
-    prior = np.asarray(prior, dtype=float)
-    if prior.shape != (len(labels),):
-        raise PreconditionError(
-            f"prior for {agent}: expected length {len(labels)}, got {prior.shape}"
-        )
+    n = len(spec.signals[agent])
+    prior = _vector(prior, n, f"prior for {agent}", "signal", finite=False)
     # NaN fails both comparisons
     if not np.all((prior >= 0.0) & (prior < np.inf)):
         raise PreconditionError(f"prior for {agent}: weights must be finite and non-negative")
-    per_signal = np.asarray(z, dtype=float)
-    if per_signal.shape != (len(labels),):
-        raise PreconditionError(
-            f"z for {agent}: expected length {len(labels)}, got {per_signal.shape}"
-        )
-    if not np.isfinite(per_signal).all():
-        raise PreconditionError(f"z for {agent}: every value must be finite")
-    return float(prior @ per_signal)
+    return float(prior @ _vector(z, n, f"z for {agent}", "signal"))

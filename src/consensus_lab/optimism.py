@@ -17,7 +17,9 @@ import numpy as np
 from .consensus import consensus_expectation, first_order_vector
 from .errors import PreconditionError
 from .interaction import as_structure
-from .model import BasicVariable, InterimBelief, ModelSpec, Network
+from .model import (
+    BasicVariable, InterimBelief, ModelSpec, Network, _count, _indices, _real, _vector,
+)
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,7 @@ def optimism_hypotheses(spec: ModelSpec, threshold: float, y=None, f=None) -> Op
     components is reported) is then at least
     ``threshold / (1 + shortfall/drift)``.  The threshold must be finite.
     """
+    threshold = _real(threshold, "threshold", scalar=True)
     if not np.isfinite(threshold):
         raise PreconditionError(f"threshold must be finite, got {threshold}")
     x1 = first_order_vector(spec, y, f)
@@ -100,19 +103,16 @@ def markov_optimism_check(
     its mass on states scoring at least the threshold must be at least
     ``1 / (1 + eps/delta)``.  All inputs must be finite.
     """
+    threshold, delta, eps = (_real(x, what, scalar=True) for x, what in
+                             ((threshold, "threshold"), (delta, "delta"), (eps, "eps")))
     if not np.isfinite(threshold):
         raise PreconditionError(f"threshold must be finite, got {threshold}")
     if not (0 < delta < np.inf and 0 < eps < np.inf):
         raise PreconditionError("delta and eps must be positive and finite")
     structure = as_structure(Q)
     matrix = structure.matrix
-    if isinstance(start, bool) or not isinstance(start, (int, np.integer)):
-        raise PreconditionError(f"start: expected an integer state index, got {start!r}")
-    if not 0 <= start < len(matrix):
-        raise PreconditionError(f"start: state {start} is outside 0..{len(matrix) - 1}")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (len(matrix),) or not np.all(np.isfinite(f)):
-        raise PreconditionError(f"f: expected one finite value per state ({len(matrix)})")
+    _indices((start,), len(matrix), "start: state")
+    f = _vector(f, len(matrix), "f", "state")
     drift = matrix @ f - f
     violations = []
     for s in range(len(f)):
@@ -156,8 +156,9 @@ def tightness_chain(
     counterparty's levels, making the structure irreducible while moving
     the top-level mass only continuously.
     """
-    if m < 1:
-        raise PreconditionError("need at least two levels (m >= 1)")
+    _count(m, 1, "m")
+    delta, eps, perturbation = (_real(x, what, scalar=True) for x, what in
+                                ((delta, "delta"), (eps, "eps"), (perturbation, "perturbation")))
     if not (0.0 < delta < 1.0 and 0.0 < eps < 1.0):
         raise PreconditionError("delta and eps must lie in (0, 1)")
     if not 0.0 <= perturbation < 1.0:

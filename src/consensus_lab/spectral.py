@@ -8,7 +8,8 @@ bare matrix once.  The stationary vector is the structure's cached one,
 solved once per terminal class; the discounted solve is the structure's
 walk along its condensation, one dense solve per component of two or more
 signals; mean first passage times come from one inversion of the dense
-Kemeny-Snell fundamental matrix.
+Kemeny-Snell fundamental matrix.  A vector ``z`` holds one finite value per
+state and ``n_max`` is an integer of at least 0, by the shared checks.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, ReducibleError
+from .errors import ReducibleError
 # STATIONARY_TOL, the stationary kernel's residual ceiling, is re-exported
 from .interaction import STATIONARY_TOL, InteractionStructure, as_structure, joint_connectedness
-from .model import check_beta
+from .model import _count, _vector, check_beta
 
 #: Fixed-point residual ceiling of the discounted solve, relative past unit scale.
 RESIDUAL_TOL = 1e-10
@@ -51,9 +52,10 @@ class MFPTMatrix:
         self.values.setflags(write=False)
 
     def max_off_diagonal(self) -> float:
+        """The largest passage time between distinct states (0 for one state)."""
         n = self.values.shape[0]
         mask = ~np.eye(n, dtype=bool)
-        return float(self.values[mask].max())
+        return float(self.values[mask].max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,6 @@ def _require_irreducible(structure: InteractionStructure, what: str):
             f" for the closed set {cert}",
             cert,
         )
-
-
-def _per_state(z, n: int) -> np.ndarray:
-    """``z`` as one float per state of an ``n``-state chain; other shapes are refused."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (n,):
-        raise PreconditionError(f"z: expected one value per state ({n}), got shape {z.shape}")
-    return z
 
 
 def stationary_distribution(Q) -> StationaryDistribution:
@@ -129,12 +123,11 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     """
     structure = as_structure(Q)
     matrix = structure.matrix
-    z = _per_state(z, len(matrix))
+    z = _vector(z, len(matrix), "z", "state")
     if beta is None:
         _require_irreducible(structure, "abel_limit exact mode")
         return np.full(matrix.shape[0], float(structure.stationary[0] @ z))
-    check_beta(beta, f"beta must lie in [0, 1), got {beta}")
-    d = np.full(matrix.shape[0], beta, dtype=float)
+    d = np.full(matrix.shape[0], check_beta(beta, f"beta must lie in [0, 1), got {beta}"))
     return discounted_solve(structure, (1.0 - d) * z, d)[0]
 
 
@@ -175,12 +168,9 @@ def power_trajectory(Q, z, n_max: int) -> PowerTrajectory:
     structural period (equal to it for generic z).  None means no
     repetition was seen within the horizon.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
-        raise PreconditionError(f"n_max: expected an integer, got {n_max!r}")
-    if n_max < 0:
-        raise PreconditionError(f"n_max must be at least 0, got {n_max}")
+    _count(n_max, 0, "n_max")
     matrix = as_structure(Q).matrix
-    z = _per_state(z, len(matrix))
+    z = _vector(z, len(matrix), "z", "state")
     traj = np.empty((n_max + 1, len(z)))
     traj[0] = z
     for n in range(1, n_max + 1):

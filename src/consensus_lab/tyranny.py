@@ -22,7 +22,7 @@ from .consensus import consensus_expectation, state_payoffs
 from .errors import PreconditionError
 from .interaction import FirstOrderMap, InteractionStructure, as_structure
 from .model import (
-    PROB_TOL, BasicVariable, Beliefs, ModelSpec, Network, check_network_rows, freeze,
+    PROB_TOL, BasicVariable, Beliefs, ModelSpec, Network, _real, check_network_rows, freeze,
 )
 from .spectral import mfpt
 
@@ -63,6 +63,7 @@ class CISSpec:
 
 def validate_cis(cis: CISSpec, tol: float = 1e-12) -> list[str]:
     """Check CIS invariants; returns violations (empty = valid)."""
+    tol = _real(tol, "tol", scalar=True)
     v: list[str] = []
     if len(cis.agents) < 2:
         v.append("agents: need at least two agents")
@@ -197,8 +198,12 @@ def rounded_structure(cis: CISSpec, informed: Sequence[str]) -> RoundedStructure
     Every state's near-certain signal gets probability one.  Requires
     each informed agent's technology to be at most eps-noisy for some
     eps < 1/2 with the state-to-signal map a bijection onto his signal
-    set, so that every signal keeps positive probability.
+    set, so that every signal keeps positive probability.  An unknown agent
+    in ``informed`` is refused.
     """
+    unknown = [a for a in informed if a not in cis.agents]
+    if unknown:
+        raise PreconditionError(f"informed: unknown agent {unknown[0]!r}")
     profile = classify_noise(cis)
     eta_hat = dict(cis.eta)
     for a in cis.agents:

@@ -494,7 +494,7 @@ def test_decomposition_and_first_order_refusals_name_their_cause():
     with pytest.raises(PreconditionError, match=r"^no payoff given: pass y or set spec\.y$"):
         first_order_vector(dataclasses.replace(spec, y=None))
     with pytest.raises(PreconditionError, match=r"^f: expected one value per signal \(4\),"
-                       r" got \(3,\)$"):
+                       r" got shape \(3,\)$"):
         first_order_vector(spec, f=np.zeros(3))
     moved = dataclasses.replace(spec, priors={**spec.priors, "ann": [0.9, 0.1]})
     residual = cps_check(moved).residual

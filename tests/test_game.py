@@ -22,7 +22,7 @@ from consensus_lab.io import load_scenario
 from consensus_lab.market import product_generating, simulate_batch
 from consensus_lab.model import InterimBelief, Network, ex_ante_expectation
 from consensus_lab.spectral import abel_limit, power_trajectory
-from consensus_lab.tyranny import stationary_perturbation_bound
+from consensus_lab.tyranny import rounded_structure, stationary_perturbation_bound
 
 from conftest import random_cps_model, random_model, scenario_path
 
@@ -348,13 +348,26 @@ def _cps():
     return load_scenario(scenario_path("cps"))
 
 
+def _public():
+    """``cps.json`` with each agent's signal revealing the state to both:
+    two terminal classes, so no unique consensus."""
+    exact = {"g": [1.0, 0.0], "b": [0.0, 1.0]}
+    beliefs = {f"{x}{k}": InterimBelief(exact[s], {other: exact[s]})
+               for x, other in (("a", "bob"), ("b", "ann")) for k, s in ((1, "g"), (2, "b"))}
+    return dataclasses.replace(_cps(), beliefs=beliefs, priors=None)
+
+
+def _prices(actions):
+    return dataclasses.replace(solve_beta_game(_cps(), 0.9), actions=np.asarray(actions))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: abel_limit(np.full((2, 2), 0.5), [1.0, 2.0, 3.0], beta=0.5),
      "z: expected one value per state (2), got shape (3,)"),
     (lambda: abel_limit(np.full((2, 2), 0.5), [1.0, 2.0, 3.0]),
      "z: expected one value per state (2), got shape (3,)"),
     (lambda: heterogeneous_transform(Network([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.4, 0.3]),
-     "beta_vec: expected one weight per agent (2)"),
+     "beta_vec: expected one value per agent (2), got shape (3,)"),
     (lambda: convention_limit(_cps(), betas=()),
      "betas: expected at least one coordination weight"),
     (lambda: component_period(np.full((2, 2), 0.5), ()), "component: no members"),
@@ -389,15 +402,30 @@ def _cps():
     (lambda: ex_ante_expectation(_cps(), "ann", [0.5, 0.5], [np.nan, 1.0]),
      "z for ann: every value must be finite"),
     (lambda: best_response_iterates(_cps(), 0.9, start=np.zeros(3)),
-     "start: expected one action per signal (4), got shape (3,)"),
+     "start: expected one value per signal (4), got shape (3,)"),
     (lambda: solve_heterogeneous_game(_cps(), [0.5, 0.4, 0.3]),
-     "beta_vec: expected one weight per agent (2)"),
+     "beta_vec: expected one value per agent (2), got shape (3,)"),
     (lambda: power_trajectory(np.full((2, 2), 0.5), [1.0, 2.0, 3.0], 5),
      "z: expected one value per state (2), got shape (3,)"),
     (lambda: power_trajectory(np.full((2, 2), 0.5), [1.0, 2.0], 2.5),
      "n_max: expected an integer, got 2.5"),
     (lambda: stationary_perturbation_bound(np.full((2, 2), 0.5), np.full((3, 3), 1 / 3)),
      "B: shape (2, 2) does not match B_ref's shape (3, 3)"),
+    (lambda: first_order_vector(_cps(), f=[0.1, 0.2, 0.3, 0.4j]),
+     "f: expected real entries, got complex128"),
+    (lambda: solve_beta_game(_cps(), "0.5"), "beta: str is not a numeric array"),
+    (lambda: best_response_iterates(_cps(), 0.9, rounds=2.5),
+     "rounds: expected an integer, got 2.5"),
+    (lambda: rationalizable_bounds(_cps(), 0.9, -1), "k_max must be at least 0, got -1"),
+    (lambda: abel_limit(np.full((2, 2), 0.5), [np.nan, 1.0]), "z: every value must be finite"),
+    (lambda: convention_limit(_public(), betas=(1.5, np.nan)),
+     "betas: every weight must lie in [0, 1), got [1.5, nan]"),
+    (lambda: simulate_batch(_cps(), 0.9, 2, 0, product_generating(_cps()), prices=_prices([0, 0])),
+     "prices: expected one value per signal (4), got shape (2,)"),
+    (lambda: simulate_batch(_cps(), 0.9, 2, 0, product_generating(_cps()),
+                            prices=_prices([np.nan] * 4)), "prices: every value must be finite"),
+    (lambda: rounded_structure(load_scenario(scenario_path("tyranny_extreme")), ["alice", "zed"]),
+     "informed: unknown agent 'zed'"),
 ], ids=["abel_limit z length", "abel_limit z length, exact mode",
         "heterogeneous_transform weights length", "convention_limit without betas",
         "component_period of no members", "component_period member past the end",
@@ -411,13 +439,22 @@ def _cps():
         "ex_ante_expectation unknown agent", "ex_ante_expectation NaN z",
         "best_response_iterates start length", "solve_heterogeneous_game weights length",
         "power_trajectory z length", "power_trajectory n_max not an integer",
-        "stationary_perturbation_bound sizes"])
+        "stationary_perturbation_bound sizes", "first_order_vector complex f",
+        "solve_beta_game string beta", "best_response_iterates float rounds",
+        "rationalizable_bounds negative k_max", "abel_limit NaN z",
+        "convention_limit weights with several public events", "simulate_batch short prices",
+        "simulate_batch NaN prices", "rounded_structure unknown informed agent"])
 def test_library_misuse_is_refused_with_a_typed_error(call, message):
     # each ended in a bare numpy or Python error (ValueError, IndexError,
     # OverflowError, TypeError, KeyError) from deep inside the call, except
     # the component members -1 (read from the end: period 2), 0 twice
     # (accepted), 0.5 and True (truncated: period 2), a batch of True runs
     # (one run), the NaN and negative priors and the NaN z (NaN, 0.0 and
-    # NaN returned), and the per-agent game's weights, refused but untested
+    # NaN returned), and the per-agent game's weights, refused but untested;
+    # of the next five, the float rounds and the complex f and string beta
+    # ended in a TypeError, and k_max -1 and the NaN z returned [] and NaNs;
+    # then the betas (1.5, nan) came back unchecked when no game was solved,
+    # a short schedule ended in an IndexError, a NaN one priced trades NaN,
+    # and an unknown informed agent was skipped
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         call()

@@ -288,7 +288,8 @@ def _dense_joint(spec):
         (product_generating, "nobody", "initial owner"),
         (product_generating, [np.nan, 1.0], "initial owner"),
         (product_generating, True, "initial owner"),
-        (product_generating, [0.5, 0.25, 0.25], "^initial owner distribution: wrong length$"),
+        (product_generating, [0.5, 0.25, 0.25],
+         r"^initial owner distribution: expected one value per agent \(2\), got shape \(3,\)$"),
         (_dense_joint, 0, "generating distribution: expected shape"),
     ],
     ids=["owner -1", "owner past last agent", "unknown owner name",

@@ -331,7 +331,7 @@ def test_a_start_outside_the_chain_is_refused(start):
 def test_a_start_that_is_not_an_integer_is_refused(Q, start):
     # 0.5 ended in numpy's IndexError, True in a ValueError (a boolean index)
     with pytest.raises(PreconditionError,
-                       match=rf"^start: expected an integer state index, got {start!r}$"):
+                       match=rf"^start: state {start!r} is not an integer index$"):
         markov_optimism_check(Q, [0.0, 1.0], 0.5, 0.1, 0.1, start=start)
     # a numpy integer is an index like any other
     checks = [markov_optimism_check(Q, [0.0, 1.0], 0.5, 0.1, 0.1, start=k)
@@ -346,8 +346,8 @@ def test_a_start_that_is_not_an_integer_is_refused(Q, start):
     (0.5, np.inf, 0.1, [0.0, 1.0], "delta and eps"),
     (0.5, 0.1, np.nan, [0.0, 1.0], "delta and eps"),
     (0.5, 0.1, np.inf, [0.0, 1.0], "delta and eps"),
-    (0.5, 0.1, 0.1, [0.0, np.nan], r"f: expected one finite value per state \(2\)"),
-    (0.5, 0.1, 0.1, [0.0], r"f: expected one finite value per state \(2\)"),
+    (0.5, 0.1, 0.1, [0.0, np.nan], "f: every value must be finite"),
+    (0.5, 0.1, 0.1, [0.0], r"f: expected one value per state \(2\), got shape \(1,\)"),
 ])
 def test_markov_optimism_check_refuses_non_finite_inputs(threshold, delta, eps, f, match):
     # a NaN threshold or f gave hypotheses_ok=True, satisfied=False (a false

@@ -12,6 +12,7 @@ from consensus_lab.errors import PreconditionError
 from consensus_lab.interaction import joint_connectedness
 from consensus_lab.io import load_scenario, parse_scenario
 from consensus_lab.model import BasicVariable, InterimBelief, ModelSpec, Network
+from consensus_lab.spectral import mfpt
 from consensus_lab.tyranny import (
     CISSpec,
     RoundedStructure,
@@ -175,6 +176,16 @@ def test_perturbation_bound_zero_for_identical_chains():
     assert res.bound == 0.0
     assert res.max_relative_error == 0.0
     assert res.satisfied
+
+
+def test_a_one_state_chain_needs_no_passage():
+    # with no ordered pair of distinct states the largest passage time was
+    # the maximum of an empty array, a bare ValueError
+    one = np.ones((1, 1))
+    assert mfpt(one).max_off_diagonal() == 0.0
+    res = stationary_perturbation_bound(one, one)
+    assert (res.bound, res.max_passage_time, res.max_relative_error) == (0.0, 0.0, 0.0)
+    assert res.satisfied is True
 
 
 def test_perturbation_bound_random_chain():
