@@ -6,6 +6,9 @@ failure inside an operation or an --out artifact that cannot be written,
 output ended.  Identical inputs, flags and seed produce byte-identical
 output per BLAS thread count when a component has 100 or more signals
 (one LAPACK solve each), and for any thread count otherwise.
+simulate-market computes its summary before it writes any event row, so a
+refused summary writes none, and it formats events.csv one run at a time;
+with --format csv and --out, stdout is the written artifact read back.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import shutil
 import sys
 from contextlib import contextmanager
-from io import StringIO
 
 import numpy as np
 
@@ -126,14 +129,25 @@ def _artifact(args, name: str):
         raise _OutError(f"cannot write --out: {exc}") from exc
 
 
-def _emit(args, out, name, text: str):
-    """Write ``text`` to the ``--out`` artifact ``name`` (if any), then to
-    stdout for ``--format csv``."""
+#: Characters per read when an artifact's bytes are copied back to stdout.
+_CHUNK = 1 << 16
+
+
+def _emit(args, out, name, pieces):
+    """Write the strings ``pieces`` to the ``--out`` artifact ``name`` (if
+    any), then to stdout for ``--format csv``.  With both, stdout gets the
+    artifact's text read back in chunks of ``_CHUNK`` characters, after
+    :func:`_artifact` has closed it: a closed stdout is not an ``--out``
+    failure, and no more than a piece or a chunk is held at once."""
     if name is not None and args.out:
         with _artifact(args, name) as fh:
-            fh.write(text)
-    if args.format == "csv":
-        out.write(text)
+            fh.writelines(pieces)
+        if args.format == "csv":
+            # newline="": the text as written, with no newline translation
+            with open(fh.name, encoding="utf-8", newline="") as back:
+                shutil.copyfileobj(back, out, _CHUNK)
+    elif args.format == "csv":
+        out.writelines(pieces)
 
 
 def _table(args, out, header: str, rows, name=None):
@@ -141,7 +155,7 @@ def _table(args, out, header: str, rows, name=None):
     :func:`_emit`, formatted once and only when something reads it."""
     if args.format == "csv" or (name is not None and args.out):
         text = "".join([f"{header}\n", *(",".join(r) + "\n" for r in rows)])
-        _emit(args, out, name, text)
+        _emit(args, out, name, (text,))
 
 
 def _pairs(out, pairs, indent=""):
@@ -276,6 +290,38 @@ def _summary_rows(stats):
         yield "class_mean_price", a, fmt(m)
 
 
+def _event_rows(model, kernel, durations, paths, signals):
+    """The text of ``events.csv``, the header and then one string per run
+    with trades, formatted as it is read from ``paths`` (the holder paths
+    end to end, ``durations[k]`` entries for run k) and ``signals`` (each
+    class's signal index, a row per run), both ``intp`` bytes.  Each run's
+    rows are one join of per trade its "run," lead, a shared period prefix
+    and the run's (seller, buyer) suffix."""
+    yield "run,period,seller,buyer,price,buyer_signal\n"
+    agents, n = model.agents, model.n_agents
+    holders = np.frombuffer(paths, dtype=np.intp)
+    sigs = np.frombuffer(signals, dtype=np.intp).reshape(len(durations), n)
+    # price and signal columns of a buy at each signal
+    tails = [f"{fmt(float(a))},{lab}\n" for a, lab in zip(kernel.actions, kernel.labels)]
+    # "t," for periods 1, 2, ...; grown only by a run longer than any before
+    periods = []
+    end = 0
+    for k, duration in enumerate(durations.tolist()):
+        path = holders[end:end + duration]
+        end += duration
+        trades = duration - 1
+        if not trades:
+            continue
+        # "seller,buyer,price,signal\n" at seller * n + buyer
+        suffixes = [f"{seller},{buyer},{tails[s]}"
+                    for seller in agents for buyer, s in zip(agents, sigs[k].tolist())]
+        periods.extend(f"{t}," for t in range(len(periods) + 1, trades + 1))
+        parts = [f"{k},"] * (3 * trades)
+        parts[1::3] = periods[:trades]
+        parts[2::3] = map(suffixes.__getitem__, (path[:-1] * n + path[1:]).tolist())
+        yield "".join(parts)
+
+
 def cmd_market(args, scenario, out) -> int:
     model = _as_model(scenario)
     if getattr(args, "state", None) or getattr(args, "profile", None):
@@ -288,37 +334,21 @@ def cmd_market(args, scenario, out) -> int:
         draw = product_generating(model)
     prices = solve_beta_game(model, args.beta)
     kernel = _Kernel(model, args.beta, draw, prices=prices, initial_owner="centrality")
-    events_csv = None
-    write_events = None
+    # each run's path and signals, 8 bytes a holder and no object a run; the
+    # summary comes first, so a refused one writes no row
+    paths, signals = bytearray(), bytearray()
+    keep = None
     if args.format == "csv" or args.out:
-        events_csv = StringIO()
-        events_csv.write("run,period,seller,buyer,price,buyer_signal\n")
-        agents, n = model.agents, model.n_agents
-        # price and signal columns of a buy at each signal
-        tails = [f"{fmt(float(a))},{lab}\n" for a, lab in zip(kernel.actions, kernel.labels)]
-        # "t," for periods 1, 2, ...; grown only by a run longer than any before
-        periods = []
-
-        def write_events(k, profile, path):
-            """Write run ``k``'s rows in one join: per trade its "run," lead,
-            a shared period prefix and the run's (seller, buyer) suffix."""
-            trades = len(path) - 1
-            if not trades:
-                return
-            sig = kernel.signals(profile).tolist()
-            # "seller,buyer,price,signal\n" at seller * n + buyer
-            suffixes = [f"{seller},{buyer},{tails[s]}"
-                        for seller in agents for buyer, s in zip(agents, sig)]
-            periods.extend(f"{t}," for t in range(len(periods) + 1, trades + 1))
-            parts = [f"{k},"] * (3 * trades)
-            parts[1::3] = periods[:trades]
-            parts[2::3] = map(suffixes.__getitem__, (path[:-1] * n + path[1:]).tolist())
-            events_csv.write("".join(parts))
+        def keep(k, profile, path):
+            paths.extend(path.tobytes())
+            signals.extend(kernel.signals(profile).tobytes())
 
     seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
-    stats = empirical_price_stats(kernel.batch(seeds, write_events))
-    if events_csv is not None:
-        _emit(args, out, "events.csv", events_csv.getvalue())
+    batch = kernel.batch(seeds, keep)
+    stats = empirical_price_stats(batch)
+    if keep is not None:
+        _emit(args, out, "events.csv",
+              _event_rows(model, kernel, batch.durations, paths, signals))
     _table(args, out, "stat,label,value", _summary_rows(stats), "summary.csv")
     if args.format != "csv":
         out.write(f"{stats.n_runs} runs, {stats.n_trades} trades\n")

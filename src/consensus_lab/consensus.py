@@ -188,9 +188,11 @@ def cps_check(spec: ModelSpec) -> CpsCheck:
     for a in spec.agents:
         if a not in spec.priors:
             raise CapabilityError(f"cps_check needs a prior for every agent; {a} has none")
+    # built first: the builder names a network weight it cannot use
+    B = spec.structure.matrix
     e = eigenvector_centrality(spec.network)
     p = np.concatenate([e[k] * spec.priors[a] for k, a in enumerate(spec.agents)])
-    residual = float(np.abs(p @ spec.structure.matrix - p).sum())
+    residual = float(np.abs(p @ B - p).sum())
     return CpsCheck(residual <= CPS_TOL, residual)
 
 

@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PreconditionError
-from .model import ModelSpec, Network, SignalIndex, _indices, _real
+from .model import PROB_TOL, ModelSpec, Network, SignalIndex, _indices, _network_cdf, _real
 
 #: Residual ceiling enforced on every returned stationary distribution.
 STATIONARY_TOL = 1e-10
@@ -299,15 +299,21 @@ def build_interaction_structure(
     With ``type_dependent_weights`` each signal carries its own row of
     network weights (a probability vector over agents), replacing the
     owner's row of the network.  A positive self-weight contributes to
-    the diagonal: an agent is certain of his own signal.  Agents are
-    filled in index order; a refusal names the first signal that fails.
+    the diagonal: an agent is certain of his own signal.  First, each
+    network row that fills ``B`` must be finite and non-negative with a
+    positive total (``network.row[<agent>]``).  Agents are then filled in
+    index order; a refusal names the first signal that fails.
     """
     index = _signal_index(spec)
     beliefs = spec.beliefs
     shape, agents = np.shape(spec.network.weights), (spec.n_agents, spec.n_agents)
-    if type_dependent_weights is None and shape != agents:
-        raise PreconditionError(f"network: shape {shape} does not match"
-                                f" {spec.n_agents} agents, expected {agents}")
+    if type_dependent_weights is None:
+        if shape != agents:
+            raise PreconditionError(f"network: shape {shape} does not match"
+                                    f" {spec.n_agents} agents, expected {agents}")
+        # the rows of the agents with signals fill B
+        used = np.flatnonzero([b.stop > b.start for b in index.blocks])
+        _network_cdf(spec.network.weights[used], [spec.agents[k] for k in used])
     n = len(index)
     B = np.zeros((n, n))
     # agents with a signal that has no belief, sought among irregular rows
@@ -405,6 +411,22 @@ def as_structure(obj) -> InteractionStructure:
     if not B.size:
         raise PreconditionError("interaction structure: the matrix has no entries")
     return _analysed(B, index=None)
+
+
+def as_chain(obj) -> InteractionStructure:
+    """:func:`as_structure` for the Markov entry points: a bare matrix must
+    also be row-stochastic, with no negative entry and every row sum within
+    ``PROB_TOL`` of 1.  A structure or a network is taken as it is."""
+    if not isinstance(obj, (InteractionStructure, Network)):
+        obj = _square(obj)
+        if (obj < 0).any():
+            raise PreconditionError("matrix: every entry must be non-negative")
+        sums = obj.sum(axis=1)
+        off = np.flatnonzero(~(np.abs(sums - 1.0) <= PROB_TOL))
+        if off.size:
+            raise PreconditionError(f"matrix: row {off[0]} sums to {float(sums[off[0]])!r}"
+                                    f" (expected 1 within {PROB_TOL})")
+    return as_structure(obj)
 
 
 def _analysed(B: np.ndarray, index: SignalIndex | None, edges=None) -> InteractionStructure:

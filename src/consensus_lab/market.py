@@ -58,7 +58,9 @@ import numpy as np
 from .consensus import state_payoffs
 from .errors import PreconditionError
 from .game import GameSolution, solve_beta_game
-from .model import ModelSpec, _count, _indices, _real, _vector, check_beta
+from .model import (
+    ModelSpec, _count, _cumulative, _indices, _network_cdf, _real, _vector, check_beta,
+)
 from .spectral import eigenvector_centrality
 
 @dataclass(frozen=True)
@@ -176,17 +178,6 @@ def _seeded(seed) -> np.random.SeedSequence:
 _BLOCK = 4096
 
 
-def _cumulative(weights, what: str) -> np.ndarray:
-    """Running sums of a weight array, refused unless every weight is finite
-    and non-negative and the total is positive."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    cum = np.cumsum(w)
-    if not (w.size and w.min() >= 0.0 and 0.0 < cum[-1] < np.inf):
-        raise PreconditionError(
-            f"{what}: weights must be finite and non-negative with a positive total")
-    return cum
-
-
 #: Largest double below one: a rescaled uniform stays inside its cell.
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -214,8 +205,7 @@ class _Kernel:
             prices = solve_beta_game(spec, beta, y)
         g = spec.network.weights
         # both buyer searches assume each row's running sums ascend
-        self.network_cdf = np.array([_cumulative(w, f"network.row[{a}]")
-                                     for a, w in zip(spec.agents, g)])
+        self.network_cdf = _network_cdf(g, spec.agents)
         if not allow_own_market and np.any(np.diag(g) > 0):
             raise PreconditionError(
                 "owner's class has positive self-weight; pass allow_own_market=True"

@@ -92,6 +92,28 @@ def _indices(members, n: int, what: str) -> np.ndarray:
     return idx
 
 
+def _cumulative(weights, what: str) -> np.ndarray:
+    """Running sums of a weight array, refused unless every weight is finite
+    and non-negative and the total is positive."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    cum = np.cumsum(w)
+    if not (w.size and w.min() >= 0.0 and 0.0 < cum[-1] < np.inf):
+        raise PreconditionError(
+            f"{what}: weights must be finite and non-negative with a positive total")
+    return cum
+
+
+def _network_cdf(g: np.ndarray, agents) -> np.ndarray:
+    """Running sums of each row of the network weights ``g``, one pass over
+    the matrix; agent ``agents[k]``'s row ``k`` is refused as
+    :func:`_cumulative` refuses ``network.row[<agent>]``."""
+    cum = np.cumsum(g, axis=1)
+    bad = np.flatnonzero(~((g >= 0).all(axis=1) & (0 < cum[:, -1]) & (cum[:, -1] < np.inf)))
+    if bad.size:
+        _cumulative(g[bad[0]], f"network.row[{agents[bad[0]]}]")
+    return cum
+
+
 def check_beta(beta, message: str, n: int | None = None):
     """``beta`` as one coordination weight (a float) or, given ``n``, as one
     weight per agent (an array, named ``beta_vec``); refused with

@@ -16,7 +16,7 @@ import numpy as np
 
 from .consensus import consensus_expectation, first_order_vector
 from .errors import PreconditionError
-from .interaction import as_structure
+from .interaction import as_chain
 from .model import (
     BasicVariable, InterimBelief, ModelSpec, Network, _count, _indices, _real, _vector,
 )
@@ -101,7 +101,8 @@ def markov_optimism_check(
     absorption-weighted mixture of the stationary distributions of the
     terminal components reachable from it.  When the hypotheses hold,
     its mass on states scoring at least the threshold must be at least
-    ``1 / (1 + eps/delta)``.  All inputs must be finite.
+    ``1 / (1 + eps/delta)``.  All inputs must be finite, and a bare ``Q``
+    row-stochastic.
     """
     threshold, delta, eps = (_real(x, what, scalar=True) for x, what in
                              ((threshold, "threshold"), (delta, "delta"), (eps, "eps")))
@@ -109,7 +110,7 @@ def markov_optimism_check(
         raise PreconditionError(f"threshold must be finite, got {threshold}")
     if not (0 < delta < np.inf and 0 < eps < np.inf):
         raise PreconditionError("delta and eps must be positive and finite")
-    structure = as_structure(Q)
+    structure = as_chain(Q)
     matrix = structure.matrix
     _indices((start,), len(matrix), "start: state")
     f = _vector(f, len(matrix), "f", "state")

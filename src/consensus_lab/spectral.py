@@ -9,7 +9,10 @@ solved once per terminal class; the discounted solve is the structure's
 walk along its condensation, one dense solve per component of two or more
 signals; mean first passage times come from one inversion of the dense
 Kemeny-Snell fundamental matrix.  A vector ``z`` holds one finite value per
-state and ``n_max`` is an integer of at least 0, by the shared checks.
+state and ``n_max`` is an integer of at least 0, by the shared checks.  A
+bare matrix given to the stationary vector, the centrality, the Abel limit
+or the passage times must be row-stochastic (``interaction.as_chain``);
+``power_trajectory`` iterates any finite square array.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import numpy as np
 
 from .errors import ReducibleError
 # STATIONARY_TOL, the stationary kernel's residual ceiling, is re-exported
-from .interaction import STATIONARY_TOL, InteractionStructure, as_structure, joint_connectedness
+from .interaction import (
+    STATIONARY_TOL, InteractionStructure, as_chain, as_structure, joint_connectedness,
+)
 from .model import _count, _vector, check_beta
 
 #: Fixed-point residual ceiling of the discounted solve, relative past unit scale.
@@ -85,7 +90,7 @@ def stationary_distribution(Q) -> StationaryDistribution:
     cached ``stationary[0]`` (see ``interaction.stationary_vector``); a
     residual above ``STATIONARY_TOL``, or NaN, raises ``ArithmeticError``.
     """
-    structure = as_structure(Q)
+    structure = as_chain(Q)
     _require_irreducible(structure, "stationary_distribution")
     p = structure.stationary[0]
     return StationaryDistribution(p, float(np.abs(p @ structure.matrix - p).sum()))
@@ -93,7 +98,7 @@ def stationary_distribution(Q) -> StationaryDistribution:
 
 def eigenvector_centrality(network) -> np.ndarray:
     """Unique positive left fixed-point probability vector of the network."""
-    structure = as_structure(network)
+    structure = as_chain(network)
     _require_irreducible(structure, "eigenvector_centrality")
     return structure.stationary[0]
 
@@ -121,7 +126,7 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     discount goes to one, the constant vector whose entries are the
     stationary distribution applied to ``z`` (requires irreducibility).
     """
-    structure = as_structure(Q)
+    structure = as_chain(Q)
     matrix = structure.matrix
     z = _vector(z, len(matrix), "z", "state")
     if beta is None:
@@ -142,7 +147,7 @@ def mfpt(Q) -> MFPTMatrix:
     the defining system is gated relative to the largest entry; a NaN
     residual fails the gate.
     """
-    structure = as_structure(Q)
+    structure = as_chain(Q)
     _require_irreducible(structure, "mfpt")
     matrix = structure.matrix
     p = structure.stationary[0]

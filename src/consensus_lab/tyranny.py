@@ -20,7 +20,7 @@ import numpy as np
 
 from .consensus import consensus_expectation, state_payoffs
 from .errors import PreconditionError
-from .interaction import FirstOrderMap, InteractionStructure, as_structure
+from .interaction import FirstOrderMap, InteractionStructure, as_chain
 from .model import (
     PROB_TOL, BasicVariable, Beliefs, ModelSpec, Network, _real, check_network_rows, freeze,
 )
@@ -248,10 +248,10 @@ def stationary_perturbation_bound(B, B_ref) -> PerturbationBound:
     max-absolute-row-sum distance between the matrices times the largest
     off-diagonal mean first passage time of the reference chain.  The
     realized maximum relative error is reported when both chains are
-    irreducible.
+    irreducible.  A bare matrix must be row-stochastic.
     """
-    perturbed = as_structure(B)
-    reference = as_structure(B_ref)
+    perturbed = as_chain(B)
+    reference = as_chain(B_ref)
     if perturbed.matrix.shape != reference.matrix.shape:
         raise PreconditionError(f"B: shape {perturbed.matrix.shape} does not match"
                                 f" B_ref's shape {reference.matrix.shape}")

@@ -1008,6 +1008,106 @@ def test_csv_stdout_is_the_artifact_bytes(tmp_path, argv, artifacts):
     assert out == "".join((tmp_path / name).read_text() for name in artifacts)
 
 
+class _Recording(StringIO):
+    """A stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def _long_market(runs, fmt="csv"):
+    """A market of about 1000 trades a run, 43 bytes of CSV a trade."""
+    return ["simulate-market", scenario_path("cps"), "--beta", "0.999", "--runs", str(runs),
+            "--seed", "1", "--format", fmt]
+
+
+def test_market_csv_is_written_one_run_at_a_time(tmp_path):
+    out = _Recording()
+    assert main(_long_market(20), out=out) == 0
+    text = out.getvalue()
+    events, summary = text.split("stat,label,value\n")
+    header, *rows = events.splitlines(keepends=True)
+    by_run = Counter()
+    for r in rows:
+        by_run[r.partition(",")[0]] += len(r)
+    assert len(by_run) == 20
+    bound = max(by_run.values()) + len(header) + len("stat,label,value\n") + len(summary)
+    assert max(out.sizes) <= bound < len(text) / 4
+    # with --out, stdout is the artifact read back in fixed chunks
+    out = _Recording()
+    assert main(_long_market(20) + ["--out", str(tmp_path)], out=out) == 0
+    assert out.getvalue() == text
+    assert max(out.sizes) <= cli._CHUNK
+
+
+class _Sink:
+    """A stdout that keeps nothing."""
+
+    def write(self, s):
+        return len(s)
+
+    def writelines(self, pieces):
+        for s in pieces:
+            self.write(s)
+
+
+def test_market_csv_is_never_held_whole():
+    # the paths take 8 bytes a holder, a fifth of a row's text; the CSV was
+    # held about three times over (a traced peak of 2.1 times its size)
+    argv = _long_market(50)
+    out = StringIO()
+    assert main(argv, out=out) == 0
+    size = len(out.getvalue())
+    tracemalloc.start()
+    try:
+        assert main(argv, out=_Sink()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 2**20 and peak < size
+
+
+@pytest.mark.parametrize("out_dir", [False, True])
+def test_a_refused_summary_writes_no_event(tmp_path, capsys, out_dir):
+    huge = _with("cps", lambda d: d.update(y={"values": {"lo": 5e307, "hi": 1e308},
+                                              "max": 1e308}), tmp_path)
+    flags = ["--format", "csv"] + (["--out", str(tmp_path / "o")] if out_dir else [])
+    for argv, message in (([scenario_path("cps"), "--runs", "0"], "no runs to aggregate"),
+                          ([huge, "--runs", "20", "--beta", "0.9"], PRICE_REFUSAL)):
+        assert run_cli(["simulate-market", *argv, *flags]) == (3, "")
+        assert capsys.readouterr().err == f"precondition failure: {message}\n"
+        assert not (tmp_path / "o" / "events.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["txt", "csv"])
+def test_an_unwritable_events_csv_leaves_stdout_empty(tmp_path, capsys, fmt):
+    (tmp_path / "events.csv").mkdir()
+    argv = _long_market(20, fmt) + ["--out", str(tmp_path)]
+    assert run_cli(argv) == (3, "")
+    assert capsys.readouterr().err.startswith("precondition failure: cannot write --out: ")
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("out_dir", [False, True])
+def test_a_reader_that_closes_stdout_early_ends_the_market_csv_quietly(tmp_path, out_dir):
+    # about 2 MB of CSV, far above a pipe's buffer; with --out, stdout is
+    # written after the artifact, so a closed stdout is not an --out failure
+    argv = _long_market(50) + (["--out", str(tmp_path)] if out_dir else [])
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    child = subprocess.Popen([sys.executable, "-m", "consensus_lab.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"run,period,seller,buyer,price,buyer_signal\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err.decode()) == (141, "")
+    assert (tmp_path / "events.csv").exists() == out_dir
+
+
 def test_priors_for_some_agents_only_skip_the_common_prior_rows(tmp_path, capsys):
     path = _with("cps", lambda d: d["priors"].pop("ann"), tmp_path)
     code, out = run_cli(["consensus", path])

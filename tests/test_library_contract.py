@@ -9,22 +9,27 @@ must either refuse with the package's typed error or return a result that
 passes the function's own check.  A bare numpy or Python error fails, and
 so does any warning.
 
-Model objects (specs, networks, batches, draws) are passed as they are;
-what is changed is every argument that a caller gives as numbers, counts,
-indices, labels, seeds, a path or a scenario document.  A bare matrix is
-not made negative: the graph analysis takes any finite square array (a 0/1
-adjacency matrix included), and no entry point checks that a bare matrix
-is row-stochastic.  The changes are drawn with the standard library's
+Model objects (networks, batches, draws) are passed as they are, and so
+are specs, but for their network weights: each row that takes a spec is
+also called with one network weight NaN, infinite or negative, or one
+agent's row all zeros.  What is changed besides is every argument that a
+caller gives as numbers, counts, indices, labels, seeds, a path or a
+scenario document.  A bare matrix is also given one negative entry, or one
+row scaled off 1: the graph analysis takes any finite square array (a 0/1
+adjacency matrix included) and must answer, and the Markov entry points
+must refuse it.  The changes are drawn with the standard library's
 ``random`` from fixed seeds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import math
 import os
 import random
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cache
@@ -36,6 +41,7 @@ import pytest
 import consensus_lab
 from consensus_lab import (
     ModelSpec,
+    Network,
     PreconditionError,
     ScenarioError,
     empirical_price_stats,
@@ -99,10 +105,36 @@ def matrix_cases(m, rng):
         w[i, j] = x
         return w.tolist()
 
+    scaled = m.copy()
+    scaled[i] *= 1.0 + rng.choice((-1, 1)) * rng.uniform(0.01, 0.5)
     return {"not square": m[:-1].tolist(), "one row": m[0].tolist(), "nan": at(NAN),
             "inf": at(INF), "-inf": at(-INF), "complex": at(complex(m[i, j], 1)),
             "bool": True, "string": m.astype(str).tolist(), "nested": [m.tolist()],
-            "empty": [], "none": None}
+            "empty": [], "none": None, "one negative entry": at(-rng.uniform(0.01, 1.0)),
+            "one row scaled off 1": scaled.tolist()}
+
+
+#: Entry points that read a bare matrix as a Markov chain: a matrix that is
+#: not row-stochastic is refused, never answered.
+MARKOV = ("abel_limit", "eigenvector_centrality", "markov_optimism_check", "mfpt",
+          "stationary_distribution", "stationary_perturbation_bound")
+
+
+def spec_cases(spec, rng):
+    """The spec with one network weight changed, or one agent's row zeroed."""
+    g = np.array(spec.network.weights)
+    i, j = rng.randrange(len(g)), rng.randrange(len(g))
+
+    def at(x):
+        w = g.copy()
+        w[i, j] = x
+        return dataclasses.replace(spec, network=Network(w))
+
+    zero = g.copy()
+    zero[i] = 0.0
+    return {"network nan": at(NAN), "network inf": at(INF), "network -inf": at(-INF),
+            "network negative": at(-rng.uniform(0.01, 1.0)),
+            "network zero row": dataclasses.replace(spec, network=Network(zero))}
 
 
 def label_cases(label, rng):
@@ -376,11 +408,45 @@ def test_misuse_is_refused_or_answered_correctly(name):
     except row.refusal:
         pytest.fail(f"{name}: the valid call was refused")
     breaches = []
+    cases_of = dict(row.cases)
+    if "spec" in row.args:
+        cases_of["spec"] = spec_cases
     for seed in SEEDS:
         rng = random.Random(f"{name}/{seed}")
-        for arg, cases in row.cases.items():
+        for arg, cases in cases_of.items():
             for case, value in cases(row.args[arg], rng).items():
                 problem = _breach(row, {**row.args, arg: value})
                 if problem:
                     breaches.append(f"{arg} {case} ({value!r:.60}): {problem}")
     assert not breaches, "\n".join(dict.fromkeys(breaches))
+
+
+#: The refusal of each change that leaves a bare matrix finite but not row-stochastic.
+NOT_STOCHASTIC = {"one negative entry": "matrix: every entry must be non-negative",
+                  "one row scaled off 1": r"matrix: row \d sums to \S+ \(expected 1 within 1e-12\)"}
+
+
+@pytest.mark.parametrize("name", MARKOV)
+@pytest.mark.parametrize("case", sorted(NOT_STOCHASTIC))
+def test_markov_entry_points_refuse_a_matrix_that_is_not_row_stochastic(name, case):
+    row = rows()[name]
+    for arg in ("Q", "B", "B_ref", "network"):
+        if arg in row.args:
+            for seed in SEEDS:
+                value = matrix_cases(row.args[arg], random.Random(f"{name}/{seed}"))[case]
+                with pytest.raises(PreconditionError, match=NOT_STOCHASTIC[case]):
+                    row.call(**{**row.args, arg: value})
+
+
+@pytest.mark.parametrize("weight", [NAN, INF, -0.5])
+@pytest.mark.parametrize("name", ["consensus_expectation", "cps_check", "solve_beta_game"])
+def test_a_spec_network_weight_that_is_not_finite_and_non_negative_is_named(name, weight):
+    # it ended in "fixed-point residual nan", a stationary residual, or a
+    # refusal of the matrix that named no network
+    row = rows()[name]
+    g = np.array(row.args["spec"].network.weights)
+    g[0, 1] = weight
+    spec = dataclasses.replace(row.args["spec"], network=Network(g))
+    with pytest.raises(PreconditionError, match=re.escape(
+            "network.row[ann]: weights must be finite and non-negative with a positive total")):
+        row.call(**{**row.args, "spec": spec})
