@@ -343,8 +343,7 @@ def cmd_market(args, scenario, out) -> int:
             paths.extend(path.tobytes())
             signals.extend(kernel.signals(profile).tobytes())
 
-    seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
-    batch = kernel.batch(seeds, keep)
+    batch = kernel.batch(np.random.SeedSequence(args.seed), args.runs, keep)
     stats = empirical_price_stats(batch)
     if keep is not None:
         _emit(args, out, "events.csv",

@@ -9,15 +9,16 @@ the simulation; the point of the exercise is that the realized transaction
 prices track the schedule and, as trade becomes frequent, the consensus.
 
 Randomness flows through numpy's PCG64 generator with explicit seeding.  A
-batch of runs seeds run k with ``SeedSequence(seed).spawn(n)[k]``; a single
-run with integer seed s uses ``SeedSequence(s)`` directly.  Each run reads
-one stream of uniforms from its own generator: the first is the nature
-draw (nature mode only), the next the initial owner (only when the owner
-is given as a distribution, such as ``"centrality"``), and after that the
-uniforms alternate, continuation then buyer, so the continuation uniforms
-sit at ``off, off + 2, ...``.  ``rng.random(a)`` followed by
-``rng.random(b)`` gives the same doubles as ``rng.random(a + b)``, so
-uniforms are drawn in numpy blocks of any size without changing a run.
+batch of runs seeds run k with ``SeedSequence(seed).spawn(n)[k]``, spawned a
+block of runs at a time; a single run with integer seed s uses
+``SeedSequence(s)`` directly.  Each run reads one stream of uniforms from
+its own generator: the first is the nature draw (nature mode only), the
+next the initial owner (only when the owner is given as a distribution,
+such as ``"centrality"``), and after that the uniforms alternate,
+continuation then buyer, so the continuation uniforms sit at
+``off, off + 2, ...``.  ``rng.random(a)`` followed by ``rng.random(b)``
+gives the same doubles as ``rng.random(a + b)``, so uniforms are drawn in
+numpy blocks of any size without changing a run.
 
 A generating distribution is a :class:`NatureDraw` of factors: state
 weights and one state-indexed table of signal weights per agent, so it
@@ -42,6 +43,10 @@ search per level, finds the duration with one vectorized scan of the
 continuation uniforms, bins the bids with one search and chains their
 buyers from the initial owner into one path array.  A network with at
 least a run's block of distinct sums searches each row per run instead.
+Where every row has one positive weight, as on a ring, each seller has one
+buyer at every bid: the bids are drawn and skipped, and the path is the
+orbit of that seller-to-buyer map from the initial owner, its lead-in of at
+most n holders and then its cycle repeated to the run's length.
 
 :func:`empirical_price_stats` summarizes a :class:`MarketBatch`: the mean
 price with its standard error over runs, each class's mean price and the
@@ -178,6 +183,11 @@ def _seeded(seed) -> np.random.SeedSequence:
 _BLOCK = 4096
 
 
+#: Run seeds spawned at a time by a batch: a batch holds one block of
+#: them, not a seed per run.
+_SEEDS = 256
+
+
 #: Largest double below one: a rescaled uniform stays inside its cell.
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -220,6 +230,10 @@ class _Kernel:
         self.yvals = state_payoffs(spec, y)
         # a bid at or past a row's total buys from its last weighted agent
         self.last_buyer = len(g) - 1 - np.argmax(g[:, ::-1] > 0, axis=1)
+        # where every row has one positive weight, each seller has one buyer at
+        # every bid: owner -> (lead-in, cycle) of last_buyer's orbit, filled as
+        # owners come up
+        self.orbits = {} if np.all(np.count_nonzero(g > 0, axis=1) == 1) else None
         # about two expected runs' worth of uniforms, two per period
         self.block = int(min(_BLOCK, max(64.0, 4.0 / (1.0 - beta))))
         # the distinct running sums cut the bids into bins, in each of which every
@@ -322,9 +336,23 @@ class _Kernel:
             self.last_buyer[:, None],
         ).tolist()
 
+    def _orbit(self, owner) -> tuple[np.ndarray, np.ndarray]:
+        """Holders from ``owner`` along ``last_buyer`` up to the first repeat,
+        split where the cycle starts: the lead-in and the cycle."""
+        step, seen, o = self.last_buyer.tolist(), {}, owner
+        while o not in seen:
+            seen[o] = len(seen)
+            o = step[o]
+        holders = np.array(list(seen), dtype=np.intp)
+        return holders[:seen[o]], holders[seen[o]:]
+
     def run(self, seed) -> tuple[int, tuple[int, ...], np.ndarray]:
         """State, signal profile (positions within each agent's signals) and
-        holder path of one run, an ``intp`` array from the initial owner."""
+        holder path of one run, an ``intp`` array from the initial owner.
+
+        The path chains each bid's buyer through the bin table, or, where
+        every row has one positive weight, repeats the orbit of
+        ``last_buyer`` from the owner without reading the bids."""
         rng = np.random.default_rng(seed)
         u = rng.random(self.block)
         off = 0
@@ -346,6 +374,13 @@ class _Kernel:
             u = np.concatenate((u, rng.random(u.size)))
             stop = u[off::2] < 1.0 - self.beta
             trades = int(stop.argmax())
+        if self.orbits is not None:
+            if owner not in self.orbits:
+                self.orbits[owner] = self._orbit(owner)
+            # the network fixes the path: the lead-in, then the cycle repeated
+            lead, cycle = self.orbits[owner]
+            reps = -(-(trades + 1) // cycle.size)
+            return theta, profile, np.concatenate((lead, np.tile(cycle, reps)))[:trades + 1]
         bids = u[off + 1:off + 2 * trades:2]
         # buyer of each trade from each possible seller, then the chain through it
         if self.buyers is None:
@@ -357,10 +392,13 @@ class _Kernel:
         path[1:] = [o := table[o][c] for c in cols]
         return theta, profile, path
 
-    def batch(self, seeds, each=None) -> MarketBatch:
-        """Run every seed in order, reducing each run to its class counts;
-        ``each(k, profile, path)``, if given, sees run k's path array first."""
-        n_runs, n = len(seeds), len(self.agents)
+    def batch(self, root: np.random.SeedSequence, n_runs: int, each=None) -> MarketBatch:
+        """Run ``root.spawn(n_runs)``'s children in order, reducing each run to
+        its class counts; ``each(k, profile, path)``, if given, sees run k's
+        path array first.  The children are spawned a block at a time, which
+        gives the same seeds as one spawn of them all."""
+        n = len(self.agents)
+        seeds = (s for k in range(0, n_runs, _SEEDS) for s in root.spawn(min(_SEEDS, n_runs - k)))
         durations = np.empty(n_runs, dtype=np.int64)
         counts = np.empty((n_runs, n), dtype=np.int64)
         class_prices = np.empty((n_runs, n))
@@ -456,12 +494,13 @@ def simulate_batch(
     """Simulate independent runs; run k is bit-identical to
     ``simulate_market`` seeded with ``SeedSequence(seed).spawn(n_runs)[k]``.
 
-    Each run is reduced to its class counts as soon as it ends, so memory
-    does not grow with run length.
+    Each run is reduced to its class counts as soon as it ends, and the run
+    seeds are spawned a block at a time, so memory grows with neither run
+    length nor a seed per run.
     """
     _count(n_runs, 0, "n_runs")
     kernel = _Kernel(spec, beta, draw, y, prices, initial_owner, allow_own_market)
-    return kernel.batch(_seeded(seed).spawn(n_runs))
+    return kernel.batch(_seeded(seed), n_runs)
 
 
 @dataclass(frozen=True)

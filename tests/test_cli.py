@@ -577,6 +577,10 @@ GOLDEN_MARKET = [
     (["cps", "--state", "hi", "--profile", "a1,b2", "--beta", "0.9", "--runs", "20",
       "--seed", "5", "--format", "csv"],
      "a561ebe0d08295bf8fbb432d508856968194abd4b9d8ee9ced23fe0e020fcfdf"),
+    # a 3-cycle, one buyer per seller; captured while each run still chained
+    # its bids through the bin table, before the path came from the orbit
+    (["cycle", "--beta", "0.999", "--runs", "200", "--seed", "3", "--format", "csv"],
+     "1925f244aa672f3529747d88fe620c1797b52a16e20e2b82eaa69b0bcef18cca"),
 ]
 
 

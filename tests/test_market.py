@@ -614,6 +614,77 @@ def test_the_bin_table_buys_from_the_agent_each_row_search_finds(n):
     assert (_Kernel(spec, 0.5, draw, allow_own_market=own).buyers is None) == (n >= 10)
 
 
+def _walked_path(g, beta, seed, owner):
+    """Holder path of a run with a fixed draw and an integer owner, one
+    period at a time: a continuation uniform, then a bid and its searched
+    buyer."""
+    rng = np.random.default_rng(seed)
+    path = [owner]
+    while True:
+        keep, bid = rng.random(2).tolist()
+        if keep < 1.0 - beta:
+            return path
+        path.append(_searched_buyer(g[path[-1]], bid))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_a_one_buyer_network_walks_the_orbit_of_its_buyer_map(n):
+    # a ring, a map with a lead-in (n = 3: 0 -> 1 -> 2 -> 1) and a seeded map
+    # that may sell into the owner's own market; rows weigh their one buyer
+    # 1 or 1 - 5e-13
+    rng = np.random.default_rng(200 + n)
+    ring = (np.arange(n) + 1) % n
+    lead = np.r_[np.arange(1, n), max(1, n // 2)]
+    maps = [ring, lead, rng.integers(0, n, n)]
+    short = empty = 0
+    for buyer in maps:
+        own = bool(np.any(buyer == np.arange(n)))
+        g = np.zeros((n, n))
+        g[np.arange(n), buyer] = 1.0
+        g[0, buyer[0]] -= 5e-13
+        spec = _one_signal_spec(g, diagonal_allowed=own)
+        for beta, seeds in ((0.5, range(20)), (0.999, range(2))):
+            prices = solve_beta_game(spec, beta)
+            for owner in range(n):
+                kernel = _Kernel(spec, beta, fixed_draw(spec), prices=prices,
+                                 initial_owner=owner, allow_own_market=own)
+                table = _Kernel(spec, beta, fixed_draw(spec), prices=prices,
+                                initial_owner=owner, allow_own_market=own)
+                table.orbits = None
+                for seed in seeds:
+                    path = kernel.run(seed)[2].tolist()
+                    assert path == table.run(seed)[2].tolist()
+                    assert path == _walked_path(g.tolist(), beta, seed, owner)
+                    lead_in = kernel.orbits[owner][0].size
+                    empty += len(path) == 1
+                    short += len(path) <= lead_in
+        # one more positive weight in one row takes the bin table
+        g[n - 1, (buyer[n - 1] + 1) % n] = 0.5
+        spec = _one_signal_spec(g, diagonal_allowed=True)
+        assert _Kernel(spec, 0.5, fixed_draw(spec), prices=prices,
+                       allow_own_market=True).orbits is None
+    # runs with no trade, and runs that end before the cycle
+    assert empty > 0 and short > 0
+
+
+def test_a_batch_holds_one_block_of_run_seeds():
+    # every run's SeedSequence was spawned before the first run: about 8 MB
+    # for 20000 runs on top of the batch's own arrays
+    spec = load_scenario(scenario_path("cps"))
+    draw = fixed_draw(spec)
+    prices = solve_beta_game(spec, 0.0)
+    simulate_batch(spec, 0.0, 2, 3, draw, prices=prices)  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        batch = simulate_batch(spec, 0.0, 20_000, 3, draw, prices=prices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (batch.durations, batch.class_counts,
+                                 batch.class_prices, batch.terminal_payoffs))
+    assert peak - own < 2**20
+
+
 @pytest.mark.parametrize("row", [[1.5, 0.0, -0.5], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
                                  [0.0, 0.0, 0.0]],
                          ids=["negative", "nan", "inf", "zero total"])
