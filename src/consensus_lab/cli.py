@@ -95,10 +95,12 @@ def build_parser() -> _Parser:
         c.add_argument("--tol", type=tol, default=1e-12,
                        help="probability validation tolerance")
         if name in ("game-solve", "simulate-market", "report"):
-            c.add_argument("--beta", type=float, default=0.99)
+            # game-solve takes one common beta or one beta per agent
+            betas = c.add_mutually_exclusive_group() if name == "game-solve" else c
+            betas.add_argument("--beta", type=float, default=0.99)
         if name == "game-solve":
-            c.add_argument("--beta-per-agent", metavar="LIST",
-                           help="comma-separated per-agent weights, e.g. a=0.9,b=0.5")
+            betas.add_argument("--beta-per-agent", metavar="LIST",
+                               help="comma-separated per-agent weights, e.g. a=0.9,b=0.5")
         if name in ("verify-optimism", "report"):
             c.add_argument("--fbar", type=float, default=None,
                            help="optimism threshold (default: highest first-order value)")
@@ -339,7 +341,7 @@ def cmd_market(args, scenario, out) -> int:
     paths, signals = bytearray(), bytearray()
     keep = None
     if args.format == "csv" or args.out:
-        def keep(k, profile, path):
+        def keep(profile, path):
             paths.extend(path.tobytes())
             signals.extend(kernel.signals(profile).tobytes())
 

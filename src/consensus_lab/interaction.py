@@ -11,14 +11,14 @@ runs on numpy alone, over the edges of the matrix in row-major order: the
 builder reads them from the blocks it writes, and a bare matrix is scanned
 for them.  The SCCs come from an iterative Tarjan search, after a
 vectorized test that settles a structure of one component; the periods are
-read from that same search's depths, and ``component_period`` reads a
-component's edges.  The module owns its Markov solves too: each terminal
-component's stationary vector, by ``stationary_vector``, and every solve
-with ``I - D B`` (``D`` a diagonal of discounts), by one walk along the
-condensation, sinks first, that factors each component of two or more
-signals on its own; the absorption probabilities and times are such walks
-over the transient signals, refused when out of range.  Each is made on
-first use and kept, the game's solves excepted.
+read from that same search's depths, and ``component_period`` is that
+analysis of its members' block.  The module owns its Markov solves too:
+each terminal component's stationary vector, by ``stationary_vector``, and
+every solve with ``I - D B`` (``D`` a diagonal of discounts), by one walk
+along the condensation, sinks first, that factors each component of two or
+more signals on its own; the absorption probabilities and times are such
+walks over the transient signals, refused when out of range.  Each is made
+on first use and kept, the game's solves excepted.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class InteractionStructure:
         closed = np.zeros(len(self.matrix), dtype=bool)
         for comp in self.terminal:
             closed[list(comp)] = True
-        return tuple(np.flatnonzero(~closed))
+        return tuple(np.flatnonzero(~closed).tolist())
 
     def names(self, members) -> tuple:
         """Labels of the given signals, or the indices of a bare matrix."""
@@ -468,8 +468,9 @@ def strongly_connected_components(matrix) -> list[tuple[int, ...]]:
 
 def _scc_search(n: int, u: np.ndarray, v: np.ndarray):
     """The SCCs of ``n`` vertices and the edges ``(u, v)`` in row-major
-    order, sorted by least member, and each vertex's depth in the search
-    that found them, of which every component is a subtree."""
+    order, each a tuple of int members in index order, sorted by least
+    member, and each vertex's depth in the search that found them, of which
+    every component is a subtree."""
     # the out-edges of vertex k go to v[starts[k]:starts[k + 1]]
     starts = np.searchsorted(u, np.arange(n + 1))
     # one component when every vertex has an in-edge and an out-edge and
@@ -481,20 +482,20 @@ def _scc_search(n: int, u: np.ndarray, v: np.ndarray):
         depth, back = _bfs_depths(starts, v, levels), np.argsort(v, kind="stable")
         against = _bfs_depths(np.searchsorted(v[back], np.arange(n + 1)), u[back], levels)
         if min(depth.min(), against.min()) >= 0:
-            return [tuple(np.arange(n))], depth
+            return [tuple(range(n))], depth
     labels, depth = (np.array(x, dtype=np.intp) for x in _tarjan(starts.tolist(), v.tolist()))
     # members of each component in index order: a stable sort by label
-    order = np.argsort(labels, kind="stable")
+    order = np.argsort(labels, kind="stable").tolist()
     sizes = np.bincount(labels).tolist()
     ends = np.cumsum(sizes).tolist()
     comps = [tuple(order[e - k : e]) for k, e in zip(sizes, ends)]
     return sorted(comps, key=lambda c: c[0]), depth
 
 
-def _bfs_depths(starts: np.ndarray, targets: np.ndarray, levels: float = np.inf) -> np.ndarray:
+def _bfs_depths(starts: np.ndarray, targets: np.ndarray, levels: int) -> np.ndarray:
     """Breadth-first depth of each vertex from vertex 0 (-1 if unreached, or
-    deeper than ``levels``), by a search that takes each level's out-edges
-    at once; a level costs its edges."""
+    deeper than ``levels``, the one-component test's budget), by a search
+    that takes each level's out-edges at once; a level costs its edges."""
     n = len(starts) - 1
     depth = np.full(n, -1, dtype=np.intp)
     depth[0] = 0
@@ -562,7 +563,7 @@ def _tarjan(starts: list, targets: list) -> tuple[list, list]:
 def _periods(depth: np.ndarray, u: np.ndarray, v: np.ndarray, group, k: int) -> np.ndarray:
     """Period of each of ``k`` strongly connected components: the gcd of
     ``|depth(u) + 1 - depth(v)|`` over its edges ``(u, v)``, ``group`` giving
-    each edge's component (None when ``k`` is 1), and 0 if it has none.  For
+    each edge's component (unread when ``k`` is 1), and 0 if it has none.  For
     depths that are, up to a constant, path lengths inside the component,
     each term is a multiple of the period and a cycle's terms sum to its
     length.  An edge that leaves a component changes only that one's value."""
@@ -576,26 +577,23 @@ def _periods(depth: np.ndarray, u: np.ndarray, v: np.ndarray, group, k: int) -> 
 
 def component_period(matrix, component) -> int:
     """Period of one strongly connected component (gcd of its cycle lengths)
-    of a square array's graph of nonzero entries.
+    of a square array's graph of nonzero entries: the structure's own
+    analysis of the members' block, read as one component.
 
     Returns 0 for a singleton without a self-loop, which supports no cycle.
     Raises :class:`PreconditionError` for an input that is not a square
     numeric array, an empty component, a member that is not an integer,
-    lies outside the matrix or is listed twice, or when the first member
-    does not reach every other member.
+    lies outside the matrix or is listed twice, or when the members are not
+    strongly connected among themselves.
     """
     matrix = _square(matrix)
     comp = _indices(component, len(matrix), "component: member")
     if not len(comp):
         raise PreconditionError("component: no members")
-    # the edges between members, by position in ``component``
-    local = np.full(len(matrix), -1, dtype=np.intp)
-    local[comp] = np.arange(len(comp))
-    u, v = np.nonzero((matrix[comp] != 0) & (local >= 0))
-    depth = _bfs_depths(np.searchsorted(u, np.arange(len(comp) + 1)), local[v])
-    if depth.min() < 0:
+    structure = _analysed(matrix[np.ix_(comp, comp)], index=None)
+    if not structure.irreducible:
         raise PreconditionError(f"component {component} is not strongly connected")
-    return int(_periods(depth, u, local[v], None, 1)[0])
+    return structure.periods[0]
 
 
 def _square(matrix) -> np.ndarray:

@@ -394,9 +394,9 @@ class _Kernel:
 
     def batch(self, root: np.random.SeedSequence, n_runs: int, each=None) -> MarketBatch:
         """Run ``root.spawn(n_runs)``'s children in order, reducing each run to
-        its class counts; ``each(k, profile, path)``, if given, sees run k's
-        path array first.  The children are spawned a block at a time, which
-        gives the same seeds as one spawn of them all."""
+        its class counts; ``each(profile, path)``, if given, sees each run's
+        path array first, in run order.  The children are spawned a block at
+        a time, which gives the same seeds as one spawn of them all."""
         n = len(self.agents)
         seeds = (s for k in range(0, n_runs, _SEEDS) for s in root.spawn(min(_SEEDS, n_runs - k)))
         durations = np.empty(n_runs, dtype=np.int64)
@@ -406,7 +406,7 @@ class _Kernel:
         for k, seed in enumerate(seeds):
             theta, profile, path = self.run(seed)
             if each is not None:
-                each(k, profile, path)
+                each(profile, path)
             durations[k] = len(path)
             counts[k] = np.bincount(path[1:], minlength=n)
             class_prices[k] = self.actions[self.signals(profile)]

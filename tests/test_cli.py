@@ -439,6 +439,22 @@ def test_bad_per_agent_weights_are_precondition_failures(capsys, weights, messag
     assert capsys.readouterr().err == f"precondition failure: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--beta", "0.3", "--beta-per-agent", "ann=0.9,bob=0.5"],
+     "argument --beta-per-agent: not allowed with argument --beta"),
+    (["--beta-per-agent", "ann=0.9,bob=0.5", "--beta", "0.99"],
+     "argument --beta: not allowed with argument --beta-per-agent"),
+])
+def test_game_solve_refuses_a_common_beta_next_to_per_agent_betas(capsys, flags, message):
+    # the common beta was once dropped without a word
+    code, out, err = _call(["game-solve", scenario_path("cps"), *flags], capsys)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage: consensus-lab game-solve ")
+    assert err.endswith(f"consensus-lab game-solve: error: {message}\n")
+    # report keeps its one --beta
+    assert _call(["report", scenario_path("cps"), "--beta", "0.3"], capsys)[0] == 0
+
+
 def test_no_trade_verdicts():
     code, out = run_cli(["no-trade", scenario_path("cps")])
     assert code == 0

@@ -432,6 +432,52 @@ def test_component_period_refuses_a_set_that_is_not_strongly_connected():
         component_period(flow, (0, 1))
 
 
+@pytest.mark.parametrize("matrix, members", [
+    # the first member reaches the second, which does not reach it back
+    ([[0, 1], [0, 1]], (0, 1)),
+    ([[0, 1], [0, 1]], (1, 0)),
+    # a path: the first member reaches every other, and none returns
+    ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], (0, 1, 2)),
+    # strongly connected only through a signal outside the set
+    ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], (0, 1)),
+])
+def test_component_period_refuses_members_that_do_not_reach_each_other(matrix, members):
+    # a search forward from the first member once gave these periods 1 and 0
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"component {members} is not strongly connected")):
+        component_period(np.array(matrix, dtype=float), members)
+
+
+def test_component_period_is_the_analysis_of_the_members_block():
+    # the 3-cycle 0 -> 2 -> 4 -> 0 inside a larger graph, listed in any order
+    A = np.zeros((5, 5))
+    A[[0, 2, 4, 1, 3], [2, 4, 0, 0, 1]] = 1.0
+    for members in ((0, 2, 4), (4, 0, 2)):
+        period = component_period(A, members)
+        assert period == 3 and type(period) is int
+    # a singleton with and without its self-loop
+    assert (component_period(A, (1,)), component_period(np.eye(2), (1,))) == (0, 1)
+
+
+def test_every_member_of_the_graph_analysis_is_an_int():
+    cycle = cycle_matrix(4)
+    reducible = np.array([[1.0, 0, 0, 0], [0.5, 0, 0.5, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    sparse = sparse_reducible_model(np.random.default_rng(2), 12, 6)
+    structures = [as_structure(cycle), as_structure(reducible),
+                  build_interaction_structure(sparse), _model("cps").structure]
+    assert [s.irreducible for s in structures] == [True, False, False, True]
+    assert structures[1].transient == (1,)
+    members = [m for s in structures
+               for m in (*sum(s.components + s.terminal, ()), *s.transient)]
+    for matrix in (cycle, reducible, sparse.structure.matrix):
+        members += sum(strongly_connected_components(matrix), ())
+        members += sum(absorbing_components(matrix), ())
+    ok, certificate = joint_connectedness(reducible)
+    assert (ok, certificate) == (False, (0,))
+    members += certificate
+    assert members and {type(m) for m in members} == {int}
+
+
 def cycle_matrix(n, rng=None):
     """The cycle 0 -> 1 -> ... -> n - 1 -> 0, with random weights."""
     weights = np.ones(n) if rng is None else rng.random(n) + 0.1

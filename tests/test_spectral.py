@@ -94,6 +94,14 @@ def test_reducible_input_raises_with_certificate():
     assert len(err.value.certificate) >= 1
 
 
+def test_reducible_refusal_names_its_closed_set_with_plain_indices():
+    # the members were numpy integers, printed as (np.int64(0),)
+    with pytest.raises(ReducibleError) as err:
+        stationary_distribution([[1.0, 0.0], [0.5, 0.5]])
+    assert str(err.value).endswith("closed set (0,)")
+    assert err.value.certificate == (0,) and type(err.value.certificate[0]) is int
+
+
 def test_centrality_cycle_and_doubly_stochastic():
     cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     assert np.allclose(eigenvector_centrality(cycle), 1.0 / 3.0, atol=1e-12)
