@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 precondition
-failure inside an operation or an --out artifact that cannot be written,
-64 usage error, 141 (128 + SIGPIPE) stdout closed by its reader before the
-output ended.  Identical inputs, flags and seed produce byte-identical
-output per BLAS thread count when a component has 100 or more signals
-(one LAPACK solve each), and for any thread count otherwise.
+failure inside an operation, a failed residual gate (``ArithmeticError``)
+or an --out artifact that cannot be written, 64 usage error, 141 (128 +
+SIGPIPE) stdout closed by its reader before the output ended.  Identical
+inputs, flags and seed produce byte-identical output per BLAS thread count
+when a component has 100 or more signals (one LAPACK solve each), and for
+any thread count otherwise.
 simulate-market computes its summary before it writes any event row, so a
 refused summary writes none, and it formats events.csv one run at a time;
 with --format csv and --out, stdout is the written artifact read back.
@@ -496,6 +497,10 @@ def main(argv=None, out=None) -> int:
         return _HANDLERS[args.command](args, scenario, out)
     except (PreconditionError, CapabilityError, _OutError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        # a residual gate: the numbers were computed and failed their check
+        print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
 
 

@@ -31,7 +31,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PreconditionError
-from .model import PROB_TOL, ModelSpec, Network, SignalIndex, _indices, _network_cdf, _real
+from .model import (
+    PROB_TOL, ModelSpec, Network, SignalIndex, _indices, _network_cdf, _real, check_network_rows,
+)
 
 #: Residual ceiling enforced on every returned stationary distribution.
 STATIONARY_TOL = 1e-10
@@ -301,7 +303,8 @@ def build_interaction_structure(
     owner's row of the network.  A positive self-weight contributes to
     the diagonal: an agent is certain of his own signal.  First, each
     network row that fills ``B`` must be finite and non-negative with a
-    positive total (``network.row[<agent>]``).  Agents are then filled in
+    positive total, then sum to 1 within ``PROB_TOL``, whatever tolerance
+    validated it (``network.row[<agent>]``).  Agents are then filled in
     index order; a refusal names the first signal that fails.
     """
     index = _signal_index(spec)
@@ -311,9 +314,14 @@ def build_interaction_structure(
         if shape != agents:
             raise PreconditionError(f"network: shape {shape} does not match"
                                     f" {spec.n_agents} agents, expected {agents}")
-        # the rows of the agents with signals fill B
+        # the rows of the agents with signals fill B, and each must sum to 1
         used = np.flatnonzero([b.stop > b.start for b in index.blocks])
-        _network_cdf(spec.network.weights[used], [spec.agents[k] for k in used])
+        rows, owners = spec.network.weights[used], [spec.agents[k] for k in used]
+        _network_cdf(rows, owners)
+        off: list[str] = []
+        check_network_rows(off, owners, rows, PROB_TOL)
+        if off:
+            raise PreconditionError(off[0])
     n = len(index)
     B = np.zeros((n, n))
     # agents with a signal that has no belief, sought among irregular rows

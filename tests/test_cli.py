@@ -75,6 +75,14 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         code, out = run_cli(argv)
         expected.append([code, hashlib.sha256(out.encode()).hexdigest()])
     assert json.loads(child.stdout) == expected
+    # every other call exits 0: the market needs an irreducible structure,
+    # verify-tyranny a CIS scenario
+    refused = {(argv[0], os.path.basename(argv[1])): code
+               for argv, (code, _) in zip(argvs, expected) if code}
+    reducible = ["case2", "counterexample", "tightness", "sparse_reducible"]
+    general = ["cycle", "cps", *reducible]
+    assert refused == {**{("simulate-market", f"{n}.json"): 3 for n in reducible},
+                       **{("verify-tyranny", f"{n}.json"): 3 for n in general}}
 
 
 def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(tmp_path):
@@ -164,7 +172,7 @@ def test_unknown_command_exits_64():
 def test_consensus_on_cps_fixture_prints_pass():
     code, out = run_cli(["consensus", scenario_path("cps")])
     assert code == 0
-    assert "decomposition check PASS" in out
+    assert "decomposition check PASS" in out.splitlines()
     assert "consensus = 0.48499999999999999" in out
 
 
@@ -351,7 +359,7 @@ def test_verify_tyranny_requires_cis():
 def test_verify_tyranny_extreme_fixture():
     code, out = run_cli(["verify-tyranny", scenario_path("tyranny_extreme")])
     assert code == 0
-    assert "tyranny bound PASS" in out
+    assert "tyranny bound PASS" in out.splitlines()
     assert "consensus = 0.7" in out
 
 
@@ -461,7 +469,7 @@ def test_no_trade_verdicts():
     assert "no strictly profitable separable trade" in out
     code, out = run_cli(["no-trade", scenario_path("case2")])
     assert code == 0
-    assert "trade found" in out or "payments" in out
+    assert "strictly profitable separable trade found" in out.splitlines()
 
 
 def test_simulate_market_writes_artifacts(tmp_path):
@@ -930,8 +938,10 @@ def test_report_solves_the_transient_block_once(tmp_path, factorizations):
     # (the consensus does not print the absorption matrix)
     path = tmp_path / "sparse.json"
     path.write_text(json.dumps(bench_gen().sparse_reducible(np.random.default_rng(1))))
-    code, _ = run_cli(["report", str(path)])
+    code, out = run_cli(["report", str(path)])
     assert code == 0
+    # Tarjan's route finds the period-2 terminal class
+    assert "aperiodic: False" in out.splitlines()
     structure = sio.load_scenario(str(path)).structure
     sizes = [len(c) for c in structure.components
              if len(c) > 1 and c not in structure.terminal]
@@ -1017,13 +1027,20 @@ def test_unwritable_out_is_a_precondition_failure(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("argv, artifacts", [
-    (["consensus"], ["consensus.csv"]),
-    (["game-solve"], ["actions.csv"]),
-    (["simulate-market", "--runs", "5"], ["events.csv", "summary.csv"]),
+    (["consensus", "cps"], ["consensus.csv"]),
+    (["game-solve", "cps"], ["actions.csv"]),
+    (["simulate-market", "cps", "--runs", "5"], ["events.csv", "summary.csv"]),
+    # long runs of about 1000 trades: cps.json (a 2-cycle) and cycle.json (a
+    # 3-cycle) give each seller one buyer, so their holder paths repeat the
+    # buyer map's orbit; tyranny_extreme.json's two buyers a seller go
+    # through the bin table
+    *((["simulate-market", name, "--beta", "0.999", "--runs", "50", "--seed", "1"],
+       ["events.csv", "summary.csv"]) for name in ("cps", "cycle", "tyranny_extreme")),
 ])
 def test_csv_stdout_is_the_artifact_bytes(tmp_path, argv, artifacts):
-    code, out = run_cli([argv[0], scenario_path("cps")] + argv[1:]
-                        + ["--format", "csv", "--out", str(tmp_path)])
+    command, scenario, *flags = argv
+    code, out = run_cli([command, scenario_path(scenario), *flags,
+                         "--format", "csv", "--out", str(tmp_path)])
     assert code == 0
     assert out == "".join((tmp_path / name).read_text() for name in artifacts)
 
@@ -1076,6 +1093,17 @@ class _Sink:
             self.write(s)
 
 
+#: Runs ``python -m consensus_lab.cli`` on the argv given as JSON, with its
+#: stdout discarded, and prints that child's peak RSS in MB.  A fresh
+#: parent, so no earlier child can set the peak.
+PEAK_RSS = """
+import json, resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "consensus_lab.cli", *json.loads(sys.argv[1])],
+               stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
+
+
 def test_market_csv_is_never_held_whole():
     # the paths take 8 bytes a holder, a fifth of a row's text; the CSV was
     # held about three times over (a traced peak of 2.1 times its size)
@@ -1090,6 +1118,15 @@ def test_market_csv_is_never_held_whole():
     finally:
         tracemalloc.stop()
     assert size > 2**20 and peak < size
+    # a whole process: 1000 runs print 38.6 MB of CSV with a peak RSS near
+    # 48 MB, and peaked at 149 MB when the whole CSV was held
+    argv = ["simulate-market", scenario_path("cps"), "--beta", "0.999", "--runs", "1000",
+            "--seed", "7", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    child = subprocess.run([sys.executable, "-c", PEAK_RSS, json.dumps(argv)],
+                           capture_output=True, text=True, env=env, check=False, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert float(child.stdout) < 100
 
 
 @pytest.mark.parametrize("out_dir", [False, True])
@@ -1300,6 +1337,30 @@ def test_tol_must_be_a_finite_number_at_least_zero(tmp_path, capsys, command, to
                 in capsys.readouterr().err)
 
 
-def test_tol_zero_and_a_finite_tol_still_validate(tmp_path):
+def test_tol_zero_and_a_finite_tol_still_validate(tmp_path, capsys):
     assert run_cli(["validate", scenario_path("cps"), "--tol", "0"])[0] == 0
-    assert run_cli(["validate", _with("cps", _doubled_joint, tmp_path), "--tol", "2"])[0] == 0
+    doubled = _with("cps", _doubled_joint, tmp_path)
+    assert run_cli(["validate", doubled, "--tol", "2"])[0] == 0
+    # the stationary gate then fails: an ArithmeticError traceback (exit
+    # 1) until main mapped a failed gate to exit 3; report does not call it
+    # not applicable
+    gate = "numerical check failed: stationary solve residual 2.857e-01 exceeds 1.0e-10\n"
+    for command in ("consensus", "verify-optimism", "report"):
+        code, out, err = _call([command, doubled, "--tol", "2"], capsys)
+        assert (code, err) == (3, gate)
+        assert "not applicable" not in out
+
+
+def test_a_loose_tol_carries_no_network_row_off_one_past_the_builder(tmp_path, capsys):
+    # valid at --tol 0.6: game-solve printed b2 = -0.4009650405033458 for
+    # payoffs in [0, 1], and the rest ended in the stationary gate (exit 1)
+    path = _with("cps", lambda d: d["network"][0].__setitem__(1, 1.5), tmp_path)
+    refusal = "network.row[ann]: sums to 1.5 (expected 1 within 1e-12)"
+    assert _call(["validate", path, "--tol", "0.6"], capsys) == (0, "scenario is valid\n", "")
+    for command in (["build"], ["consensus"], ["game-solve", "--beta", "0.9"],
+                    ["verify-optimism"], ["no-trade"]):
+        assert _call([command[0], path, *command[1:], "--tol", "0.6"], capsys) == (
+            3, "", f"precondition failure: {refusal}\n")
+    code, out, err = _call(["report", path, "--tol", "0.6"], capsys)
+    assert (code, err) == (0, "")
+    assert out.count(f"not applicable: {refusal}\n") == 5

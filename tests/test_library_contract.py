@@ -450,3 +450,17 @@ def test_a_spec_network_weight_that_is_not_finite_and_non_negative_is_named(name
     with pytest.raises(PreconditionError, match=re.escape(
             "network.row[ann]: weights must be finite and non-negative with a positive total")):
         row.call(**{**row.args, "spec": spec})
+
+
+@pytest.mark.parametrize("name", ["consensus_expectation", "cps_check", "solve_beta_game"])
+def test_a_spec_network_row_that_does_not_sum_to_one_is_named(name):
+    # validate_model refuses it, but the builder took it: the game returned
+    # actions near -0.24 for payoffs in [0, 1], and the consensus ended in
+    # the stationary gate's ArithmeticError (residual 0.5)
+    row = rows()[name]
+    g = np.array(row.args["spec"].network.weights)
+    g[0, 1] = 2.0
+    spec = dataclasses.replace(row.args["spec"], network=Network(g))
+    with pytest.raises(PreconditionError, match=re.escape(
+            "network.row[ann]: sums to 2.0 (expected 1 within 1e-12)")):
+        row.call(**{**row.args, "spec": spec})
