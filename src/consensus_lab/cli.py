@@ -298,8 +298,8 @@ def _event_rows(model, kernel, durations, paths, signals):
     with trades, formatted as it is read from ``paths`` (the holder paths
     end to end, ``durations[k]`` entries for run k) and ``signals`` (each
     class's signal index, a row per run), both ``intp`` bytes.  Each run's
-    rows are one join of per trade its "run," lead, a shared period prefix
-    and the run's (seller, buyer) suffix."""
+    rows are one join of its "run," lead, then per trade a shared period
+    prefix and a (seller, buyer) suffix that carries the next row's lead."""
     yield "run,period,seller,buyer,price,buyer_signal\n"
     agents, n = model.agents, model.n_agents
     holders = np.frombuffer(paths, dtype=np.intp)
@@ -315,13 +315,15 @@ def _event_rows(model, kernel, durations, paths, signals):
         trades = duration - 1
         if not trades:
             continue
-        # "seller,buyer,price,signal\n" at seller * n + buyer
-        suffixes = [f"{seller},{buyer},{tails[s]}"
-                    for seller in agents for buyer, s in zip(agents, sigs[k].tolist())]
+        lead = f"{k},"
+        # "seller,buyer,price,signal\n" and the next lead, at seller * n + buyer
+        suffixes = np.array([f"{seller},{buyer},{tails[s]}{lead}" for seller in agents
+                             for buyer, s in zip(agents, sigs[k].tolist())], dtype=object)
         periods.extend(f"{t}," for t in range(len(periods) + 1, trades + 1))
-        parts = [f"{k},"] * (3 * trades)
-        parts[1::3] = periods[:trades]
-        parts[2::3] = map(suffixes.__getitem__, (path[:-1] * n + path[1:]).tolist())
+        parts = [lead] * (2 * trades + 1)
+        parts[1::2] = periods[:trades]
+        parts[2::2] = suffixes[path[:-1] * n + path[1:]].tolist()
+        parts[-1] = parts[-1][:-len(lead)]
         yield "".join(parts)
 
 

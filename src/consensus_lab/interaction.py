@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .model import (
-    PROB_TOL, ModelSpec, Network, SignalIndex, _indices, _network_cdf, _real, check_network_rows,
+    PROB_TOL, ModelSpec, Network, SignalIndex, _indices, _network_cdf, _real, check_beliefs,
+    check_network_rows,
 )
 
 #: Residual ceiling enforced on every returned stationary distribution.
@@ -320,6 +321,8 @@ def build_interaction_structure(
         _network_cdf(rows, owners)
         off: list[str] = []
         check_network_rows(off, owners, rows, PROB_TOL)
+        # then each belief's state marginal and each marginal that fills B
+        check_beliefs(off, spec, PROB_TOL, spec.network.weights)
         if off:
             raise PreconditionError(off[0])
     n = len(index)

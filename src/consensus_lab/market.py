@@ -41,8 +41,8 @@ bin between the rows' distinct running sums, every seller's
 at the bin's lower edge.  Per run it decodes the nature uniform with one
 search per level, finds the duration with one vectorized scan of the
 continuation uniforms, bins the bids with one search and chains their
-buyers from the initial owner into one path array.  A network with at
-least a run's block of distinct sums searches each row per run instead.
+buyers from the initial owner into one path array.  A network with as many
+distinct sums as two expected runs' bids searches each row per run instead.
 Where every row has one positive weight, as on a ring, each seller has one
 buyer at every bid: the bids are drawn and skipped, and the path is the
 orbit of that seller-to-buyer map from the initial owner, its lead-in of at
@@ -64,7 +64,7 @@ from .consensus import state_payoffs
 from .errors import PreconditionError
 from .game import GameSolution, solve_beta_game
 from .model import (
-    ModelSpec, _count, _cumulative, _indices, _network_cdf, _real, _vector, check_beta,
+    ModelSpec, _count, _cumulative, _indices, _network_cdf, _readonly, _real, _vector, check_beta,
 )
 from .spectral import eigenvector_centrality
 
@@ -204,7 +204,8 @@ class _Kernel:
 
     :meth:`run` simulates one run from its own generator in the stream
     layout of :func:`simulate_market`; :meth:`batch` reduces runs to class
-    counts as they finish, so no path outlives its run.
+    counts as they finish, so no path outlives its run but for the one
+    read-only walk per owner that a one-buyer network's paths are sliced from.
     """
 
     def __init__(self, spec: ModelSpec, beta: float, draw, y=None,
@@ -231,16 +232,16 @@ class _Kernel:
         # a bid at or past a row's total buys from its last weighted agent
         self.last_buyer = len(g) - 1 - np.argmax(g[:, ::-1] > 0, axis=1)
         # where every row has one positive weight, each seller has one buyer at
-        # every bid: owner -> (lead-in, cycle) of last_buyer's orbit, filled as
-        # owners come up
+        # every bid: owner -> (lead-in, cycle, walk) of last_buyer's orbit,
+        # filled as owners come up
         self.orbits = {} if np.all(np.count_nonzero(g > 0, axis=1) == 1) else None
-        # about two expected runs' worth of uniforms, two per period
-        self.block = int(min(_BLOCK, max(64.0, 4.0 / (1.0 - beta))))
+        # about one expected run's worth of uniforms, two per period
+        self.block = int(min(_BLOCK, max(64.0, 2.0 / (1.0 - beta))))
         # the distinct running sums cut the bids into bins, in each of which every
-        # seller buys from one agent; kept while smaller than a run's own table
+        # seller buys from one agent; kept while fewer than two expected runs' bids
         self.breaks = np.unique(self.network_cdf)
-        self.buyers = (self._buyers(np.r_[-np.inf, self.breaks])
-                       if self.breaks.size < self.block else None)
+        self.buyers = (None if self.breaks.size >= min(_BLOCK, max(64, int(4.0 / (1.0 - beta))))
+                       else self._buyers(np.r_[-np.inf, self.breaks]))
         self._resolve_draw(spec, draw)
         self._resolve_owner(spec, initial_owner)
 
@@ -336,23 +337,24 @@ class _Kernel:
             self.last_buyer[:, None],
         ).tolist()
 
-    def _orbit(self, owner) -> tuple[np.ndarray, np.ndarray]:
+    def _orbit(self, owner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Holders from ``owner`` along ``last_buyer`` up to the first repeat,
-        split where the cycle starts: the lead-in and the cycle."""
+        read-only: the lead-in, the cycle, and both as the first walk."""
         step, seen, o = self.last_buyer.tolist(), {}, owner
         while o not in seen:
             seen[o] = len(seen)
             o = step[o]
-        holders = np.array(list(seen), dtype=np.intp)
-        return holders[:seen[o]], holders[seen[o]:]
+        holders = _readonly(np.array(list(seen), dtype=np.intp))
+        return holders[:seen[o]], holders[seen[o]:], holders
 
     def run(self, seed) -> tuple[int, tuple[int, ...], np.ndarray]:
         """State, signal profile (positions within each agent's signals) and
         holder path of one run, an ``intp`` array from the initial owner.
 
         The path chains each bid's buyer through the bin table, or, where
-        every row has one positive weight, repeats the orbit of
-        ``last_buyer`` from the owner without reading the bids."""
+        every row has one positive weight, is a read-only slice of the
+        owner's walk along ``last_buyer`` (its lead-in, then its cycle tiled
+        to twice the length of the last run that outgrew it), bids unread."""
         rng = np.random.default_rng(seed)
         u = rng.random(self.block)
         off = 0
@@ -375,12 +377,13 @@ class _Kernel:
             stop = u[off::2] < 1.0 - self.beta
             trades = int(stop.argmax())
         if self.orbits is not None:
-            if owner not in self.orbits:
-                self.orbits[owner] = self._orbit(owner)
-            # the network fixes the path: the lead-in, then the cycle repeated
-            lead, cycle = self.orbits[owner]
-            reps = -(-(trades + 1) // cycle.size)
-            return theta, profile, np.concatenate((lead, np.tile(cycle, reps)))[:trades + 1]
+            # the network fixes the path: a slice of the owner's walk
+            lead, cycle, walk = self.orbits.get(owner) or self._orbit(owner)
+            if walk.size <= trades:
+                reps = -(-2 * (trades + 1) // cycle.size)
+                walk = _readonly(np.concatenate((lead, np.tile(cycle, reps))))
+            self.orbits[owner] = lead, cycle, walk
+            return theta, profile, walk[:trades + 1]
         bids = u[off + 1:off + 2 * trades:2]
         # buyer of each trade from each possible seller, then the chain through it
         if self.buyers is None:
@@ -394,25 +397,26 @@ class _Kernel:
 
     def batch(self, root: np.random.SeedSequence, n_runs: int, each=None) -> MarketBatch:
         """Run ``root.spawn(n_runs)``'s children in order, reducing each run to
-        its class counts; ``each(profile, path)``, if given, sees each run's
-        path array first, in run order.  The children are spawned a block at
-        a time, which gives the same seeds as one spawn of them all."""
+        its class counts, state and profile, whose prices and payoffs are
+        gathered after the last run; ``each(profile, path)``, if given, sees
+        each run's path array first, in run order.  The children are spawned
+        a block at a time, which gives the same seeds as one spawn of them all."""
         n = len(self.agents)
         seeds = (s for k in range(0, n_runs, _SEEDS) for s in root.spawn(min(_SEEDS, n_runs - k)))
         durations = np.empty(n_runs, dtype=np.int64)
         counts = np.empty((n_runs, n), dtype=np.int64)
-        class_prices = np.empty((n_runs, n))
-        payoffs = np.empty(n_runs)
+        thetas, profiles = [], []
         for k, seed in enumerate(seeds):
             theta, profile, path = self.run(seed)
             if each is not None:
                 each(profile, path)
             durations[k] = len(path)
             counts[k] = np.bincount(path[1:], minlength=n)
-            class_prices[k] = self.actions[self.signals(profile)]
-            payoffs[k] = self.yvals[theta]
-        return MarketBatch(self.beta, durations, counts, class_prices, payoffs,
-                           self.agents)
+            thetas.append(theta)
+            profiles += profile
+        class_prices = self.actions[self.signals(np.reshape(profiles, (n_runs, n)))]
+        return MarketBatch(self.beta, durations, counts, class_prices,
+                           self.yvals[np.array(thetas, dtype=np.intp)], self.agents)
 
 
 def simulate_market(

@@ -221,7 +221,7 @@ class Beliefs(Mapping):
         self.states = _readonly(states)
         self.irregular = _readonly(np.zeros(len(states), dtype=bool)
                                    if irregular is None else irregular)
-        self._beliefs = beliefs
+        self._beliefs, self._screens = beliefs, {}
         tables = {a: self.states[span] for a, span in zip(self.agents, self.index.blocks)}
         every = _readonly(np.ones(len(states), dtype=bool))
         blocks, listed = {}, {}
@@ -317,8 +317,10 @@ class Beliefs(Mapping):
         """Rows of ``states`` whose belief may break a probability rule:
         irregular ones, and those with a state marginal or a listed
         counterpart marginal that has an entry below ``-tol`` or a sum not
-        within ``tol`` of 1.  Blocks of one width are screened together;
-        each row sum has the bits of ``np.sum`` of the row."""
+        within ``tol`` of 1, kept per ``tol``.  Blocks of one width are
+        screened together; each row sum has the bits of ``np.sum`` of it."""
+        if tol in self._screens:
+            return self._screens[tol]
         flagged = self.irregular | _off(self.states, tol)
         first = {a: b.start for a, b in zip(self.agents, self.index.blocks)}
         groups: dict = {}
@@ -332,6 +334,7 @@ class Beliefs(Mapping):
             starts = np.array([first[a] for a, _ in pairs])
             starts += sizes - sizes.cumsum()
             flagged[(np.arange(sizes.sum()) + np.repeat(starts, sizes))[off]] = True
+        self._screens[tol] = _readonly(flagged)
         return flagged
 
 
@@ -467,6 +470,31 @@ def check_network_rows(v: list, agents, g: np.ndarray, tol: float) -> None:
                  f" (expected 1 within {tol})")
 
 
+def check_beliefs(v: list, spec: ModelSpec, tol: float, g: np.ndarray | None = None) -> None:
+    """Append the violations of the beliefs that the screen at ``tol`` flags;
+    given network weights ``g``, only of regular rows, and of a marginal only
+    where it fills ``B``: over an agent with signals whom the owner weights."""
+    beliefs, index = spec.beliefs, spec.beliefs.index
+    flagged = np.flatnonzero(beliefs.screen(tol) & (g is None or ~beliefs.irregular))
+    spans = dict(zip(index.agents, index.blocks))
+    for a in spec.agents if len(flagged) else ():
+        span = spans[a]
+        for k in flagged[(span.start <= flagged) & (flagged < span.stop)]:
+            t = index.labels[k]
+            b = beliefs.get(t)
+            if b is None:
+                v.append(f"beliefs.{t}: missing belief")
+                continue
+            loc = f"beliefs.{t}"
+            _check_prob(v, f"{loc}.state", b.state_marginal, spec.n_states, tol)
+            for j, m in b.signal_marginals.items():
+                if j == a or j not in spec.agents:
+                    v.append(f"{loc}.signals.{j}: not another agent")
+                elif g is None or (g[spec.agents.index(a), spec.agents.index(j)] != 0
+                                   and spec.signals[j]):
+                    _check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]), tol)
+
+
 def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     """Check every model invariant; return the violations (empty list = valid).
 
@@ -506,25 +534,8 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                 )
 
     # the block screen finds the signals to check one vector at a time
-    beliefs, index = spec.beliefs, spec.beliefs.index
-    flagged = np.flatnonzero(beliefs.screen(tol))
-    agent_set = set(spec.agents)
-    spans = dict(zip(index.agents, index.blocks))
-    for a in spec.agents if len(flagged) else ():
-        span = spans[a]
-        for k in flagged[(span.start <= flagged) & (flagged < span.stop)]:
-            t = index.labels[k]
-            b = beliefs.get(t)
-            if b is None:
-                v.append(f"beliefs.{t}: missing belief")
-                continue
-            loc = f"beliefs.{t}"
-            _check_prob(v, f"{loc}.state", b.state_marginal, spec.n_states, tol)
-            for j, m in b.signal_marginals.items():
-                if j == a or j not in agent_set:
-                    v.append(f"{loc}.signals.{j}: not another agent")
-                    continue
-                _check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]), tol)
+    check_beliefs(v, spec, tol)
+    beliefs, index, agent_set = spec.beliefs, spec.beliefs.index, set(spec.agents)
     # a regular row needs a marginal over each agent its owner weights;
     # irregular rows are reported above
     if index.agents == spec.agents and g.shape == (spec.n_agents, spec.n_agents):

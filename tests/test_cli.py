@@ -700,6 +700,35 @@ def test_events_csv_matches_one_simulate_market_per_run(tmp_path, name, beta, ru
         assert len(runs_seen) == runs and max(int(row[1]) for row in rows) >= 100
 
 
+@pytest.mark.parametrize("name, beta, runs, seed", [
+    ("cps", "0.5", 40, 31),
+    ("tyranny_extreme", "0.6", 40, 32),
+])
+def test_events_csv_rows_carry_the_next_lead_at_every_edge(tmp_path, name, beta, runs, seed):
+    # each row's suffix carries the next row's "run," lead and a run's last
+    # row drops it: runs of exactly one trade, a run without trades between
+    # two runs with trades, two-digit run indices, and three agents each
+    # selling to both others
+    out_dir = tmp_path / "o"
+    code, out = run_cli(["simulate-market", scenario_path(name), "--beta", beta, "--runs",
+                         str(runs), "--seed", str(seed), "--format", "csv", "--out", str(out_dir)])
+    assert code == 0
+    events = (out_dir / "events.csv").read_text(encoding="utf-8")
+    expected = _events_oracle(sio.load_scenario(scenario_path(name)), float(beta), runs, seed)
+    assert _first_difference(events, expected) is None
+    rows = [line.split(",") for line in events.splitlines()[1:]]
+    trades = Counter(int(row[0]) for row in rows)
+    counts = [trades[k] for k in range(runs)]
+    assert 1 in counts
+    assert any(counts[k - 1] and not counts[k] and counts[k + 1] for k in range(1, runs - 1))
+    assert any(counts[10:])
+    if name == "tyranny_extreme":
+        buyers = {}
+        for row in rows:
+            buyers.setdefault(row[2], set()).add(row[3])
+        assert len(buyers) == 3 and all(len(b) == 2 for b in buyers.values())
+
+
 def _call(argv, capsys):
     """Exit code, stdout and stderr of one in-process ``main`` call."""
     out = StringIO()
@@ -1337,18 +1366,41 @@ def test_tol_must_be_a_finite_number_at_least_zero(tmp_path, capsys, command, to
                 in capsys.readouterr().err)
 
 
-def test_tol_zero_and_a_finite_tol_still_validate(tmp_path, capsys):
+def test_tol_zero_and_a_finite_tol_still_validate(tmp_path, capsys, monkeypatch):
     assert run_cli(["validate", scenario_path("cps"), "--tol", "0"])[0] == 0
     doubled = _with("cps", _doubled_joint, tmp_path)
     assert run_cli(["validate", doubled, "--tol", "2"])[0] == 0
-    # the stationary gate then fails: an ArithmeticError traceback (exit
-    # 1) until main mapped a failed gate to exit 3; report does not call it
-    # not applicable
-    gate = "numerical check failed: stationary solve residual 2.857e-01 exceeds 1.0e-10\n"
+    # a failed residual gate is exit 3, and report does not call it not
+    # applicable.  The doubled joint reached the stationary gate (an
+    # ArithmeticError traceback, exit 1, until main mapped a failed gate to
+    # exit 3) until the builder refused its belief rows, so the gate fails
+    # here on the bundled scenario by a stand-in
+    gate = "stationary solve residual 2.857e-01 exceeds 1.0e-10"
+
+    def fail(*args):
+        raise ArithmeticError(gate)
+
+    monkeypatch.setattr(cli, "consensus_expectation", fail)
+    monkeypatch.setattr(cli, "optimism_hypotheses", fail)
     for command in ("consensus", "verify-optimism", "report"):
-        code, out, err = _call([command, doubled, "--tol", "2"], capsys)
-        assert (code, err) == (3, gate)
+        code, out, err = _call([command, scenario_path("cps")], capsys)
+        assert (code, err) == (3, f"numerical check failed: {gate}\n")
         assert "not applicable" not in out
+
+
+def test_a_loose_tol_carries_no_belief_row_off_one_past_the_builder(tmp_path, capsys):
+    # valid at --tol 2: game-solve printed b2 = -0.41574519686232836 for
+    # payoffs in [0, 1], no-trade found no trade and build printed
+    # "aperiodic: False", each with exit 0
+    doubled = _with("cps", _doubled_joint, tmp_path)
+    refusal = "beliefs.a1.state: sums to 2.0 (expected 1 within 1e-12)"
+    for command in (["build"], ["consensus"], ["game-solve", "--beta", "0.9"],
+                    ["simulate-market", "--beta", "0.9"], ["verify-optimism"], ["no-trade"]):
+        assert _call([command[0], doubled, *command[1:], "--tol", "2"], capsys) == (
+            3, "", f"precondition failure: {refusal}\n")
+    code, out, err = _call(["report", doubled, "--tol", "2", "--runs", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert out.count(f"not applicable: {refusal}\n") == 6
 
 
 def test_a_loose_tol_carries_no_network_row_off_one_past_the_builder(tmp_path, capsys):

@@ -230,10 +230,9 @@ def test_actions_stay_inside_payoff_range():
         assert sol.actions.max() <= spec.y.bound + 1e-12
 
 
-def test_nan_belief_fails_the_residual_gate():
-    # an unvalidated model: a NaN in one belief marginal reaches B, the
-    # solve returns NaN and the fixed-point residual gate must refuse it
-    spec = random_model(np.random.default_rng(12))
+def _nan_belief(spec):
+    """``spec`` with a NaN in one marginal that fills ``B``, and the refusal
+    that names it."""
     t = spec.signals[spec.agents[0]][0]
     b = spec.beliefs[t]
     other = spec.agents[1]
@@ -241,24 +240,33 @@ def test_nan_belief_fails_the_residual_gate():
     marg[0] = np.nan
     beliefs = dict(spec.beliefs)
     beliefs[t] = InterimBelief(b.state_marginal, {**b.signal_marginals, other: marg})
-    bad = dataclasses.replace(spec, beliefs=beliefs)
-    with pytest.raises(ArithmeticError):
+    return (dataclasses.replace(spec, beliefs=beliefs),
+            f"beliefs.{t}.signals.{other}: sums to nan (expected 1 within 1e-12)")
+
+
+def test_nan_belief_fails_the_residual_gate(monkeypatch):
+    # an unvalidated model: a NaN in one belief marginal reached B and the
+    # solve returned NaN, which the fixed-point residual gate refused; the
+    # builder now refuses the marginal by name, and a NaN solve still
+    # fails the gate
+    spec = random_model(np.random.default_rng(12))
+    bad, refusal = _nan_belief(spec)
+    with pytest.raises(PreconditionError, match=re.escape(refusal)):
         solve_beta_game(bad, 0.9)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
+    with pytest.raises(ArithmeticError, match="^fixed-point residual nan"):
+        solve_beta_game(spec, 0.9)
 
 
-def test_nan_belief_fails_the_heterogeneous_residual_gate():
+def test_nan_belief_fails_the_heterogeneous_residual_gate(monkeypatch):
     # as above, with one coordination weight per agent
     spec = random_model(np.random.default_rng(12))
-    t = spec.signals[spec.agents[0]][0]
-    b = spec.beliefs[t]
-    other = spec.agents[1]
-    marg = np.array(b.signal_marginals[other])
-    marg[0] = np.nan
-    beliefs = dict(spec.beliefs)
-    beliefs[t] = InterimBelief(b.state_marginal, {**b.signal_marginals, other: marg})
-    bad = dataclasses.replace(spec, beliefs=beliefs)
-    with pytest.raises(ArithmeticError):
+    bad, refusal = _nan_belief(spec)
+    with pytest.raises(PreconditionError, match=re.escape(refusal)):
         solve_heterogeneous_game(bad, [0.9, 0.5, 0.3])
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
+    with pytest.raises(ArithmeticError, match="^fixed-point residual nan"):
+        solve_heterogeneous_game(spec, [0.9, 0.5, 0.3])
 
 
 @pytest.mark.parametrize("top", [1e7, 1e12])

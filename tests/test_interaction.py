@@ -870,17 +870,29 @@ def test_unweighted_marginals_are_never_written():
     }
     g = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]
     spec = ModelSpec(("w",), agents, signals, beliefs, Network(g))
-    structure = build_interaction_structure(spec)
+    # through the network, a marginal that fills B is held to sum to 1
+    with pytest.raises(PreconditionError, match=re.escape(
+            "beliefs.q.signals.ag1: sums to inf (expected 1 within 1e-12)")):
+        build_interaction_structure(spec)
+    # q's marginal over ag1 made a probability vector, and ag1 weighting only
+    # ag0: every odd marginal left is one its owner does not weight
+    fit = ModelSpec(("w",), agents, signals,
+                    {**beliefs, "q": InterimBelief([1.0], {"ag1": [-0.0, 1.0], "ag2": [np.inf]})},
+                    Network([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    structure = build_interaction_structure(fit)
     B = structure.matrix
-    assert same_bits(B, per_signal_matrix(spec))
-    assert same_bits(B[0:2, 4:5], np.zeros((2, 1)))
-    # written -0.0 cells are no edges; inf cells are
+    assert same_bits(B, per_signal_matrix(fit))
+    assert same_bits(B[0:4, 4:5], np.zeros((4, 1)))
+    # written -0.0 cells are no edges
+    assert same_bits(B[1, 2], -0.0) and same_bits(B[2, 0], -0.0)
     assert_scanned_analysis(structure)
     weights = {"p": [0, 1, 0], "q": [0, 1, 0], "r": [1, 0, 0], "s": [0.5, 0, 0.5],
                "u": [0, 1, 0]}
     structure = build_interaction_structure(spec, type_dependent_weights=weights)
     B = structure.matrix
     assert same_bits(B, per_signal_matrix(spec, weights))
+    # type-dependent weights are not held to the network's rule: written
+    # -0.0 cells are no edges; inf cells are
     assert_scanned_analysis(structure)
     assert same_bits(B[2, 4], 0.0) and same_bits(B[3, 4], -0.0)
 

@@ -453,6 +453,22 @@ def test_a_spec_network_weight_that_is_not_finite_and_non_negative_is_named(name
 
 
 @pytest.mark.parametrize("name", ["consensus_expectation", "cps_check", "solve_beta_game"])
+def test_a_spec_belief_row_that_does_not_sum_to_one_is_named(name):
+    # validate_model refuses a1's doubled belief, but the builder took it:
+    # the game returned b2 near -0.42 for payoffs in [0, 1], and the
+    # consensus ended in the stationary gate's ArithmeticError
+    row = rows()[name]
+    spec = row.args["spec"]
+    b = spec.beliefs["a1"]
+    doubled = consensus_lab.InterimBelief(
+        2 * b.state_marginal, {j: 2 * m for j, m in b.signal_marginals.items()})
+    spec = dataclasses.replace(spec, beliefs={**spec.beliefs, "a1": doubled})
+    with pytest.raises(PreconditionError, match=re.escape(
+            "beliefs.a1.state: sums to 2.0 (expected 1 within 1e-12)")):
+        row.call(**{**row.args, "spec": spec})
+
+
+@pytest.mark.parametrize("name", ["consensus_expectation", "cps_check", "solve_beta_game"])
 def test_a_spec_network_row_that_does_not_sum_to_one_is_named(name):
     # validate_model refuses it, but the builder took it: the game returned
     # actions near -0.24 for payoffs in [0, 1], and the consensus ended in

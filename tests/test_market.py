@@ -15,6 +15,7 @@ from consensus_lab.errors import PreconditionError
 from consensus_lab.game import solve_beta_game
 from consensus_lab.market import (
     _BELOW_ONE,
+    _BLOCK,
     FixedDraw,
     NatureDraw,
     _Kernel,
@@ -34,7 +35,7 @@ from consensus_lab.model import (
     validate_model,
 )
 
-from conftest import cis_scenario, random_model, scenario_path
+from conftest import bench_gen, cis_scenario, random_model, scenario_path
 
 
 @pytest.fixture(scope="module")
@@ -598,7 +599,9 @@ def test_the_bin_table_buys_from_the_agent_each_row_search_finds(n):
     draw = fixed_draw(spec)
     for beta in (0.5, 0.999):
         kernel = _Kernel(spec, beta, draw, allow_own_market=own)
-        assert (kernel.buyers is None) == (np.unique(cdf).size >= kernel.block)
+        # the table is kept while smaller than two expected runs' bids
+        table = min(_BLOCK, max(64, int(4.0 / (1.0 - beta))))
+        assert (kernel.buyers is None) == (np.unique(cdf).size >= table)
         want = [[_searched_buyer(row, b) for b in bids.tolist()] for row in g.tolist()]
         assert kernel._buyers(bids) == want
         if kernel.buyers is not None:
@@ -625,6 +628,14 @@ def _walked_path(g, beta, seed, owner):
         if keep < 1.0 - beta:
             return path
         path.append(_searched_buyer(g[path[-1]], bid))
+
+
+def _lead_in(buyer, owner):
+    """Holders before the cycle of ``buyer``'s orbit from ``owner``."""
+    seen = [owner]
+    while buyer[seen[-1]] not in seen:
+        seen.append(buyer[seen[-1]])
+    return seen.index(buyer[seen[-1]])
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -655,7 +666,9 @@ def test_a_one_buyer_network_walks_the_orbit_of_its_buyer_map(n):
                     path = kernel.run(seed)[2].tolist()
                     assert path == table.run(seed)[2].tolist()
                     assert path == _walked_path(g.tolist(), beta, seed, owner)
+                    # the cached orbit's first part is the lead-in
                     lead_in = kernel.orbits[owner][0].size
+                    assert lead_in == _lead_in(buyer.tolist(), owner)
                     empty += len(path) == 1
                     short += len(path) <= lead_in
         # one more positive weight in one row takes the bin table
@@ -665,6 +678,68 @@ def test_a_one_buyer_network_walks_the_orbit_of_its_buyer_map(n):
                        allow_own_market=True).orbits is None
     # runs with no trade, and runs that end before the cycle
     assert empty > 0 and short > 0
+
+
+def test_a_walk_grown_by_a_longer_run_gives_the_paths_of_fresh_kernels():
+    # 0 -> 1 -> 2 -> 3 -> 2: a lead-in of two holders, then a 2-cycle, so the
+    # first walk holds four.  One kernel serves the runs shortest first, then
+    # longest first: its walk grows run after run, then serves shorter runs
+    # from its front
+    g = np.zeros((4, 4))
+    g[np.arange(4), [1, 2, 3, 2]] = 1.0
+    spec = _one_signal_spec(g)
+    draw, prices = fixed_draw(spec), solve_beta_game(spec, 0.9)
+
+    def fresh(seed):
+        return _Kernel(spec, 0.9, draw, prices=prices).run(seed)[2]
+
+    seeds = sorted(range(60), key=lambda seed: fresh(seed).size)
+    kernel = _Kernel(spec, 0.9, draw, prices=prices)
+    walks = []
+    for seed in seeds + seeds[::-1]:
+        path = kernel.run(seed)[2]
+        assert not path.flags.writeable
+        assert path.tolist() == fresh(seed).tolist()
+        assert path.tolist() == _walked_path(g.tolist(), 0.9, seed, 0)
+        walks.append(kernel.orbits[0][2].size)
+    longest = fresh(seeds[-1]).size
+    # runs inside the lead-in, and runs past the first walk
+    assert fresh(seeds[0]).size <= 2 and longest > 4
+    assert walks[-1] >= longest and len(set(walks)) > 2
+    assert not kernel.orbits[0][2].flags.writeable
+
+
+def _cis_dense_spec():
+    """A model of the benchmark's cis_dense shape: 3 agents, 30 states."""
+    scenario = parse_scenario(bench_gen().cis_dense(np.random.default_rng([1, 0]), 30))
+    return scenario.model, cis_generating(scenario)
+
+
+@pytest.mark.parametrize("case", ["cps", "cis_dense"])
+def test_the_first_draw_never_changes_a_batch(case):
+    # the first block of uniforms at 64, at one expected run's worth and at
+    # _BLOCK: the same stream, so the same batch
+    if case == "cps":
+        spec = load_scenario(scenario_path("cps"))
+        draw, beta, runs = product_generating(spec), 0.999, 50
+    else:
+        (spec, draw), beta, runs = _cis_dense_spec(), 0.9, 200
+    prices = solve_beta_game(spec, beta)
+    batches = []
+    for block in (64, None, _BLOCK):
+        kernel = _Kernel(spec, beta, draw, prices=prices, initial_owner="centrality")
+        kernel.block = block or kernel.block
+        batches.append(kernel.batch(np.random.SeedSequence(32), runs))
+    assert kernel.block == _BLOCK and _Kernel(
+        spec, beta, draw, prices=prices).block == min(_BLOCK, max(64, int(2 / (1 - beta))))
+    first = batches[0]
+    for batch in batches[1:]:
+        for field in ("durations", "class_counts", "class_prices", "terminal_payoffs"):
+            assert np.array_equal(getattr(batch, field), getattr(first, field)), field
+    assert first.class_counts.sum() > 0
+    if case == "cps":
+        # runs that read past two blocks of the default draw, two uniforms a period
+        assert first.durations.max() > _Kernel(spec, beta, draw, prices=prices).block
 
 
 def test_a_batch_holds_one_block_of_run_seeds():
