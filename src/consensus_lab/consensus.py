@@ -56,9 +56,9 @@ def higher_order_expectations(spec: ModelSpec, n: int, y=None, f=None) -> np.nda
     """Step-n average expectation vector over all signals (n >= 1)."""
     _count(n, 1, "n")
     x = first_order_vector(spec, y, f)
-    B = spec.structure.matrix
+    rows = spec.structure.rows
     for _ in range(n - 1):
-        x = B @ x
+        x = rows.product(x)
     return x
 
 
@@ -189,10 +189,10 @@ def cps_check(spec: ModelSpec) -> CpsCheck:
         if a not in spec.priors:
             raise CapabilityError(f"cps_check needs a prior for every agent; {a} has none")
     # built first: the builder names a network weight it cannot use
-    B = spec.structure.matrix
+    rows = spec.structure.rows
     e = eigenvector_centrality(spec.network)
     p = np.concatenate([e[k] * spec.priors[a] for k, a in enumerate(spec.agents)])
-    residual = float(np.abs(p @ B - p).sum())
+    residual = float(np.abs(rows.product(p, left=True) - p).sum())
     return CpsCheck(residual <= CPS_TOL, residual)
 
 

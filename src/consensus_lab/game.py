@@ -79,11 +79,11 @@ def best_response_iterates(
     beta = check_beta(beta, f"beta must lie in [0, 1), got {beta}")
     _count(rounds, 0, "rounds")
     fvec = first_order_vector(spec, y, f)
-    B = spec.structure.matrix
+    rows = spec.structure.rows
     s = np.zeros_like(fvec) if start is None else _vector(start, len(fvec), "start", "signal")
     out = [s]
     for _ in range(rounds):
-        s = (1.0 - beta) * fvec + beta * (B @ s)
+        s = (1.0 - beta) * fvec + beta * rows.product(s)
         out.append(s)
     return out
 

@@ -6,19 +6,25 @@ This module builds that matrix by (agent, counterpart) blocks, naming the
 first signal it cannot fill, the first-order map sending state payoffs to
 per-signal expectations, and the connectivity analysis of the result
 (strongly connected components, terminal components, periods), which the
-structure carries so that every caller shares one analysis.  The analysis
-runs on numpy alone, over the edges of the matrix in row-major order: the
-builder reads them from the blocks it writes, and a bare matrix is scanned
-for them.  The SCCs come from an iterative Tarjan search, after a
-vectorized test that settles a structure of one component; the periods are
-read from that same search's depths, and ``component_period`` is that
-analysis of its members' block.  The module owns its Markov solves too:
-each terminal component's stationary vector, by ``stationary_vector``, and
-every solve with ``I - D B`` (``D`` a diagonal of discounts), by one walk
-along the condensation, sinks first, that factors each component of two or
-more signals on its own; the absorption probabilities and times are such
-walks over the transient signals, refused when out of range.  Each is made
-on first use and kept, the game's solves excepted.
+structure carries so that every caller shares one analysis.
+
+The matrix is stored as sparse rows (:class:`SparseRows`): every cell whose
+float64 bits are nonzero, row by row, so that no n x n array is made unless
+a caller reads ``structure.matrix``.  It is read through three kernels: its
+cells in row-major order, which give the graph analysis its edges and the
+CSV writer its cells; one dense block per component, for the Markov solves;
+and one product with a vector, made on dense slabs of rows or columns.
+The analysis runs on numpy alone.  The SCCs come from an iterative Tarjan
+search, after a vectorized test that settles a structure of one component;
+the periods are read from that same search's depths, and
+``component_period`` is that analysis of its members' block.  The module
+owns its Markov solves too: each terminal component's stationary vector,
+by ``stationary_vector``, and every solve with ``I - D B`` (``D`` a diagonal
+of discounts), by one walk along the condensation, sinks first, that
+factors each component of two or more signals on its own; the absorption
+probabilities and times are such walks over the transient signals, refused
+when out of range.  Each is made on first use and kept, the game's solves
+excepted.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .model import (
-    PROB_TOL, ModelSpec, Network, SignalIndex, _indices, _network_cdf, _real, check_beliefs,
-    check_network_rows,
+    PROB_TOL, ModelSpec, Network, SignalIndex, _check_prob, _indices, _network_cdf, _real,
+    check_beliefs, check_network_rows,
 )
 
 #: Residual ceiling enforced on every returned stationary distribution.
@@ -41,6 +47,117 @@ STATIONARY_TOL = 1e-10
 
 #: Rounding allowed past [0, 1] for an absorption probability, below 1 for a time.
 ABSORPTION_TOL = 1e-6
+
+#: Rows (or columns) per dense slab of a product; the last slab takes the
+#: remainder, so a matrix of fewer than twice as many is one slab.
+SLAB = 256
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """A matrix stored by rows: row ``r``'s cells are at columns
+    ``indices[indptr[r]:indptr[r + 1]]``, in increasing order, with values
+    ``data`` there.  Every cell whose float64 bits are nonzero is stored
+    (written ``-0.0`` and ``inf`` cells too), and every other cell is
+    ``+0.0``, so the dense matrix is rebuilt bit for bit."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def of(cls, matrix) -> SparseRows:
+        """The cells of a 2-D array whose float64 bits are nonzero."""
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        r, c = np.nonzero(matrix.view(np.uint64))
+        indptr = np.searchsorted(r, np.arange(len(matrix) + 1))
+        return cls(matrix.shape, indptr, c, matrix[r, c])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def row_of(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The row of each stored cell of rows ``lo:hi``."""
+        hi = len(self) if hi is None else hi
+        return np.repeat(np.arange(lo, hi), np.diff(self.indptr[lo : hi + 1]))
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions ``(u, v)`` of the cells that compare nonzero, in
+        row-major order: the edges of the matrix's graph."""
+        edge = self.data != 0
+        if edge.all():
+            return self.row_of(), self.indices
+        return self.row_of()[edge], self.indices[edge]
+
+    def at(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The values at the positions ``(u, v)``."""
+        want = u * self.shape[1] + v
+        if not (len(want) and len(self.data)):
+            return np.zeros(want.shape)
+        # stored cells by row-major position, which increases
+        keys = self.row_of() * self.shape[1] + self.indices
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[pos] == want, self.data[pos], 0.0)
+
+    def block(self, members) -> np.ndarray:
+        """The dense block of the rows and columns ``members``, distinct
+        and in increasing order."""
+        m = np.asarray(members, dtype=np.intp)
+        if len(m) == len(self) == self.shape[1]:
+            # a square matrix's members are all its rows, in order
+            return self.dense()
+        lo = self.indptr[m]
+        size = self.indptr[m + 1] - lo
+        cells = _ranges(lo, size)
+        # each column's position among the members, -1 outside them
+        local = np.full(self.shape[1], -1, dtype=np.intp)
+        local[m] = np.arange(len(m))
+        col = local[self.indices[cells]]
+        inside = col >= 0
+        out = np.zeros((len(m), len(m)))
+        out[np.repeat(np.arange(len(m)), size)[inside], col[inside]] = self.data[cells][inside]
+        return out
+
+    def slab(self, lo: int, hi: int, columns: bool = False) -> np.ndarray:
+        """Rows ``lo:hi`` as a dense array, or with ``columns`` columns
+        ``lo:hi``."""
+        if columns:
+            cells = np.flatnonzero((self.indices >= lo) & (self.indices < hi))
+            out = np.zeros((len(self), hi - lo))
+            out.reshape(-1)[self.row_of()[cells] * (hi - lo) + self.indices[cells] - lo] = (
+                self.data[cells])
+            return out
+        cells = slice(self.indptr[lo], self.indptr[hi])
+        out = np.zeros((hi - lo, self.shape[1]))
+        out.reshape(-1)[(self.row_of(lo, hi) - lo) * self.shape[1] + self.indices[cells]] = (
+            self.data[cells])
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The whole matrix as a new dense array."""
+        return self.slab(0, len(self))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The whole matrix as a read-only dense array, built on first read
+        and kept."""
+        matrix = self.dense()
+        matrix.setflags(write=False)
+        return matrix
+
+    def product(self, x: np.ndarray, left: bool = False) -> np.ndarray:
+        """``B @ x``, or with ``left`` ``x @ B``: one BLAS product per dense
+        slab of ``SLAB`` rows (columns with ``left``), the last slab taking
+        the remainder.  Below ``2 * SLAB`` it is the one product with
+        ``matrix``; each output entry is the same dot product either way."""
+        n = self.shape[1] if left else len(self)
+        if n < 2 * SLAB:
+            return x @ self.matrix if left else self.matrix @ x
+        bounds = [k * SLAB for k in range(n // SLAB)] + [n]
+        parts = [x @ self.slab(lo, hi, True) if left else self.slab(lo, hi) @ x
+                 for lo, hi in zip(bounds, bounds[1:])]
+        return np.concatenate(parts, axis=-1 if left else 0)
 
 
 @dataclass(frozen=True)
@@ -61,13 +178,16 @@ class InteractionStructure:
     same order, and ``periods`` gives each terminal component's period.
     ``component_of`` gives each signal's position in ``components``, and
     ``crossing`` holds the edges between components, as source and target
-    signals in row-major order.  ``index`` is None for a bare matrix, whose
-    states have no labels.  The per-terminal-component stationary vectors,
-    the levels of the condensation, the absorption matrix and the
-    absorption times are computed on first use and kept.
+    signals in row-major order.  ``rows`` stores the matrix, and ``matrix``
+    is a read-only dense copy of it, built when first read and kept; a
+    product below ``2 * SLAB`` signals is the one BLAS call with it.
+    ``index`` is None for a bare matrix, whose states have no labels.  The
+    per-terminal-component stationary vectors, the levels of the
+    condensation, the absorption matrix and the absorption times are
+    computed on first use and kept.
     """
 
-    matrix: np.ndarray
+    rows: SparseRows
     index: SignalIndex | None
     components: tuple[tuple[int, ...], ...]
     terminal: tuple[tuple[int, ...], ...]
@@ -75,8 +195,10 @@ class InteractionStructure:
     component_of: np.ndarray
     crossing: tuple[np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only: ``rows.matrix``."""
+        return self.rows.matrix
 
     @property
     def labels(self) -> tuple[str, ...] | None:
@@ -94,7 +216,7 @@ class InteractionStructure:
     @cached_property
     def transient(self) -> tuple[int, ...]:
         """Signals outside every terminal component, in index order."""
-        closed = np.zeros(len(self.matrix), dtype=bool)
+        closed = np.zeros(len(self.rows), dtype=bool)
         for comp in self.terminal:
             closed[list(comp)] = True
         return tuple(np.flatnonzero(~closed).tolist())
@@ -109,7 +231,7 @@ class InteractionStructure:
     def stationary(self) -> tuple[np.ndarray, ...]:
         """Stationary vector of each terminal component, over its members."""
         # a terminal component is strongly connected by construction
-        return tuple(stationary_vector(self.matrix[np.ix_(c, c)]) for c in self.terminal)
+        return tuple(stationary_vector(self.rows.block(c)) for c in self.terminal)
 
     @cached_property
     def _levels(self) -> tuple[_Level, ...]:
@@ -137,15 +259,18 @@ class InteractionStructure:
         order = np.argsort(signal_level[u], kind="stable")
         u, v = u[order], v[order]
         edge_level = signal_level[u]
+        weights = self.rows.at(u, v)
+        singles = np.flatnonzero(single)
+        loops = self.rows.at(singles, singles)
         levels = []
         for k in range(int(level.max()) + 1):
-            singles = np.flatnonzero(single & (signal_level == k))
+            here = signal_level[singles] == k
             blocks = tuple(np.flatnonzero(label == c)
                            for c in np.flatnonzero((level == k) & (sizes > 1)))
             lo, hi = np.searchsorted(edge_level, [k, k + 1])
             src, starts = np.unique(u[lo:hi], return_index=True)
-            levels.append(_Level(singles, self.matrix[singles, singles], blocks, src,
-                                 starts, v[lo:hi], self.matrix[u[lo:hi], v[lo:hi]]))
+            levels.append(_Level(singles[here], loops[here], blocks, src, starts, v[lo:hi],
+                                 weights[lo:hi]))
         return tuple(levels)
 
     def solve(self, rhs: np.ndarray, d: np.ndarray, terminal_known: bool = False) -> np.ndarray:
@@ -175,7 +300,7 @@ class InteractionStructure:
                 for m in level.blocks:
                     try:
                         x[m] = np.linalg.solve(
-                            np.eye(len(m)) - d[m][:, None] * self.matrix[np.ix_(m, m)], x[m])
+                            np.eye(len(m)) - d[m][:, None] * self.rows.block(m), x[m])
                     except np.linalg.LinAlgError:
                         x[m] = np.nan
         return x
@@ -187,7 +312,7 @@ class InteractionStructure:
         or when ``what`` it solves for is outside ``[lo, hi]`` by more than
         ``ABSORPTION_TOL``."""
         T = self.transient
-        x = self.solve(rhs, np.ones(len(self.matrix)), terminal_known=True)
+        x = self.solve(rhs, np.ones(len(self.rows)), terminal_known=True)
         xt = x[list(T)]
         ok = np.isfinite(xt) & (xt >= lo - ABSORPTION_TOL) & (xt <= hi + ABSORPTION_TOL)
         if not ok.all():
@@ -208,7 +333,7 @@ class InteractionStructure:
         Rows of terminal signals are indicators; transient rows solve
         ``(I - B_TT) X = B_TC``, one column per terminal component.
         """
-        indicators = np.zeros((len(self.matrix), len(self.terminal)))
+        indicators = np.zeros((len(self.rows), len(self.terminal)))
         for k, comp in enumerate(self.terminal):
             indicators[list(comp), k] = 1.0
         absorption = self._transient_solve(indicators, "absorption probability", 0.0, 1.0)
@@ -220,7 +345,7 @@ class InteractionStructure:
         """Expected steps from each transient signal (in ``transient`` order)
         into a terminal component: ``t = (I - B_TT)^{-1} 1``."""
         T = list(self.transient)
-        steps = np.zeros(len(self.matrix))
+        steps = np.zeros(len(self.rows))
         steps[T] = 1.0
         t = self._transient_solve(steps, "absorption time", 1.0, np.inf)[T]
         t.setflags(write=False)
@@ -300,17 +425,22 @@ def build_interaction_structure(
     """Assemble the interaction structure from network weights and beliefs.
 
     With ``type_dependent_weights`` each signal carries its own row of
-    network weights (a probability vector over agents), replacing the
-    owner's row of the network.  A positive self-weight contributes to
-    the diagonal: an agent is certain of his own signal.  First, each
-    network row that fills ``B`` must be finite and non-negative with a
-    positive total, then sum to 1 within ``PROB_TOL``, whatever tolerance
-    validated it (``network.row[<agent>]``).  Agents are then filled in
-    index order; a refusal names the first signal that fails.
+    network weights, replacing the owner's row of the network; the mapping
+    must give a row for every declared signal and for no other label.  A
+    positive self-weight contributes to the diagonal: an agent is certain
+    of his own signal.  First, each network row that fills ``B`` must be
+    finite and non-negative with a positive total, then sum to 1 within
+    ``PROB_TOL``, whatever tolerance validated it (``network.row[<agent>]``),
+    and then each belief that fills ``B`` must be a probability vector
+    within ``PROB_TOL``.  Agents are then filled in index order, each into
+    its rows of ``B``, and a refusal names the first signal that fails; a
+    type-dependent weight row is checked there, and the beliefs it weights
+    once every agent is filled.
     """
     index = _signal_index(spec)
     beliefs = spec.beliefs
     shape, agents = np.shape(spec.network.weights), (spec.n_agents, spec.n_agents)
+    off: list[str] = []
     if type_dependent_weights is None:
         if shape != agents:
             raise PreconditionError(f"network: shape {shape} does not match"
@@ -319,65 +449,97 @@ def build_interaction_structure(
         used = np.flatnonzero([b.stop > b.start for b in index.blocks])
         rows, owners = spec.network.weights[used], [spec.agents[k] for k in used]
         _network_cdf(rows, owners)
-        off: list[str] = []
         check_network_rows(off, owners, rows, PROB_TOL)
         # then each belief's state marginal and each marginal that fills B
         check_beliefs(off, spec, PROB_TOL, spec.network.weights)
         if off:
             raise PreconditionError(off[0])
-    n = len(index)
-    B = np.zeros((n, n))
+    else:
+        _check_labels(index, type_dependent_weights)
     # agents with a signal that has no belief, sought among irregular rows
     absent = {index.agent_of[k] for k in np.flatnonzero(beliefs.irregular)
               if index.labels[k] not in beliefs}
-    # written[i, j]: agent i's rows may hold nonzeros in agent j's columns
-    written = np.zeros((spec.n_agents, spec.n_agents), dtype=bool)
+    # the stored cells agent by agent, the count in each row, and the
+    # weight rows
+    data, columns, counts, weights = [np.zeros(0)], [np.zeros(0, dtype=np.intp)], [], []
     for i, block in enumerate(index.blocks):
-        cells = B[block]
+        size = block.stop - block.start
         if type_dependent_weights is None:
             # the owner's network row, once for all its signals (none
             # when the owner has no signals)
-            W, fits = spec.network.weights[i : i + 1][: len(cells)], True
+            W, fits = spec.network.weights[i : i + 1][:size], True
         else:
             W = [_real(type_dependent_weights[t], f"type-dependent weights for {t}")
                  for t in index.labels[block]]
-            fits = all(w.shape == (spec.n_agents,) and np.isfinite(w).all() for w in W)
+            fits = not any(_weight_row_error(t, w, spec.n_agents)
+                           for t, w in zip(index.labels[block], W))
         if i in absent or not fits:
             raise _unfillable(spec, i, W)
-        W = np.asarray(W)
+        W = np.reshape(W, (-1, spec.n_agents))
+        weights.append(W)
         # only weighted cells are written: unweighted ones stay +0.0
         weighted = W != 0
-        written[i] = weighted.any(axis=0)
-        for j in np.flatnonzero(written[i]):
+        # the agent's rows across its weighted counterparts' columns
+        cells, spans = [np.zeros((size, 0))], [np.zeros(0, dtype=np.intp)]
+        for j in np.flatnonzero(weighted.any(axis=0)):
             rows = slice(None) if len(W) == 1 else np.flatnonzero(weighted[:, j])
+            span = index.blocks[j]
+            spans.append(np.arange(span.start, span.stop))
             if j == i:
                 # own signal is known with certainty
-                own = np.arange(len(cells))[rows]
-                cells[own, block.start + own] = W[rows, j]
+                own = np.arange(size)[rows]
+                cells.append(np.zeros((size, size)))
+                cells[-1][own, own] = W[rows, j]
                 continue
             pair = (spec.agents[i], spec.agents[j])
             if pair not in beliefs.blocks or not beliefs.listed[pair][rows].all():
                 raise _unfillable(spec, i, W)
-            cells[rows, index.blocks[j]] = W[rows, j, None] * beliefs.blocks[pair][rows]
-    return _analysed(B, index, _written_edges(B, index, written))
+            if len(W) == 1:
+                cells.append(W[0, j] * beliefs.blocks[pair])
+            else:
+                cells.append(np.zeros((size, span.stop - span.start)))
+                cells[-1][rows] = W[rows, j, None] * beliefs.blocks[pair][rows]
+        # stored cell by cell in row-major order
+        cells = np.concatenate(cells, axis=1)
+        stored = cells.view(np.uint64) != 0
+        data.append(cells[stored])
+        columns.append(np.broadcast_to(np.concatenate(spans), cells.shape)[stored])
+        counts.append(np.count_nonzero(stored, axis=1))
+    if type_dependent_weights is not None:
+        # each belief that fills B, as the weight rows fill it
+        check_beliefs(off, spec, PROB_TOL, np.concatenate(weights), range(len(index)))
+        if off:
+            raise PreconditionError(off[0])
+    n = len(index)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return _analysed(SparseRows((n, n), indptr, np.concatenate(columns), np.concatenate(data)),
+                     index)
 
 
-def _written_edges(B: np.ndarray, index: SignalIndex, written: np.ndarray):
-    """``B``'s nonzero positions ``(u, v)`` in row-major order, read from
-    the blocks that may hold them: ``written[i, j]`` when agent ``i``'s rows
-    were written in agent ``j``'s columns."""
-    starts = np.array([b.start for b in index.blocks], dtype=np.intp)
-    sizes = np.array([b.stop - b.start for b in index.blocks], dtype=np.intp)
-    i, j = np.nonzero(written)
-    # each agent's written columns in ascending order, agent after agent
-    columns = _ranges(starts[j], sizes[j])
-    width = np.bincount(i, weights=sizes[j], minlength=len(sizes)).astype(np.intp)
-    # every signal's row across its owner's written columns
-    owner = index.agent_of
-    v = columns[_ranges((np.cumsum(width) - width)[owner], width[owner])]
-    u = np.repeat(np.arange(len(B)), width[owner])
-    edge = B[u, v] != 0
-    return u[edge], v[edge]
+def _check_labels(index: SignalIndex, weights: Mapping) -> None:
+    """Refuse type-dependent ``weights`` that name a label that is not a
+    declared signal, or lack a declared signal."""
+    known = set(index.labels)
+    unknown = [t for t in weights if t not in known]
+    if unknown:
+        raise PreconditionError(f"type-dependent weights: unknown signal(s) {unknown}")
+    for t in index.labels:
+        if t not in weights:
+            raise PreconditionError(f"type-dependent weights: no row for signal {t}")
+
+
+def _weight_row_error(t: str, w, n: int) -> str | None:
+    """Why the weight row ``w`` of signal ``t`` cannot fill ``B``: its
+    length, a weight that is not finite, then a negative weight or a sum
+    not within ``PROB_TOL`` of 1; None when it can."""
+    if np.shape(w) != (n,):
+        return f"type-dependent weights for {t}: expected length {n}, got {np.shape(w)}"
+    if not np.isfinite(w).all():
+        return f"signal {t}: every weight must be finite"
+    off: list[str] = []
+    _check_prob(off, f"type-dependent weights for {t}", w, n, PROB_TOL)
+    return off[0] if off else None
 
 
 def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -387,17 +549,15 @@ def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _unfillable(spec: ModelSpec, i: int, W) -> PreconditionError:
     """The error of agent ``i``'s first signal that fails, given ``W``, one
-    weight row per signal or one for all: checked in turn, its weight row's
-    length and finiteness, its belief, and its marginal over each weighted
-    counterpart."""
+    weight row per signal or one for all: checked in turn, its weight row
+    (:func:`_weight_row_error`), its belief, and its marginal over each
+    weighted counterpart."""
     beliefs, n, a = spec.beliefs, spec.n_agents, spec.agents[i]
     block = beliefs.index.blocks[i]
     for s, t, w in zip(range(block.start, block.stop), beliefs.index.labels[block], cycle(W)):
-        if np.shape(w) != (n,):
-            return PreconditionError(
-                f"type-dependent weights for {t}: expected length {n}, got {np.shape(w)}")
-        if not np.isfinite(w).all():
-            return PreconditionError(f"signal {t}: every weight must be finite")
+        error = _weight_row_error(t, w, n)
+        if error:
+            return PreconditionError(error)
         if t not in beliefs:
             return PreconditionError(f"signal {t}: no belief")
         missing = beliefs.uncovered(w, s)
@@ -410,15 +570,15 @@ def _unfillable(spec: ModelSpec, i: int, W) -> PreconditionError:
 def as_structure(obj) -> InteractionStructure:
     """The analysed structure of an InteractionStructure, a Network or a
     square array; a structure is returned as it is and a network's cached
-    analysis is shared, so neither is analysed again.  Any other input, or
-    an array that is not square, not numeric, complex or not finite, is
-    refused with a :class:`PreconditionError`."""
+    analysis is shared, so neither is analysed again.  An array is stored
+    by the rule of :class:`SparseRows`.  Any other input, or an array that
+    is not square, not numeric, complex or not finite, is refused with a
+    :class:`PreconditionError`."""
     if isinstance(obj, InteractionStructure):
         return obj
     if isinstance(obj, Network):
         return obj.structure
-    # a copy, so that freezing it leaves the caller's array writable
-    B = np.array(_square(obj))
+    B = _square(obj)
     if not B.size:
         raise PreconditionError("interaction structure: the matrix has no entries")
     return _analysed(B, index=None)
@@ -440,15 +600,17 @@ def as_chain(obj) -> InteractionStructure:
     return as_structure(obj)
 
 
-def _analysed(B: np.ndarray, index: SignalIndex | None, edges=None) -> InteractionStructure:
-    """The structure of ``B`` with its graph analysis; ``edges`` are its
-    nonzero positions ``(u, v)`` in row-major order, found by a scan of
-    ``B`` when not given.  One search gives the SCCs and the depths that
-    the periods are read from."""
-    u, v = np.nonzero(B != 0) if edges is None else edges
-    comps, depth = _scc_search(len(B), u, v)
+def _analysed(B, index: SignalIndex | None) -> InteractionStructure:
+    """The structure of ``B``, its :class:`SparseRows` or a square array
+    stored by their rule, with its graph analysis of the cells that
+    compare nonzero.  One search gives the SCCs and the depths that the
+    periods are read from."""
+    rows = B if isinstance(B, SparseRows) else SparseRows.of(B)
+    n = len(rows)
+    u, v = rows.edges()
+    comps, depth = _scc_search(n, u, v)
     # a component is terminal when no edge leaves it
-    label = np.empty(len(B), dtype=np.intp)
+    label = np.empty(n, dtype=np.intp)
     label[np.concatenate(comps)] = np.repeat(
         np.arange(len(comps)), [len(c) for c in comps]
     )
@@ -458,7 +620,7 @@ def _analysed(B: np.ndarray, index: SignalIndex | None, edges=None) -> Interacti
     closed[source[crossing]] = False
     terminal = tuple(c for c, ok in zip(comps, closed) if ok)
     periods = _periods(depth, u, v, source, len(comps))[closed]
-    return InteractionStructure(B, index, tuple(comps), terminal, tuple(periods.tolist()),
+    return InteractionStructure(rows, index, tuple(comps), terminal, tuple(periods.tolist()),
                                 label, (u[crossing], v[crossing]))
 
 

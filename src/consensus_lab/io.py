@@ -16,6 +16,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import ScenarioError
+from .interaction import SparseRows
 from .model import BasicVariable, Beliefs, InterimBelief, ModelSpec, Network
 from .tyranny import CISSpec
 
@@ -339,35 +340,38 @@ def write_matrix_csv(fh, row_labels, col_labels, matrix, prefix=None):
     With a ``prefix``, every line starts with it and the header is left to
     the caller, who may stream several matrices under one header.
 
-    Cells are keyed by their float64 bit pattern, so ``-0.0`` and ``0.0``
-    stay apart. Each row starts from a template filled with ``0.0`` and
-    only the other cells are replaced; each distinct value is formatted
-    once. So the Python work grows with the rows and the non-zero cells,
-    not with every cell.
+    ``matrix`` is a structure's :class:`~consensus_lab.interaction.SparseRows`,
+    whose stored cells are those whose float64 bits are nonzero, or a 2-D
+    array, cut to the labels and stored by that rule; so ``-0.0`` and
+    ``0.0`` stay apart. Each row starts from a template filled with ``0.0``
+    and only the stored cells are replaced; each distinct value is
+    formatted once. So the Python work grows with the rows and the stored
+    cells, not with every cell.
 
     Each row's lines go to ``fh`` as soon as they are formed, so the text
-    held at once is one row's, next to the index of the non-zero cells
-    and their distinct values; ``fh`` does its own buffering.
+    held at once is one row's, next to the stored cells and their distinct
+    values; ``fh`` does its own buffering.
     """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if not isinstance(matrix, SparseRows):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = SparseRows.of(matrix[: len(row_labels), : len(col_labels)])
     if prefix is None:
         fh.write("row,col,value\n")
+    if not len(col_labels):
+        return
     lead = prefix or ""
-    bits = matrix.view(np.uint64)[: len(row_labels), : len(col_labels)]
-    if bits.size:
-        rows, cols = np.nonzero(bits)
-        distinct, keys = np.unique(bits[rows, cols], return_inverse=True)
-        texts = [fmt(v) + "\n" for v in distinct.view(np.float64).tolist()]
-        bounds = np.searchsorted(rows, np.arange(bits.shape[0] + 1)).tolist()
-        cols = cols.tolist()
-        keys = keys.tolist()
-        heads = [f"{c}," for c in col_labels]
-        zero = fmt(0.0) + "\n"
-        template = [h + zero for h in heads]
-        for i, r in enumerate(row_labels):
-            cells = template.copy()
-            for k in range(bounds[i], bounds[i + 1]):
-                j = cols[k]
-                cells[j] = heads[j] + texts[keys[k]]
-            p = f"{lead}{r},"
-            fh.write(p + p.join(cells))
+    distinct, keys = np.unique(matrix.data.view(np.uint64), return_inverse=True)
+    texts = [fmt(v) + "\n" for v in distinct.view(np.float64).tolist()]
+    bounds = matrix.indptr.tolist()
+    cols = matrix.indices.tolist()
+    keys = keys.tolist()
+    heads = [f"{c}," for c in col_labels]
+    zero = fmt(0.0) + "\n"
+    template = [h + zero for h in heads]
+    for i, r in enumerate(row_labels):
+        cells = template.copy()
+        for k in range(bounds[i], bounds[i + 1]):
+            j = cols[k]
+            cells[j] = heads[j] + texts[keys[k]]
+        p = f"{lead}{r},"
+        fh.write(p + p.join(cells))

@@ -55,8 +55,7 @@ def optimism_hypotheses(spec: ModelSpec, threshold: float, y=None, f=None) -> Op
     if not np.isfinite(threshold):
         raise PreconditionError(f"threshold must be finite, got {threshold}")
     x1 = first_order_vector(spec, y, f)
-    B = spec.structure.matrix
-    x2 = B @ x1
+    x2 = spec.structure.rows.product(x1)
     below = x1 < threshold
     drift = float(np.min((x2 - x1)[below])) if below.any() else float("inf")
     above = ~below
@@ -111,10 +110,10 @@ def markov_optimism_check(
     if not (0 < delta < np.inf and 0 < eps < np.inf):
         raise PreconditionError("delta and eps must be positive and finite")
     structure = as_chain(Q)
-    matrix = structure.matrix
-    _indices((start,), len(matrix), "start: state")
-    f = _vector(f, len(matrix), "f", "state")
-    drift = matrix @ f - f
+    n = len(structure.rows)
+    _indices((start,), n, "start: state")
+    f = _vector(f, n, "f", "state")
+    drift = structure.rows.product(f) - f
     violations = []
     for s in range(len(f)):
         if f[s] < threshold and drift[s] < delta - 1e-12:

@@ -93,7 +93,8 @@ def stationary_distribution(Q) -> StationaryDistribution:
     structure = as_chain(Q)
     _require_irreducible(structure, "stationary_distribution")
     p = structure.stationary[0]
-    return StationaryDistribution(p, float(np.abs(p @ structure.matrix - p).sum()))
+    residual = float(np.abs(structure.rows.product(p, left=True) - p).sum())
+    return StationaryDistribution(p, residual)
 
 
 def eigenvector_centrality(network) -> np.ndarray:
@@ -109,7 +110,7 @@ def discounted_solve(structure: InteractionStructure, own: np.ndarray, d: np.nda
     residual, gated relative to ``max(1, max|own|)`` since ``s`` scales
     with ``own`` (NaN fails)."""
     s = structure.solve(own, d)
-    residual = float(np.max(np.abs(s - own - d * (structure.matrix @ s))))
+    residual = float(np.max(np.abs(s - own - d * structure.rows.product(s))))
     if not residual <= RESIDUAL_TOL * max(1.0, float(np.max(np.abs(own)))):
         raise ArithmeticError(f"fixed-point residual {residual:.3e}")
     return s, residual
@@ -127,12 +128,12 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     stationary distribution applied to ``z`` (requires irreducibility).
     """
     structure = as_chain(Q)
-    matrix = structure.matrix
-    z = _vector(z, len(matrix), "z", "state")
+    n = len(structure.rows)
+    z = _vector(z, n, "z", "state")
     if beta is None:
         _require_irreducible(structure, "abel_limit exact mode")
-        return np.full(matrix.shape[0], float(structure.stationary[0] @ z))
-    d = np.full(matrix.shape[0], check_beta(beta, f"beta must lie in [0, 1), got {beta}"))
+        return np.full(n, float(structure.stationary[0] @ z))
+    d = np.full(n, check_beta(beta, f"beta must lie in [0, 1), got {beta}"))
     return discounted_solve(structure, (1.0 - d) * z, d)[0]
 
 
@@ -174,12 +175,12 @@ def power_trajectory(Q, z, n_max: int) -> PowerTrajectory:
     repetition was seen within the horizon.
     """
     _count(n_max, 0, "n_max")
-    matrix = as_structure(Q).matrix
-    z = _vector(z, len(matrix), "z", "state")
+    rows = as_structure(Q).rows
+    z = _vector(z, len(rows), "z", "state")
     traj = np.empty((n_max + 1, len(z)))
     traj[0] = z
     for n in range(1, n_max + 1):
-        traj[n] = matrix @ traj[n - 1]
+        traj[n] = rows.product(traj[n - 1])
     cycle = None
     for L in range(1, n_max // 3 + 1):
         checks = range(n_max, max(n_max - 2 * L, L) - 1, -1)

@@ -64,11 +64,10 @@ def no_trade_test(B) -> TradeResult:
     transient = list(structure.transient)
     if not transient:
         return TradeResult(None, reducible, 0.0, structure.labels)
-    matrix = structure.matrix
     t = structure.absorption_time
-    x = np.zeros(len(matrix))
+    x = np.zeros(len(structure.rows))
     x[transient] = -t / t.max()
-    gains = matrix @ x - x
+    gains = structure.rows.product(x) - x
     if not (gains.min() >= -1e-12 and gains.max() >= STRICTNESS_TOL):
         raise ArithmeticError("trade witness failed its defining inequalities")
     return TradeResult(x, reducible, float(gains.sum()), structure.labels)

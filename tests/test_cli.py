@@ -1122,6 +1122,27 @@ class _Sink:
             self.write(s)
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--format", "csv"], ["consensus"], ["game-solve", "--beta", "0.9"],
+    ["verify-optimism"], ["no-trade"],
+], ids=lambda argv: argv[0])
+def test_sparse_ops_never_hold_a_dense_interaction_matrix(tmp_path, argv):
+    # the benchmark's 1000-signal sparse model: a dense B alone is 8 MB, and
+    # each op peaked at 9.1-9.7 MB when it was built; the parse alone peaks
+    # near 2.8 MB
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(bench_gen().sparse_reducible(np.random.default_rng([7, 0]))))
+    argv = [argv[0], str(path), *argv[1:]]
+    assert main(argv, out=_Sink()) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv, out=_Sink()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * 1000 * 8
+
+
 #: Runs ``python -m consensus_lab.cli`` on the argv given as JSON, with its
 #: stdout discarded, and prints that child's peak RSS in MB.  A fresh
 #: parent, so no earlier child can set the peak.

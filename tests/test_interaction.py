@@ -854,10 +854,11 @@ def assert_scanned_analysis(structure):
                for a, b in zip(structure.crossing, scanned.crossing))
 
 
-def test_unweighted_marginals_are_never_written():
-    # ag0 weights only ag1, yet holds a marginal over ag2 with -0.0 and inf;
-    # one of ag1's signals weights ag2 under type-dependent weights, the
-    # other does not
+def odd_marginals():
+    """A spec whose ag0 weights only ag1, yet holds a marginal over ag2 with
+    -0.0 and inf, and q's marginal over ag1 is [-0.0, inf]; and its fitted
+    variant, where that marginal is [-0.0, 1.0] and ag1 weights only ag0,
+    so that every odd marginal left is one its owner does not weight."""
     agents = ("ag0", "ag1", "ag2")
     signals = {"ag0": ("p", "q"), "ag1": ("r", "s"), "ag2": ("u",)}
     odd = [-0.0, np.inf]
@@ -870,15 +871,18 @@ def test_unweighted_marginals_are_never_written():
     }
     g = [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]
     spec = ModelSpec(("w",), agents, signals, beliefs, Network(g))
+    fit = ModelSpec(("w",), agents, signals,
+                    {**beliefs, "q": InterimBelief([1.0], {"ag1": [-0.0, 1.0], "ag2": [np.inf]})},
+                    Network([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    return spec, fit
+
+
+def test_unweighted_marginals_are_never_written():
+    spec, fit = odd_marginals()
     # through the network, a marginal that fills B is held to sum to 1
     with pytest.raises(PreconditionError, match=re.escape(
             "beliefs.q.signals.ag1: sums to inf (expected 1 within 1e-12)")):
         build_interaction_structure(spec)
-    # q's marginal over ag1 made a probability vector, and ag1 weighting only
-    # ag0: every odd marginal left is one its owner does not weight
-    fit = ModelSpec(("w",), agents, signals,
-                    {**beliefs, "q": InterimBelief([1.0], {"ag1": [-0.0, 1.0], "ag2": [np.inf]})},
-                    Network([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     structure = build_interaction_structure(fit)
     B = structure.matrix
     assert same_bits(B, per_signal_matrix(fit))
@@ -886,15 +890,124 @@ def test_unweighted_marginals_are_never_written():
     # written -0.0 cells are no edges
     assert same_bits(B[1, 2], -0.0) and same_bits(B[2, 0], -0.0)
     assert_scanned_analysis(structure)
+    # type-dependent weights are held to the same rule
     weights = {"p": [0, 1, 0], "q": [0, 1, 0], "r": [1, 0, 0], "s": [0.5, 0, 0.5],
                "u": [0, 1, 0]}
-    structure = build_interaction_structure(spec, type_dependent_weights=weights)
+    with pytest.raises(PreconditionError, match=re.escape(
+            "beliefs.q.signals.ag1: sums to inf (expected 1 within 1e-12)")):
+        build_interaction_structure(spec, type_dependent_weights=weights)
+    # with q's marginal fitted, s's marginal over ag2, which s weights,
+    # sums to 0; made a probability vector, r's inf over ag2 is left
+    # unweighted
+    with pytest.raises(PreconditionError, match=re.escape(
+            "beliefs.s.signals.ag2: sums to 0.0 (expected 1 within 1e-12)")):
+        build_interaction_structure(fit, type_dependent_weights=weights)
+    fit = dataclasses.replace(fit, beliefs={
+        **fit.beliefs, "s": InterimBelief([1.0], {"ag0": [1.0, -0.0], "ag2": [1.0]})})
+    structure = build_interaction_structure(fit, type_dependent_weights=weights)
     B = structure.matrix
-    assert same_bits(B, per_signal_matrix(spec, weights))
-    # type-dependent weights are not held to the network's rule: written
-    # -0.0 cells are no edges; inf cells are
+    assert same_bits(B, per_signal_matrix(fit, weights))
     assert_scanned_analysis(structure)
-    assert same_bits(B[2, 4], 0.0) and same_bits(B[3, 4], -0.0)
+    assert same_bits(B[2, 4], 0.0) and B[3, 4] == 0.5
+    # written -0.0 cells are no edges
+    assert same_bits(B[1, 2], -0.0) and same_bits(B[2, 0], -0.0)
+
+
+def own_rows(spec):
+    """Each signal's type-dependent weights: its owner's network row."""
+    return {t: spec.network.weights[spec.agents.index(spec.agent_of(t))]
+            for t in spec.all_signals()}
+
+
+@pytest.mark.parametrize("ann, message", [
+    ([0.0, 2.0], "type-dependent weights for a1: sums to 2.0 (expected 1 within 1e-12)"),
+    ([-0.5, 1.5], "type-dependent weights for a1: negative entry"),
+    ([0.0, 1.0 + 1e-9], "type-dependent weights for a1: sums to 1.000000001"),
+], ids=["sum", "negative", "past-tol"])
+def test_type_dependent_weight_rows_are_probability_vectors(ann, message):
+    # with [0, 2], B's rows once summed to [2, 2, 1, 1]; with [-0.5, 1.5],
+    # a negative cell was written
+    spec = load_scenario(scenario_path("cps"))
+    weights = {**own_rows(spec), "a1": ann, "a2": ann}
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        build_interaction_structure(spec, type_dependent_weights=weights)
+    # the first signal that fails is named, as for a row of the wrong length
+    weights["a1"] = [0.0, 1.0]
+    with pytest.raises(PreconditionError, match=re.escape(message.replace("a1", "a2"))):
+        build_interaction_structure(spec, type_dependent_weights=weights)
+
+
+def test_type_dependent_weights_hold_the_beliefs_they_weight():
+    spec = load_scenario(scenario_path("cps"))
+    a1 = spec.beliefs["a1"]
+    doubled = dataclasses.replace(spec, beliefs={**spec.beliefs, "a1": InterimBelief(
+        a1.state_marginal, {"bob": 2 * a1.signal_marginals["bob"]})})
+    weights = own_rows(spec)
+    message = "beliefs.a1.signals.bob: sums to 2.0 (expected 1 within 1e-12)"
+    for w in (None, weights):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            build_interaction_structure(doubled, w)
+    # a marginal that a1's own row does not weight fills no cell of B
+    structure = build_interaction_structure(doubled, {**weights, "a1": [1.0, 0.0]})
+    assert same_bits(structure.matrix, per_signal_matrix(doubled, {**weights, "a1": [1.0, 0.0]}))
+    assert np.allclose(structure.matrix.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_type_dependent_weights_name_every_declared_signal_and_no_other():
+    spec = load_scenario(scenario_path("cps"))
+    weights = own_rows(spec)
+    lacking = {t: w for t, w in weights.items() if t != "a2"}
+    with pytest.raises(PreconditionError, match=re.escape(
+            "type-dependent weights: no row for signal a2")):
+        build_interaction_structure(spec, type_dependent_weights=lacking)
+    with pytest.raises(PreconditionError, match=re.escape(
+            "type-dependent weights: unknown signal(s) ['zz']")):
+        build_interaction_structure(spec, type_dependent_weights={**weights, "zz": [0.0, 1.0]})
+
+
+def representation_cases():
+    """Bundled scenarios, bench-generated sparse and cis models on either
+    side of twice the product's slab, and the odd-marginals fixture."""
+    gen = bench_gen()
+    cases = [(name, load_scenario(scenario_path(name))) for name in
+             ("case2", "counterexample", "cps", "cycle", "tightness", "tyranny_extreme")]
+    cases += [(f"sparse-{10 * agents}", parse_scenario(gen.sparse_reducible(
+        np.random.default_rng([7, agents]), agents))) for agents in (100, 103)]
+    cases += [(f"cis-{3 * states}", parse_scenario(gen.cis_dense(
+        np.random.default_rng([7, states]), states))) for states in (30, 50)]
+    cases.append(("odd-marginals", odd_marginals()[1]))
+    return [(name, getattr(spec, "model", spec)) for name, spec in cases]
+
+
+@pytest.mark.parametrize("name, spec", representation_cases(),
+                         ids=[case[0] for case in representation_cases()])
+def test_sparse_rows_store_the_dense_matrix_bit_for_bit(name, spec):
+    structure = build_interaction_structure(spec)
+    rows, B = structure.rows, per_signal_matrix(spec)
+    # every cell whose bits are nonzero is stored, signed zeros included
+    assert same_bits(rows.dense(), B) and same_bits(structure.matrix, B)
+    assert not structure.matrix.flags.writeable
+    assert same_bits(rows.data, B[B.view(np.uint64) != 0])
+    # the graph analysis is that of the dense matrix
+    comps, terminal, _ = classes_oracle(B)
+    assert structure.components == tuple(comps) and structure.terminal == tuple(terminal)
+    assert structure.periods == tuple(period_oracle(B, c) for c in terminal)
+    assert_scanned_analysis(structure)
+    # each component's block, and the values read at positions
+    for comp in structure.components[:20]:
+        assert same_bits(rows.block(comp), B[np.ix_(comp, comp)])
+    u, v = structure.crossing
+    assert same_bits(rows.at(u, v), B[u, v])
+    d = np.arange(len(B))
+    assert same_bits(rows.at(d, d), np.diag(B))
+    # the product helper: below two slabs, the dense product itself
+    x = np.random.default_rng(len(B)).random(len(B))
+    right, left = rows.product(x), rows.product(x, left=True)
+    if len(B) < 2 * interaction.SLAB:
+        assert same_bits(right, B @ x) and same_bits(left, x @ B)
+    else:
+        assert np.allclose(right, B @ x, rtol=1e-14, atol=0)
+        assert np.allclose(left, x @ B, rtol=1e-14, atol=0)
 
 
 def error_text(fn, *args):

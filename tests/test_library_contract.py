@@ -213,8 +213,10 @@ def rows() -> dict[str, Row]:
 
     def mapping_cases(weights, rng):
         t = rng.choice(sorted(weights))
-        return {f"{t} {case}": {**weights, t: value}
-                for case, value in vector_cases(weights[t], rng).items()}
+        return {**{f"{t} {case}": {**weights, t: value}
+                   for case, value in vector_cases(weights[t], rng).items()},
+                f"without {t}": {s: w for s, w in weights.items() if s != t},
+                "an unknown label": {**weights, "nobody": weights[t]}}
 
     return {
         # consensus
@@ -273,7 +275,7 @@ def rows() -> dict[str, Row]:
             consensus_lab.build_interaction_structure,
             dict(spec=cps, type_dependent_weights=own_rows),
             {"type_dependent_weights": mapping_cases},
-            lambda r, a: r.matrix.shape == (n, n) and finite(r.matrix)),
+            lambda r, a: r.matrix.shape == (n, n) and stochastic(r.matrix)),
         "joint_connectedness": Row(
             consensus_lab.joint_connectedness, dict(B=P), {"B": matrix_cases},
             lambda r, a: r[0] == (r[1] is None)),
