@@ -66,6 +66,11 @@ class SparseRows:
     indices: np.ndarray
     data: np.ndarray
 
+    def __post_init__(self):
+        # read-only, so the analysis and the dense copy cannot go stale
+        for part in (self.indptr, self.indices, self.data):
+            part.setflags(write=False)
+
     @classmethod
     def of(cls, matrix) -> SparseRows:
         """The cells of a 2-D array whose float64 bits are nonzero."""
@@ -149,12 +154,10 @@ class SparseRows:
     def product(self, x: np.ndarray, left: bool = False) -> np.ndarray:
         """``B @ x``, or with ``left`` ``x @ B``: one BLAS product per dense
         slab of ``SLAB`` rows (columns with ``left``), the last slab taking
-        the remainder.  Below ``2 * SLAB`` it is the one product with
-        ``matrix``; each output entry is the same dot product either way."""
+        the remainder, so below ``2 * SLAB`` it is the one product with the
+        whole dense matrix."""
         n = self.shape[1] if left else len(self)
-        if n < 2 * SLAB:
-            return x @ self.matrix if left else self.matrix @ x
-        bounds = [k * SLAB for k in range(n // SLAB)] + [n]
+        bounds = [k * SLAB for k in range(max(1, n // SLAB))] + [n]
         parts = [x @ self.slab(lo, hi, True) if left else self.slab(lo, hi) @ x
                  for lo, hi in zip(bounds, bounds[1:])]
         return np.concatenate(parts, axis=-1 if left else 0)
@@ -179,8 +182,7 @@ class InteractionStructure:
     ``component_of`` gives each signal's position in ``components``, and
     ``crossing`` holds the edges between components, as source and target
     signals in row-major order.  ``rows`` stores the matrix, and ``matrix``
-    is a read-only dense copy of it, built when first read and kept; a
-    product below ``2 * SLAB`` signals is the one BLAS call with it.
+    is a read-only dense copy of it, built when first read and kept.
     ``index`` is None for a bare matrix, whose states have no labels.  The
     per-terminal-component stationary vectors, the levels of the
     condensation, the absorption matrix and the absorption times are
@@ -451,7 +453,7 @@ def build_interaction_structure(
         _network_cdf(rows, owners)
         check_network_rows(off, owners, rows, PROB_TOL)
         # then each belief's state marginal and each marginal that fills B
-        check_beliefs(off, spec, PROB_TOL, spec.network.weights)
+        check_beliefs(off, spec, PROB_TOL, spec.network.weights[index.agent_of])
         if off:
             raise PreconditionError(off[0])
     else:
@@ -507,7 +509,7 @@ def build_interaction_structure(
         counts.append(np.count_nonzero(stored, axis=1))
     if type_dependent_weights is not None:
         # each belief that fills B, as the weight rows fill it
-        check_beliefs(off, spec, PROB_TOL, np.concatenate(weights), range(len(index)))
+        check_beliefs(off, spec, PROB_TOL, np.concatenate(weights))
         if off:
             raise PreconditionError(off[0])
     n = len(index)
@@ -537,6 +539,8 @@ def _weight_row_error(t: str, w, n: int) -> str | None:
         return f"type-dependent weights for {t}: expected length {n}, got {np.shape(w)}"
     if not np.isfinite(w).all():
         return f"signal {t}: every weight must be finite"
+    if np.any(w < 0):
+        return f"type-dependent weights for {t}: negative weight"
     off: list[str] = []
     _check_prob(off, f"type-dependent weights for {t}", w, n, PROB_TOL)
     return off[0] if off else None

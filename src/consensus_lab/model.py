@@ -470,13 +470,11 @@ def check_network_rows(v: list, agents, g: np.ndarray, tol: float) -> None:
                  f" (expected 1 within {tol})")
 
 
-def check_beliefs(v: list, spec: ModelSpec, tol: float, g: np.ndarray | None = None,
-                  row_of=None) -> None:
+def check_beliefs(v: list, spec: ModelSpec, tol: float, g: np.ndarray | None = None) -> None:
     """Append the violations of the beliefs that the screen at ``tol`` flags;
-    given weights ``g``, only of regular rows, and of a marginal only where
-    it fills ``B``: over an agent with signals whom the signal's row of
-    ``g`` weights, row ``row_of[s]`` for signal ``s`` (its owner's row of
-    the network weights when ``row_of`` is None)."""
+    given ``g``, one row of weights per signal, only of regular rows, and of
+    a marginal only where it fills ``B``: over an agent with signals whom
+    the signal's row of ``g`` weights."""
     beliefs, index = spec.beliefs, spec.beliefs.index
     flagged = np.flatnonzero(beliefs.screen(tol) & (g is None or ~beliefs.irregular))
     spans = dict(zip(index.agents, index.blocks))
@@ -493,8 +491,7 @@ def check_beliefs(v: list, spec: ModelSpec, tol: float, g: np.ndarray | None = N
             for j, m in b.signal_marginals.items():
                 if j == a or j not in spec.agents:
                     v.append(f"{loc}.signals.{j}: not another agent")
-                elif g is None or (g[spec.agents.index(a) if row_of is None else row_of[k],
-                                     spec.agents.index(j)] != 0 and spec.signals[j]):
+                elif g is None or (g[k, spec.agents.index(j)] != 0 and spec.signals[j]):
                     _check_prob(v, f"{loc}.signals.{j}", m, len(spec.signals[j]), tol)
 
 

@@ -921,12 +921,14 @@ def own_rows(spec):
 
 @pytest.mark.parametrize("ann, message", [
     ([0.0, 2.0], "type-dependent weights for a1: sums to 2.0 (expected 1 within 1e-12)"),
-    ([-0.5, 1.5], "type-dependent weights for a1: negative entry"),
+    ([-0.5, 1.5], "type-dependent weights for a1: negative weight"),
+    ([-1e-13, 1.0 + 1e-13], "type-dependent weights for a1: negative weight"),
     ([0.0, 1.0 + 1e-9], "type-dependent weights for a1: sums to 1.000000001"),
-], ids=["sum", "negative", "past-tol"])
+], ids=["sum", "negative", "negative-within-tol", "past-tol"])
 def test_type_dependent_weight_rows_are_probability_vectors(ann, message):
     # with [0, 2], B's rows once summed to [2, 2, 1, 1]; with [-0.5, 1.5],
-    # a negative cell was written
+    # a negative cell was written; a weight below zero by less than the
+    # tolerance is refused as the network refuses it
     spec = load_scenario(scenario_path("cps"))
     weights = {**own_rows(spec), "a1": ann, "a2": ann}
     with pytest.raises(PreconditionError, match=re.escape(message)):
@@ -987,6 +989,7 @@ def test_sparse_rows_store_the_dense_matrix_bit_for_bit(name, spec):
     # every cell whose bits are nonzero is stored, signed zeros included
     assert same_bits(rows.dense(), B) and same_bits(structure.matrix, B)
     assert not structure.matrix.flags.writeable
+    assert not any(part.flags.writeable for part in (rows.indptr, rows.indices, rows.data))
     assert same_bits(rows.data, B[B.view(np.uint64) != 0])
     # the graph analysis is that of the dense matrix
     comps, terminal, _ = classes_oracle(B)
