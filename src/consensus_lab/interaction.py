@@ -2,44 +2,39 @@
 
 The transition weight from a signal of agent i to a signal of agent j is the
 network weight i places on j times i's interim probability of j's signal.
-This module builds that matrix by (agent, counterpart) blocks, naming the
-first signal it cannot fill, the first-order map sending state payoffs to
-per-signal expectations, and the connectivity analysis of the result
-(strongly connected components, terminal components, periods), which the
-structure carries so that every caller shares one analysis.
+This module builds that matrix from the belief stacks in one scatter per
+stack, naming the first signal it cannot fill, the first-order map sending
+state payoffs to per-signal expectations, and the connectivity analysis of
+the result (strongly connected components, terminal components, periods),
+which the structure carries so that every caller shares one analysis.
 
 The matrix is stored as sparse rows (:class:`SparseRows`): every cell whose
 float64 bits are nonzero, row by row, so that no n x n array is made unless
 a caller reads ``structure.matrix``.  It is read through three kernels: its
-cells in row-major order, which give the graph analysis its edges and the
-CSV writer its cells; one dense block per component, for the Markov solves;
-and one product with a vector, made on dense slabs of rows or columns.
-The analysis runs on numpy alone.  The SCCs come from an iterative Tarjan
-search, after a vectorized test that settles a structure of one component;
-the periods are read from that same search's depths, and
-``component_period`` is that analysis of its members' block.  The module
-owns its Markov solves too: each terminal component's stationary vector,
-by ``stationary_vector``, and every solve with ``I - D B`` (``D`` a diagonal
-of discounts), by one walk along the condensation, sinks first, that
+cells in row-major order (the graph analysis's edges, the CSV writer's
+cells); one dense block per component, for the Markov solves; and one
+product with a vector, on dense slabs of rows or columns.  The SCCs come
+from an iterative Tarjan search, after a vectorized test that settles a
+structure of one component; the periods are read from that search's
+depths.  Each terminal component's stationary vector comes from
+``stationary_vector``, and every solve with ``I - D B`` (``D`` a diagonal
+of discounts) from one walk along the condensation, sinks first, that
 factors each component of two or more signals on its own; the absorption
-probabilities and times are such walks over the transient signals, refused
-when out of range.  Each is made on first use and kept, the game's solves
-excepted.
+probabilities and times are such walks, refused when out of range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle
 from typing import Mapping
 
 import numpy as np
 
 from .errors import PreconditionError
 from .model import (
-    PROB_TOL, ModelSpec, Network, SignalIndex, _check_prob, _indices, _network_cdf, _real,
-    check_beliefs, check_network_rows,
+    PROB_TOL, ModelSpec, Network, SignalIndex, _check_prob, _indices, _network_cdf, _ranges,
+    _real, check_beliefs, check_network_rows,
 )
 
 #: Residual ceiling enforced on every returned stationary distribution.
@@ -433,102 +428,90 @@ def build_interaction_structure(
     of his own signal.  First, each network row that fills ``B`` must be
     finite and non-negative with a positive total, then sum to 1 within
     ``PROB_TOL``, whatever tolerance validated it (``network.row[<agent>]``),
-    and then each belief that fills ``B`` must be a probability vector
-    within ``PROB_TOL``.  Agents are then filled in index order, each into
-    its rows of ``B``, and a refusal names the first signal that fails; a
-    type-dependent weight row is checked there, and the beliefs it weights
-    once every agent is filled.
+    and then (for either kind of weights) each belief that fills ``B``,
+    irregular or not, must be a probability vector within ``PROB_TOL``.  A
+    refusal then names the first signal in index order that cannot fill
+    its row: a bad type-dependent weight row, no belief, or no marginal
+    over a weighted counterpart.  Each row's cells, a run per agent that
+    its owner's signals weight, are placed by offsets and filled by one
+    scatter per stack of ``spec.beliefs``.
     """
     index = _signal_index(spec)
-    beliefs = spec.beliefs
-    shape, agents = np.shape(spec.network.weights), (spec.n_agents, spec.n_agents)
-    off: list[str] = []
+    beliefs, n, m, agent = spec.beliefs, len(index), spec.n_agents, index.agent_of
+    first = np.searchsorted(agent, np.arange(m + 1))  # each agent's first signal, and n
+    sizes, off, errors = np.diff(first), [], {}
     if type_dependent_weights is None:
-        if shape != agents:
+        shape = np.shape(spec.network.weights)
+        if shape != (m, m):
             raise PreconditionError(f"network: shape {shape} does not match"
-                                    f" {spec.n_agents} agents, expected {agents}")
+                                    f" {m} agents, expected {(m, m)}")
         # the rows of the agents with signals fill B, and each must sum to 1
-        used = np.flatnonzero([b.stop > b.start for b in index.blocks])
-        rows, owners = spec.network.weights[used], [spec.agents[k] for k in used]
+        used = np.flatnonzero(sizes)
+        rows, owners = spec.network.weights[used], np.array(spec.agents, dtype=object)[used]
         _network_cdf(rows, owners)
         check_network_rows(off, owners, rows, PROB_TOL)
-        # then each belief's state marginal and each marginal that fills B
-        check_beliefs(off, spec, PROB_TOL, spec.network.weights[index.agent_of])
-        if off:
-            raise PreconditionError(off[0])
+        # one weight row per signal, its owner's
+        W = spec.network.weights[agent]
     else:
-        _check_labels(index, type_dependent_weights)
-    # agents with a signal that has no belief, sought among irregular rows
-    absent = {index.agent_of[k] for k in np.flatnonzero(beliefs.irregular)
-              if index.labels[k] not in beliefs}
-    # the stored cells agent by agent, the count in each row, and the
-    # weight rows
-    data, columns, counts, weights = [np.zeros(0)], [np.zeros(0, dtype=np.intp)], [], []
-    for i, block in enumerate(index.blocks):
-        size = block.stop - block.start
-        if type_dependent_weights is None:
-            # the owner's network row, once for all its signals (none
-            # when the owner has no signals)
-            W, fits = spec.network.weights[i : i + 1][:size], True
-        else:
-            W = [_real(type_dependent_weights[t], f"type-dependent weights for {t}")
-                 for t in index.labels[block]]
-            fits = not any(_weight_row_error(t, w, spec.n_agents)
-                           for t, w in zip(index.labels[block], W))
-        if i in absent or not fits:
-            raise _unfillable(spec, i, W)
-        W = np.reshape(W, (-1, spec.n_agents))
-        weights.append(W)
-        # only weighted cells are written: unweighted ones stay +0.0
-        weighted = W != 0
-        # the agent's rows across its weighted counterparts' columns
-        cells, spans = [np.zeros((size, 0))], [np.zeros(0, dtype=np.intp)]
-        for j in np.flatnonzero(weighted.any(axis=0)):
-            rows = slice(None) if len(W) == 1 else np.flatnonzero(weighted[:, j])
-            span = index.blocks[j]
-            spans.append(np.arange(span.start, span.stop))
-            if j == i:
-                # own signal is known with certainty
-                own = np.arange(size)[rows]
-                cells.append(np.zeros((size, size)))
-                cells[-1][own, own] = W[rows, j]
-                continue
-            pair = (spec.agents[i], spec.agents[j])
-            if pair not in beliefs.blocks or not beliefs.listed[pair][rows].all():
-                raise _unfillable(spec, i, W)
-            if len(W) == 1:
-                cells.append(W[0, j] * beliefs.blocks[pair])
-            else:
-                cells.append(np.zeros((size, span.stop - span.start)))
-                cells[-1][rows] = W[rows, j, None] * beliefs.blocks[pair][rows]
-        # stored cell by cell in row-major order
-        cells = np.concatenate(cells, axis=1)
-        stored = cells.view(np.uint64) != 0
-        data.append(cells[stored])
-        columns.append(np.broadcast_to(np.concatenate(spans), cells.shape)[stored])
-        counts.append(np.count_nonzero(stored, axis=1))
-    if type_dependent_weights is not None:
-        # each belief that fills B, as the weight rows fill it
-        check_beliefs(off, spec, PROB_TOL, np.concatenate(weights))
-        if off:
-            raise PreconditionError(off[0])
-    n = len(index)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return _analysed(SparseRows((n, n), indptr, np.concatenate(columns), np.concatenate(data)),
-                     index)
-
-
-def _check_labels(index: SignalIndex, weights: Mapping) -> None:
-    """Refuse type-dependent ``weights`` that name a label that is not a
-    declared signal, or lack a declared signal."""
-    known = set(index.labels)
-    unknown = [t for t in weights if t not in known]
-    if unknown:
-        raise PreconditionError(f"type-dependent weights: unknown signal(s) {unknown}")
-    for t in index.labels:
-        if t not in weights:
-            raise PreconditionError(f"type-dependent weights: no row for signal {t}")
+        labels = set(index.labels)
+        unknown = [t for t in type_dependent_weights if t not in labels]
+        if unknown:
+            raise PreconditionError(f"type-dependent weights: unknown signal(s) {unknown}")
+        W = np.zeros((n, m))
+        for s, t in enumerate(index.labels):
+            if t not in type_dependent_weights:
+                raise PreconditionError(f"type-dependent weights: no row for signal {t}")
+            try:
+                w = _real(type_dependent_weights[t], f"type-dependent weights for {t}")
+                errors[s] = _weight_row_error(t, w, m)
+            except PreconditionError as exc:
+                errors[s] = str(exc)
+            if not errors[s]:
+                W[s] = w
+    # each belief's state marginal and each marginal that fills B
+    check_beliefs(off, spec, PROB_TOL, W)
+    if off:
+        raise PreconditionError(off[0])
+    # the first signal with a bad weight row, no belief, or a weighted
+    # counterpart it lists no marginal over
+    bad = beliefs.uncovered(W).any(axis=1)
+    bad[[s for s, error in errors.items() if error]] = True
+    for s in np.flatnonzero(beliefs.irregular):
+        bad[s] |= index.labels[s] not in beliefs
+    if bad.any():
+        s = int(np.argmax(bad))
+        raise _unfillable(spec, s, W[s], errors.get(s))
+    # the weighted cells: each signal's own, and its rows of each stack
+    # whose counterpart it weights, all listed; weighted[i, j]: a signal
+    # of agent i weights agent j
+    weighted, picked = np.zeros((m, m), dtype=bool), []
+    w = W[np.arange(n), agent]
+    own = np.flatnonzero(w)
+    weighted[agent[own], agent[own]] = True
+    for stack in beliefs.stacks.values():
+        k = np.flatnonzero(W[stack.signal, stack.counterpart])
+        s, j = stack.signal[k], stack.counterpart[k]
+        weighted[agent[s], j] = True
+        picked.append((s, j, stack.marginals[k]))
+    # where j's columns start among the cells of each of i's rows, and
+    # how many cells its rows have; each row's first cell
+    spans = np.zeros((m, m + 1), dtype=np.intp)
+    np.cumsum(weighted * sizes, axis=1, out=spans[:, 1:])
+    offset, head = spans[:, :-1], np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(spans[agent, -1], out=head[1:])
+    # unweighted cells are never written, so they stay +0.0 (0 * inf is nan)
+    values, columns = np.zeros(head[-1]), np.zeros(head[-1], dtype=np.intp)
+    # own signal is known with certainty
+    at = head[own] + offset[agent[own], agent[own]] + own - first[agent[own]]
+    values[at], columns[at] = w[own], own
+    for s, j, marginals in picked:
+        c = np.arange(marginals.shape[1])
+        at = (head[s] + offset[agent[s], j])[:, None] + c
+        values[at] = W[s, j][:, None] * marginals
+        columns[at] = first[j][:, None] + c
+    stored = values.view(np.uint64) != 0
+    indptr = np.searchsorted(np.flatnonzero(stored), head)
+    return _analysed(SparseRows((n, n), indptr, columns[stored], values[stored]), index)
 
 
 def _weight_row_error(t: str, w, n: int) -> str | None:
@@ -546,29 +529,16 @@ def _weight_row_error(t: str, w, n: int) -> str | None:
     return off[0] if off else None
 
 
-def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges ``lo[k] : lo[k] + counts[k]``, concatenated."""
-    return np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-
-
-def _unfillable(spec: ModelSpec, i: int, W) -> PreconditionError:
-    """The error of agent ``i``'s first signal that fails, given ``W``, one
-    weight row per signal or one for all: checked in turn, its weight row
-    (:func:`_weight_row_error`), its belief, and its marginal over each
-    weighted counterpart."""
-    beliefs, n, a = spec.beliefs, spec.n_agents, spec.agents[i]
-    block = beliefs.index.blocks[i]
-    for s, t, w in zip(range(block.start, block.stop), beliefs.index.labels[block], cycle(W)):
-        error = _weight_row_error(t, w, n)
-        if error:
-            return PreconditionError(error)
-        if t not in beliefs:
-            return PreconditionError(f"signal {t}: no belief")
-        missing = beliefs.uncovered(w, s)
-        if missing.any():
-            b = spec.agents[np.argmax(missing)]
-            return PreconditionError(f"signal {t}: agent {a} weights {b} but carries"
-                                     f" no belief marginal over {b}'s signals")
+def _unfillable(spec: ModelSpec, s: int, w: np.ndarray, error: str | None) -> PreconditionError:
+    """The refusal of signal ``s`` with weight row ``w`` and that row's
+    error, if any; then no belief, then no marginal over a weighted agent."""
+    beliefs = spec.beliefs
+    t, a = beliefs.index.labels[s], spec.agents[beliefs.index.agent_of[s]]
+    if error or t not in beliefs:
+        return PreconditionError(error or f"signal {t}: no belief")
+    b = spec.agents[np.argmax(beliefs.uncovered(w, s))]
+    return PreconditionError(f"signal {t}: agent {a} weights {b} but carries"
+                             f" no belief marginal over {b}'s signals")
 
 
 def as_structure(obj) -> InteractionStructure:

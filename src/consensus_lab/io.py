@@ -4,7 +4,8 @@ A scenario is a JSON object discriminated by its top-level ``kind``:
 ``general`` (default) carries explicit interim beliefs, ``cis`` carries a
 common-interpretation model (state priors plus signal technologies).
 Unknown keys are rejected everywhere; error messages carry the file name
-and the JSON path of the offending field.
+and the JSON path of the offending field.  Marginal-mode beliefs are parsed
+in one pass into one stack per counterpart width (:class:`Beliefs`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .interaction import SparseRows
-from .model import BasicVariable, Beliefs, InterimBelief, ModelSpec, Network
+from .model import BasicVariable, Beliefs, InterimBelief, ModelSpec, Network, stacked
 from .tyranny import CISSpec
 
 #: Round-trippable float formatting used in every CSV cell.
@@ -188,49 +189,36 @@ def _screened_rows(lists, n) -> np.ndarray | None:
     if (set(map(type, lists)) <= {list} and set(map(len, lists)) <= {n}
             and set(map(type, chain.from_iterable(lists))) <= {float, int}):
         try:
-            return np.array(lists, dtype=float).reshape(len(lists), n)
+            return np.fromiter(chain.from_iterable(lists), float, len(lists) * n).reshape(-1, n)
         except OverflowError:
             pass
     return None
 
 
 def _belief_blocks(bl, agents, signals, n_states) -> Beliefs | None:
-    """Every belief in marginal form, screened and stored by agent blocks:
-    one array for all state marginals and one per (agent, counterpart)
-    pair, over the rows that list the counterpart.  None when some belief
-    fails the screen or is given in full mode: the per-signal parse then
-    finds the first error, or sums the entries into marginals."""
-    state_lists, columns, keys = [], {}, {}
-    for a in agents:
-        labels = signals[a]
-        try:
-            objs = [bl[t] for t in labels]
-            ms = [o["marginals"] for o in objs]
-            state_lists += [m["state"] for m in ms]
-            sigs = [m.get("signals", {}) for m in ms]
-        except (KeyError, TypeError):
-            # a missing belief, or an entry that is not an object
-            return None
-        if not (set(map(len, objs)) <= {1}
-                and set(chain.from_iterable(ms)) <= {"state", "signals"}
-                and set(map(type, sigs)) <= {dict}):
-            return None
-        order = list(map(tuple, sigs))
-        kinds = set(order)
-        counterparts = set(chain.from_iterable(kinds))
-        if a in counterparts or not counterparts <= signals.keys():
-            return None
-        for j in counterparts:
-            rows = None if len(kinds) == 1 else [r for r, m in enumerate(sigs) if j in m]
-            block = _screened_rows([m[j] for m in sigs if j in m], len(signals[j]))
-            if block is None:
-                return None
-            columns[a, j] = (rows, block)
-        keys.update(zip(labels, order))
-    states = _screened_rows(state_lists, n_states)
-    if states is None:
+    """The beliefs as :class:`Beliefs`, one :func:`_screened_rows` call per
+    stack and one for the state table; None when one fails that screen or is
+    in full mode: the per-signal parse then names the first error or sums it."""
+    labels = [t for a in agents for t in signals[a]]
+    try:
+        objs = [bl[t] for t in labels]
+        ms = [o["marginals"] for o in objs]
+        states = [m["state"] for m in ms]
+        sigs = [m.get("signals", {}) for m in ms]
+    except (KeyError, TypeError):
+        # a missing belief, or an entry that is not an object
         return None
-    return Beliefs(agents, signals, n_states, states, columns, keys)
+    if not (set(map(len, objs)) <= {1}
+            and set(chain.from_iterable(ms)) <= {"state", "signals"}
+            and set(map(type, sigs)) <= {dict}):
+        return None
+    stacks, states = stacked(agents, signals, sigs), _screened_rows(states, n_states)
+    for width, stack in (stacks or {}).items():
+        stack[3] = _screened_rows(stack[3], width)
+    if stacks is None or states is None or any(stack[3] is None for stack in stacks.values()):
+        return None
+    return Beliefs(agents, signals, n_states, states, stacks,
+                   dict(zip(labels, map(tuple, sigs))))
 
 
 def _parse_signals(obj, ctx, agents) -> dict[str, tuple[str, ...]]:

@@ -6,14 +6,13 @@ after construction (arrays are read-only, mappings are read-only copies),
 so what is derived from one is built once, on first use, and kept: a
 spec's interaction structure and first-order map, a network's analysis.
 
-A spec stores its interim beliefs by agent blocks (:class:`Beliefs`): one
-state table per agent, with a row per signal, and one block per (agent,
-counterpart) pair, with the agent's marginals over the counterpart's
-signals.  Marginals are all a belief holds: a scenario's full-mode
-entries are summed into them as they are parsed, and no joint over
-signal profiles is kept.  For a parsed marginal-mode scenario
-``spec.beliefs[t]`` is an :class:`InterimBelief` over read-only row views
-of those arrays.
+A spec stores its interim beliefs (:class:`Beliefs`) as one state table,
+a row per signal, and one stack per counterpart width, holding every
+agent's marginals over the signals of each counterpart of that width.
+Marginals are all a belief holds: a scenario's full-mode entries are
+summed into them as they are parsed, and no joint over signal profiles is
+kept.  For a parsed marginal-mode scenario ``spec.beliefs[t]`` is an
+:class:`InterimBelief` over read-only row views of those arrays.
 
 The library's entry points check their arguments through the private
 ``_real``, ``_vector``, ``_count`` and ``_indices`` here; each refusal is a
@@ -25,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -185,6 +184,46 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``lo[k] : lo[k] + counts[k]``, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+
+
+def stacked(agents, signals, rows) -> dict | None:
+    """Per counterpart width: its pairs' agent and counterpart indices, flags
+    of the rows listing it, and their marginals, from each signal's marginals
+    by agent in ``rows``; None if a row lists its owner or a non-agent."""
+    position, stacks, hi = {a: k for k, a in enumerate(agents)}, {}, 0
+    for i, a in enumerate(agents):
+        lo, hi = hi, hi + len(signals.get(a, ()))
+        kinds = dict.fromkeys(map(tuple, rows[lo:hi]))
+        counterparts = dict.fromkeys(chain.from_iterable(kinds))
+        if a in counterparts or not counterparts.keys() <= position.keys():
+            return None
+        # with one kind, every row lists the same counterparts in order
+        columns = (zip(*map(dict.values, rows[lo:hi])) if len(kinds) == 1 else
+                   ([m[j] for m in rows[lo:hi] if j in m] for j in counterparts))
+        for j, marginals in zip(counterparts, columns):
+            stack = stacks.setdefault(len(signals.get(j, ())), [[], [], [], []])
+            stack[0].append(i)
+            stack[1].append(position[j])
+            stack[2] += [j in m for m in rows[lo:hi]]
+            stack[3] += marginals
+    return stacks
+
+
+@dataclass(frozen=True, eq=False)
+class Stack:
+    """The marginals of every (agent, counterpart) pair whose counterpart
+    has one number of signals, a row per signal of the agent: each row's
+    signal (its row of ``B``), counterpart, and whether it lists it."""
+
+    signal: np.ndarray
+    counterpart: np.ndarray
+    listed: np.ndarray
+    marginals: np.ndarray
+
+
 class Beliefs(Mapping):
     """Read-only mapping from signal label to :class:`InterimBelief`,
     stored by agent blocks.
@@ -192,81 +231,88 @@ class Beliefs(Mapping):
     ``index`` is the :class:`SignalIndex` over the declared signals,
     agents in declaration order; ``states`` holds one state marginal per
     signal in that order, and ``tables[a]`` is agent ``a``'s rows of it.
-    ``blocks[a, j]`` holds ``a``'s marginals over ``j``'s signals, one row
-    per signal of ``a``, for each agent ``j`` that some signal of ``a``
-    lists; ``listed[a, j]`` marks the rows that list ``j`` (the others are
-    zeros).  ``irregular`` marks the rows the arrays do not describe
-    alone: a missing belief, or a vector that is not 1-D with one entry
-    per state or counterpart signal (or whose counterpart is not another
-    agent).
+    ``stacks`` holds a :class:`Stack` per counterpart width, and
+    ``blocks[a, j]`` is the view of it with ``a``'s marginals over ``j``'s
+    signals, a row per signal of ``a``, for each ``j`` that some signal of
+    ``a`` lists.  ``irregular`` marks the rows the arrays do not describe
+    alone: a missing belief, or a vector that is not 1-D with one entry per
+    state or counterpart signal (or whose counterpart is not another agent).
 
     A parsed belief is built on first use over read-only row views of the
     arrays.  A belief given as an :class:`InterimBelief` is kept as given,
     and its vectors that fit are copied into the arrays.
     """
 
-    def __init__(self, agents, signals, n_states, states, columns, beliefs,
+    def __init__(self, agents, signals, n_states, states, stacks, beliefs,
                  irregular=None):
-        """``columns`` maps ``(a, j)`` to the rows of ``a`` that list ``j``
-        (None for all) and their marginals; ``beliefs`` maps each label
-        with a belief to the belief, or to its counterparts in order when
-        it is to be built over row views."""
+        """``stacks`` is what :func:`stacked` returns, its marginals made
+        arrays or not; ``beliefs`` maps each label with a belief to it, or
+        to its counterparts in order to build it over row views."""
         self.agents = tuple(dict.fromkeys(agents))
         self.signals, self.n_states = signals, n_states
-        sizes = [len(signals.get(a, ())) for a in self.agents]
+        sizes = np.array([len(signals.get(a, ())) for a in self.agents], dtype=int)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
         self.index = SignalIndex(
             tuple(chain.from_iterable(signals.get(a, ()) for a in self.agents)),
             self.agents, freeze(np.repeat(np.arange(len(sizes)), sizes), int),
-            tuple(slice(e - k, e) for k, e in zip(sizes, accumulate(sizes))))
+            tuple(map(slice, bounds[:-1].tolist(), bounds[1:].tolist())))
         self.states = _readonly(states)
         self.irregular = _readonly(np.zeros(len(states), dtype=bool)
                                    if irregular is None else irregular)
-        self._beliefs, self._screens = beliefs, {}
-        tables = {a: self.states[span] for a, span in zip(self.agents, self.index.blocks)}
-        every = _readonly(np.ones(len(states), dtype=bool))
-        blocks, listed = {}, {}
-        for (a, j), (rows, arr) in columns.items():
-            n = len(tables[a])
-            if rows is None or len(rows) == n:
-                blocks[a, j], listed[a, j] = _readonly(arr), every[:n]
-            else:
-                block, rows_listed = np.zeros((n, arr.shape[1])), np.zeros(n, dtype=bool)
-                block[rows], rows_listed[rows] = arr, True
-                blocks[a, j], listed[a, j] = _readonly(block), _readonly(rows_listed)
-        self.tables, self.blocks, self.listed = map(MappingProxyType, (tables, blocks, listed))
+        self.tables = MappingProxyType(dict(zip(self.agents, map(states.__getitem__,
+                                                                 self.index.blocks))))
+        self._beliefs, self._screens, self.stacks = beliefs, {}, {}
+        for width, (owner, other, listed, marginals) in stacks.items():
+            rows, flags = sizes[owner], np.array(listed, dtype=bool)
+            stack = np.asarray(marginals, dtype=float).reshape(int(flags.sum()), width)
+            if not flags.all():
+                # the rows that do not list the counterpart are zeros
+                stack, given = np.zeros((len(flags), width)), stack
+                stack[flags] = given
+            self.stacks[width] = Stack(_ranges(bounds[owner], rows), np.repeat(other, rows),
+                                       _readonly(flags), _readonly(stack))
 
     @classmethod
     def stack(cls, beliefs: Mapping, agents, signals, n_states) -> "Beliefs":
         """Store a mapping from label to belief by agent blocks."""
+        agents = tuple(dict.fromkeys(agents))
         shapes = {j: (len(signals.get(j, ())),) for j in agents}
         blank = np.zeros(n_states)
-        states, irregular, columns, entries = [], [], {}, {}
-        for a in dict.fromkeys(agents):
-            found: dict = {}
-            for r, t in enumerate(signals.get(a, ())):
+        states, rows, irregular, entries = [], [], [], {}
+        for a in agents:
+            for t in signals.get(a, ()):
                 b = beliefs.get(t)
-                if b is None:
-                    states.append(blank)
-                    irregular.append(True)
-                    continue
-                fits = b.state_marginal.shape == (n_states,)
+                fits = b is not None and b.state_marginal.shape == (n_states,)
                 states.append(b.state_marginal if fits else blank)
-                regular = fits
-                for j, m in b.signal_marginals.items():
-                    if j != a and m.shape == shapes.get(j):
-                        found.setdefault(j, {})[r] = m
-                    else:
-                        regular = False
-                irregular.append(not regular)
+                given = {} if b is None else b.signal_marginals
+                rows.append({j: m for j, m in given.items()
+                             if j != a and m.shape == shapes.get(j)})
+                irregular.append(not fits or len(rows[-1]) < len(given))
                 # the given belief is kept: it holds read-only copies
                 # already, and views would cost an object per signal; a
                 # label declared twice is stored at both rows
-                entries.setdefault(t, b)
-            columns.update(((a, j), (list(rows), np.array(list(rows.values()))))
-                           for j, rows in found.items())
+                if b is not None:
+                    entries.setdefault(t, b)
         states = np.array(states, dtype=float).reshape(len(states), n_states)
-        return cls(agents, signals, n_states, states, columns, entries,
+        return cls(agents, signals, n_states, states, stacked(agents, signals, rows), entries,
                    np.array(irregular, dtype=bool))
+
+    blocks = property(lambda self: self._views[0], doc="``a``'s marginals over ``j``'s signals")
+    listed = property(lambda self: self._views[1], doc="Rows of ``blocks[a, j]`` listing ``j``")
+
+    @cached_property
+    def _views(self) -> tuple[Mapping, Mapping]:
+        """``blocks`` and ``listed``: each pair's rows of its stack, which
+        start where the agent or the counterpart changes."""
+        blocks, listed = {}, {}
+        for stack in self.stacks.values():
+            owner, other = self.index.agent_of[stack.signal], stack.counterpart
+            cut = np.flatnonzero(np.diff(owner) | np.diff(other)) + 1
+            for k, rows, flags in zip([0, *cut.tolist()], np.split(stack.marginals, cut),
+                                      np.split(stack.listed, cut)):
+                pair = self.agents[owner[k]], self.agents[other[k]]
+                blocks[pair], listed[pair] = rows, flags
+        return MappingProxyType(blocks), MappingProxyType(listed)
 
     @cached_property
     def _rows(self) -> dict:
@@ -301,9 +347,8 @@ class Beliefs(Mapping):
         ``j`` is its owner."""
         covered = np.zeros((len(self.states), len(self.agents)), dtype=bool)
         covered[np.arange(len(self.states)), self.index.agent_of] = True
-        position = {a: k for k, a in enumerate(self.agents)}
-        for (a, j), rows in self.listed.items():
-            covered[self.index.blocks[position[a]], position[j]] = rows
+        for stack in self.stacks.values():
+            covered[stack.signal[stack.listed], stack.counterpart[stack.listed]] = True
         return covered
 
     def uncovered(self, weights, rows=slice(None)) -> np.ndarray:
@@ -317,23 +362,13 @@ class Beliefs(Mapping):
         """Rows of ``states`` whose belief may break a probability rule:
         irregular ones, and those with a state marginal or a listed
         counterpart marginal that has an entry below ``-tol`` or a sum not
-        within ``tol`` of 1, kept per ``tol``.  Blocks of one width are
-        screened together; each row sum has the bits of ``np.sum`` of it."""
+        within ``tol`` of 1, kept per ``tol``.  Each stack is screened as
+        one array; each row sum has the bits of ``np.sum`` of it."""
         if tol in self._screens:
             return self._screens[tol]
         flagged = self.irregular | _off(self.states, tol)
-        first = {a: b.start for a, b in zip(self.agents, self.index.blocks)}
-        groups: dict = {}
-        for (a, j), block in self.blocks.items():
-            groups.setdefault(block.shape[1], []).append((a, j))
-        for pairs in groups.values():
-            sizes = np.array([len(self.listed[p]) for p in pairs])
-            off = _off(np.concatenate([self.blocks[p] for p in pairs]), tol)
-            off &= np.concatenate([self.listed[p] for p in pairs])
-            # each stacked row's position among the rows of ``states``
-            starts = np.array([first[a] for a, _ in pairs])
-            starts += sizes - sizes.cumsum()
-            flagged[(np.arange(sizes.sum()) + np.repeat(starts, sizes))[off]] = True
+        for stack in self.stacks.values():
+            flagged[stack.signal[_off(stack.marginals, tol) & stack.listed]] = True
         self._screens[tol] = _readonly(flagged)
         return flagged
 
@@ -472,20 +507,20 @@ def check_network_rows(v: list, agents, g: np.ndarray, tol: float) -> None:
 
 def check_beliefs(v: list, spec: ModelSpec, tol: float, g: np.ndarray | None = None) -> None:
     """Append the violations of the beliefs that the screen at ``tol`` flags;
-    given ``g``, one row of weights per signal, only of regular rows, and of
-    a marginal only where it fills ``B``: over an agent with signals whom
-    the signal's row of ``g`` weights."""
+    given ``g``, a weight row per signal, of a marginal only where it fills
+    ``B`` (over a weighted agent with signals), and none for a missing belief."""
     beliefs, index = spec.beliefs, spec.beliefs.index
-    flagged = np.flatnonzero(beliefs.screen(tol) & (g is None or ~beliefs.irregular))
+    flagged = np.flatnonzero(beliefs.screen(tol))
     spans = dict(zip(index.agents, index.blocks))
     for a in spec.agents if len(flagged) else ():
         span = spans[a]
         for k in flagged[(span.start <= flagged) & (flagged < span.stop)]:
             t = index.labels[k]
-            b = beliefs.get(t)
-            if b is None:
-                v.append(f"beliefs.{t}: missing belief")
+            if t not in beliefs:
+                if g is None:
+                    v.append(f"beliefs.{t}: missing belief")
                 continue
+            b = beliefs[t]
             loc = f"beliefs.{t}"
             _check_prob(v, f"{loc}.state", b.state_marginal, spec.n_states, tol)
             for j, m in b.signal_marginals.items():

@@ -107,8 +107,8 @@ def build_pi_from_cis(cis: CISSpec) -> ModelSpec:
     fills in each agent's implied prior over his own signals.  A signal
     with zero prior probability has no posterior and raises.
     """
-    tables, columns, keys, priors = [], {}, {}, {}
-    for a in cis.agents:
+    agents, tables, stacks, keys, priors = tuple(dict.fromkeys(cis.agents)), [], {}, {}, {}
+    for i, a in enumerate(agents):
         mu = priors[a] = cis.rho[a] @ cis.eta[a]
         zero = np.flatnonzero(mu <= 0.0)
         if len(zero):
@@ -117,13 +117,19 @@ def build_pi_from_cis(cis: CISSpec) -> ModelSpec:
         # C order and one vector-matrix product per row (a stack of 1 x k
         # rows, not one matrix product) keep a lone posterior vector's bits
         table = np.ascontiguousarray(cis.eta[a].T) * cis.rho[a] / mu[:, None]
-        others = tuple(j for j in cis.agents if j != a)
+        others = tuple(j for j in agents if j != a)
         tables.append(table)
-        columns.update(((a, j), (None, np.matmul(table[:, None, :], cis.eta[j])[:, 0, :]))
-                       for j in others if len(table))
+        for j in others if len(table) else ():
+            stack = stacks.setdefault(len(cis.signals[j]), [[], [], [], []])
+            stack[0].append(i)
+            stack[1].append(agents.index(j))
+            stack[2] += [True] * len(table)
+            stack[3].append(np.matmul(table[:, None, :], cis.eta[j])[:, 0, :])
         keys.update(dict.fromkeys(cis.signals[a], others))
     states = np.concatenate([np.empty((0, cis.n_states)), *tables])  # none without agents
-    beliefs = Beliefs(cis.agents, cis.signals, cis.n_states, states, columns, keys)
+    for stack in stacks.values():
+        stack[3] = np.concatenate(stack[3])
+    beliefs = Beliefs(cis.agents, cis.signals, cis.n_states, states, stacks, keys)
     return ModelSpec(
         cis.states,
         cis.agents,

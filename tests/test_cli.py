@@ -920,6 +920,27 @@ def test_build_golden_bytes_on_a_sparse_model(tmp_path):
         "50e8afc31bb9c509dc853b7af08c407a07d4187e4c55a5eb1aa2e3ada501cbff")
 
 
+@pytest.mark.parametrize("family, size, validate, build_csv", [
+    ("sparse_reducible", 100,
+     "393463c233b82d49c4f7f770089bb71172a6becf66798c5f17e7a7ac457fd822",
+     "b2356e253995f5b212238a9a4e88a81eb416e0b5279de7ba60c4423c390bd6c9"),
+    ("cis_dense", 50,
+     "393463c233b82d49c4f7f770089bb71172a6becf66798c5f17e7a7ac457fd822",
+     "1eccc8e1eae2a9a541d99b1f2e37c5c63062bdd517384f4e8880291caebf7830"),
+], ids=["sparse-1000", "cis-150"])
+def test_validate_and_build_csv_golden_bytes_on_benchmark_models(tmp_path, family, size,
+                                                                 validate, build_csv):
+    # the bench-gen models of 1000 and 150 signals (rng [1, 0]); digests
+    # captured while each agent's marginals were stored one block per
+    # counterpart and B was filled agent by agent.  Neither command calls
+    # BLAS, so the bytes do not depend on the thread count
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(getattr(bench_gen(), family)(np.random.default_rng([1, 0]), size)))
+    for argv, digest in ((["validate"], validate), (["build", "--format", "csv"], build_csv)):
+        code, out = run_cli([argv[0], str(path), *argv[1:]])
+        assert code == 0 and _sha256(out) == digest
+
+
 def _count_calls(monkeypatch, counts, targets):
     """Wrap each (home module, name) so that calls add to ``counts``, at
     every module of the package that holds a reference to it."""

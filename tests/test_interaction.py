@@ -955,6 +955,24 @@ def test_type_dependent_weights_hold_the_beliefs_they_weight():
     assert np.allclose(structure.matrix.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("state, extra, message", [
+    ([0.5, 0.3, 0.2], {}, "beliefs.a1.state: expected length 2, got 3"),
+    ([0.7, 0.3], {"eve": [1.0]}, "beliefs.a1.signals.bob: sums to 2.0 (expected 1 within 1e-12)"),
+], ids=["state-length", "not-an-agent"])
+def test_an_irregular_row_that_fills_b_is_held_to_the_probability_rules(state, extra, message):
+    # a1's row is irregular (a state marginal of length 3, or a marginal
+    # over a label that is no agent), yet its doubled marginal over bob
+    # fills B: B's row sums were once [2, 1, 1, 1], without a refusal
+    spec = load_scenario(scenario_path("cps"))
+    a1 = spec.beliefs["a1"]
+    bad = dataclasses.replace(spec, beliefs={**spec.beliefs, "a1": InterimBelief(
+        state, {"bob": 2 * a1.signal_marginals["bob"], **extra})})
+    assert bad.beliefs.irregular[0] and not bad.beliefs.irregular[1:].any()
+    for weights in (None, own_rows(spec)):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            build_interaction_structure(bad, weights)
+
+
 def test_type_dependent_weights_name_every_declared_signal_and_no_other():
     spec = load_scenario(scenario_path("cps"))
     weights = own_rows(spec)

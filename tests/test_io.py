@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from consensus_lab.errors import ScenarioError
-from consensus_lab.io import fmt, load_scenario, parse_scenario, write_matrix_csv
+from consensus_lab.interaction import build_interaction_structure
+from consensus_lab.io import (
+    _belief_blocks, _parse_belief, fmt, load_scenario, parse_scenario, write_matrix_csv,
+)
+from consensus_lab.model import Beliefs, ModelSpec, Network
 
-from conftest import bench_gen, scenario_path, sparse_reducible_model
+from conftest import bench_gen, scenario_object, scenario_path, sparse_reducible_model
 
 
 def per_cell_csv(rows, cols, matrix, prefix=None):
@@ -297,3 +301,96 @@ def test_corrupted_scenarios_are_refused_with_their_path(tmp_path, name, edit, m
     with pytest.raises(ScenarioError) as exc:
         load_scenario(path)
     assert str(exc.value) == message.replace("<file>", str(path))
+
+
+def hand_built():
+    """Rows of one agent that list different counterparts, or the same in
+    another order; counterparts of 3, 1 and 2 signals; int entries, -0.0,
+    1e308 and inf (the last two in marginals the network does not weight);
+    and type-dependent weights under which y1 weights z alone while y's
+    other signals weight x, so y1's inf over x meets a zero weight."""
+    data = {
+        "states": ["lo", "hi"],
+        "agents": ["x", "y", "z"],
+        "signals": {"x": ["x0", "x1"], "y": ["y0", "y1", "y2"], "z": ["z0"]},
+        "beliefs": {t: {"marginals": {"state": state, "signals": signals}}
+                    for t, state, signals in [
+                        ("x0", [0.25, 0.75], {"y": [0.5, 0.5, 0], "z": [1e308]}),
+                        ("x1", [1, 0], {"y": [-0.0, 1.0, 0.0]}),
+                        ("y0", [0.5, 0.5], {"z": [1], "x": [-0.0, 1]}),
+                        ("y1", [0.5, 0.5], {"x": [float("inf"), -0.0], "z": [1.0]}),
+                        ("y2", [0.0, 1.0], {"x": [0.5, 0.5], "z": [1.0]}),
+                        ("z0", [0.5, 0.5], {"x": [1, 0], "y": [0.2, 0.3, 0.5]}),
+                    ]},
+        "network": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
+    }
+    weights = {"x0": [0, 1, 0], "x1": [0, 1, 0], "y0": [1, 0, 0], "y1": [0, 0, 1],
+               "y2": [0.5, 0, 0.5], "z0": [0.5, 0.5, 0]}
+    return data, weights
+
+
+def differential_cases():
+    """General scenario objects in marginal form: the six bundled
+    scenarios (the full-mode and CIS ones through their models), bench-gen
+    sparse models of 1000 and 1030 signals and CIS models of 90 and 150,
+    and the hand-built variants, with and without type-dependent weights."""
+    gen = bench_gen()
+    cases = []
+    for name in ("case2", "counterexample", "cps", "cycle", "tightness", "tyranny_extreme"):
+        with open(scenario_path(name), encoding="utf-8") as fh:
+            data = json.load(fh)
+        if name in ("cps", "tyranny_extreme"):
+            spec = load_scenario(scenario_path(name))
+            data = scenario_object(getattr(spec, "model", spec))
+        cases.append((name, data, None))
+    cases += [(f"sparse-{10 * agents}",
+               gen.sparse_reducible(np.random.default_rng([34, agents]), agents), None)
+              for agents in (100, 103)]
+    cases += [(f"cis-{3 * states}", scenario_object(parse_scenario(gen.cis_dense(
+        np.random.default_rng([34, states]), states)).model), None) for states in (30, 50)]
+    data, weights = hand_built()
+    cases += [("hand-built", data, None), ("hand-built-type-dependent", data, weights)]
+    return cases
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("name, data, weights", differential_cases(),
+                         ids=[case[0] for case in differential_cases()])
+def test_the_block_parse_gives_the_per_signal_parse_bit_for_bit(name, data, weights):
+    states, agents = tuple(data["states"]), tuple(data["agents"])
+    signals = {a: tuple(data["signals"][a]) for a in agents}
+    blocks = _belief_blocks(data["beliefs"], agents, signals, len(states))
+    assert blocks is not None
+    # the per-signal parse, which the scenario falls back on
+    per_signal = Beliefs.stack({t: _parse_belief(data["beliefs"][t], f"beliefs.{t}", agents,
+                                                 signals, states, a)
+                                for a in agents for t in signals[a]}, agents, signals, len(states))
+    assert np.array_equal(bits(blocks.states), bits(per_signal.states))
+    assert np.array_equal(blocks.irregular, per_signal.irregular)
+    assert blocks.blocks.keys() == per_signal.blocks.keys()
+    for pair, block in per_signal.blocks.items():
+        assert np.array_equal(bits(blocks.blocks[pair]), bits(block)), pair
+        assert np.array_equal(blocks.listed[pair], per_signal.listed[pair]), pair
+    built = []
+    for beliefs in (blocks, per_signal):
+        spec = ModelSpec(states, agents, signals, beliefs, Network(data["network"]))
+        assert spec.beliefs is beliefs
+        built.append(build_interaction_structure(spec, weights).rows)
+    got, want = built
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(bits(got.data), bits(want.data))
+    if name.startswith("hand-built"):
+        B = got.dense()
+        assert not blocks.irregular.any() and list(blocks.listed["x", "z"]) == [True, False]
+        # x1's weighted -0.0 is a stored cell
+        assert bits(B[1, 2]) == bits(-0.0) and 2 in got.indices[got.indptr[1]:got.indptr[2]]
+        # y1's inf over x is never multiplied by its zero weight: +0.0
+        assert np.array_equal(bits(B[3, :2]), [0, 0])
+        assert np.isfinite(got.data).all() and np.allclose(B.sum(axis=1), 1.0)
+    if name == "hand-built-type-dependent":
+        # y0 and y2 weight x, so y's rows hold x's columns
+        assert B[2, 1] == 1.0 and B[4, 0] == 0.25
