@@ -5,9 +5,7 @@ failure inside an operation, a failed residual gate (``ArithmeticError``)
 or an --out artifact that cannot be written, 64 usage error, 141 (128 +
 SIGPIPE) stdout closed by its reader before the output ended.  Identical
 inputs, flags and seed produce byte-identical output per BLAS thread count
-when a component has 100 or more signals (one LAPACK solve each) or the
-structure has 512 or more (its products with a vector are made on dense
-slabs of 256 rows or columns, the last slab taking the remainder), and for
+when a component has 100 or more signals (one LAPACK solve each), and for
 any thread count otherwise.
 simulate-market computes its summary before it writes any event row, so a
 refused summary writes none, and it formats events.csv one run at a time;

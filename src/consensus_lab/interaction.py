@@ -13,7 +13,7 @@ float64 bits are nonzero, row by row, so that no n x n array is made unless
 a caller reads ``structure.matrix``.  It is read through three kernels: its
 cells in row-major order (the graph analysis's edges, the CSV writer's
 cells); one dense block per component, for the Markov solves; and one
-product with a vector, on dense slabs of rows or columns.  The SCCs come
+product with a vector, summed over the stored cells.  The SCCs come
 from an iterative Tarjan search, after a vectorized test that settles a
 structure of one component; the periods are read from that search's
 depths.  Each terminal component's stationary vector comes from
@@ -42,10 +42,6 @@ STATIONARY_TOL = 1e-10
 
 #: Rounding allowed past [0, 1] for an absorption probability, below 1 for a time.
 ABSORPTION_TOL = 1e-6
-
-#: Rows (or columns) per dense slab of a product; the last slab takes the
-#: remainder, so a matrix of fewer than twice as many is one slab.
-SLAB = 256
 
 
 @dataclass(frozen=True)
@@ -77,10 +73,9 @@ class SparseRows:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def row_of(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """The row of each stored cell of rows ``lo:hi``."""
-        hi = len(self) if hi is None else hi
-        return np.repeat(np.arange(lo, hi), np.diff(self.indptr[lo : hi + 1]))
+    def row_of(self) -> np.ndarray:
+        """The row of each stored cell."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Positions ``(u, v)`` of the cells that compare nonzero, in
@@ -119,24 +114,11 @@ class SparseRows:
         out[np.repeat(np.arange(len(m)), size)[inside], col[inside]] = self.data[cells][inside]
         return out
 
-    def slab(self, lo: int, hi: int, columns: bool = False) -> np.ndarray:
-        """Rows ``lo:hi`` as a dense array, or with ``columns`` columns
-        ``lo:hi``."""
-        if columns:
-            cells = np.flatnonzero((self.indices >= lo) & (self.indices < hi))
-            out = np.zeros((len(self), hi - lo))
-            out.reshape(-1)[self.row_of()[cells] * (hi - lo) + self.indices[cells] - lo] = (
-                self.data[cells])
-            return out
-        cells = slice(self.indptr[lo], self.indptr[hi])
-        out = np.zeros((hi - lo, self.shape[1]))
-        out.reshape(-1)[(self.row_of(lo, hi) - lo) * self.shape[1] + self.indices[cells]] = (
-            self.data[cells])
-        return out
-
     def dense(self) -> np.ndarray:
         """The whole matrix as a new dense array."""
-        return self.slab(0, len(self))
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.row_of() * self.shape[1] + self.indices] = self.data
+        return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -147,15 +129,14 @@ class SparseRows:
         return matrix
 
     def product(self, x: np.ndarray, left: bool = False) -> np.ndarray:
-        """``B @ x``, or with ``left`` ``x @ B``: one BLAS product per dense
-        slab of ``SLAB`` rows (columns with ``left``), the last slab taking
-        the remainder, so below ``2 * SLAB`` it is the one product with the
-        whole dense matrix."""
-        n = self.shape[1] if left else len(self)
-        bounds = [k * SLAB for k in range(max(1, n // SLAB))] + [n]
-        parts = [x @ self.slab(lo, hi, True) if left else self.slab(lo, hi) @ x
-                 for lo, hi in zip(bounds, bounds[1:])]
-        return np.concatenate(parts, axis=-1 if left else 0)
+        """``B @ x``, or with ``left`` ``x @ B``, for a vector ``x``: each
+        row's stored cells summed in column order (each column's in row
+        order with ``left``), with no BLAS call, so the bits are the same
+        at every size and thread count."""
+        if left:
+            return np.bincount(self.indices, weights=x[self.row_of()] * self.data,
+                               minlength=self.shape[1])
+        return np.bincount(self.row_of(), weights=self.data * x[self.indices], minlength=len(self))
 
 
 @dataclass(frozen=True)

@@ -545,16 +545,19 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     if len(set(spec.agents)) != spec.n_agents:
         v.append("agents: duplicate agent label")
 
+    # the signals are walked one by one only when some label repeats
+    labels = list(chain.from_iterable(spec.signals.get(a) or () for a in spec.agents))
+    repeated = len(set(labels)) != len(labels)
     seen: dict[str, str] = {}
     for a in spec.agents:
         ts = spec.signals.get(a)
         if not ts:
             v.append(f"signals.{a}: agent needs at least one signal")
-            continue
-        for t in ts:
-            if t in seen:
-                v.append(f"signals.{a}.{t}: label already used by agent {seen[t]}")
-            seen[t] = a
+        elif repeated:
+            for t in ts:
+                if t in seen:
+                    v.append(f"signals.{a}.{t}: label already used by agent {seen[t]}")
+                seen[t] = a
 
     g = spec.network.weights
     if g.shape != (spec.n_agents, spec.n_agents):
@@ -574,11 +577,13 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     # a regular row needs a marginal over each agent its owner weights;
     # irregular rows are reported above
     if index.agents == spec.agents and g.shape == (spec.n_agents, spec.n_agents):
-        s, j = np.nonzero(beliefs.uncovered(g[index.agent_of]) & ~beliefs.irregular[:, None])
-        # by owner, weighted agent, then signal
-        for k in np.lexsort((s, j, index.agent_of[s])):
-            v.append(f"beliefs.{index.labels[s[k]]}.signals.{spec.agents[j[k]]}:"
-                     " missing marginal over an agent the owner weights")
+        uncovered = beliefs.uncovered(g[index.agent_of]) & ~beliefs.irregular[:, None]
+        if uncovered.any():
+            s, j = np.nonzero(uncovered)
+            # by owner, weighted agent, then signal
+            for k in np.lexsort((s, j, index.agent_of[s])):
+                v.append(f"beliefs.{index.labels[s[k]]}.signals.{spec.agents[j[k]]}:"
+                         " missing marginal over an agent the owner weights")
 
     if spec.priors is not None:
         for a, mu in spec.priors.items():

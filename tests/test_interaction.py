@@ -986,8 +986,8 @@ def test_type_dependent_weights_name_every_declared_signal_and_no_other():
 
 
 def representation_cases():
-    """Bundled scenarios, bench-generated sparse and cis models on either
-    side of twice the product's slab, and the odd-marginals fixture."""
+    """Bundled scenarios, bench-generated sparse and cis models, and the
+    odd-marginals fixture."""
     gen = bench_gen()
     cases = [(name, load_scenario(scenario_path(name))) for name in
              ("case2", "counterexample", "cps", "cycle", "tightness", "tyranny_extreme")]
@@ -1021,14 +1021,28 @@ def test_sparse_rows_store_the_dense_matrix_bit_for_bit(name, spec):
     assert same_bits(rows.at(u, v), B[u, v])
     d = np.arange(len(B))
     assert same_bits(rows.at(d, d), np.diag(B))
-    # the product helper: below two slabs, the dense product itself
+    # the product helper: the stored cells' sums, bit for bit at every size
     x = np.random.default_rng(len(B)).random(len(B))
     right, left = rows.product(x), rows.product(x, left=True)
-    if len(B) < 2 * interaction.SLAB:
-        assert same_bits(right, B @ x) and same_bits(left, x @ B)
-    else:
-        assert np.allclose(right, B @ x, rtol=1e-14, atol=0)
-        assert np.allclose(left, x @ B, rtol=1e-14, atol=0)
+    assert same_bits(right, product_oracle(B, x)) and same_bits(left, product_oracle(B, x, True))
+    assert np.allclose(right, B @ x, rtol=1e-14, atol=0)
+    assert np.allclose(left, x @ B, rtol=1e-14, atol=0)
+
+
+def product_oracle(B, x, left=False):
+    """``B @ x``, or with ``left`` ``x @ B``, with no BLAS: a Python loop
+    over each row's cells with nonzero bits in column order (each column's
+    in row order with ``left``)."""
+    stored = B.view(np.uint64) != 0
+    if left:
+        B, stored = B.T, stored.T
+    out = np.zeros(len(B))
+    for r in range(len(B)):
+        total = 0.0
+        for c in np.flatnonzero(stored[r]):
+            total += float(B[r, c]) * float(x[c])
+        out[r] = total
+    return out
 
 
 def error_text(fn, *args):

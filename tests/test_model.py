@@ -530,6 +530,27 @@ def test_validation_matches_the_per_item_oracle():
             assert validate_model(bad, tol) == per_item_violations(bad, tol)
 
 
+def test_label_agent_and_marginal_violations_keep_the_oracle_order():
+    # cat has no signal, bob reuses ann's a1, and a2 lists no marginal over
+    # bob, whom ann weights: the label walk and the uncovered-cell scan run
+    spec = two_agent_spec(
+        agents=("ann", "cat", "bob"),
+        signals={"ann": ("a1", "a2"), "cat": (), "bob": ("a1", "b2")},
+        beliefs={
+            "a1": InterimBelief([0.7, 0.3], {"bob": [0.6, 0.4]}),
+            "a2": InterimBelief([0.3, 0.7], {}),
+            "b2": InterimBelief([0.4, 0.6], {"ann": [0.1, 0.9]}),
+        },
+        network=Network([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+    )
+    assert validate_model(spec) == per_item_violations(spec) == [
+        "signals.cat: agent needs at least one signal",
+        "signals.bob.a1: label already used by agent ann",
+        "beliefs.a1.signals.bob: not another agent",
+        "beliefs.a2.signals.bob: missing marginal over an agent the owner weights",
+    ]
+
+
 def edge_vectors(rng, vec):
     """``vec`` empty, 0-d, as 2-D columns and a row, with a NaN, and with
     its sum moved to within a few rounding steps of ``PROB_TOL`` from 1."""
