@@ -9,10 +9,11 @@ the result (strongly connected components, terminal components, periods),
 which the structure carries so that every caller shares one analysis.
 
 The matrix is stored as sparse rows (:class:`SparseRows`): every cell whose
-float64 bits are nonzero, row by row, so that no n x n array is made unless
-a caller reads ``structure.matrix``.  It is read through three kernels: its
-cells in row-major order (the graph analysis's edges, the CSV writer's
-cells); one dense block per component, for the Markov solves; and one
+float64 bits are nonzero, row by row, so that no n x n array is kept unless
+a library caller reads ``structure.matrix``; no package path reads it.  It
+is read through three kernels: its cells in row-major order (the graph
+analysis's edges, the CSV writer's cells); one dense block per component,
+for the Markov solves and the tyranny check's transient copies; and one
 product with a vector, summed over the stored cells.  The SCCs come
 from an iterative Tarjan search, after a vectorized test that settles a
 structure of one component; the periods are read from that search's
@@ -157,8 +158,9 @@ class InteractionStructure:
     same order, and ``periods`` gives each terminal component's period.
     ``component_of`` gives each signal's position in ``components``, and
     ``crossing`` holds the edges between components, as source and target
-    signals in row-major order.  ``rows`` stores the matrix, and ``matrix``
-    is a read-only dense copy of it, built when first read and kept.
+    signals in row-major order.  ``rows`` stores the matrix, read there by
+    every package path; ``matrix`` is a read-only dense copy of it for
+    library callers, built when first read and kept.
     ``index`` is None for a bare matrix, whose states have no labels.  The
     per-terminal-component stationary vectors, the levels of the
     condensation, the absorption matrix and the absorption times are
@@ -418,6 +420,13 @@ def build_interaction_structure(
     scatter per stack of ``spec.beliefs``.
     """
     index = _signal_index(spec)
+    return _analysed(_filled_rows(spec, index, type_dependent_weights), index)
+
+
+def _filled_rows(spec: ModelSpec, index: SignalIndex, type_dependent_weights) -> SparseRows:
+    """The rows of ``B``, checked and filled by the rules of
+    :func:`build_interaction_structure` in a frame of their own, so that
+    the cell arrays and the weight rows are freed before the analysis."""
     beliefs, n, m, agent = spec.beliefs, len(index), spec.n_agents, index.agent_of
     first = np.searchsorted(agent, np.arange(m + 1))  # each agent's first signal, and n
     sizes, off, errors = np.diff(first), [], {}
@@ -492,7 +501,7 @@ def build_interaction_structure(
         columns[at] = first[j][:, None] + c
     stored = values.view(np.uint64) != 0
     indptr = np.searchsorted(np.flatnonzero(stored), head)
-    return _analysed(SparseRows((n, n), indptr, columns[stored], values[stored]), index)
+    return SparseRows((n, n), indptr, columns[stored], values[stored])
 
 
 def _weight_row_error(t: str, w, n: int) -> str | None:

@@ -8,11 +8,12 @@ bare matrix once.  The stationary vector is the structure's cached one,
 solved once per terminal class; the discounted solve is the structure's
 walk along its condensation, one dense solve per component of two or more
 signals; mean first passage times come from one inversion of the dense
-Kemeny-Snell fundamental matrix.  A vector ``z`` holds one finite value per
-state and ``n_max`` is an integer of at least 0, by the shared checks.  A
-bare matrix given to the stationary vector, the centrality, the Abel limit
-or the passage times must be row-stochastic (``interaction.as_chain``);
-``power_trajectory`` iterates any finite square array.
+Kemeny-Snell fundamental matrix, built from the stored rows.  A vector ``z``
+holds one finite value per state and ``n_max`` is an integer of at least 0,
+by the shared checks.  A bare matrix given to the stationary vector, the
+centrality, the Abel limit or the passage times must be row-stochastic
+(``interaction.as_chain``); ``power_trajectory`` iterates any finite square
+array.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ class MFPTMatrix:
 
     def max_off_diagonal(self) -> float:
         """The largest passage time between distinct states (0 for one state)."""
-        n = self.values.shape[0]
-        mask = ~np.eye(n, dtype=bool)
-        return float(self.values[mask].max(initial=0.0))
+        off_diagonal = ~np.eye(len(self.values), dtype=bool)
+        return float(np.max(self.values, where=off_diagonal, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -144,21 +144,27 @@ def mfpt(Q) -> MFPTMatrix:
     the diagonal is the mean return time ``1 / p(z)``.  All entries come
     from the Kemeny-Snell fundamental matrix ``Z = (I - Q + 1 p)^{-1}`` as
     ``M(z, z') = (Z(z', z') - Z(z, z')) / p(z')``, one inversion in all.
-    ``p`` is the structure's cached stationary vector.  The residual of
-    the defining system is gated relative to the largest entry; a NaN
-    residual fails the gate.
+    ``p`` is the structure's cached stationary vector, ``Q`` a transient
+    dense copy of its stored rows, and ``M`` is formed in the inverse's own
+    array.  The residual of the defining system is gated relative to the
+    largest entry; a NaN residual fails the gate.
     """
     structure = as_chain(Q)
     _require_irreducible(structure, "mfpt")
-    matrix = structure.matrix
+    B = structure.rows.dense()
     p = structure.stationary[0]
-    n = matrix.shape[0]
-    Z = np.linalg.inv(np.eye(n) - matrix + p)
-    M = (np.diag(Z) - Z) / p
-    M[np.diag_indices(n)] = 1.0 / p
-    hit = np.array(M)
-    np.fill_diagonal(hit, 0.0)
-    residual = float(np.max(np.abs(M - (1.0 + matrix @ hit))))
+    A = np.eye(len(B)) - B
+    A += p
+    M = np.linalg.inv(A)
+    np.subtract(np.diag(M).copy(), M, out=M)
+    M /= p
+    np.fill_diagonal(M, 1.0 / p)
+    # the first passage times, 0 on the diagonal, then M - (1 + B @ them)
+    np.copyto(A, M)
+    np.fill_diagonal(A, 0.0)
+    A = B @ A
+    A += 1.0
+    residual = float(np.max(np.abs(np.subtract(M, A, out=A), out=A)))
     if not residual <= 1e-9 * max(1.0, float(M.max())):
         raise ArithmeticError(f"mean first passage residual {residual:.3e} too large")
     return MFPTMatrix(M, residual)

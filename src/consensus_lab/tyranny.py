@@ -198,19 +198,21 @@ class RoundedStructure:
     first_order: FirstOrderMap
 
 
-def rounded_structure(cis: CISSpec, informed: Sequence[str]) -> RoundedStructure:
+def rounded_structure(cis: CISSpec, informed: Sequence[str],
+                      profile: NoiseProfile | None = None) -> RoundedStructure:
     """Round each informed agent's technology to its certain version.
 
     Every state's near-certain signal gets probability one.  Requires
     each informed agent's technology to be at most eps-noisy for some
     eps < 1/2 with the state-to-signal map a bijection onto his signal
     set, so that every signal keeps positive probability.  An unknown agent
-    in ``informed`` is refused.
+    in ``informed`` is refused.  ``profile`` is ``classify_noise(cis)``,
+    computed here when not given.
     """
     unknown = [a for a in informed if a not in cis.agents]
     if unknown:
         raise PreconditionError(f"informed: unknown agent {unknown[0]!r}")
-    profile = classify_noise(cis)
+    profile = classify_noise(cis) if profile is None else profile
     eta_hat = dict(cis.eta)
     for a in cis.agents:
         if a not in informed:
@@ -254,14 +256,17 @@ def stationary_perturbation_bound(B, B_ref) -> PerturbationBound:
     max-absolute-row-sum distance between the matrices times the largest
     off-diagonal mean first passage time of the reference chain.  The
     realized maximum relative error is reported when both chains are
-    irreducible.  A bare matrix must be row-stochastic.
+    irreducible.  A bare matrix must be row-stochastic.  The distance comes
+    from two transient dense copies of the stored rows, subtracted in place.
     """
     perturbed = as_chain(B)
     reference = as_chain(B_ref)
-    if perturbed.matrix.shape != reference.matrix.shape:
-        raise PreconditionError(f"B: shape {perturbed.matrix.shape} does not match"
-                                f" B_ref's shape {reference.matrix.shape}")
-    gap = float(np.max(np.abs(perturbed.matrix - reference.matrix).sum(axis=1)))
+    if perturbed.rows.shape != reference.rows.shape:
+        raise PreconditionError(f"B: shape {perturbed.rows.shape} does not match"
+                                f" B_ref's shape {reference.rows.shape}")
+    gap = perturbed.rows.dense()
+    gap -= reference.rows.dense()
+    gap = float(np.max(np.abs(gap, out=gap).sum(axis=1)))
     passage = mfpt(reference).max_off_diagonal()
     bound = 0.5 * gap * passage
     max_rel = None
@@ -298,9 +303,11 @@ class TyrannyReport:
 def _bfs_diameter(matrix) -> int:
     """Longest shortest path in the directed graph of nonzero entries; pairs
     with no path do not count.  A breadth-first search from every vertex at
-    once: one product of the frontiers with the 0/1 adjacency matrix per
-    step.  The products count paths, integers exact in floating point, so
-    the result is the same in any order of summation."""
+    once: one n x n product of the frontiers with the 0/1 adjacency matrix
+    per step.  The products count paths, integers exact in floating point,
+    so the result is the same in any order of summation.
+    :func:`verify_tyranny` passes the 0/1 matrix of the stored edges, so no
+    structure's dense copy is read."""
     adjacency = (np.asarray(matrix) != 0).astype(float)
     seen = np.eye(len(adjacency), dtype=bool)
     frontier, length = seen, 0
@@ -376,7 +383,7 @@ def verify_tyranny(
         * (eps / delta)
     )
 
-    rounded = rounded_structure(cis, informed)
+    rounded = rounded_structure(cis, informed, profile)
     rounded_result = consensus_expectation(rounded.model, yv)
 
     # belief perturbation: every interim marginal moves by at most
@@ -404,6 +411,8 @@ def verify_tyranny(
 
     gap = abs(result.value - prior_exp)
     passed = gap <= bound + 1e-12
+    adjacency = np.zeros(rounded.interaction.rows.shape)
+    adjacency[rounded.interaction.rows.edges()] = 1.0
     return TyrannyReport(
         result.value,
         prior_exp,
@@ -417,6 +426,6 @@ def verify_tyranny(
         rounded_result.value,
         perturbation,
         passage_bound,
-        _bfs_diameter(rounded.interaction.matrix),
+        _bfs_diameter(adjacency),
         passed,
     )

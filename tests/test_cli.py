@@ -17,7 +17,7 @@ from consensus_lab import io as sio
 from consensus_lab.cli import main
 from consensus_lab.game import solve_beta_game, solve_heterogeneous_game
 from consensus_lab.market import cis_generating, product_generating, simulate_market
-from consensus_lab.tyranny import CISSpec
+from consensus_lab.tyranny import CISSpec, verify_tyranny
 
 from conftest import (
     SINGULAR_TRANSIENT,
@@ -1163,6 +1163,27 @@ def test_sparse_ops_never_hold_a_dense_interaction_matrix(tmp_path, argv):
     finally:
         tracemalloc.stop()
     assert peak < 1000 * 1000 * 4
+
+
+def test_the_tyranny_path_never_holds_a_dense_interaction_matrix(tmp_path):
+    # the benchmark's 150-signal cis_dense model: verify-tyranny and report
+    # each peaked at 2.24 MB while mfpt, the rounding gap and the path
+    # length read the kept dense copy of B, and at 1.74 MB from the stored
+    # rows
+    path = tmp_path / "cis.json"
+    path.write_text(json.dumps(bench_gen().cis_dense(np.random.default_rng([1, 0]), 50)))
+    for argv in (["verify-tyranny", str(path)], ["report", str(path), "--beta", "0.9"]):
+        assert main(argv, out=_Sink()) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv, out=_Sink()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, argv[0]
+    cis = sio.load_scenario(path)
+    verify_tyranny(cis)
+    assert "matrix" not in vars(cis.model.structure.rows)
 
 
 #: Runs ``python -m consensus_lab.cli`` on the argv given as JSON, with its

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from consensus_lab.tyranny import (
     verify_tyranny,
 )
 
-from conftest import cis_scenario, scenario_path
+from conftest import SCENARIOS, bench_gen, cis_scenario, scenario_path
 
 
 def make_cis(rng, n_states=2, n_agents=3, delta=0.3, eps=1e-3, ignorant_signals=2):
@@ -639,3 +640,43 @@ def test_non_finite_payoffs_and_unknown_agents_are_refused():
             verify_tyranny(cis, y=y)
     with pytest.raises(PreconditionError, match="^ignorant: unknown agent 'nobody'$"):
         verify_tyranny(cis, ignorant="nobody")
+
+
+def _mfpt_oracle(B, p):
+    """Passage times and residual by the expression that read the kept
+    dense copy of ``B``: ``Z = inv(I - B + p)``, ``(diag Z - Z) / p``."""
+    n = len(B)
+    Z = np.linalg.inv(np.eye(n) - B + p)
+    M = (np.diag(Z) - Z) / p
+    M[np.diag_indices(n)] = 1.0 / p
+    hit = np.array(M)
+    np.fill_diagonal(hit, 0.0)
+    return M, float(np.max(np.abs(M - (1.0 + B @ hit))))
+
+
+def test_tyranny_path_gives_the_bits_of_its_dense_copy_forms():
+    # mfpt, the rounding gap and the path length read B from its stored
+    # rows, in place; each gives the bits of the expression on the kept
+    # dense copy.  The inverse and the residual product are the calls that
+    # depend on the BLAS thread count, so CI runs this under one and two
+    structures = []
+    for name in sorted(os.listdir(SCENARIOS)):
+        spec = load_scenario(os.path.join(SCENARIOS, name))
+        structures.append((spec.model if isinstance(spec, CISSpec) else spec).structure)
+    gen = bench_gen()
+    for k in range(3):
+        cis = parse_scenario(gen.cis_dense(np.random.default_rng([1, k])))
+        report = verify_tyranny(cis)
+        B, rounded = cis.model.structure, rounded_structure(cis, cis.agents[1:]).interaction
+        structures += [B, rounded]
+        assert report.perturbation.matrix_gap == float(
+            np.max(np.abs(B.matrix - rounded.matrix).sum(axis=1)))
+        assert report.max_path_length == _bfs_diameter(rounded.matrix) == 2
+    irreducible = [s for s in structures if s.irreducible]
+    assert len(irreducible) == 3 + 6
+    for structure in irreducible:
+        result = mfpt(structure)
+        M, residual = _mfpt_oracle(structure.matrix, structure.stationary[0])
+        assert result.values.tobytes() == M.tobytes()
+        assert np.float64(result.residual).tobytes() == np.float64(residual).tobytes()
+    assert mfpt(np.ones((1, 1))).max_off_diagonal() == 0.0
