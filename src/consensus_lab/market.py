@@ -31,22 +31,21 @@ on.  That is the cell a search over the dense joint's running sums picks,
 except within rounding of a cell boundary.
 
 One kernel serves :func:`simulate_market`, :func:`simulate_batch` and the
-CLI.  Once per call it validates the draw and the initial owner and hoists
-what every run shares: the state and per-row signal running sums, the
-initial-owner running sums (the centrality is computed once), the
-network's per-row running sums (each row's weights finite and
-non-negative with a positive total) and the price schedule.  Inside each
-bin between the rows' distinct running sums, every seller's
-``searchsorted(..., side="right")`` finds one buyer, read once per call
-at the bin's lower edge.  Per run it decodes the nature uniform with one
-search per level, finds the duration with one vectorized scan of the
-continuation uniforms, bins the bids with one search and chains their
-buyers from the initial owner into one path array.  A network with as many
-distinct sums as two expected runs' bids searches each row per run instead.
-Where every row has one positive weight, as on a ring, each seller has one
-buyer at every bid: the bids are drawn and skipped, and the path is the
-orbit of that seller-to-buyer map from the initial owner, its lead-in of at
-most n holders and then its cycle repeated to the run's length.
+CLI.  Once per call it holds the network to the structure builder's rules,
+also when a price schedule is passed, validates the draw and the initial
+owner and hoists what every run shares: the state and per-row signal
+running sums, the initial-owner running sums (the centrality is computed
+once), each seller's network running sums cut before its last positive
+weight, and the price schedule.  Per run it decodes the nature uniform
+with one search per level, finds the duration with one vectorized scan of
+the continuation uniforms and chains the buyers from the initial owner
+into one path array.  Each trade buys from ``bisect_right`` of its bid in
+the seller's cut row: the first agent whose running sum exceeds the bid,
+or the last weighted agent for a bid at or past every cut.  Where every
+row has one positive weight, as on a ring, each seller has one buyer at
+every bid: the bids are drawn and skipped, and the path is the orbit of
+that seller-to-buyer map from the initial owner, its lead-in of at most n
+holders and then its cycle repeated to the run's length.
 
 :func:`empirical_price_stats` summarizes a :class:`MarketBatch`: the mean
 price with its standard error over runs, each class's mean price and the
@@ -212,11 +211,15 @@ class _Kernel:
                  prices: GameSolution | None = None, initial_owner=0,
                  allow_own_market: bool = False):
         beta = check_beta(beta, f"beta must lie in [0, 1), got {beta}")
+        # building the structure holds the network to the builder's rules
+        # (its shape, each row's weights and sum), which a given price
+        # schedule would otherwise skip
+        spec.structure
         if prices is None:
             prices = solve_beta_game(spec, beta, y)
         g = spec.network.weights
-        # both buyer searches assume each row's running sums ascend
-        self.network_cdf = _network_cdf(g, spec.agents)
+        # the buyer search assumes each row's running sums ascend
+        cdf = _network_cdf(g, spec.agents)
         if not allow_own_market and np.any(np.diag(g) > 0):
             raise PreconditionError(
                 "owner's class has positive self-weight; pass allow_own_market=True"
@@ -235,13 +238,11 @@ class _Kernel:
         # every bid: owner -> (lead-in, cycle, walk) of last_buyer's orbit,
         # filled as owners come up
         self.orbits = {} if np.all(np.count_nonzero(g > 0, axis=1) == 1) else None
+        # each seller's running sums before its last weighted agent, which
+        # buys at or past the cut
+        self.cuts = [cdf[o, :k].tolist() for o, k in enumerate(self.last_buyer.tolist())]
         # about one expected run's worth of uniforms, two per period
         self.block = int(min(_BLOCK, max(64.0, 2.0 / (1.0 - beta))))
-        # the distinct running sums cut the bids into bins, in each of which every
-        # seller buys from one agent; kept while fewer than two expected runs' bids
-        self.breaks = np.unique(self.network_cdf)
-        self.buyers = (None if self.breaks.size >= min(_BLOCK, max(64, int(4.0 / (1.0 - beta))))
-                       else self._buyers(np.r_[-np.inf, self.breaks]))
         self._resolve_draw(spec, draw)
         self._resolve_owner(spec, initial_owner)
 
@@ -330,13 +331,6 @@ class _Kernel:
             profile.append(cell)
         return theta, tuple(profile)
 
-    def _buyers(self, bids) -> list[list[int]]:
-        """Buyer from each seller (rows) at each bid (columns)."""
-        return np.minimum(
-            [cdf.searchsorted(bids, side="right") for cdf in self.network_cdf],
-            self.last_buyer[:, None],
-        ).tolist()
-
     def _orbit(self, owner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Holders from ``owner`` along ``last_buyer`` up to the first repeat,
         read-only: the lead-in, the cycle, and both as the first walk."""
@@ -351,10 +345,11 @@ class _Kernel:
         """State, signal profile (positions within each agent's signals) and
         holder path of one run, an ``intp`` array from the initial owner.
 
-        The path chains each bid's buyer through the bin table, or, where
-        every row has one positive weight, is a read-only slice of the
-        owner's walk along ``last_buyer`` (its lead-in, then its cycle tiled
-        to twice the length of the last run that outgrew it), bids unread."""
+        The path chains each bid's buyer, ``bisect_right`` of the bid in the
+        seller's cut row, or, where every row has one positive weight, is a
+        read-only slice of the owner's walk along ``last_buyer`` (its
+        lead-in, then its cycle tiled to twice the length of the last run
+        that outgrew it), bids unread."""
         rng = np.random.default_rng(seed)
         u = rng.random(self.block)
         off = 0
@@ -384,15 +379,12 @@ class _Kernel:
                 walk = _readonly(np.concatenate((lead, np.tile(cycle, reps))))
             self.orbits[owner] = lead, cycle, walk
             return theta, profile, walk[:trades + 1]
-        bids = u[off + 1:off + 2 * trades:2]
-        # buyer of each trade from each possible seller, then the chain through it
-        if self.buyers is None:
-            table, cols = self._buyers(bids), range(trades)
-        else:
-            table, cols = self.buyers, self.breaks.searchsorted(bids, side="right").tolist()
+        # each trade's buyer from the seller before it
+        cuts = self.cuts
         path = np.empty(trades + 1, dtype=np.intp)
         path[0] = o = owner
-        path[1:] = [o := table[o][c] for c in cols]
+        path[1:] = [o := bisect_right(cuts[o], bid)
+                    for bid in u[off + 1:off + 2 * trades:2].tolist()]
         return theta, profile, path
 
     def batch(self, root: np.random.SeedSequence, n_runs: int, each=None) -> MarketBatch:

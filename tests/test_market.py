@@ -578,11 +578,23 @@ def _searched_buyer(row, bid):
     return max(j for j, w in enumerate(row) if w > 0)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-def test_the_bin_table_buys_from_the_agent_each_row_search_finds(n):
+class _OneTrade:
+    """A generator whose every draw is a run of one trade at ``bid``: a
+    continuation uniform, the bid, then a stop."""
+
+    def __init__(self, bid):
+        self.uniforms = np.array([_BELOW_ONE, bid, 0.0])
+
+    def random(self, size):
+        return self.uniforms
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 100, 200])
+def test_the_bin_table_buys_from_the_agent_each_row_search_finds(n, monkeypatch):
     # zero weights, self-weights (under allow_own_market) and rows summing
-    # to 1 +- 5e-13; bids on a running sum, just below and above one, and
-    # past a row's total
+    # to 1 +- 5e-13; bids at random, on a running sum, one ulp either side of
+    # it, and past a row's total; from 100 agents on, a sample of those bids
+    # from a sample of sellers
     rng = np.random.default_rng(n)
     own = n % 2 == 0
     g = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
@@ -593,28 +605,29 @@ def test_the_bin_table_buys_from_the_agent_each_row_search_finds(n):
     for i, off in zip(range(n), (5e-13, -5e-13, 0.0)):
         g[i, np.flatnonzero(g[i])[-1]] += off
     spec = _one_signal_spec(g, diagonal_allowed=own)
-    cdf = np.cumsum(g, axis=1)
-    bids = np.concatenate([rng.random(200), cdf.ravel(), np.nextafter(cdf.ravel(), 0),
-                           np.nextafter(cdf.ravel(), 2), [0.0, 1 - 1e-13, _BELOW_ONE]])
-    draw = fixed_draw(spec)
-    for beta in (0.5, 0.999):
-        kernel = _Kernel(spec, beta, draw, allow_own_market=own)
-        # the table is kept while smaller than two expected runs' bids
-        table = min(_BLOCK, max(64, int(4.0 / (1.0 - beta))))
-        assert (kernel.buyers is None) == (np.unique(cdf).size >= table)
-        want = [[_searched_buyer(row, b) for b in bids.tolist()] for row in g.tolist()]
-        assert kernel._buyers(bids) == want
-        if kernel.buyers is not None:
-            cols = kernel.breaks.searchsorted(bids, side="right")
-            assert [[r[c] for c in cols] for r in kernel.buyers] == want
-            # whole runs are the same paths on either side of the size rule
-            per_run = _Kernel(spec, beta, draw, allow_own_market=own)
-            per_run.buyers = None
-            for seed in range(5):
-                assert kernel.run(seed)[2].tolist() == per_run.run(seed)[2].tolist()
-    # both sides of the size rule: from 10 agents on, these networks have
-    # more distinct running sums than beta 0.5's block of 64 uniforms
-    assert (_Kernel(spec, 0.5, draw, allow_own_market=own).buyers is None) == (n >= 10)
+    cdf = np.cumsum(g, axis=1).ravel()
+    edges = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2)])
+    if n > 12:
+        edges = rng.choice(edges, 60, replace=False)
+    bids = np.concatenate([rng.random(200 if n <= 12 else 20), edges,
+                           [0.0, 1 - 1e-13, _BELOW_ONE]]).tolist()
+    draw, rows = fixed_draw(spec), g.tolist()
+    sellers = range(n) if n <= 12 else rng.choice(n, 20, replace=False).tolist()
+    prices = {beta: solve_beta_game(spec, beta) for beta in (0.5, 0.999)}
+    kernels = [_Kernel(spec, 0.5, draw, prices=prices[0.5], initial_owner=owner,
+                       allow_own_market=own) for owner in sellers]
+    with monkeypatch.context() as m:
+        # run(bid) is one trade at the bid, from the kernel's owner
+        m.setattr(np.random, "default_rng", _OneTrade)
+        assert [[int(kernel.run(b)[2][1]) for b in bids] for kernel in kernels] == [
+            [_searched_buyer(rows[o], b) for b in bids] for o in sellers]
+    # whole runs chain the same buyers
+    for beta in (0.5, 0.999) if n <= 12 else (0.999,):
+        for seed in range(5 if n <= 12 else 2):
+            owner = seed * 7 % n
+            kernel = _Kernel(spec, beta, draw, prices=prices[beta], initial_owner=owner,
+                             allow_own_market=own)
+            assert kernel.run(seed)[2].tolist() == _walked_path(rows, beta, seed, owner)
 
 
 def _walked_path(g, beta, seed, owner):
@@ -659,20 +672,20 @@ def test_a_one_buyer_network_walks_the_orbit_of_its_buyer_map(n):
             for owner in range(n):
                 kernel = _Kernel(spec, beta, fixed_draw(spec), prices=prices,
                                  initial_owner=owner, allow_own_market=own)
-                table = _Kernel(spec, beta, fixed_draw(spec), prices=prices,
-                                initial_owner=owner, allow_own_market=own)
-                table.orbits = None
+                searched = _Kernel(spec, beta, fixed_draw(spec), prices=prices,
+                                   initial_owner=owner, allow_own_market=own)
+                searched.orbits = None
                 for seed in seeds:
                     path = kernel.run(seed)[2].tolist()
-                    assert path == table.run(seed)[2].tolist()
+                    assert path == searched.run(seed)[2].tolist()
                     assert path == _walked_path(g.tolist(), beta, seed, owner)
                     # the cached orbit's first part is the lead-in
                     lead_in = kernel.orbits[owner][0].size
                     assert lead_in == _lead_in(buyer.tolist(), owner)
                     empty += len(path) == 1
                     short += len(path) <= lead_in
-        # one more positive weight in one row takes the bin table
-        g[n - 1, (buyer[n - 1] + 1) % n] = 0.5
+        # a second positive weight in one row leaves the orbit path
+        g[n - 1, [buyer[n - 1], (buyer[n - 1] + 1) % n]] = 0.5
         spec = _one_signal_spec(g, diagonal_allowed=True)
         assert _Kernel(spec, 0.5, fixed_draw(spec), prices=prices,
                        allow_own_market=True).orbits is None
@@ -775,3 +788,43 @@ def test_a_network_row_the_buyer_search_cannot_read_is_refused(entry, row):
     with pytest.raises(PreconditionError, match=re.escape(
             "network.row[agent2]: weights must be finite and non-negative with a positive total")):
         _simulate(entry, bad, 0.9, fixed_draw(bad), prices=prices)
+
+
+@pytest.mark.parametrize("case, network, message", [
+    ("cps", lambda spec: Network((1 - np.eye(3)) / 2),
+     "network: shape (3, 3) does not match 2 agents, expected (2, 2)"),
+    ("tyranny_extreme", lambda spec: Network(spec.network.weights * [[0.5], [1], [1]]),
+     "network.row[iggy]: sums to 0.5 (expected 1 within 1e-12)"),
+], ids=["shape", "row sum"])
+@pytest.mark.parametrize("entry", ["market", "batch"])
+def test_a_given_price_schedule_keeps_the_builders_network_rules(entry, case, network, message):
+    # the schedule skips the game solve: a 3 x 3 network on 2 agents ran or
+    # ended in a bare ValueError, and a row summing to 0.5 ran, its missing
+    # mass bought from the row's last weighted agent
+    scenario = load_scenario(scenario_path(case))
+    spec = getattr(scenario, "model", scenario)
+    prices = solve_beta_game(spec, 0.9)
+    bad = dataclasses.replace(spec, network=network(spec))
+    with pytest.raises(PreconditionError) as exc:
+        _simulate(entry, bad, 0.9, fixed_draw(bad), prices=prices)
+    assert str(exc.value) == message
+
+
+def test_the_kernel_holds_no_table_of_buyers():
+    # a complete network on 60 agents: the kernel keeps each seller's cut
+    # row, about 0.14 MB, where a buyer for each seller between any two of
+    # the rows' distinct running sums took 5.2 MB
+    n = 60
+    g = np.random.default_rng(60).random((n, n)) + 0.01
+    np.fill_diagonal(g, 0.0)
+    g /= g.sum(axis=1, keepdims=True)
+    spec = _one_signal_spec(g)
+    draw, prices = fixed_draw(spec), solve_beta_game(spec, 0.999)
+    tracemalloc.start()
+    try:
+        kernel = _Kernel(spec, 0.999, draw, prices=prices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert kernel.run(1)[2].tolist() == _walked_path(g.tolist(), 0.999, 1, 0)
