@@ -84,7 +84,6 @@ from .tyranny import (
     CISSpec,
     NoiseProfile,
     PerturbationBound,
-    RoundedStructure,
     TyrannyReport,
     build_pi_from_cis,
     classify_noise,

@@ -14,14 +14,16 @@ a library caller reads ``structure.matrix``; no package path reads it.  It
 is read through three kernels: its cells in row-major order (the graph
 analysis's edges, the CSV writer's cells); one dense block per component,
 for the Markov solves and the tyranny check's transient copies; and one
-product with a vector, summed over the stored cells.  The SCCs come
-from an iterative Tarjan search, after a vectorized test that settles a
-structure of one component; the periods are read from that search's
-depths.  Each terminal component's stationary vector comes from
-``stationary_vector``, and every solve with ``I - D B`` (``D`` a diagonal
-of discounts) from one walk along the condensation, sinks first, that
-factors each component of two or more signals on its own; the absorption
-probabilities and times are such walks, refused when out of range.
+product with a vector, summed over the stored cells.  The analysis keeps
+the weights of the edges between components and each signal's self-weight,
+which the condensation walk reads.  The SCCs come from an iterative Tarjan
+search, after a vectorized test that settles a structure of one component;
+the periods are read from that search's depths.  Each terminal component's
+stationary vector comes from ``stationary_vector``, and every solve with
+``I - D B`` (``D`` a diagonal of discounts) from one walk along the
+condensation, sinks first, that factors each component of two or more
+signals on its own; the absorption probabilities and times are such walks,
+refused when out of range.
 """
 
 from __future__ import annotations
@@ -78,23 +80,14 @@ class SparseRows:
         """The row of each stored cell."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Positions ``(u, v)`` of the cells that compare nonzero, in
-        row-major order: the edges of the matrix's graph."""
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions ``(u, v)`` and values ``w`` of the cells that compare
+        nonzero, in row-major order: the weighted edges of the matrix's
+        graph."""
         edge = self.data != 0
         if edge.all():
-            return self.row_of(), self.indices
-        return self.row_of()[edge], self.indices[edge]
-
-    def at(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The values at the positions ``(u, v)``."""
-        want = u * self.shape[1] + v
-        if not (len(want) and len(self.data)):
-            return np.zeros(want.shape)
-        # stored cells by row-major position, which increases
-        keys = self.row_of() * self.shape[1] + self.indices
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        return np.where(keys[pos] == want, self.data[pos], 0.0)
+            return self.row_of(), self.indices, self.data
+        return self.row_of()[edge], self.indices[edge], self.data[edge]
 
     def block(self, members) -> np.ndarray:
         """The dense block of the rows and columns ``members``, distinct
@@ -120,14 +113,6 @@ class SparseRows:
         out = np.zeros(self.shape)
         out.reshape(-1)[self.row_of() * self.shape[1] + self.indices] = self.data
         return out
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The whole matrix as a read-only dense array, built on first read
-        and kept."""
-        matrix = self.dense()
-        matrix.setflags(write=False)
-        return matrix
 
     def product(self, x: np.ndarray, left: bool = False) -> np.ndarray:
         """``B @ x``, or with ``left`` ``x @ B``, for a vector ``x``: each
@@ -156,11 +141,13 @@ class InteractionStructure:
     ``components`` are the strongly connected components sorted by least
     member; ``terminal`` are the closed ones (no edge leaves them), in the
     same order, and ``periods`` gives each terminal component's period.
-    ``component_of`` gives each signal's position in ``components``, and
+    ``component_of`` gives each signal's position in ``components``,
     ``crossing`` holds the edges between components, as source and target
-    signals in row-major order.  ``rows`` stores the matrix, read there by
-    every package path; ``matrix`` is a read-only dense copy of it for
-    library callers, built when first read and kept.
+    signals in row-major order with their weights, and ``loops`` each
+    signal's self-weight (``+0.0`` for a stored ``-0.0``).  ``rows`` stores
+    the matrix, read there by every package path; ``matrix`` is the one
+    read-only dense copy of it, for library callers, built when first read
+    and kept.
     ``index`` is None for a bare matrix, whose states have no labels.  The
     per-terminal-component stationary vectors, the levels of the
     condensation, the absorption matrix and the absorption times are
@@ -173,12 +160,15 @@ class InteractionStructure:
     terminal: tuple[tuple[int, ...], ...]
     periods: tuple[int, ...]
     component_of: np.ndarray
-    crossing: tuple[np.ndarray, np.ndarray]
+    crossing: tuple[np.ndarray, np.ndarray, np.ndarray]
+    loops: np.ndarray
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense matrix, read-only: ``rows.matrix``."""
-        return self.rows.matrix
+        """The dense matrix, read-only."""
+        matrix = self.rows.dense()
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def labels(self) -> tuple[str, ...] | None:
@@ -223,7 +213,7 @@ class InteractionStructure:
         of a component lies at a lower level.
         """
         label = self.component_of
-        u, v = self.crossing
+        u, v, weights = self.crossing
         level = np.zeros(len(self.components), dtype=np.intp)
         while True:
             deeper = level.copy()
@@ -233,23 +223,20 @@ class InteractionStructure:
             level = deeper
         sizes = np.bincount(label)
         signal_level = level[label]
-        single = sizes[label] == 1
         # crossing edges by level, each level's grouped by source signal
         # (they come in row-major order)
         order = np.argsort(signal_level[u], kind="stable")
-        u, v = u[order], v[order]
+        u, v, weights = u[order], v[order], weights[order]
         edge_level = signal_level[u]
-        weights = self.rows.at(u, v)
-        singles = np.flatnonzero(single)
-        loops = self.rows.at(singles, singles)
+        singles = np.flatnonzero(sizes[label] == 1)
         levels = []
         for k in range(int(level.max()) + 1):
-            here = signal_level[singles] == k
+            here = singles[signal_level[singles] == k]
             blocks = tuple(np.flatnonzero(label == c)
                            for c in np.flatnonzero((level == k) & (sizes > 1)))
             lo, hi = np.searchsorted(edge_level, [k, k + 1])
             src, starts = np.unique(u[lo:hi], return_index=True)
-            levels.append(_Level(singles[here], loops[here], blocks, src, starts, v[lo:hi],
+            levels.append(_Level(here, self.loops[here], blocks, src, starts, v[lo:hi],
                                  weights[lo:hi]))
         return tuple(levels)
 
@@ -571,7 +558,7 @@ def _analysed(B, index: SignalIndex | None) -> InteractionStructure:
     periods are read from."""
     rows = B if isinstance(B, SparseRows) else SparseRows.of(B)
     n = len(rows)
-    u, v = rows.edges()
+    u, v, w = rows.edges()
     comps, depth = _scc_search(n, u, v)
     # a component is terminal when no edge leaves it
     label = np.empty(n, dtype=np.intp)
@@ -584,8 +571,10 @@ def _analysed(B, index: SignalIndex | None) -> InteractionStructure:
     closed[source[crossing]] = False
     terminal = tuple(c for c, ok in zip(comps, closed) if ok)
     periods = _periods(depth, u, v, source, len(comps))[closed]
+    loops, own = np.zeros(n), u == v
+    loops[u[own]] = w[own]
     return InteractionStructure(rows, index, tuple(comps), terminal, tuple(periods.tolist()),
-                                label, (u[crossing], v[crossing]))
+                                label, (u[crossing], v[crossing], w[crossing]), loops)
 
 
 def strongly_connected_components(matrix) -> list[tuple[int, ...]]:

@@ -104,7 +104,7 @@ def _parse_network(obj, ctx, n) -> Network:
     _take(obj, ctx, ["weights"], ["diagonal_allowed"])
     return Network(
         _matrix(obj["weights"], f"{ctx}.weights", (n, n)),
-        bool(obj.get("diagonal_allowed", False)),
+        _expect(obj.get("diagonal_allowed", False), bool, f"{ctx}.diagonal_allowed", "a boolean"),
     )
 
 

@@ -505,6 +505,47 @@ def check_network_rows(v: list, agents, g: np.ndarray, tol: float) -> None:
                  f" (expected 1 within {tol})")
 
 
+def check_labels(v: list, agents, signals) -> None:
+    """Append the violations of the agent and signal labels; the signals are
+    walked one by one only when some label repeats."""
+    if len(agents) < 2:
+        v.append("agents: need at least two agents")
+    if len(set(agents)) != len(agents):
+        v.append("agents: duplicate agent label")
+    labels = list(chain.from_iterable(signals.get(a) or () for a in agents))
+    repeated = len(set(labels)) != len(labels)
+    seen: dict[str, str] = {}
+    for a in agents:
+        ts = signals.get(a)
+        if not ts:
+            v.append(f"signals.{a}: agent needs at least one signal")
+        elif repeated:
+            for t in ts:
+                if t in seen:
+                    v.append(f"signals.{a}.{t}: label already used by agent {seen[t]}")
+                seen[t] = a
+
+
+def check_self_weights(v: list, agents, network: Network) -> None:
+    """Append each self-weight of a square network that allows none."""
+    if not network.diagonal_allowed:
+        for i in np.nonzero(np.abs(np.diag(network.weights)) > 0)[0]:
+            v.append(f"network.diagonal[{agents[i]}]: self-weight"
+                     " present but diagonal_allowed is false")
+
+
+def check_payoff(v: list, y: BasicVariable | None, n_states: int) -> None:
+    """Append the violations of a payoff ``y``, if given, over ``n_states`` states."""
+    if y is None:
+        return
+    if len(y.values) != n_states:
+        v.append(f"y: {len(y.values)} values for {n_states} states")
+    if not y.bound > 0:
+        v.append("y: bound must be positive")
+    elif not np.all((y.values >= 0) & (y.values <= y.bound)):
+        v.append(f"y: values outside [0, {y.bound}]")
+
+
 def check_beliefs(v: list, spec: ModelSpec, tol: float, g: np.ndarray | None = None) -> None:
     """Append the violations of the beliefs that the screen at ``tol`` flags;
     given ``g``, a weight row per signal, of a marginal only where it fills
@@ -540,36 +581,14 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
     v: list[str] = []
     if spec.n_states < 1:
         v.append("states: need at least one state")
-    if spec.n_agents < 2:
-        v.append("agents: need at least two agents")
-    if len(set(spec.agents)) != spec.n_agents:
-        v.append("agents: duplicate agent label")
-
-    # the signals are walked one by one only when some label repeats
-    labels = list(chain.from_iterable(spec.signals.get(a) or () for a in spec.agents))
-    repeated = len(set(labels)) != len(labels)
-    seen: dict[str, str] = {}
-    for a in spec.agents:
-        ts = spec.signals.get(a)
-        if not ts:
-            v.append(f"signals.{a}: agent needs at least one signal")
-        elif repeated:
-            for t in ts:
-                if t in seen:
-                    v.append(f"signals.{a}.{t}: label already used by agent {seen[t]}")
-                seen[t] = a
+    check_labels(v, spec.agents, spec.signals)
 
     g = spec.network.weights
     if g.shape != (spec.n_agents, spec.n_agents):
         v.append(f"network: shape {g.shape} does not match {spec.n_agents} agents")
     else:
         check_network_rows(v, spec.agents, g, tol)
-        if not spec.network.diagonal_allowed:
-            for i in np.nonzero(np.abs(np.diag(g)) > 0)[0]:
-                v.append(
-                    f"network.diagonal[{spec.agents[i]}]: self-weight"
-                    " present but diagonal_allowed is false"
-                )
+        check_self_weights(v, spec.agents, spec.network)
 
     # the block screen finds the signals to check one vector at a time
     check_beliefs(v, spec, tol)
@@ -591,16 +610,7 @@ def validate_model(spec: ModelSpec, tol: float = PROB_TOL) -> list[str]:
                 v.append(f"priors.{a}: unknown agent")
                 continue
             _check_prob(v, f"priors.{a}", mu, len(spec.signals[a]), tol)
-
-    if spec.y is not None:
-        if len(spec.y.values) != spec.n_states:
-            v.append(
-                f"y: {len(spec.y.values)} values for {spec.n_states} states"
-            )
-        if not spec.y.bound > 0:
-            v.append("y: bound must be positive")
-        elif not np.all((spec.y.values >= 0) & (spec.y.values <= spec.y.bound)):
-            v.append(f"y: values outside [0, {spec.y.bound}]")
+    check_payoff(v, spec.y, spec.n_states)
     return v
 
 

@@ -6,7 +6,9 @@ else's is nearly deterministic, the consensus expectation approximates the
 noisy agent's prior expectation of the payoff.  The quantitative bound runs
 through a stationary-distribution perturbation inequality (Cho and Meyer,
 2001, Theorem 2.1) applied to the structure in which the informed agents'
-signals are rounded to certainty.
+signals are rounded to certainty.  A :class:`CISSpec` keeps its noise
+classification (``noise``) and its general model (``model``), each built on
+first use; the rounded structure is the model of another ``CISSpec``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import numpy as np
 
 from .consensus import consensus_expectation, state_payoffs
 from .errors import PreconditionError
-from .interaction import FirstOrderMap, InteractionStructure, as_chain
+from .interaction import SparseRows, as_chain
 from .model import (
-    PROB_TOL, BasicVariable, Beliefs, ModelSpec, Network, _real, check_network_rows, freeze,
+    PROB_TOL, BasicVariable, Beliefs, ModelSpec, Network, _real, check_labels,
+    check_network_rows, check_payoff, check_self_weights, freeze,
 )
 from .spectral import mfpt
 
@@ -60,13 +63,19 @@ class CISSpec:
         """The general model with Bayes-derived beliefs."""
         return build_pi_from_cis(self)
 
+    @cached_property
+    def noise(self) -> NoiseProfile:
+        """The noise classification of every agent's technology."""
+        return classify_noise(self)
+
 
 def validate_cis(cis: CISSpec, tol: float = 1e-12) -> list[str]:
-    """Check CIS invariants; returns violations (empty = valid)."""
+    """Check CIS invariants; returns violations (empty = valid).  The
+    labels, the self-weights and the payoff are held to
+    :func:`~consensus_lab.model.validate_model`'s rules, with its texts."""
     tol = _real(tol, "tol", scalar=True)
     v: list[str] = []
-    if len(cis.agents) < 2:
-        v.append("agents: need at least two agents")
+    check_labels(v, cis.agents, cis.signals)
     for a in cis.agents:
         rho = cis.rho.get(a)
         if rho is None or rho.shape != (cis.n_states,):
@@ -91,9 +100,11 @@ def validate_cis(cis: CISSpec, tol: float = 1e-12) -> list[str]:
         v.append("network: dimension does not match the agent count")
     else:
         check_network_rows(v, cis.agents, g, tol)
+        check_self_weights(v, cis.agents, cis.network)
         off = g[~np.eye(len(cis.agents), dtype=bool)]
         if np.any(off <= 0):
             v.append("network: must be complete (positive off-diagonal weights)")
+    check_payoff(v, cis.y, cis.n_states)
     return v
 
 
@@ -188,40 +199,28 @@ def classify_noise(cis: CISSpec) -> NoiseProfile:
     return NoiseProfile(eps, delta, certain)
 
 
-@dataclass(frozen=True)
-class RoundedStructure:
-    """The model rebuilt after rounding informed agents' signals to certainty."""
-
-    cis: CISSpec
-    model: ModelSpec
-    interaction: InteractionStructure
-    first_order: FirstOrderMap
-
-
-def rounded_structure(cis: CISSpec, informed: Sequence[str],
-                      profile: NoiseProfile | None = None) -> RoundedStructure:
-    """Round each informed agent's technology to its certain version.
+def rounded_structure(cis: CISSpec, informed: Sequence[str]) -> CISSpec:
+    """The spec with each informed agent's technology rounded to its
+    certain version; its ``model`` holds the rounded structure.
 
     Every state's near-certain signal gets probability one.  Requires
     each informed agent's technology to be at most eps-noisy for some
     eps < 1/2 with the state-to-signal map a bijection onto his signal
     set, so that every signal keeps positive probability.  An unknown agent
-    in ``informed`` is refused.  ``profile`` is ``classify_noise(cis)``,
-    computed here when not given.
+    in ``informed`` is refused.  The noise is read from ``cis.noise``.
     """
     unknown = [a for a in informed if a not in cis.agents]
     if unknown:
         raise PreconditionError(f"informed: unknown agent {unknown[0]!r}")
-    profile = classify_noise(cis) if profile is None else profile
     eta_hat = dict(cis.eta)
     for a in cis.agents:
         if a not in informed:
             continue
-        assignment = profile.certain_signal[a]
-        if assignment is None or profile.eps[a] >= 0.5:
+        assignment = cis.noise.certain_signal[a]
+        if assignment is None or cis.noise.eps[a] >= 0.5:
             raise PreconditionError(
                 f"agent {a}: no unique near-certain signal per state"
-                f" (eps={profile.eps[a]!r}); cannot round"
+                f" (eps={cis.noise.eps[a]!r}); cannot round"
             )
         if len(cis.signals[a]) != cis.n_states:
             raise PreconditionError(
@@ -230,11 +229,7 @@ def rounded_structure(cis: CISSpec, informed: Sequence[str],
             )
         eta_hat[a] = np.zeros_like(cis.eta[a])
         eta_hat[a][list(assignment), list(assignment.values())] = 1.0
-    cis_hat = CISSpec(
-        cis.states, cis.agents, cis.signals, cis.rho, eta_hat, cis.network, cis.y
-    )
-    model = cis_hat.model
-    return RoundedStructure(cis_hat, model, model.structure, model.first_order)
+    return CISSpec(cis.states, cis.agents, cis.signals, cis.rho, eta_hat, cis.network, cis.y)
 
 
 @dataclass(frozen=True)
@@ -300,15 +295,16 @@ class TyrannyReport:
     passed: bool
 
 
-def _bfs_diameter(matrix) -> int:
-    """Longest shortest path in the directed graph of nonzero entries; pairs
-    with no path do not count.  A breadth-first search from every vertex at
-    once: one n x n product of the frontiers with the 0/1 adjacency matrix
-    per step.  The products count paths, integers exact in floating point,
-    so the result is the same in any order of summation.
-    :func:`verify_tyranny` passes the 0/1 matrix of the stored edges, so no
-    structure's dense copy is read."""
-    adjacency = (np.asarray(matrix) != 0).astype(float)
+def _bfs_diameter(rows: SparseRows) -> int:
+    """Longest shortest path in the directed graph of the stored rows'
+    edges; pairs with no path do not count.  A breadth-first search from
+    every vertex at once: one n x n product of the frontiers with the 0/1
+    adjacency matrix, built from the edges, per step.  The products count
+    paths, integers exact in floating point, so the result is the same in
+    any order of summation."""
+    u, v, _ = rows.edges()
+    adjacency = np.zeros(rows.shape)
+    adjacency[u, v] = 1.0
     seen = np.eye(len(adjacency), dtype=bool)
     frontier, length = seen, 0
     while True:
@@ -341,7 +337,7 @@ def verify_tyranny(
     elif ignorant not in cis.agents:
         raise PreconditionError(f"ignorant: unknown agent {ignorant!r}")
     informed = [a for a in cis.agents if a != ignorant]
-    profile = classify_noise(cis)
+    profile = cis.noise
     delta = profile.delta[ignorant]
     if delta <= 0.0:
         raise PreconditionError(
@@ -383,14 +379,14 @@ def verify_tyranny(
         * (eps / delta)
     )
 
-    rounded = rounded_structure(cis, informed, profile)
-    rounded_result = consensus_expectation(rounded.model, yv)
+    rounded = rounded_structure(cis, informed).model
+    rounded_result = consensus_expectation(rounded, yv)
 
     # belief perturbation: every interim marginal moves by at most
     # 4 |states| |signals| eps / rho_min_i
     belief_gap_max = 0.0
     belief_bound = 4.0 * n_states * n_signals * eps / rho_min
-    blocks, hat = model.beliefs.blocks, rounded.model.beliefs.blocks
+    blocks, hat = model.beliefs.blocks, rounded.beliefs.blocks
     for a in cis.agents:
         agent_bound = 4.0 * n_states * n_signals * eps / float(cis.rho[a].min())
         others = [j for j in cis.agents if j != a]
@@ -405,14 +401,12 @@ def verify_tyranny(
             )
 
     passage_bound = 2.0 / (delta * rho_min_ignorant * gamma_min**2)
-    perturbation = stationary_perturbation_bound(result.structure, rounded.interaction)
+    perturbation = stationary_perturbation_bound(result.structure, rounded.structure)
     if perturbation.max_passage_time > passage_bound + 1e-9:
         raise ArithmeticError("mean first passage time bound violated")
 
     gap = abs(result.value - prior_exp)
     passed = gap <= bound + 1e-12
-    adjacency = np.zeros(rounded.interaction.rows.shape)
-    adjacency[rounded.interaction.rows.edges()] = 1.0
     return TyrannyReport(
         result.value,
         prior_exp,
@@ -426,6 +420,6 @@ def verify_tyranny(
         rounded_result.value,
         perturbation,
         passage_bound,
-        _bfs_diameter(adjacency),
+        _bfs_diameter(rounded.structure.rows),
         passed,
     )

@@ -47,13 +47,18 @@ def scenario_path(name):
     return os.path.join(SCENARIOS, name + ".json")
 
 
-def bench_gen():
-    """The benchmark's seeded scenario generators, ``bench/gen.py``."""
-    path = os.path.join(os.path.dirname(__file__), "..", "bench", "gen.py")
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
+def bench_module(name):
+    """The benchmark's module ``bench/<name>.py``."""
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_gen():
+    """The benchmark's seeded scenario generators, ``bench/gen.py``."""
+    return bench_module("gen")
 
 
 @pytest.fixture

@@ -15,9 +15,11 @@ import pytest
 from consensus_lab import cli, interaction
 from consensus_lab import io as sio
 from consensus_lab.cli import main
+from consensus_lab.errors import PreconditionError
 from consensus_lab.game import solve_beta_game, solve_heterogeneous_game
 from consensus_lab.market import cis_generating, product_generating, simulate_market
-from consensus_lab.tyranny import CISSpec, verify_tyranny
+from consensus_lab.model import validate_model
+from consensus_lab.tyranny import CISSpec, validate_cis, verify_tyranny
 
 from conftest import (
     SINGULAR_TRANSIENT,
@@ -845,7 +847,57 @@ def test_cis_network_rows_must_sum_to_one(tmp_path, capsys, command, row, col, v
     path = _with("tyranny_extreme", lambda d: d["network"][row].__setitem__(col, value),
                  tmp_path)
     code, out = run_cli([command, path])
-    assert (code, out, capsys.readouterr().err) == (2, "", f"invalid: {message}\n")
+    # a self-weight is refused as well, as in a general scenario
+    also = ("invalid: network.diagonal[iggy]: self-weight present but diagonal_allowed"
+            " is false\n" if row == col else "")
+    assert (code, out, capsys.readouterr().err) == (2, "", f"invalid: {message}\n{also}")
+
+
+def _duplicate_agent(d):
+    d["agents"] = ["iggy", "alice", "alice"]
+    for key in ("signals", "rho", "eta"):
+        del d[key]["bern"]
+
+
+@pytest.mark.parametrize("edit, messages", [
+    (lambda d: d["signals"].update(bern=["a_lo", "a_hi"]),
+     ["signals.bern.a_lo: label already used by agent alice",
+      "signals.bern.a_hi: label already used by agent alice"]),
+    (lambda d: d["signals"].update(alice=["a_lo", "a_lo"]),
+     ["signals.alice.a_lo: label already used by agent alice"]),
+    (_duplicate_agent,
+     ["agents: duplicate agent label", "signals.alice.a_lo: label already used by agent alice",
+      "signals.alice.a_hi: label already used by agent alice"]),
+    (lambda d: d["network"].__setitem__(0, [0.2, 0.4, 0.4]),
+     ["network.diagonal[iggy]: self-weight present but diagonal_allowed is false"]),
+    (lambda d: d["y"].update(values=[5, -3]), ["y: values outside [0, 1.0]"]),
+], ids=["signals renamed to another agent's", "a signal twice", "an agent twice",
+        "a self-weight", "payoffs outside [0, max]"])
+def test_cis_scenarios_keep_the_general_label_self_weight_and_payoff_rules(
+        tmp_path, capsys, edit, messages):
+    # validate called each of these valid: consensus then printed a
+    # component of repeated labels or exited 3 on the duplicate agent,
+    # simulate-market asked for a library argument, and game-solve printed
+    # actions of -0.6
+    path = _with("tyranny_extreme", edit, tmp_path)
+    code, out = run_cli(["validate", path])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "".join(f"invalid: {m}\n" for m in messages)
+    cis = sio.load_scenario(path)
+    assert validate_cis(cis) == validate_model(cis.model) == messages
+    with pytest.raises(PreconditionError, match=f"^{re.escape('; '.join(messages))}$"):
+        verify_tyranny(cis)
+
+
+@pytest.mark.parametrize("flag", ["false", 0, 1])
+def test_diagonal_allowed_must_be_a_json_boolean(tmp_path, capsys, flag):
+    # "false" was read as true: the self-weights below validated
+    path = _with("cps", lambda d: d.update(network={"weights": [[0.5, 0.5], [1, 0]],
+                                                    "diagonal_allowed": flag}), tmp_path)
+    code, out = run_cli(["validate", path])
+    assert (code, out, capsys.readouterr().err) == (
+        2, "", f"scenario error: {path}.network.diagonal_allowed: expected a boolean,"
+        f" got {type(flag).__name__}\n")
 
 
 # SHA-256 of `report --runs 3` stdout, `build --format csv` stdout and the two
@@ -939,6 +991,25 @@ def test_validate_and_build_csv_golden_bytes_on_benchmark_models(tmp_path, famil
     for argv, digest in ((["validate"], validate), (["build", "--format", "csv"], build_csv)):
         code, out = run_cli([argv[0], str(path), *argv[1:]])
         assert code == 0 and _sha256(out) == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify-tyranny"], "462780fccb2fb844ba8cb8bf267786486d16a05c410a524f4a475e4fb1b96c35"),
+    (["verify-tyranny", "--format", "csv"],
+     "ff3a45415dc1a052953c6667e5f7d09ac36faa398369bb79d4d3076fd3e43d33"),
+    (["report", "--beta", "0.9", "--runs", "2"],
+     "d3e59760dd037e9c2a226e85ec2a6504d00393dbad556611725a11cfc794fe43"),
+], ids=["verify-tyranny", "verify-tyranny csv", "report"])
+def test_tyranny_path_golden_bytes_on_a_generated_cis_model(tmp_path, argv, digest):
+    # the bench-gen cis_dense model of 90 signals (rng [1, 0]); digests
+    # captured while the rounded structure was a record of its model's
+    # parts, the walk searched the stored cells for its weights and the
+    # structure's dense copy was kept by its rows.  The same under one and
+    # two BLAS threads
+    path = tmp_path / "cis90.json"
+    path.write_text(json.dumps(bench_gen().cis_dense(np.random.default_rng([1, 0]), 30)))
+    code, out = run_cli([argv[0], str(path), *argv[1:]])
+    assert code == 0 and _sha256(out) == digest
 
 
 def _count_calls(monkeypatch, counts, targets):
@@ -1183,7 +1254,7 @@ def test_the_tyranny_path_never_holds_a_dense_interaction_matrix(tmp_path):
         assert peak < 2_000_000, argv[0]
     cis = sio.load_scenario(path)
     verify_tyranny(cis)
-    assert "matrix" not in vars(cis.model.structure.rows)
+    assert "matrix" not in vars(cis.model.structure)
 
 
 #: Runs ``python -m consensus_lab.cli`` on the argv given as JSON, with its

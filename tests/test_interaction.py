@@ -1014,13 +1014,14 @@ def test_sparse_rows_store_the_dense_matrix_bit_for_bit(name, spec):
     assert structure.components == tuple(comps) and structure.terminal == tuple(terminal)
     assert structure.periods == tuple(period_oracle(B, c) for c in terminal)
     assert_scanned_analysis(structure)
-    # each component's block, and the values read at positions
+    # each component's block, and the weights the analysis keeps
     for comp in structure.components[:20]:
         assert same_bits(rows.block(comp), B[np.ix_(comp, comp)])
-    u, v = structure.crossing
-    assert same_bits(rows.at(u, v), B[u, v])
-    d = np.arange(len(B))
-    assert same_bits(rows.at(d, d), np.diag(B))
+    u, v, w = structure.crossing
+    assert same_bits(w, B[u, v])
+    # a -0.0 self-weight is kept as +0.0: the walk divides by 1 - d * loop,
+    # the same for either zero
+    assert same_bits(structure.loops, np.diag(B) + 0.0)
     # the product helper: the stored cells' sums, bit for bit at every size
     x = np.random.default_rng(len(B)).random(len(B))
     right, left = rows.product(x), rows.product(x, left=True)

@@ -24,6 +24,7 @@ must refuse it.  The changes are drawn with the standard library's
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import json
 import math
@@ -52,7 +53,7 @@ from consensus_lab import (
     validate_model,
 )
 
-from conftest import SCENARIOS, scenario_path
+from conftest import SCENARIOS, bench_module, scenario_path
 
 SEEDS = (0, 1)
 NAN, INF = math.nan, math.inf
@@ -366,7 +367,7 @@ def rows() -> dict[str, Row]:
                               lambda r, a: set(r.delta) == set(cis.agents)),
         "rounded_structure": Row(
             consensus_lab.rounded_structure, dict(cis=cis, informed=["alice", "bern"]),
-            {"informed": labels_cases}, lambda r, a: stochastic(r.interaction.matrix)),
+            {"informed": labels_cases}, lambda r, a: stochastic(r.model.structure.matrix)),
         "stationary_perturbation_bound": Row(
             consensus_lab.stationary_perturbation_bound,
             dict(B=P, B_ref=np.full((3, 3), 1 / 3)), {"B": matrix_cases, "B_ref": matrix_cases},
@@ -386,6 +387,16 @@ PUBLIC = sorted(name for name, obj in vars(consensus_lab).items()
 
 def test_every_public_function_has_a_row():
     assert sorted(rows()) == PUBLIC
+
+
+def test_every_name_the_bench_tracer_wraps_is_a_function_of_its_module():
+    # the traced bench pass wraps these by name; a rename would break only
+    # that pass, which tier-1 does not run
+    traced = bench_module("tracing").TRACED
+    missing = [f"{layer}.{name}" for layer, names in traced.items() for name in names
+               if not inspect.isfunction(getattr(importlib.import_module(
+                   f"consensus_lab.{layer}"), name, None))]
+    assert not missing
 
 
 def _breach(row: Row, args: dict) -> str | None:

@@ -10,13 +10,12 @@ from scipy.sparse.csgraph import shortest_path
 from consensus_lab import tyranny
 from consensus_lab.consensus import consensus_expectation
 from consensus_lab.errors import PreconditionError
-from consensus_lab.interaction import joint_connectedness
+from consensus_lab.interaction import SparseRows, joint_connectedness
 from consensus_lab.io import load_scenario, parse_scenario
 from consensus_lab.model import BasicVariable, InterimBelief, ModelSpec, Network
 from consensus_lab.spectral import mfpt
 from consensus_lab.tyranny import (
     CISSpec,
-    RoundedStructure,
     _bfs_diameter,
     _eps_noisy,
     build_pi_from_cis,
@@ -145,12 +144,12 @@ def test_classify_noise_examples():
 def test_rounding_is_identity_on_deterministic_technologies():
     cis = load_scenario(scenario_path("tyranny_extreme"))
     rounded = rounded_structure(cis, ["alice", "bern"])
-    assert np.array_equal(rounded.cis.eta["alice"], cis.eta["alice"])
+    assert np.array_equal(rounded.eta["alice"], cis.eta["alice"])
     model = build_pi_from_cis(cis)
     from consensus_lab.interaction import build_interaction_structure
 
     B = build_interaction_structure(model)
-    assert np.array_equal(rounded.interaction.matrix, B.matrix)
+    assert np.array_equal(rounded.model.structure.matrix, B.matrix)
 
 
 def test_rounded_consensus_equals_ignorant_prior_expectation():
@@ -363,14 +362,15 @@ def test_path_length_matches_bfs_oracle():
     for A in cases:
         unreachable += not joint_connectedness(A)[0]
         dist = shortest_path(scipy.sparse.csr_matrix(A != 0), unweighted=True)
-        assert _bfs_diameter(A) == diameter_oracle(A) == int(dist[np.isfinite(dist)].max())
+        assert _bfs_diameter(SparseRows.of(A)) == diameter_oracle(A) == int(
+            dist[np.isfinite(dist)].max())
     assert unreachable > 0
-    assert _bfs_diameter(cases[3]) == 59
+    assert _bfs_diameter(SparseRows.of(cases[3])) == 59
     for n_states in (2, 3, 4):
         cis = make_cis(rng, n_states=n_states, n_agents=3, ignorant_signals=3)
         report = verify_tyranny(cis)
         rounded = rounded_structure(cis, list(cis.agents[1:]))
-        assert report.max_path_length == diameter_oracle(rounded.interaction.matrix)
+        assert report.max_path_length == diameter_oracle(rounded.model.structure.matrix)
 
 
 def dense_cis(rng, n_states=12, eps_range=(0.005, 0.05)):
@@ -606,8 +606,9 @@ def test_belief_gap_violation_names_the_first_signal_and_counterpart(monkeypatch
             **old.signal_marginals, j: 0.9 * old.signal_marginals[j] + 0.1 / 4})
     m = rounded.model
     broken = ModelSpec(m.states, m.agents, m.signals, beliefs, m.network, m.priors, m.y)
-    monkeypatch.setattr(tyranny, "rounded_structure", lambda *args: RoundedStructure(
-        rounded.cis, broken, rounded.interaction, rounded.first_order))
+    # the rounded spec's kept model is the planted one
+    vars(rounded)["model"] = broken
+    monkeypatch.setattr(tyranny, "rounded_structure", lambda *args: rounded)
     first = _gap_oracle(cis, cis.model, broken)[1]
     assert first == "at a1 about bob"
     with pytest.raises(ArithmeticError, match=f"belief perturbation bound violated {first}$"):
@@ -667,11 +668,11 @@ def test_tyranny_path_gives_the_bits_of_its_dense_copy_forms():
     for k in range(3):
         cis = parse_scenario(gen.cis_dense(np.random.default_rng([1, k])))
         report = verify_tyranny(cis)
-        B, rounded = cis.model.structure, rounded_structure(cis, cis.agents[1:]).interaction
+        B, rounded = cis.model.structure, rounded_structure(cis, cis.agents[1:]).model.structure
         structures += [B, rounded]
         assert report.perturbation.matrix_gap == float(
             np.max(np.abs(B.matrix - rounded.matrix).sum(axis=1)))
-        assert report.max_path_length == _bfs_diameter(rounded.matrix) == 2
+        assert report.max_path_length == _bfs_diameter(SparseRows.of(rounded.matrix)) == 2
     irreducible = [s for s in structures if s.irreducible]
     assert len(irreducible) == 3 + 6
     for structure in irreducible:
