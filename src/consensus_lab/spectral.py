@@ -137,6 +137,7 @@ def abel_limit(Q, z, beta: float | None = None) -> np.ndarray:
     return discounted_solve(structure, (1.0 - d) * z, d)[0]
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def mfpt(Q) -> MFPTMatrix:
     """Mean first passage times between all ordered pairs of states.
 
@@ -147,7 +148,8 @@ def mfpt(Q) -> MFPTMatrix:
     ``p`` is the structure's cached stationary vector, ``Q`` a transient
     dense copy of its stored rows, and ``M`` is formed in the inverse's own
     array.  The residual of the defining system is gated relative to the
-    largest entry; a NaN residual fails the gate.
+    largest entry; a NaN residual fails the gate, which is what refuses a
+    stationary mass that underflowed to 0, with no floating-point warning.
     """
     structure = as_chain(Q)
     _require_irreducible(structure, "mfpt")

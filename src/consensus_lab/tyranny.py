@@ -13,6 +13,7 @@ first use; the rounded structure is the model of another ``CISSpec``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -69,7 +70,7 @@ class CISSpec:
         return classify_noise(self)
 
 
-def validate_cis(cis: CISSpec, tol: float = 1e-12) -> list[str]:
+def validate_cis(cis: CISSpec, tol: float = PROB_TOL) -> list[str]:
     """Check CIS invariants; returns violations (empty = valid).  The
     labels, the self-weights and the payoff are held to
     :func:`~consensus_lab.model.validate_model`'s rules, with its texts."""
@@ -297,22 +298,22 @@ class TyrannyReport:
 
 def _bfs_diameter(rows: SparseRows) -> int:
     """Longest shortest path in the directed graph of the stored rows'
-    edges; pairs with no path do not count.  A breadth-first search from
-    every vertex at once: one n x n product of the frontiers with the 0/1
-    adjacency matrix, built from the edges, per step.  The products count
-    paths, integers exact in floating point, so the result is the same in
-    any order of summation."""
+    edges; pairs with no path do not count.  Bit ``t % 64`` of the word
+    ``sets[t // 64, s]`` says that ``t`` is within k steps of ``s``; a step
+    ORs into each signal with out-edges its successors' sets, one word row
+    at a time.  The length is the number of steps in which some set grew,
+    at most n - 1.  Bit operations only: no n x n array, no matrix product."""
     u, v, _ = rows.edges()
-    adjacency = np.zeros(rows.shape)
-    adjacency[u, v] = 1.0
-    seen = np.eye(len(adjacency), dtype=bool)
-    frontier, length = seen, 0
-    while True:
-        frontier = (frontier @ adjacency > 0) & ~seen
-        if not frontier.any():
+    has = np.flatnonzero(np.bincount(u, minlength=len(rows)))
+    bits, starts = np.arange(len(rows)), np.searchsorted(u, has)
+    sets = np.zeros((-(-len(bits) // 64), len(bits)), dtype=np.uint64)
+    sets[bits // 64, bits] = np.uint64(1) << (bits % 64).astype(np.uint64)
+    for length in range(len(bits) + 1):
+        before = sets.copy()
+        for word in sets:
+            word[has] |= np.bitwise_or.reduceat(word[v], starts)
+        if np.array_equal(sets, before):
             return length
-        seen |= frontier
-        length += 1
 
 
 def verify_tyranny(
@@ -325,9 +326,11 @@ def verify_tyranny(
     eps-noisy with eps < 1/2 (eps = 0, perfectly informative, is
     allowed); the network must be complete.  The consensus is then
     within ``4 |states| |signals|^2 / (gamma_min rho_min)^2 * y_max *
-    eps / delta`` of the ignorant agent's prior expectation.  ``cis`` is
-    checked first by :func:`validate_cis` at the probability tolerance
-    ``tol``.
+    eps / delta`` of the ignorant agent's prior expectation: exactly 0 when
+    eps or y_max is 0, and inf when the prefactor overflows or its
+    denominator underflows to 0, as the passage-time bound is then.
+    ``cis`` is checked first by :func:`validate_cis` at the probability
+    tolerance ``tol``.
     """
     problems = validate_cis(cis, tol)
     if problems:
@@ -370,14 +373,9 @@ def verify_tyranny(
     gamma_min = float(g[~np.eye(len(cis.agents), dtype=bool)].min())
     rho_min = min(float(cis.rho[a].min()) for a in cis.agents)
     rho_min_ignorant = float(cis.rho[ignorant].min())
-    bound = (
-        4.0
-        * n_states
-        * n_signals**2
-        / (gamma_min * rho_min) ** 2
-        * y_max
-        * (eps / delta)
-    )
+    scale = (gamma_min * rho_min) ** 2
+    factor = 4.0 * n_states * n_signals**2 / scale if scale else math.inf
+    bound = factor * y_max * (eps / delta) if eps and y_max else 0.0
 
     rounded = rounded_structure(cis, informed).model
     rounded_result = consensus_expectation(rounded, yv)
@@ -400,7 +398,8 @@ def verify_tyranny(
                 f"belief perturbation bound violated at {cis.signals[a][r]} about {others[k]}"
             )
 
-    passage_bound = 2.0 / (delta * rho_min_ignorant * gamma_min**2)
+    scale = delta * rho_min_ignorant * gamma_min**2
+    passage_bound = 2.0 / scale if scale else math.inf
     perturbation = stationary_perturbation_bound(result.structure, rounded.structure)
     if perturbation.max_passage_time > passage_bound + 1e-9:
         raise ArithmeticError("mean first passage time bound violated")

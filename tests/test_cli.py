@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -816,6 +817,68 @@ def test_eps_refusal_prints_python_floats(tmp_path, capsys):
     code, out = run_cli(["report", path])
     assert code == 0
     assert f"== tyranny ==\nnot applicable: {EPS_REFUSAL}\n" in out
+
+
+def _tiny_prior(who, t, alice=None):
+    def edit(d):
+        d["rho"][who] = [t, 1.0 - t]
+        if alice:
+            d["eta"]["alice"] = alice
+    return edit
+
+
+@pytest.mark.parametrize("edit, bound, passage", [
+    *((_tiny_prior("bern", t), 0.0, 53.333333333333336) for t in (1e-160, 1e-300, 5e-324)),
+    (_tiny_prior("bern", 1e-300, [[0.99, 0.01], [0.01, 0.99]]), math.inf, 53.333333333333336),
+    (lambda d: d["eta"].update(iggy=[[5e-324, 1.0], [0.5, 0.5]]), 0.0, math.inf),
+], ids=["bern 1e-160", "bern 1e-300", "bern 5e-324", "noisy alice, bern 1e-300",
+        "iggy eta 5e-324"])
+def test_tiny_priors_and_noise_give_the_papers_bounds(tmp_path, capsys, edit, bound, passage):
+    # bern at 1e-160 printed "bound = nan" and "tyranny bound FAIL" (an
+    # overflowed prefactor times eps = 0), and the others exited 3 with
+    # "float division by zero" (a square or a product of tiny weights
+    # underflowed to 0); the paper's bound is 0 at eps = 0, and inf where
+    # its denominator underflows
+    path = _with("tyranny_extreme", edit, tmp_path)
+    code, out = run_cli(["verify-tyranny", path])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert f"\nbound = {sio.fmt(bound)}\n" in out
+    assert f"\npassage_time_bound = {sio.fmt(passage)}\n" in out
+    assert out.endswith("\ntyranny bound PASS\n")
+    code, report = run_cli(["report", path, "--beta", "0.9"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert report.endswith(f"== tyranny ==\n{out}")
+    result = verify_tyranny(sio.load_scenario(path))
+    assert (result.bound, result.passage_time_bound, result.passed) == (bound, passage, True)
+
+
+MFPT_NAN = "mean first passage residual nan too large"
+MFPT_REDUCIBLE = ("mfpt needs an irreducible matrix; see absorbing_components for the closed"
+                  " set ('i_lo', 'i_hi', 'a_hi', 'b_hi')")
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-300, 5e-324])
+def test_a_tiny_ignorant_prior_is_a_typed_refusal(tmp_path, capsys, t):
+    # at 1e-300 and 5e-324 the passage-time bound's denominator underflowed
+    # and the command exited 3 with "float division by zero"; at 1e-160 the
+    # refusal came after numpy's divide-by-zero warnings on stderr
+    path = _with("tyranny_extreme", _tiny_prior("iggy", t), tmp_path)
+    cis = sio.load_scenario(path)
+    code, out = run_cli(["verify-tyranny", path])
+    err = capsys.readouterr().err
+    code_report, report = run_cli(["report", path, "--beta", "0.9"])
+    if t == 5e-324:
+        assert (code, out, err) == (3, "", f"precondition failure: {MFPT_REDUCIBLE}\n")
+        assert (code_report, capsys.readouterr().err) == (0, "")
+        assert report.endswith(f"== tyranny ==\nnot applicable: {MFPT_REDUCIBLE}\n")
+        with pytest.raises(PreconditionError, match=f"^{re.escape(MFPT_REDUCIBLE)}$"):
+            verify_tyranny(cis)
+    else:
+        assert (code, out, err) == (3, "", f"numerical check failed: {MFPT_NAN}\n")
+        assert (code_report, capsys.readouterr().err) == (3, err)
+        assert report.endswith("== tyranny ==\n")
+        with pytest.raises(ArithmeticError, match=f"^{MFPT_NAN}$"):
+            verify_tyranny(cis)
 
 
 PRICE_REFUSAL = "price summary is not finite: the prices are too large to sum"

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +373,68 @@ def test_path_length_matches_bfs_oracle():
         report = verify_tyranny(cis)
         rounded = rounded_structure(cis, list(cis.agents[1:]))
         assert report.max_path_length == diameter_oracle(rounded.model.structure.matrix)
+
+
+def _digraph(rng, n, density):
+    return (rng.random((n, n)) < density) * rng.random((n, n))
+
+
+def _ring(n):
+    return np.roll(np.eye(n), 1, axis=1)
+
+
+def test_path_length_on_long_dense_and_degenerate_graphs():
+    # 28 more seeded digraphs, 100 with the test above: directed rings, on
+    # each side of a 64-signal word too, a sparse and two 67%-dense large
+    # graphs, no edges, a lone self-loop, and graphs with sinks and
+    # isolated signals, whose stored -0.0 cells are not edges
+    rng = np.random.default_rng(40)
+    sizes = (63, 64, 65, 128, 129, 300, 1000)
+    cases = [_ring(n) for n in sizes]
+    cases += [_digraph(rng, 600, 3 / 600), _digraph(rng, 600, 0.67), _digraph(rng, 1000, 0.67)]
+    loop = np.zeros((40, 40))
+    loop[7, 7] = 1.0
+    cases += [np.zeros((40, 40)), loop]
+    for _ in range(16):
+        n = int(rng.integers(2, 80))
+        A = _digraph(rng, n, rng.uniform(0.02, 0.3))
+        A[rng.random(n) < 0.2] = 0.0
+        isolated = rng.random(n) < 0.2
+        A[isolated] = A[:, isolated] = -0.0
+        cases.append(A)
+    assert len(cases) == 28
+    lengths = []
+    for A in cases:
+        dist = shortest_path(scipy.sparse.csr_matrix(A != 0), unweighted=True)
+        lengths.append(_bfs_diameter(SparseRows.of(A)))
+        assert lengths[-1] == int(dist[np.isfinite(dist)].max())
+        if len(A) < 100:
+            assert lengths[-1] == diameter_oracle(A)
+    assert lengths[:len(sizes)] == [n - 1 for n in sizes]
+    assert lengths[len(sizes) + 1:len(sizes) + 5] == [2, 2, 0, 0]
+    # and a graph without signals, which scipy does not take
+    assert _bfs_diameter(SparseRows.of(np.zeros((0, 0)))) == 0
+
+
+def test_path_length_of_a_1000_signal_ring_takes_seconds():
+    # one n x n product per breadth-first level took about 44 s
+    ring = SparseRows.of(_ring(1000))
+    start = time.perf_counter()
+    assert _bfs_diameter(ring) == 999
+    assert time.perf_counter() - start < 5.0
+
+
+def test_path_length_of_a_dense_1000_signal_graph_holds_no_n_by_n_array():
+    # the 0/1 adjacency matrix, the frontiers and their product peaked at
+    # 31.4 MB; the edges' rows and one gathered word row are about 11 MB
+    rows = SparseRows.of(_digraph(np.random.default_rng(41), 1000, 0.67))
+    tracemalloc.start()
+    try:
+        assert _bfs_diameter(rows) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def dense_cis(rng, n_states=12, eps_range=(0.005, 0.05)):
