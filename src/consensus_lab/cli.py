@@ -3,10 +3,13 @@
 Exit codes: 0 success, 2 scenario validation failure, 3 precondition
 failure inside an operation, a failed residual gate (``ArithmeticError``)
 or an --out artifact that cannot be written, 64 usage error, 141 (128 +
-SIGPIPE) stdout closed by its reader before the output ended.  Identical
-inputs, flags and seed produce byte-identical output per BLAS thread count
-when a component has 100 or more signals (one LAPACK solve each), and for
-any thread count otherwise.
+SIGPIPE) stdout closed by its reader before the output ended.  report runs
+every section: a refusal prints ``not applicable: ...`` and a failed gate
+``numerical check failed: ...`` under its header, and after the last
+section a failed gate ends report with exit 3 and its line on stderr.
+Identical inputs, flags and seed produce byte-identical output per BLAS
+thread count when a component has 100 or more signals (one LAPACK solve
+each), and for any thread count otherwise.
 simulate-market computes its summary before it writes any event row, so a
 refused summary writes none, and it formats events.csv one run at a time;
 with --format csv and --out, stdout is the written artifact read back.
@@ -433,7 +436,7 @@ def cmd_no_trade(args, scenario, out) -> int:
 
 
 def cmd_report(args, scenario, out) -> int:
-    model = _as_model(scenario)
+    failed = []
 
     def section(title, fn):
         out.write(f"== {title} ==\n")
@@ -441,10 +444,13 @@ def cmd_report(args, scenario, out) -> int:
             fn()
         except (PreconditionError, CapabilityError) as exc:
             out.write(f"not applicable: {exc}\n")
+        except ArithmeticError as exc:
+            out.write(f"numerical check failed: {exc}\n")
+            failed.append(exc)
 
     section("structure", lambda: cmd_build(args, scenario, out))
     section("consensus", lambda: cmd_consensus(args, scenario, out))
-    if model.y is not None:
+    if scenario.y is not None:
         section("game", lambda: cmd_game(args, scenario, out))
     section("optimism", lambda: cmd_optimism(args, scenario, out))
     section("no-trade", lambda: cmd_no_trade(args, scenario, out))
@@ -452,6 +458,9 @@ def cmd_report(args, scenario, out) -> int:
         section("tyranny", lambda: cmd_tyranny(args, scenario, out))
     if getattr(args, "runs", 0):
         section("market", lambda: cmd_market(args, scenario, out))
+    if failed:
+        # main reports the first failed gate on stderr, with exit 3
+        raise failed[0]
     return 0
 
 

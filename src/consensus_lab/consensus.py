@@ -180,8 +180,9 @@ def cps_check(spec: ModelSpec) -> CpsCheck:
     agent's prior over his signals; ``residual`` is ``‖p̂B − p̂‖₁`` and the
     check holds when it is at most ``CPS_TOL``.  A common prior over signal
     profiles implies ``p̂B = p̂``, but not the reverse.  Models without a
-    prior for every agent raise :class:`CapabilityError`; a network without
-    a unique centrality raises :class:`ReducibleError`.
+    prior for every agent raise :class:`CapabilityError`, and a prior
+    without one weight per signal is refused; a network without a unique
+    centrality raises :class:`ReducibleError`.
     """
     if spec.priors is None:
         raise CapabilityError("cps_check needs per-agent priors over signals")
@@ -191,7 +192,8 @@ def cps_check(spec: ModelSpec) -> CpsCheck:
     # built first: the builder names a network weight it cannot use
     rows = spec.structure.rows
     e = eigenvector_centrality(spec.network)
-    p = np.concatenate([e[k] * spec.priors[a] for k, a in enumerate(spec.agents)])
+    p = np.concatenate([e[k] * _vector(spec.priors[a], len(spec.signals[a]), f"prior for {a}",
+                                       "signal", finite=False) for k, a in enumerate(spec.agents)])
     residual = float(np.abs(rows.product(p, left=True) - p).sum())
     return CpsCheck(residual <= CPS_TOL, residual)
 

@@ -130,7 +130,8 @@ def product_generating(spec: ModelSpec) -> NatureDraw:
     influence-representing pseudoprior as the marginal; the state is
     independent of the signals, drawn from the first agent's
     prior-implied state distribution (uniform over states when the model
-    carries no priors).  Under this distribution and a
+    carries no priors; a prior without one weight per signal is
+    refused).  Under this distribution and a
     centrality-distributed initial owner, every transaction price has
     expectation exactly equal to the consensus, at every beta.  Each
     agent's table repeats its pseudoprior in every state's row, as a
@@ -141,7 +142,8 @@ def product_generating(spec: ModelSpec) -> NatureDraw:
     lam = pseudopriors(spec)
     if spec.priors is not None and spec.agents[0] in spec.priors:
         a0 = spec.agents[0]
-        mu = spec.priors[a0]
+        mu = _vector(spec.priors[a0], len(spec.signals[a0]), f"prior for {a0}", "signal",
+                     finite=False)
         theta = np.zeros(spec.n_states)
         for k, t in enumerate(spec.signals[a0]):
             theta += mu[k] * spec.beliefs[t].state_marginal

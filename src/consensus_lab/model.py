@@ -226,21 +226,20 @@ class Stack:
 
 class Beliefs(Mapping):
     """Read-only mapping from signal label to :class:`InterimBelief`,
-    stored by agent blocks.
+    stored as one state table and one stack per counterpart width.
 
     ``index`` is the :class:`SignalIndex` over the declared signals,
     agents in declaration order; ``states`` holds one state marginal per
-    signal in that order, and ``tables[a]`` is agent ``a``'s rows of it.
-    ``stacks`` holds a :class:`Stack` per counterpart width, and
-    ``blocks[a, j]`` is the view of it with ``a``'s marginals over ``j``'s
-    signals, a row per signal of ``a``, for each ``j`` that some signal of
-    ``a`` lists.  ``irregular`` marks the rows the arrays do not describe
+    signal in that order.  ``stacks`` holds a :class:`Stack` per
+    counterpart width: every agent's marginals over each counterpart of
+    that width that some of its signals list, a row per signal of the
+    agent.  ``irregular`` marks the rows the arrays do not describe
     alone: a missing belief, or a vector that is not 1-D with one entry per
     state or counterpart signal (or whose counterpart is not another agent).
 
-    A parsed belief is built on first use over read-only row views of the
-    arrays.  A belief given as an :class:`InterimBelief` is kept as given,
-    and its vectors that fit are copied into the arrays.
+    A parsed belief is built on first use over read-only row views of
+    ``states`` and the stacks.  A belief given as an :class:`InterimBelief`
+    is kept as given, and its vectors that fit are copied into the arrays.
     """
 
     def __init__(self, agents, signals, n_states, states, stacks, beliefs,
@@ -259,8 +258,6 @@ class Beliefs(Mapping):
         self.states = _readonly(states)
         self.irregular = _readonly(np.zeros(len(states), dtype=bool)
                                    if irregular is None else irregular)
-        self.tables = MappingProxyType(dict(zip(self.agents, map(states.__getitem__,
-                                                                 self.index.blocks))))
         self._beliefs, self._screens, self.stacks = beliefs, {}, {}
         for width, (owner, other, listed, marginals) in stacks.items():
             rows, flags = sizes[owner], np.array(listed, dtype=bool)
@@ -297,39 +294,22 @@ class Beliefs(Mapping):
         return cls(agents, signals, n_states, states, stacked(agents, signals, rows), entries,
                    np.array(irregular, dtype=bool))
 
-    blocks = property(lambda self: self._views[0], doc="``a``'s marginals over ``j``'s signals")
-    listed = property(lambda self: self._views[1], doc="Rows of ``blocks[a, j]`` listing ``j``")
-
     @cached_property
-    def _views(self) -> tuple[Mapping, Mapping]:
-        """``blocks`` and ``listed``: each pair's rows of its stack, which
-        start where the agent or the counterpart changes."""
-        blocks, listed = {}, {}
-        for stack in self.stacks.values():
-            owner, other = self.index.agent_of[stack.signal], stack.counterpart
-            cut = np.flatnonzero(np.diff(owner) | np.diff(other)) + 1
-            for k, rows, flags in zip([0, *cut.tolist()], np.split(stack.marginals, cut),
-                                      np.split(stack.listed, cut)):
-                pair = self.agents[owner[k]], self.agents[other[k]]
-                blocks[pair], listed[pair] = rows, flags
-        return MappingProxyType(blocks), MappingProxyType(listed)
-
-    @cached_property
-    def _rows(self) -> dict:
-        """Each label with a belief: its first (agent, row)."""
-        rows: dict = {}
-        for a in self.agents:
-            for r, t in enumerate(self.signals.get(a, ())):
-                if t in self._beliefs:
-                    rows.setdefault(t, (a, r))
-        return rows
+    def _lookup(self) -> tuple[dict, dict]:
+        """Each label's first signal, and each (signal, counterpart label)
+        pair's stack marginals and row there."""
+        first = {t: s for s, t in reversed(list(enumerate(self.index.labels)))}
+        rows = {(s, self.agents[j]): (stack.marginals, r) for stack in self.stacks.values()
+                for r, (s, j) in enumerate(zip(stack.signal.tolist(), stack.counterpart.tolist()))}
+        return first, rows
 
     def __getitem__(self, t) -> InterimBelief:
         belief = self._beliefs[t]
         if isinstance(belief, tuple):
-            a, r = self._rows[t]
+            first, rows = self._lookup
+            s = first[t]
             belief = self._beliefs[t] = InterimBelief._view(
-                self.tables[a][r], {j: self.blocks[a, j][r] for j in belief})
+                self.states[s], {j: stack[r] for j in belief for stack, r in [rows[s, j]]})
         return belief
 
     def __contains__(self, t) -> bool:

@@ -330,7 +330,10 @@ def verify_tyranny(
     eps or y_max is 0, and inf when the prefactor overflows or its
     denominator underflows to 0, as the passage-time bound is then.
     ``cis`` is checked first by :func:`validate_cis` at the probability
-    tolerance ``tol``.
+    tolerance ``tol``.  The belief-perturbation check compares the model's
+    belief stacks with the rounded model's one width at a time, bounds each
+    row by its owner's smallest prior entry, and names the first violation
+    by the lowest signal, then counterpart.
     """
     problems = validate_cis(cis, tol)
     if problems:
@@ -381,22 +384,22 @@ def verify_tyranny(
     rounded_result = consensus_expectation(rounded, yv)
 
     # belief perturbation: every interim marginal moves by at most
-    # 4 |states| |signals| eps / rho_min_i
-    belief_gap_max = 0.0
+    # 4 |states| |signals| eps / rho_min_i, i the marginal's owner
+    belief_gap_max, over = 0.0, []
     belief_bound = 4.0 * n_states * n_signals * eps / rho_min
-    blocks, hat = model.beliefs.blocks, rounded.beliefs.blocks
-    for a in cis.agents:
-        agent_bound = 4.0 * n_states * n_signals * eps / float(cis.rho[a].min())
-        others = [j for j in cis.agents if j != a]
-        # one row per signal of a, one column per counterpart
-        gaps = np.column_stack([np.abs(blocks[a, j] - hat[a, j]).max(axis=1) for j in others])
+    owner_bound = (4.0 * n_states * n_signals * eps
+                   / np.array([cis.rho[a].min() for a in cis.agents]))
+    index, hat = model.beliefs.index, rounded.beliefs.stacks
+    for width, stack in model.beliefs.stacks.items():
+        # one gap per row: a signal's marginal over one counterpart
+        gaps = np.abs(stack.marginals - hat[width].marginals).max(axis=1)
         belief_gap_max = max(belief_gap_max, float(gaps.max()))
-        over = np.argwhere(gaps > agent_bound + 1e-12)
-        if len(over):
-            r, k = over[0]
-            raise ArithmeticError(
-                f"belief perturbation bound violated at {cis.signals[a][r]} about {others[k]}"
-            )
+        bad = gaps > owner_bound[index.agent_of[stack.signal]] + 1e-12
+        over += zip(stack.signal[bad].tolist(), stack.counterpart[bad].tolist())
+    if over:
+        s, j = min(over)  # the lowest signal, then counterpart
+        raise ArithmeticError(
+            f"belief perturbation bound violated at {index.labels[s]} about {cis.agents[j]}")
 
     scale = delta * rho_min_ignorant * gamma_min**2
     passage_bound = 2.0 / scale if scale else math.inf

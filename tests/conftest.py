@@ -259,6 +259,34 @@ def scenario_object(spec):
     }
 
 
+def pair_rows(beliefs, a, j):
+    """Agent ``a``'s rows of the stack over counterpart ``j``, a row per
+    signal of ``a`` and contiguous: views of its marginals over ``j``'s
+    signals and of the flags of the rows that list ``j``."""
+    stack = beliefs.stacks[len(beliefs.signals[j])]
+    rows = np.flatnonzero((beliefs.index.agent_of[stack.signal] == beliefs.agents.index(a))
+                          & (stack.counterpart == beliefs.agents.index(j)))
+    pair = slice(rows[0], rows[-1] + 1) if len(rows) else slice(0, 0)
+    assert np.array_equal(rows, np.arange(len(stack.signal))[pair])
+    return stack.marginals[pair], stack.listed[pair]
+
+
+def same_layout(got, want):
+    """Whether two :class:`Beliefs` hold the same state table and the same
+    stacks, width by width in the same order, bit for bit (-0.0 is not
+    +0.0): each stack row's signal, counterpart, flag and marginal."""
+    bits = lambda x: np.asarray(x, dtype=float).view(np.uint64)
+    return (got.states.shape == want.states.shape
+            and np.array_equal(bits(got.states), bits(want.states))
+            and list(got.stacks) == list(want.stacks)
+            and all(np.array_equal(g.signal, w.signal)
+                    and np.array_equal(g.counterpart, w.counterpart)
+                    and np.array_equal(g.listed, w.listed)
+                    and g.marginals.shape == w.marginals.shape
+                    and np.array_equal(bits(g.marginals), bits(w.marginals))
+                    for g, w in zip(got.stacks.values(), want.stacks.values())))
+
+
 def cis_scenario(rng, n_agents=3, n_states=30, n_signals=None, zero_share=0.3):
     """Common-interpretation scenario object (``"kind": "cis"``).
 

@@ -875,10 +875,37 @@ def test_a_tiny_ignorant_prior_is_a_typed_refusal(tmp_path, capsys, t):
             verify_tyranny(cis)
     else:
         assert (code, out, err) == (3, "", f"numerical check failed: {MFPT_NAN}\n")
+        # report ended after a bare tyranny header; the failed gate is now
+        # that section's body, and report still exits 3 with the one line
         assert (code_report, capsys.readouterr().err) == (3, err)
-        assert report.endswith("== tyranny ==\n")
+        assert report.endswith(f"== tyranny ==\nnumerical check failed: {MFPT_NAN}\n")
         with pytest.raises(ArithmeticError, match=f"^{MFPT_NAN}$"):
             verify_tyranny(cis)
+    # with --runs the market section follows the failed one; it never ran
+    code_runs, runs = run_cli(["report", path, "--beta", "0.9", "--runs", "2"])
+    assert (code_runs, capsys.readouterr().err) == (code_report, "" if code_report == 0 else err)
+    assert runs.startswith(report)
+    assert re.fullmatch(r"== market ==\n2 runs, \d+ trades\nmean price = \S+ \(se \S+\)\n"
+                        r"mean duration = \S+\n", runs[len(report):])
+
+
+ZERO_PRIOR = "signal a_hi of agent alice has zero prior probability"
+
+
+def test_report_on_a_model_the_cis_builder_refuses_prints_every_section(tmp_path, capsys):
+    # report built the model before its first header: it exited 3 with no
+    # header at all; each section now refuses as every other refusal does
+    path = _with("tyranny_extreme", lambda d: d["eta"].update(alice=[[1, 0], [1, 0]]), tmp_path)
+    assert run_cli(["consensus", path]) == (3, "")
+    assert capsys.readouterr().err == f"precondition failure: {ZERO_PRIOR}\n"
+    code, out = run_cli(["report", path, "--runs", "2"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    eps = ("informed agents must be at most eps-noisy with eps < 1/2;"
+           " failing: ['alice'] with eps [inf]")
+    refusals = dict.fromkeys(["structure", "consensus", "game", "optimism", "no-trade"],
+                             ZERO_PRIOR) | {"tyranny": eps, "market": ZERO_PRIOR}
+    assert out == "".join(f"== {title} ==\nnot applicable: {refusal}\n"
+                          for title, refusal in refusals.items())
 
 
 PRICE_REFUSAL = "price summary is not finite: the prices are too large to sum"

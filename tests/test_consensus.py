@@ -14,6 +14,7 @@ from consensus_lab.consensus import (
 from consensus_lab.errors import CapabilityError, PreconditionError, ReducibleError
 from consensus_lab.interaction import build_interaction_structure
 from consensus_lab.io import load_scenario
+from consensus_lab.market import product_generating
 from consensus_lab.model import (
     BasicVariable,
     InterimBelief,
@@ -514,3 +515,17 @@ def test_decomposition_and_first_order_refusals_name_their_cause():
     with pytest.raises(PreconditionError,
                        match=r"^consensus is not unique \(several terminal components\)$"):
         verify_cps_decomposition(public)
+
+
+@pytest.mark.parametrize("prior", [[0.5, 0.25, 0.25], [1.0]], ids=["three", "one"])
+@pytest.mark.parametrize("fn", [cps_check, verify_cps_decomposition, product_generating])
+def test_a_spec_prior_of_the_wrong_length_is_refused_by_name(fn, prior):
+    # cps_check and verify_cps_decomposition ended in a bare ValueError or
+    # IndexError, and product_generating in an IndexError on [1.0] or, on
+    # [0.5, 0.25, 0.25], drew its states from the first two weights
+    spec = load_scenario(scenario_path("cps"))
+    spec = dataclasses.replace(spec, priors={**spec.priors, "ann": prior})
+    with pytest.raises(PreconditionError) as exc:
+        fn(spec)
+    assert str(exc.value) == (
+        f"prior for ann: expected one value per signal (2), got shape ({len(prior)},)")

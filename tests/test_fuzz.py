@@ -4,8 +4,10 @@ Each case mutates one site of a bundled scenario and runs one subcommand
 through ``cli.main`` in process.  The contract: the run exits 0, 2, 3 or
 64 and raises nothing (the suite turns every warning into an error), its
 stderr holds only the CLI's own refusal lines, with no bare Python error
-text, and an exit-0 ``verify-tyranny`` prints a bound that is not NaN and
-``tyranny bound PASS`` exactly when ``gap <= bound + 1e-12``.
+text, an exit-0 ``verify-tyranny`` prints a bound that is not NaN and
+``tyranny bound PASS`` exactly when ``gap <= bound + 1e-12``, and a
+``report`` that exits 0 or 3 prints every section header that applies, in
+order.
 """
 
 import copy
@@ -19,13 +21,15 @@ from io import StringIO
 import pytest
 
 from consensus_lab.cli import main
+from consensus_lab.io import load_scenario
+from consensus_lab.tyranny import CISSpec
 
 from conftest import scenario_path
 
 SCENARIOS = ["case2", "counterexample", "cps", "cycle", "tightness", "tyranny_extreme"]
 COMMANDS = [["validate"], ["build"], ["consensus"], ["game-solve", "--beta", "0.9"],
             ["simulate-market", "--beta", "0.9", "--runs", "2"], ["verify-optimism"],
-            ["verify-tyranny"], ["no-trade"], ["report", "--beta", "0.9"]]
+            ["verify-tyranny"], ["no-trade"], ["report", "--beta", "0.9", "--runs", "2"]]
 TINY = [1e-160, 1e-300, 5e-324]
 NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -0.0]
 CASES = 334  # per scenario: about 2000 in all
@@ -109,13 +113,19 @@ def _field(out, name):
     return float(re.search(rf"^{name} = (\S+)$", out, re.MULTILINE).group(1))
 
 
+def _report_headers(scenario):
+    """The section headers a ``report --runs 2`` on ``scenario`` prints, in order."""
+    return ["structure", "consensus", *["game"] * (scenario.y is not None), "optimism",
+            "no-trade", *["tyranny"] * isinstance(scenario, CISSpec), "market"]
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path, name):
     with open(scenario_path(name)) as fh:
         original = json.load(fh)
     rng = random.Random(f"fuzz-{name}")
     path = tmp_path / "mutated.json"
-    codes, tyranny_runs = set(), 0
+    codes, tyranny_runs, report_runs = set(), 0, 0
     for case in range(CASES):
         data = copy.deepcopy(original)
         kind, site, value = _mutate(data, rng)
@@ -141,6 +151,11 @@ def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path, name):
             verdict = "PASS" if gap <= bound + 1e-12 else "FAIL"
             assert out.endswith(f"\ntyranny bound {verdict}\n"), what
             tyranny_runs += 1
+        if code in (0, 3) and command[0] == "report":
+            headers = re.findall(r"^== (.+) ==$", out, re.MULTILINE)
+            assert headers == _report_headers(load_scenario(path)), what
+            report_runs += 1
     # every scenario has runs that pass and runs that are refused
     assert {0, 2} <= codes
     assert tyranny_runs > 0 or name != "tyranny_extreme"
+    assert report_runs > 0

@@ -31,6 +31,7 @@ from conftest import (
     classes_oracle,
     dirichlet,
     irreducible_oracle,
+    pair_rows,
     random_cps_model,
     random_model,
     scenario_object,
@@ -1164,17 +1165,19 @@ def test_beliefs_are_read_only_views_of_the_agent_arrays():
     parsed = [parse_scenario(scenario_object(library)), load_scenario(scenario_path("cycle"))]
     for spec in parsed:
         layout = spec.beliefs
-        for a in spec.agents:
+        for k, a in enumerate(spec.agents):
+            table = layout.states[layout.index.blocks[k]]
             for r, t in enumerate(spec.signals[a]):
                 b = spec.beliefs[t]
-                assert np.shares_memory(b.state_marginal, layout.tables[a])
-                assert same_bits(b.state_marginal, layout.tables[a][r])
+                assert np.shares_memory(b.state_marginal, table)
+                assert same_bits(b.state_marginal, table[r])
                 with pytest.raises(ValueError, match="read-only"):
                     b.state_marginal[0] = 0.5
                 for j, m in b.signal_marginals.items():
-                    assert layout.listed[a, j][r]
-                    assert np.shares_memory(m, layout.blocks[a, j])
-                    assert same_bits(m, layout.blocks[a, j][r])
+                    rows, listed = pair_rows(layout, a, j)
+                    assert listed[r]
+                    assert np.shares_memory(m, rows)
+                    assert same_bits(m, rows[r])
                     with pytest.raises(ValueError, match="read-only"):
                         m[0] = 0.5
     # beliefs given as objects (also those parsed from full entries) are
@@ -1184,16 +1187,18 @@ def test_beliefs_are_read_only_views_of_the_agent_arrays():
     assert all(again.beliefs[t] is b for t, b in beliefs.items())
     for spec in (library, again, load_scenario(scenario_path("cps"))):
         layout = spec.beliefs
-        for a in spec.agents:
+        for k, a in enumerate(spec.agents):
+            table = layout.states[layout.index.blocks[k]]
             for r, t in enumerate(spec.signals[a]):
                 b = spec.beliefs[t]
-                assert not np.shares_memory(b.state_marginal, layout.tables[a])
-                assert same_bits(b.state_marginal, layout.tables[a][r])
+                assert not np.shares_memory(b.state_marginal, layout.states)
+                assert same_bits(b.state_marginal, table[r])
                 for j, m in b.signal_marginals.items():
-                    assert same_bits(m, layout.blocks[a, j][r])
+                    assert same_bits(m, pair_rows(layout, a, j)[0][r])
     for spec in parsed + [library]:
         layout = spec.beliefs
-        arrays = [*layout.tables.values(), *layout.blocks.values(), *layout.listed.values()]
+        arrays = [layout.states, *(rows for stack in layout.stacks.values()
+                                   for rows in (stack.marginals, stack.listed))]
         assert not any(rows.flags.writeable for rows in arrays)
 
 

@@ -12,7 +12,9 @@ from consensus_lab.io import (
 )
 from consensus_lab.model import Beliefs, ModelSpec, Network
 
-from conftest import bench_gen, scenario_object, scenario_path, sparse_reducible_model
+from conftest import (
+    bench_gen, pair_rows, same_layout, scenario_object, scenario_path, sparse_reducible_model,
+)
 
 
 def per_cell_csv(rows, cols, matrix, prefix=None):
@@ -370,10 +372,7 @@ def test_the_block_parse_gives_the_per_signal_parse_bit_for_bit(name, data, weig
                                 for a in agents for t in signals[a]}, agents, signals, len(states))
     assert np.array_equal(bits(blocks.states), bits(per_signal.states))
     assert np.array_equal(blocks.irregular, per_signal.irregular)
-    assert blocks.blocks.keys() == per_signal.blocks.keys()
-    for pair, block in per_signal.blocks.items():
-        assert np.array_equal(bits(blocks.blocks[pair]), bits(block)), pair
-        assert np.array_equal(blocks.listed[pair], per_signal.listed[pair]), pair
+    assert same_layout(blocks, per_signal)
     built = []
     for beliefs in (blocks, per_signal):
         spec = ModelSpec(states, agents, signals, beliefs, Network(data["network"]))
@@ -385,7 +384,7 @@ def test_the_block_parse_gives_the_per_signal_parse_bit_for_bit(name, data, weig
     assert np.array_equal(bits(got.data), bits(want.data))
     if name.startswith("hand-built"):
         B = got.dense()
-        assert not blocks.irregular.any() and list(blocks.listed["x", "z"]) == [True, False]
+        assert not blocks.irregular.any() and list(pair_rows(blocks, "x", "z")[1]) == [True, False]
         # x1's weighted -0.0 is a stored cell
         assert bits(B[1, 2]) == bits(-0.0) and 2 in got.indices[got.indptr[1]:got.indptr[2]]
         # y1's inf over x is never multiplied by its zero weight: +0.0

@@ -21,7 +21,10 @@ from consensus_lab.model import (
 )
 from consensus_lab.spectral import eigenvector_centrality
 
-from conftest import dirichlet, random_cps_model, random_model, scenario_object, scenario_path
+from conftest import (
+    dirichlet, pair_rows, random_cps_model, random_model, same_layout, scenario_object,
+    scenario_path,
+)
 
 
 def two_agent_spec(**overrides):
@@ -121,7 +124,7 @@ def test_misshapen_vectors_are_reported_as_wrong_lengths(vec, got):
     assert validate_model(spec) == expected == per_item_violations(spec)
     # the vectors are kept as given, outside the agent arrays
     assert spec.beliefs["a1"].state_marginal.shape == np.shape(vec)
-    assert not spec.beliefs.listed["ann", "bob"][0]
+    assert not pair_rows(spec.beliefs, "ann", "bob")[1][0]
 
 
 def test_a_signal_needs_a_marginal_over_each_agent_its_owner_weights():
@@ -223,16 +226,18 @@ def test_parsed_and_stacked_beliefs_have_the_same_layout():
     data.pop("y", None)
     parsed = parse_scenario(data)
     for layout in (spec.beliefs, parsed.beliefs):
-        assert any(0 < rows.sum() < len(rows) for rows in layout.listed.values())
-        assert layout.tables.keys() == set(spec.agents)
-        assert layout.blocks.keys() == layout.listed.keys()
+        listed = [pair_rows(layout, a, j)[1] for a in spec.agents for j in spec.agents
+                  if j != a and len(spec.signals[j]) in layout.stacks]
+        # some pair lists its counterpart in some rows only
+        assert any(0 < rows.sum() < len(rows) for rows in listed)
+        assert layout.index.agents == spec.agents
+        assert layout.states.shape == (len(spec.all_signals()), spec.n_states)
+        assert all(len(s.signal) == len(s.counterpart) == len(s.listed) == len(s.marginals)
+                   for s in layout.stacks.values())
         assert not layout.irregular.any()
     bits = lambda x: np.asarray(x).view(np.uint64)
     assert np.array_equal(bits(parsed.beliefs.states), bits(spec.beliefs.states))
-    assert parsed.beliefs.blocks.keys() == spec.beliefs.blocks.keys()
-    for pair, block in spec.beliefs.blocks.items():
-        assert np.array_equal(bits(parsed.beliefs.blocks[pair]), bits(block))
-        assert np.array_equal(parsed.beliefs.listed[pair], spec.beliefs.listed[pair])
+    assert same_layout(parsed.beliefs, spec.beliefs)
     for t, b in beliefs.items():
         assert list(parsed.beliefs[t].signal_marginals) == list(b.signal_marginals)
     # a spec replaced with the same signals keeps the layout, others restack

@@ -28,7 +28,7 @@ from consensus_lab.tyranny import (
     verify_tyranny,
 )
 
-from conftest import SCENARIOS, bench_gen, cis_scenario, scenario_path
+from conftest import SCENARIOS, bench_gen, cis_scenario, pair_rows, same_layout, scenario_path
 
 
 def make_cis(rng, n_states=2, n_agents=3, delta=0.3, eps=1e-3, ignorant_signals=2):
@@ -495,9 +495,7 @@ def test_block_construction_has_the_bits_of_per_signal_bayes():
     for cis in _cis_fixtures():
         model, ref = build_pi_from_cis(cis), bayes_reference(cis)
         assert _same_bits(model.beliefs.states, ref.beliefs.states)
-        assert model.beliefs.blocks.keys() == ref.beliefs.blocks.keys()
-        for key, block in ref.beliefs.blocks.items():
-            assert _same_bits(model.beliefs.blocks[key], block), key
+        assert same_layout(model.beliefs, ref.beliefs)
         assert model.priors.keys() == ref.priors.keys()
         for a, mu in ref.priors.items():
             assert _same_bits(model.priors[a], mu)
@@ -542,7 +540,7 @@ def test_posterior_blocks_have_the_bits_of_one_product_per_row():
             for j in agents:
                 if j != a:
                     rows = np.array([p @ cis.eta[j] for p in table])
-                    assert _same_bits(beliefs.blocks[a, j], rows), (n_states, a, j)
+                    assert _same_bits(pair_rows(beliefs, a, j)[0], rows), (n_states, a, j)
 
 
 def test_an_agent_without_signals_builds_as_the_reference():
@@ -556,9 +554,7 @@ def test_an_agent_without_signals_builds_as_the_reference():
     )
     model, ref = build_pi_from_cis(mute), bayes_reference(mute)
     assert _same_bits(model.beliefs.states, ref.beliefs.states)
-    assert model.beliefs.blocks.keys() == ref.beliefs.blocks.keys()
-    for key, block in ref.beliefs.blocks.items():
-        assert _same_bits(model.beliefs.blocks[key], block), key
+    assert same_layout(model.beliefs, ref.beliefs)
     assert _same_bits(model.priors["mute"], ref.priors["mute"])
     assert list(model.beliefs) == list(ref.beliefs)
     assert _same_bits(model.structure.matrix, ref.structure.matrix)
@@ -632,20 +628,20 @@ def test_eps_noisy_matches_the_loop_oracle():
 
 
 def _gap_oracle(cis, model, hat):
-    """Largest change of any interim marginal, signal by signal, and the
-    first (signal, counterpart) over its agent's bound."""
+    """Largest change of any interim marginal, signal by signal, and every
+    (signal, counterpart) over its agent's bound, in index order."""
     n_signals = sum(len(cis.signals[a]) for a in cis.agents)
     eps = max(classify_noise(cis).eps[a] for a in cis.agents[1:])
-    gap_max, first = 0.0, None
+    gap_max, over = 0.0, []
     for a in cis.agents:
         bound = 4.0 * cis.n_states * n_signals * eps / float(cis.rho[a].min())
         for t in cis.signals[a]:
             for j, m in model.beliefs[t].signal_marginals.items():
                 gap = float(np.max(np.abs(m - hat.beliefs[t].signal_marginals[j])))
                 gap_max = max(gap_max, gap)
-                if gap > bound + 1e-12 and first is None:
-                    first = f"at {t} about {j}"
-    return gap_max, first
+                if gap > bound + 1e-12:
+                    over.append(f"at {t} about {j}")
+    return gap_max, over
 
 
 def test_belief_gap_matches_the_per_signal_oracle():
@@ -655,7 +651,7 @@ def test_belief_gap_matches_the_per_signal_oracle():
     for cis in fixtures:
         report = verify_tyranny(cis)
         rounded = rounded_structure(cis, cis.agents[1:])
-        assert (report.belief_gap_max, None) == _gap_oracle(cis, cis.model, rounded.model)
+        assert (report.belief_gap_max, []) == _gap_oracle(cis, cis.model, rounded.model)
 
 
 def test_belief_gap_violation_names_the_first_signal_and_counterpart(monkeypatch):
@@ -673,8 +669,36 @@ def test_belief_gap_violation_names_the_first_signal_and_counterpart(monkeypatch
     # the rounded spec's kept model is the planted one
     vars(rounded)["model"] = broken
     monkeypatch.setattr(tyranny, "rounded_structure", lambda *args: rounded)
-    first = _gap_oracle(cis, cis.model, broken)[1]
+    first = _gap_oracle(cis, cis.model, broken)[1][0]
     assert first == "at a1 about bob"
+    with pytest.raises(ArithmeticError, match=f"belief perturbation bound violated {first}$"):
+        verify_tyranny(cis)
+
+
+def test_belief_gap_violation_across_two_widths_names_the_first_in_index_order(monkeypatch):
+    # iggy's three signals make a stack of width 3 (the beliefs about iggy)
+    # beside the width-2 stack of the beliefs about the informed agents;
+    # the first violation in index order, (p1_0, iggy), lies in the stack
+    # iterated second, ahead of (p1_0, inf2) and (p1_1, inf2) in the first
+    cis = make_cis(np.random.default_rng(18), n_states=2, delta=0.1, eps=1e-9,
+                   ignorant_signals=3)
+    rounded = rounded_structure(cis, cis.agents[1:])
+    assert list(cis.model.beliefs.stacks) == list(rounded.model.beliefs.stacks) == [2, 3]
+    report = verify_tyranny(cis)
+    assert (report.belief_gap_max, []) == _gap_oracle(cis, cis.model, rounded.model)
+    beliefs = dict(rounded.model.beliefs.items())
+    for t, j in (("p1_1", "inf2"), ("p2_0", "iggy"), ("p1_0", "inf2"), ("p1_0", "iggy")):
+        old = beliefs[t]
+        beliefs[t] = InterimBelief(old.state_marginal, {
+            **old.signal_marginals, j: 0.9 * old.signal_marginals[j] + 0.1 / len(cis.signals[j])})
+    m = rounded.model
+    broken = ModelSpec(m.states, m.agents, m.signals, beliefs, m.network, m.priors, m.y)
+    vars(rounded)["model"] = broken
+    monkeypatch.setattr(tyranny, "rounded_structure", lambda *args: rounded)
+    over = _gap_oracle(cis, cis.model, broken)[1]
+    assert over == ["at p1_0 about iggy", "at p1_0 about inf2", "at p1_1 about inf2",
+                    "at p2_0 about iggy"]
+    first = over[0]
     with pytest.raises(ArithmeticError, match=f"belief perturbation bound violated {first}$"):
         verify_tyranny(cis)
 
